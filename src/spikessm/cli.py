@@ -179,6 +179,10 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 }
 
 
+# sizes a run cannot do without: zero steps would leave no metrics row
+POSITIVE = ("steps", "batch", "seq_len")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -242,6 +246,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"bad value for {key}: {resolved[key]!r} ({exc})")
         if opt.choices and resolved[key] not in opt.choices:
             raise CliError(f"{key} must be one of {opt.choices}")
+        if key in POSITIVE and resolved[key] < 1:
+            raise CliError(f"{key} must be >= 1, got {resolved[key]}")
     if not resolved["out"]:
         raise CliError("--out is required")
     return resolved

@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .mamba2 import Mamba2Config
 from .tensor import ContractError
 
 ANN = "ann"
@@ -61,10 +60,6 @@ class Geometry:
     def __post_init__(self):
         if self.n_heads * self.d_head != 2 * self.d_model:
             raise ContractError("geometry must satisfy n_heads*d_head == 2*d_model")
-
-    @classmethod
-    def from_model_config(cls, cfg: Mamba2Config) -> "Geometry":
-        return cls(cfg.d_model, cfg.n_state, cfg.n_heads, cfg.d_head, cfg.n_layers)
 
 
 PRESETS: dict[str, Geometry] = {

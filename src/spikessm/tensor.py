@@ -127,10 +127,6 @@ class Graph:
         }
 
 
-def backward(graph: Graph, loss: "Tensor", wrt: Sequence["Tensor"]) -> dict[int, np.ndarray]:
-    return graph.backward(loss, wrt)
-
-
 # ---------------------------------------------------------------------------
 # tensor
 
@@ -256,11 +252,6 @@ def mul(a, b) -> Tensor:
     return _make(data, "mul", (a, b), grad_fn)
 
 
-def detach(x: Tensor) -> Tensor:
-    """Value of ``x`` cut out of the gradient flow."""
-    return Tensor(x.data)
-
-
 def matmul(a, b) -> Tensor:
     """``a @ b`` where ``a`` is (..., k) or (m, k) and ``b`` is a 2-D (k, n) matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -383,16 +374,38 @@ def _exp_saturating(x: np.ndarray) -> np.ndarray:
     return y
 
 
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    # name -> (forward, derivative given (x, y))
-    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "sigmoid": (_stable_sigmoid, lambda x, y: y * (1.0 - y)),
-    "silu": (
-        lambda x: x * _stable_sigmoid(x),
-        lambda x, y: (lambda s: s * (1.0 + x * (1.0 - s)))(_stable_sigmoid(x)),
-    ),
-    "softplus": (_stable_softplus, lambda x, y: _stable_sigmoid(x)),
-    "exp": (_exp_saturating, lambda x, y: y),
+def _tanh(x: np.ndarray):
+    y = np.tanh(x)
+    return y, lambda: 1.0 - y * y
+
+
+def _sigmoid(x: np.ndarray):
+    y = _stable_sigmoid(x)
+    return y, lambda: y * (1.0 - y)
+
+
+def _silu(x: np.ndarray):
+    s = _stable_sigmoid(x)
+    return x * s, lambda: s * (1.0 + x * (1.0 - s))
+
+
+def _softplus(x: np.ndarray):
+    return _stable_softplus(x), lambda: _stable_sigmoid(x)
+
+
+def _exp(x: np.ndarray):
+    y = _exp_saturating(x)
+    return y, lambda: y
+
+
+# name -> forward returning (value, local derivative thunk); the thunk
+# closes over what the forward computed, so backward repeats none of it
+_ACTIVATIONS: dict[str, Callable] = {
+    "tanh": _tanh,
+    "sigmoid": _sigmoid,
+    "silu": _silu,
+    "softplus": _softplus,
+    "exp": _exp,
 }
 
 
@@ -400,11 +413,10 @@ def activation(kind: str, x) -> Tensor:
     if kind not in _ACTIVATIONS:
         raise ContractError(f"unknown activation {kind!r}")
     x = _as_tensor(x)
-    fwd, deriv = _ACTIVATIONS[kind]
-    data = fwd(x.data)
+    data, deriv = _ACTIVATIONS[kind](x.data)
 
     def grad_fn(g):
-        return (g * deriv(x.data, data),)
+        return (g * deriv(),)
 
     return _make(data, kind, (x,), grad_fn)
 

@@ -178,3 +178,21 @@ def test_rl_requires_method(teacher_dir, tmp_path):
     rc = main(["rl", "--ckpt", str(teacher_dir / "teacher.spkm"),
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-teacher", "--steps", "0"],
+    ["train-teacher", "--batch", "0"],
+    ["train-teacher", "--seq-len", "-3"],
+    ["distill", "--teacher", "t.spkm", "--steps", "0"],
+    ["distill", "--teacher", "t.spkm", "--batch", "-1"],
+    ["rl", "--method", "dpo", "--ckpt", "p.spkm", "--steps", "0"],
+    ["rl", "--method", "dpo", "--ckpt", "p.spkm", "--batch", "0"],
+    ["eval-ppl", "--ckpt", "m.spkm", "--corpus", "c.txt", "--seq-len", "0"],
+])
+def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "must be >= 1" in err
+    assert not out.exists()  # rejected before anything is written

@@ -7,6 +7,7 @@ from spikessm.gradcheck import REL_TOL, check_gradients
 from spikessm.mamba2 import (
     DENSE,
     RMS_EPS,
+    SCAN_CHUNK,
     SPIKING,
     LanguageModel,
     Mamba2Config,
@@ -19,11 +20,20 @@ from spikessm.mamba2 import (
     init_block_state,
     model_forward,
     sgc_forward,
+    ssm_scan,
     ssm_update,
     toy_config,
 )
 from spikessm.neurons import NeuronConfig, TILIF, quantize
-from spikessm.tensor import ContractError, Graph, Tensor, parameter, sum_
+from spikessm.tensor import (
+    ContractError,
+    Graph,
+    Tensor,
+    custom_op,
+    dtype_scope,
+    parameter,
+    sum_,
+)
 
 
 def small_config(mode=DENSE, **kw):
@@ -103,6 +113,20 @@ def test_recurrent_equivalence_float64(rng, f64):
     np.testing.assert_allclose(batched.data, np.stack(outs, axis=1), atol=1e-10)
 
 
+def test_recurrent_equivalence_across_chunks(rng):
+    cfg = small_config()
+    params = init_block_params(cfg, rng, 0)
+    T = 2 * SCAN_CHUNK + 5
+    u = rng.normal(size=(2, T, cfg.d_model)).astype(np.float32)
+    batched, _ = block_forward(params, Tensor(u), cfg)
+    state = init_block_state(cfg, (2,))
+    outs = []
+    for t in range(T):
+        y, state, _ = block_step(params, state, u[:, t], cfg)
+        outs.append(y)
+    np.testing.assert_allclose(batched.data, np.stack(outs, axis=1), atol=1e-5)
+
+
 def test_step_kernels_agree(rng, f64):
     cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
     params = init_block_params(cfg, rng, 0)
@@ -159,8 +183,76 @@ def test_sgc_path_grad(rng, f64):
     assert check_gradients(loss_fn, [x, w], rng, probes=100) < REL_TOL
 
 
+def ssm_scan_loop(decay, dt, b, x, c):
+    """Test oracle: the scan as a per-timestep loop, every state kept for backward."""
+    a_, dt_, b_, x_, c_ = decay.data, dt.data, b.data, x.data, c.data
+    B, T, H = dt_.shape
+    N = b_.shape[-1]
+    P = x_.shape[-1]
+    hs = np.empty((B, T, H, N, P), dtype=dt_.dtype)
+    o = np.empty((B, T, H, P), dtype=dt_.dtype)
+    h = np.zeros((B, H, N, P), dtype=dt_.dtype)
+    for t in range(T):
+        h = ssm_update(h, a_[:, t], dt_[:, t], b_[:, t], x_[:, t])
+        hs[:, t] = h
+        o[:, t] = np.einsum("bn,bhnp->bhp", c_[:, t], h)
+
+    def grad_fn(g):
+        da = np.zeros((B, T, H), dtype=g.dtype)
+        ddt = np.empty((B, T, H), dtype=g.dtype)
+        db = np.empty((B, T, N), dtype=g.dtype)
+        dx = np.empty((B, T, H, P), dtype=g.dtype)
+        dc = np.empty((B, T, N), dtype=g.dtype)
+        dh = np.zeros((B, H, N, P), dtype=g.dtype)
+        for t in reversed(range(T)):
+            dh += c_[:, t, None, :, None] * g[:, t, :, None, :]
+            if t > 0:
+                da[:, t] = np.einsum("bhnp,bhnp->bh", dh, hs[:, t - 1])
+            bx = b_[:, t, None, :, None] * x_[:, t, :, None, :]
+            ddt[:, t] = np.einsum("bhnp,bhnp->bh", dh, bx)
+            dtx = dt_[:, t, :, None] * x_[:, t]
+            db[:, t] = np.einsum("bhnp,bhp->bn", dh, dtx)
+            dtb = dt_[:, t, :, None] * b_[:, t, None, :]  # (B,H,N)
+            dx[:, t] = np.einsum("bhnp,bhn->bhp", dh, dtb)
+            dc[:, t] = np.einsum("bhp,bhnp->bn", g[:, t], hs[:, t])
+            dh *= a_[:, t, :, None, None]
+        return da, ddt, db, dx, dc
+
+    return custom_op(o, (decay, dt, b, x, c), grad_fn, "ssm_scan_loop")
+
+
+def _scan_inputs(rng, B, T, H=2, N=5, P=4):
+    return (rng.uniform(0.3, 0.99, (B, T, H)), rng.uniform(0.01, 0.5, (B, T, H)),
+            rng.normal(size=(B, T, N)), rng.normal(size=(B, T, H, P)),
+            rng.normal(size=(B, T, N)))
+
+
+def _scan_and_grads(scan, arrays, probe):
+    leaves = [parameter(a) for a in arrays]
+    with Graph() as g:
+        out = scan(*leaves)
+        loss = sum_(out * Tensor(probe))
+    grads = g.backward(loss, leaves)
+    return [out.data] + [grads[id(t)] for t in leaves]
+
+
+@pytest.mark.parametrize("precision,rtol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("T", [1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 37, 64])
+def test_ssm_scan_matches_loop(precision, rtol, B, T, rng):
+    with dtype_scope(precision):
+        arrays = _scan_inputs(rng, B, T)
+        probe = rng.normal(size=arrays[3].shape)
+        got = _scan_and_grads(ssm_scan, arrays, probe)
+        want = _scan_and_grads(ssm_scan_loop, arrays, probe)
+    names = ("out", "d_decay", "d_dt", "d_b", "d_x", "d_c")
+    for name, g, w in zip(names, got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        np.testing.assert_allclose(g, w, rtol=0, atol=rtol * np.abs(w).max(),
+                                   err_msg=name)
+
+
 def test_ssm_scan_grad(rng, f64):
-    from spikessm.mamba2 import ssm_scan
     B, T, H, N, P = 2, 5, 2, 3, 4
     decay = parameter(rng.uniform(0.3, 0.95, (B, T, H)))
     dt = parameter(rng.uniform(0.05, 0.5, (B, T, H)))
@@ -173,6 +265,30 @@ def test_ssm_scan_grad(rng, f64):
         return sum_(ssm_scan(decay, dt, b, x, c) * probe)
 
     assert check_gradients(loss_fn, [decay, dt, b, x, c], rng, probes=100) < REL_TOL
+
+
+def test_ssm_scan_grad_across_chunks(rng, f64):
+    # ragged: two full chunks and a padded third
+    arrays = _scan_inputs(rng, 2, 2 * SCAN_CHUNK + 3, N=3)
+    leaves = [parameter(a) for a in arrays]
+    probe = Tensor(rng.normal(size=arrays[3].shape))
+
+    def loss_fn():
+        return sum_(ssm_scan(*leaves) * probe)
+
+    assert check_gradients(loss_fn, leaves, rng, probes=150) < REL_TOL
+
+
+def test_ssm_scan_zero_decay_finite(rng):
+    # float32 exp(-dt*A) underflows to exactly 0 for a large step
+    arrays = [a.astype(np.float32) for a in _scan_inputs(rng, 2, 2 * SCAN_CHUNK + 3)]
+    arrays[0][:, ::7] = 0.0
+    probe = rng.normal(size=arrays[3].shape)
+    got = _scan_and_grads(ssm_scan, arrays, probe)
+    want = _scan_and_grads(ssm_scan_loop, arrays, probe)
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all()
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-5 * np.abs(w).max())
 
 
 def test_dense_block_grad(rng, f64):
