@@ -20,7 +20,6 @@ import numpy as np
 from . import checkpoint, energy
 from .gradcheck import REL_TOL, check_gradients
 from .losses import (
-    cross_entropy_loss,
     dpo_loss,
     kl_distill_loss,
     kto_loss,
@@ -69,7 +68,6 @@ from .training import (
     rl_run,
     synth_preference_lines,
     synthetic_corpus,
-    token_stream,
     train_teacher,
     write_metrics_csv,
 )
@@ -179,8 +177,9 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 }
 
 
-# sizes a run cannot do without: zero steps would leave no metrics row
-POSITIVE = ("steps", "batch", "seq_len")
+# counts a run cannot do without: zero steps would leave no metrics row,
+# zero trials or probes would pass a check that checked nothing
+POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -528,10 +527,6 @@ def cmd_eval_ppl(resolved) -> int:
 
 
 def _collect_site(model, lines, layer, site, seq_len):
-    stream = token_stream(lines)
-    width = seq_len + 1
-    n = max(1, stream.size // width)
-    windows = stream[: n * width].reshape(n, width)[:, :-1]
     grabbed = []
 
     def hook(li, at, data):
@@ -539,8 +534,7 @@ def _collect_site(model, lines, layer, site, seq_len):
             grabbed.append(data.reshape(-1).copy())
         return data
 
-    for i in range(0, n, 16):
-        model.forward_batch(windows[i:i + 16], hook=hook)
+    eval_ppl(model, lines, seq_len=seq_len, hook=hook)
     return np.concatenate(grabbed)
 
 
@@ -551,13 +545,10 @@ def cmd_activation_hist(resolved) -> int:
     lines = load_corpus(resolved)
     values = _collect_site(model, lines, resolved["layer"], resolved["site"],
                            resolved["seq_len"])
-    bins = resolved["bins"]
-    if bins < 1:
-        raise CliError("bins must be >= 1")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=resolved["bins"], range=(lo, hi))
     path = os.path.join(resolved["out"], "activation_hist.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("value_lo,value_hi,count\n")
@@ -571,19 +562,8 @@ def cmd_clamp_ablation(resolved) -> int:
     model = _load_model(resolved["ckpt"])
     lines = load_corpus(resolved)
     base = eval_ppl(model, lines, seq_len=resolved["seq_len"])
-    hook = make_clamp_hook(resolved["mode"], resolved["site"])
-    stream = token_stream(lines)
-    width = resolved["seq_len"] + 1
-    n = stream.size // width
-    windows = stream[: n * width].reshape(n, width)
-    total, count = 0.0, 0
-    for i in range(0, n, 16):
-        chunk = windows[i:i + 16]
-        logits, _ = model.forward_batch(chunk[:, :-1], hook=hook)
-        ce = cross_entropy_loss(logits, chunk[:, 1:]).item()
-        total += ce * chunk[:, 1:].size
-        count += chunk[:, 1:].size
-    clamped = float(np.exp(total / count))
+    clamped = eval_ppl(model, lines, seq_len=resolved["seq_len"],
+                       hook=make_clamp_hook(resolved["mode"], resolved["site"]))
     path = os.path.join(resolved["out"], "clamp_ablation.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("mode,site,ppl_off,ppl_clamped,delta\n")

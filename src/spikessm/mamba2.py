@@ -10,8 +10,11 @@ differentiable route.
 
 Two forward paths implement identical math: a batched path on the
 gradient tape for training and evaluation, and a stepwise plain-numpy
-path carrying explicit recurrent state for generation. Their agreement
-is a tested invariant. Parameters are immutable during forward, so
+path carrying explicit recurrent state for generation. The step shares
+every formula with the tape ops by calling their plain-array forwards;
+only the scan has its own form there, the recurrent state update, since
+at one token the tape's per-op overhead would outweigh the chunked
+scan. Their agreement is a tested invariant. Parameters are immutable during forward, so
 concurrent forwards over independent sequences are safe; training
 updates are single-threaded.
 """
@@ -34,7 +37,6 @@ from .tensor import (
     Tensor,
     active_graph,
     causal_conv1d,
-    causal_conv1d_step,
     embedding,
     matmul,
     narrow,
@@ -295,18 +297,16 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
     if want_sgc and params.w_sgc_in is not None:
         aux.sgc_pairs.append((u2, sgc_forward(u, params.w_sgc_in, cfg.neuron.d_max)))
 
+    # u2 = [z | x | B | C | dt]; one conv runs over the contiguous x|B|C
     z = narrow(u2, -1, 0, d_inner)
-    x_raw = narrow(u2, -1, d_inner, d_inner)
-    b_raw = narrow(u2, -1, 2 * d_inner, N)
-    c_raw = narrow(u2, -1, 2 * d_inner + N, N)
+    xbc_raw = narrow(u2, -1, d_inner, d_inner + 2 * N)
     dt_raw = narrow(u2, -1, 2 * d_inner + 2 * N, H)
 
-    x_conv, _ = causal_conv1d(x_raw, params.conv_x)
-    b_conv, _ = causal_conv1d(b_raw, params.conv_b)
-    c_conv, _ = causal_conv1d(c_raw, params.conv_c)
-    x = reshape(tn.silu(x_conv), (B, T, H, P))
-    b = tn.silu(b_conv)
-    c = tn.silu(c_conv)
+    kern = tn.concat([params.conv_x, params.conv_b, params.conv_c], axis=0)
+    xbc = tn.silu(causal_conv1d(xbc_raw, kern)[0])
+    x = reshape(narrow(xbc, -1, 0, d_inner), (B, T, H, P))
+    b = narrow(xbc, -1, d_inner, N)
+    c = narrow(xbc, -1, d_inner + N, N)
 
     dt = tn.softplus(dt_raw + params.dt_bias)             # (B,T,H)
     decay = tn.exp(-(dt * tn.exp(params.a_log)))          # (B,T,H)
@@ -366,32 +366,32 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
     else:
         u2 = u_t @ params.w_in.data
     if want_sgc and params.w_sgc_in is not None:
-        mim = cfg.neuron.d_max * np.tanh(u_t)
+        mim = tn.activation_forward("tanh", u_t) * float(cfg.neuron.d_max)
         aux.sgc_pairs.append((u2, mim @ params.w_sgc_in.data))
 
+    # the layout of block_forward, one time step long
     z = u2[..., :d_inner]
-    x_raw = u2[..., d_inner:2 * d_inner]
-    b_raw = u2[..., 2 * d_inner:2 * d_inner + N]
-    c_raw = u2[..., 2 * d_inner + N:2 * d_inner + 2 * N]
+    xbc_raw = u2[..., None, d_inner:2 * d_inner + 2 * N]       # (..., 1, d_inner+2N)
     dt_raw = u2[..., 2 * d_inner + 2 * N:]
 
-    conv_in = np.concatenate([x_raw, b_raw, c_raw], axis=-1)
     kern = np.concatenate(
         [params.conv_x.data, params.conv_b.data, params.conv_c.data], axis=0)
-    conv_out, conv_state = causal_conv1d_step(conv_in, kern, state.conv_state)
-    x = _np_silu(conv_out[..., :d_inner]).reshape(lead + (H, P))
-    b = _np_silu(conv_out[..., d_inner:d_inner + N])
-    c = _np_silu(conv_out[..., d_inner + N:])
+    conv, conv_state = tn.causal_conv1d_forward(xbc_raw, kern, state.conv_state)
+    xbc = tn.activation_forward("silu", conv[..., 0, :])
+    x = xbc[..., :d_inner].reshape(lead + (H, P))
+    b = xbc[..., d_inner:d_inner + N]
+    c = xbc[..., d_inner + N:]
 
-    dt = _np_softplus(dt_raw + params.dt_bias.data)            # (..., H)
-    decay = np.exp(-dt * np.exp(params.a_log.data))            # (..., H)
+    dt = tn.activation_forward("softplus", dt_raw + params.dt_bias.data)   # (..., H)
+    decay = tn.activation_forward(
+        "exp", -(dt * tn.activation_forward("exp", params.a_log.data)))   # (..., H)
 
     h = ssm_update(state.h, decay, dt, b, x)                   # (..., H,N,P)
     o = (c[..., None, :, None] * h).sum(axis=-2)               # (..., H,P)
     o = o + params.d_skip.data * x
 
-    gated = o.reshape(lead + (d_inner,)) * _np_silu(z)
-    y = _np_rmsnorm(gated, params.norm_w.data)
+    gated = o.reshape(lead + (d_inner,)) * tn.activation_forward("silu", z)
+    y, _ = tn.rmsnorm_forward(gated, params.norm_w.data, RMS_EPS)
 
     if spiking:
         s_out = quantize(cfg.neuron, y)
@@ -400,7 +400,7 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
     else:
         y_out = y @ params.w_out.data
     if want_sgc and params.w_sgc_out is not None:
-        mim = cfg.neuron.d_max * np.tanh(y)
+        mim = tn.activation_forward("tanh", y) * float(cfg.neuron.d_max)
         aux.sgc_pairs.append((y_out, mim @ params.w_sgc_out.data))
 
     if not np.isfinite(y_out).all():
@@ -547,22 +547,6 @@ def ssm_scan(decay: Tensor, dt: Tensor, b: Tensor, x: Tensor, c: Tensor) -> Tens
                         grad_fn, "ssm_scan")
 
 
-def _np_silu(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        ex_neg = np.exp(-np.abs(x))
-    pos = 1.0 / (1.0 + ex_neg)
-    return x * np.where(x >= 0, pos, 1.0 - pos)
-
-
-def _np_softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _np_rmsnorm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + RMS_EPS)
-    return x * inv * w
-
-
 # ---------------------------------------------------------------------------
 # the full language model
 
@@ -689,12 +673,12 @@ class LanguageModel:
         x = self.embedding.data[token]
         new_blocks = []
         for i, (layer, bst) in enumerate(zip(self.layers, state.blocks)):
-            x_in = _np_rmsnorm(x, self.pre_norms[i].data)
+            x_in, _ = tn.rmsnorm_forward(x, self.pre_norms[i].data, RMS_EPS)
             y, nst, _ = block_step(layer, bst, x_in, self.cfg, layer_idx=i,
                                    kernel=kernel, counter=counter)
             new_blocks.append(nst)
             x = x + y
-        x = _np_rmsnorm(x, self.norm_f.data)
+        x, _ = tn.rmsnorm_forward(x, self.norm_f.data, RMS_EPS)
         logits = x @ self.embedding.data.T
         return logits, ModelState(blocks=new_blocks)
 

@@ -6,7 +6,10 @@ log-softmax, RMS norm, causal depthwise conv, embedding gather,
 reductions, slicing/concat, and the quantizing neuron op registered
 from :mod:`spikessm.neurons`. There is no graph compiler; gradients
 are accumulated by walking the tape in reverse creation order, which
-makes every run bit-reproducible.
+makes every run bit-reproducible. The forwards of the activations, RMS
+norm and the conv are also exposed on plain arrays
+(``activation_forward``, ``rmsnorm_forward``, ``causal_conv1d_forward``)
+for off-tape callers; the tape ops run those same functions.
 
 Tape construction and backward are single-threaded per model instance.
 Tensors are treated as immutable once created (the optimizer swaps the
@@ -409,11 +412,20 @@ _ACTIVATIONS: dict[str, Callable] = {
 }
 
 
-def activation(kind: str, x) -> Tensor:
+def _activation_fn(kind: str) -> Callable:
     if kind not in _ACTIVATIONS:
         raise ContractError(f"unknown activation {kind!r}")
+    return _ACTIVATIONS[kind]
+
+
+def activation_forward(kind: str, x: np.ndarray) -> np.ndarray:
+    """The tape op's forward of activation ``kind`` on a plain array, off the tape."""
+    return _activation_fn(kind)(x)[0]
+
+
+def activation(kind: str, x) -> Tensor:
     x = _as_tensor(x)
-    data, deriv = _ACTIVATIONS[kind](x.data)
+    data, deriv = _activation_fn(kind)(x.data)
 
     def grad_fn(g):
         return (g * deriv(),)
@@ -497,16 +509,24 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def rmsnorm(x, weight, eps: float) -> Tensor:
-    """``x / sqrt(mean(x^2, last) + eps) * weight`` over the last axis."""
+def rmsnorm_forward(x: np.ndarray, weight: np.ndarray,
+                    eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tape op's forward on plain arrays: ``(y, inv)`` with
+    ``inv = 1 / sqrt(mean(x^2, last) + eps)`` and ``y = x * inv * weight``."""
     if eps < 0:
         raise ContractError("eps must be >= 0")
-    x, weight = _as_tensor(x), _as_tensor(weight)
     d = x.shape[-1]
     if weight.shape != (d,):
         raise DimensionError(f"rmsnorm weight shape {weight.shape} != ({d},)")
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
-    data = x.data * inv * weight.data
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    return x * inv * weight, inv
+
+
+def rmsnorm(x, weight, eps: float) -> Tensor:
+    """``x / sqrt(mean(x^2, last) + eps) * weight`` over the last axis."""
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    d = x.shape[-1]
+    data, inv = rmsnorm_forward(x.data, weight.data, eps)
 
     def grad_fn(g):
         gw = g * weight.data
@@ -524,15 +544,14 @@ def rmsnorm(x, weight, eps: float) -> Tensor:
 CONV_WIDTH = 4
 
 
-def causal_conv1d(x, kernel, state: np.ndarray | None = None):
-    """Depthwise causal convolution along the time axis.
+def causal_conv1d_forward(x: np.ndarray, kernel: np.ndarray,
+                          state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tape op's forward on plain arrays; returns ``(y, state')``.
 
     ``x`` is (..., T, c); ``kernel`` is (c, w) with w == 4; ``state`` holds
-    the previous w-1 inputs per channel, (..., w-1, c), zeros at sequence
-    start. Returns ``(y, state')`` where ``state'`` (plain array) lets a
-    caller resume step-by-step with identical results.
+    the previous w-1 inputs per channel, (..., w-1, c). ``state'`` lets a
+    caller resume, one step or many at a time, with identical results.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
     c, w = kernel.shape
     if w != CONV_WIDTH:
         raise DimensionError(f"conv kernel width must be {CONV_WIDTH}, got {w}")
@@ -540,18 +559,32 @@ def causal_conv1d(x, kernel, state: np.ndarray | None = None):
         raise DimensionError(f"conv channel mismatch: x has {x.shape[-1]}, kernel {c}")
     T = x.shape[-2]
     lead = x.shape[:-2]
-    if state is None:
-        state = np.zeros(lead + (w - 1, c), dtype=x.data.dtype)
     if state.shape != lead + (w - 1, c):
         raise DimensionError(f"conv state shape {state.shape} != {lead + (w - 1, c)}")
 
-    xp = np.concatenate([state, x.data], axis=-2)
-    data = np.zeros_like(x.data)
-    for j in range(w):  # ascending taps, matches the stepwise accumulation order
-        data = data + kernel.data[:, j] * xp[..., j:j + T, :]
-    new_state = xp[..., T:, :].copy()
+    xp = np.concatenate([state, x], axis=-2)
+    y = np.zeros_like(x)
+    for j in range(w):  # ascending taps, so any split of T sums identically
+        y = y + kernel[:, j] * xp[..., j:j + T, :]
+    return y, xp[..., T:, :].copy()
+
+
+def causal_conv1d(x, kernel, state: np.ndarray | None = None):
+    """Depthwise causal convolution along the time axis on the tape.
+
+    Shapes and the returned ``(y, state')`` (``state'`` a plain array) are
+    those of :func:`causal_conv1d_forward`; ``state`` defaults to zeros,
+    the start of a sequence.
+    """
+    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    if state is None:
+        state = np.zeros(x.shape[:-2] + (CONV_WIDTH - 1, x.shape[-1]), dtype=x.data.dtype)
+    data, new_state = causal_conv1d_forward(x.data, kernel.data, state)
+    c, w = kernel.shape
+    T = x.shape[-2]
 
     def grad_fn(g):
+        xp = np.concatenate([state, x.data], axis=-2)
         dxp = np.zeros_like(xp)
         dk = np.zeros_like(kernel.data)
         for j in range(w):
@@ -561,19 +594,6 @@ def causal_conv1d(x, kernel, state: np.ndarray | None = None):
         return dxp[..., w - 1:, :], dk
 
     return _make(data, "conv1d", (x, kernel), grad_fn), new_state
-
-
-def causal_conv1d_step(x_t: np.ndarray, kernel: np.ndarray, state: np.ndarray):
-    """One inference step of the causal conv; plain arrays, no tape.
-
-    ``x_t`` is (..., c); returns ``(y_t, state')``.
-    """
-    c, w = kernel.shape
-    window = np.concatenate([state, x_t[..., None, :]], axis=-2)
-    y = np.zeros_like(x_t)
-    for j in range(w):
-        y = y + kernel[:, j] * window[..., j, :]
-    return y, window[..., 1:, :].copy()
 
 
 # ---------------------------------------------------------------------------

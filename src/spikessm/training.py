@@ -20,7 +20,7 @@ from .losses import (
     sequence_logprob,
     total_distill_loss,
 )
-from .mamba2 import SPIKING, LanguageModel, hidden_align_loss
+from .mamba2 import SPIKING, Hook, LanguageModel, hidden_align_loss
 from .optim import AdamW, lr_schedule
 from .tensor import ContractError, Graph, Tensor, narrow, pause_recording, reshape
 from .tokenizer import BOS, EOS, tokenize
@@ -85,8 +85,11 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
 
 
 def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
-             batch: int = 16) -> float:
-    """exp(mean next-token cross entropy) over consecutive corpus windows."""
+             batch: int = 16, hook: Hook | None = None) -> float:
+    """exp(mean next-token cross entropy) over consecutive corpus windows.
+
+    ``hook`` is passed to every forward (see :func:`mamba2.block_forward`).
+    """
     stream = token_stream(lines)
     width = seq_len + 1
     n_win = stream.size // width
@@ -96,7 +99,7 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
     total, count = 0.0, 0
     for i in range(0, n_win, batch):
         chunk = windows[i:i + batch]
-        logits, _ = model.forward_batch(chunk[:, :-1])
+        logits, _ = model.forward_batch(chunk[:, :-1], hook=hook)
         ce = cross_entropy_loss(logits, chunk[:, 1:]).item()
         total += ce * chunk[:, 1:].size
         count += chunk[:, 1:].size

@@ -125,6 +125,18 @@ def test_activation_hist_bad_layer(teacher_dir, tmp_path):
     assert rc == 1
 
 
+def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("hi there\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["activation-hist", "--ckpt", str(teacher_dir / "teacher.spkm"),
+               "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "contract failure: corpus shorter than one evaluation window"
+    assert not (out / "activation_hist.csv").exists()
+
+
 def test_clamp_ablation(teacher_dir, tmp_path):
     rc = main(["clamp-ablation", "--ckpt", str(teacher_dir / "teacher.spkm"),
                "--mode", "max_to_zero", "--site", "y_t",
@@ -189,6 +201,10 @@ def test_rl_requires_method(teacher_dir, tmp_path):
     ["rl", "--method", "dpo", "--ckpt", "p.spkm", "--steps", "0"],
     ["rl", "--method", "dpo", "--ckpt", "p.spkm", "--batch", "0"],
     ["eval-ppl", "--ckpt", "m.spkm", "--corpus", "c.txt", "--seq-len", "0"],
+    ["verify-equivalence", "--max-dim", "0"],
+    ["verify-equivalence", "--trials", "-3"],
+    ["gradcheck", "--probes", "0"],
+    ["activation-hist", "--ckpt", "m.spkm", "--bins", "0"],
 ])
 def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     out = tmp_path / "o"

@@ -12,7 +12,6 @@ from spikessm.tensor import (
     Tensor,
     activation,
     causal_conv1d,
-    causal_conv1d_step,
     concat,
     embedding,
     log_softmax,
@@ -113,15 +112,16 @@ def test_conv_identity_and_zero_taps(rng):
 def test_conv_batched_equals_stepwise_exact(rng, f64):
     c, T = 4, 8
     x = rng.normal(size=(T, c))
-    k = rng.normal(size=(c, 4))
-    batched, final_state = causal_conv1d(Tensor(x), Tensor(k))
+    k = Tensor(rng.normal(size=(c, 4)))
+    batched, final_state = causal_conv1d(Tensor(x), k)
     state = np.zeros((3, c))
     outs = []
-    for t in range(T):
-        y_t, state = causal_conv1d_step(x[t], k, state)
-        outs.append(y_t)
+    for t in range(T):  # one token at a time, carrying the state
+        y_t, state = causal_conv1d(Tensor(x[t:t + 1]), k, state)
+        outs.append(y_t.data[0])
     assert np.array_equal(batched.data, np.stack(outs))  # exact at 64-bit
     assert np.array_equal(final_state, x[T - 3:])
+    assert np.array_equal(state, final_state)
 
 
 def test_conv_channel_mismatch():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from spikessm.mamba2 import SPIKING, LanguageModel, Mamba2Config, toy_config
+from spikessm.mamba2 import (
+    SPIKING,
+    LanguageModel,
+    Mamba2Config,
+    make_clamp_hook,
+    toy_config,
+)
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.tensor import ContractError
 from spikessm.training import (
@@ -193,6 +199,33 @@ def test_eval_ppl_matches_straight_line_oracle(rng):
         total += -logp[np.arange(16), w[1:]].sum()
         count += 16
     assert got == pytest.approx(float(np.exp(total / count)), rel=1e-5)
+
+
+def test_eval_ppl_identity_hook_changes_nothing(rng):
+    model = LanguageModel(tiny_cfg(), rng)
+    lines = synthetic_corpus(25, seed=0)
+    assert eval_ppl(model, lines, seq_len=16, hook=lambda li, at, d: d) == \
+        eval_ppl(model, lines, seq_len=16)
+
+
+def test_eval_ppl_clamp_hook_matches_inline_loop(rng, f64):
+    """The clamp hook through eval_ppl against a window-by-window loop."""
+    model = LanguageModel(tiny_cfg(), rng)
+    lines = synthetic_corpus(25, seed=0)
+    hook = make_clamp_hook("max_to_zero", "y_t")
+    got = eval_ppl(model, lines, seq_len=16, batch=4, hook=hook)
+    assert got != eval_ppl(model, lines, seq_len=16, batch=4)
+
+    stream = token_stream(lines)
+    n = stream.size // 17
+    windows = stream[: n * 17].reshape(n, 17)
+    total = 0.0
+    for w in windows:
+        logits, _ = model.forward_batch(w[None, :-1], hook=hook)
+        z = logits.data[0] - logits.data[0].max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        total += -logp[np.arange(16), w[1:]].sum()
+    assert got == pytest.approx(float(np.exp(total / (16 * n))), rel=1e-12, abs=0)
 
 
 def test_hidden_freeze_flag_changes_gradients(rng):
