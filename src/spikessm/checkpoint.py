@@ -11,7 +11,7 @@ float32):
     per tensor:
         name_len uint32
         name     UTF-8 bytes
-        rank     uint32
+        rank     uint32         at most MAX_RANK (model tensors are vectors or matrices)
         dims     rank * uint32
         data     prod(dims) float32, row-major
 
@@ -22,8 +22,9 @@ float32 without re-encoding.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .tensor import ContractError
 
 MAGIC = b"SPKM"
 VERSION = 1
+MAX_RANK = 2
 
 
 def config_to_json(cfg: Mamba2Config) -> str:
@@ -41,10 +43,44 @@ def config_to_json(cfg: Mamba2Config) -> str:
     return json.dumps(d, sort_keys=True)
 
 
+# JSON types a config value may take, by the field's annotation; every
+# integer field of the configurations is a count or size, so at least 1,
+# and every float field is finite
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _checked(d, cls) -> dict:
+    """``d`` with exactly the fields of dataclass ``cls``, each of its type."""
+    if not isinstance(d, dict):
+        raise ContractError(f"{cls.__name__} must be a JSON object")
+    names = {f.name: f.type for f in fields(cls)}
+    unknown, missing = sorted(set(d) - set(names)), sorted(set(names) - set(d))
+    if unknown or missing:
+        raise ContractError(f"{cls.__name__} keys: unknown {unknown}, missing {missing}")
+    for name, kind in names.items():
+        want = _JSON_TYPES.get(kind)
+        v = d[name]
+        if want is not None and (not isinstance(v, want) or
+                                 (kind != "bool" and isinstance(v, bool))):
+            raise ContractError(f"config key {name!r} must be {kind}, got {v!r}")
+        if kind == "int" and v < 1 or kind == "float" and not math.isfinite(v):
+            raise ContractError(f"config key {name!r} out of range: {v}")
+    return d
+
+
 def config_from_json(text: str) -> Mamba2Config:
-    d = json.loads(text)
-    d["neuron"] = NeuronConfig(**d["neuron"])
-    d["sgc_layers"] = frozenset(d["sgc_layers"])
+    """Inverse of :func:`config_to_json`; any malformed text is a ContractError."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"config is not valid JSON: {exc}") from None
+    d = _checked(d, Mamba2Config)
+    layers = d["sgc_layers"]
+    if not (isinstance(layers, list) and
+            all(isinstance(i, int) and not isinstance(i, bool) for i in layers)):
+        raise ContractError("config key 'sgc_layers' must be a list of layer indices")
+    d["neuron"] = NeuronConfig(**_checked(d["neuron"], NeuronConfig))
+    d["sgc_layers"] = frozenset(layers)
     return Mamba2Config(**d)
 
 
@@ -67,38 +103,69 @@ def save(path, model: LanguageModel) -> None:
             f.write(arr.tobytes())
 
 
+class _Reader:
+    """Bounds-checked cursor over a container's bytes; every failure is a
+    ContractError naming the byte offset."""
+
+    def __init__(self, path, blob: bytes):
+        self.path, self.blob, self.off = path, memoryview(blob), 0
+
+    def fail(self, what: str, at: int | None = None):
+        raise ContractError(f"{self.path}: {what} at byte {self.off if at is None else at}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.blob) - self.off:
+            self.fail(f"truncated container: {what} needs {n} bytes, "
+                      f"{len(self.blob) - self.off} left")
+        self.off += n
+        return self.blob[self.off - n:self.off]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        at = self.off
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not UTF-8", at)
+
+
 def load_raw(path) -> tuple[Mamba2Config, dict[str, np.ndarray]]:
+    """Parse a container; truncation, bad config, bad names or non-finite
+    weights raise ContractError naming the byte offset."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise ContractError(f"{path}: not a model container (bad magic)")
-    off = 4
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        r = _Reader(path, f.read())
+    if r.take(4, "magic") != MAGIC:
+        r.fail("not a model container (bad magic)", 0)
+    version = r.u32("version")
     if version != VERSION:
-        raise ContractError(f"{path}: unsupported container version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    cfg = config_from_json(blob[off:off + cfg_len].decode("utf-8"))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        r.fail(f"unsupported container version {version}", 4)
+    at = r.off + 4
+    text = r.text(r.u32("config length"), "config")
+    try:
+        cfg = config_from_json(text)
+    except ContractError as exc:
+        r.fail(f"bad config ({exc})", at)
+    count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        tensors[name] = arr.copy()
-    if off != len(blob):
-        raise ContractError(f"{path}: trailing bytes in container")
+        at = r.off
+        name = r.text(r.u32("name length"), "tensor name")
+        if name in tensors:
+            r.fail(f"duplicate tensor {name!r}", at)
+        at = r.off
+        rank = r.u32(f"rank of {name}")
+        if rank > MAX_RANK:
+            r.fail(f"rank {rank} of {name} exceeds {MAX_RANK}", at)
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of {name}"))
+        at = r.off
+        arr = np.frombuffer(r.take(4 * math.prod(dims), f"data of {name}"), dtype="<f4")
+        if not np.isfinite(arr).all():
+            r.fail(f"non-finite weights in {name}", at)
+        tensors[name] = arr.reshape(dims).copy()
+    if r.off != len(r.blob):
+        r.fail("trailing bytes in container")
     return cfg, tensors
 
 

@@ -18,22 +18,12 @@ from typing import Any, Callable
 import numpy as np
 
 from . import checkpoint, energy
-from .gradcheck import REL_TOL, check_gradients
-from .losses import (
-    dpo_loss,
-    kl_distill_loss,
-    kto_loss,
-)
+from .gradcheck import REL_TOL, check_gradients, gradcheck_targets
 from .mamba2 import (
     DENSE,
     SPIKING,
     LanguageModel,
-    Mamba2Config,
-    block_forward,
-    hidden_align_loss,
-    init_block_params,
     make_clamp_hook,
-    sgc_forward,
     toy_config,
 )
 from .neurons import (
@@ -50,14 +40,8 @@ from .tensor import (
     ContractError,
     DimensionError,
     NumericError,
-    Tensor,
-    activation,
     dtype_scope,
-    parameter,
-    rmsnorm,
     set_default_dtype,
-    softmax,
-    sum_,
 )
 from .training import (
     DISTILL_FIELDS,
@@ -349,66 +333,17 @@ def cmd_verify_equivalence(resolved) -> int:
     return EXIT_OK
 
 
-def _gradcheck_targets(rng):
-    """(name, loss_fn, params) triples covering every differentiable path."""
-    targets = []
-
-    for name in ("tanh", "sigmoid", "silu", "softplus", "exp"):
-        x = parameter(rng.normal(size=16) * 0.7)
-        probe = Tensor(rng.normal(size=16))
-        targets.append((f"op:{name}",
-                        lambda n=name, x=x, p=probe: sum_(activation(n, x) * p), [x]))
-
-    x = parameter(rng.normal(size=(4, 6)))
-    probe = Tensor(rng.normal(size=(4, 6)))
-    targets.append(("op:softmax", lambda: sum_(softmax(x, axis=-1) * probe), [x]))
-    w = parameter(rng.normal(size=6) + 1.0)
-    targets.append(("op:rmsnorm", lambda: sum_(rmsnorm(x, w, 1e-6) * probe), [x, w]))
-
-    xs = parameter(rng.normal(size=(4, 6)))
-    ws = parameter(rng.normal(size=(6, 3)))
-    spk = Tensor(rng.normal(size=(4, 3)))
-    targets.append(("sgc_path",
-                    lambda: hidden_align_loss(spk, sgc_forward(xs, ws, 4)), [xs, ws]))
-
-    t = rng.normal(size=(4, 9))
-    sl = parameter(rng.normal(size=(4, 9)))
-    targets.append(("kl_loss", lambda: kl_distill_loss(t, sl), [sl]))
-
-    lw, ll = parameter(0.3), parameter(-0.2)
-    targets.append(("dpo_loss",
-                    lambda: dpo_loss((lw, ll), (0.1, 0.0), 0.7), [lw, ll]))
-
-    lps = [parameter(float(v)) for v in rng.normal(size=3)]
-    targets.append(("kto_loss",
-                    lambda: kto_loss(lps, [0.0, 0.1, -0.1], [1, -1, 1], 0.5,
-                                     z_ref=0.02), lps))
-
-    cfg = Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8,
-                       n_layers=1, vocab=11)
-    params = init_block_params(cfg, rng, 0)
-    u = parameter(rng.normal(size=(1, 4, cfg.d_model)))
-    bp = Tensor(rng.normal(size=(1, 4, cfg.d_model)))
-
-    def block_loss():
-        y, _ = block_forward(params, u, cfg)
-        return sum_(y * bp)
-
-    targets.append(("dense_block", block_loss, [u] + [p for _, p in params.named()]))
-    return targets
-
-
 def cmd_gradcheck(resolved) -> int:
     probes = resolved["probes"]
     rows = []
     status = EXIT_OK
     with dtype_scope("float64"):
         rng = np.random.default_rng(resolved["seed"])
-        for name, loss_fn, params in _gradcheck_targets(rng):
+        for name, loss_fn, params in gradcheck_targets(rng):
             err = check_gradients(loss_fn, params, rng, probes=probes)
             ok = err < REL_TOL
             rows.append((name, err, ok))
-            print(f"{'pass' if ok else 'FAIL'}  {name:<14} max rel err {err:.3e}")
+            print(f"{'pass' if ok else 'FAIL'}  {name:<16} max rel err {err:.3e}")
             if not ok:
                 status = EXIT_CONTRACT
     with open(os.path.join(resolved["out"], "gradcheck.csv"), "w",

@@ -2,7 +2,8 @@
 
 Every differentiable path in the package is checked the same way:
 compute analytic gradients on the tape, then probe random entries with
-a symmetric difference quotient at 64-bit precision.
+a symmetric difference quotient at 64-bit precision. ``gradcheck_targets``
+is the registry of those paths that ``spikessm gradcheck`` audits.
 """
 
 from __future__ import annotations
@@ -11,7 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Graph, Tensor
+from .losses import dpo_loss, kl_distill_loss, kto_loss, sequence_logprob
+from .mamba2 import (
+    Mamba2Config,
+    block_forward,
+    hidden_align_loss,
+    init_block_params,
+    sgc_forward,
+)
+from .tensor import Graph, Tensor, activation, parameter, rmsnorm, softmax, sum_
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -64,3 +73,59 @@ def check_gradients(
         rel = abs(a - n) / max(abs(a), abs(n), DENOM_FLOOR)
         worst = max(worst, rel)
     return worst
+
+
+def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
+    """(name, loss_fn, params) triples covering every differentiable path."""
+    targets = []
+
+    for name in ("tanh", "sigmoid", "silu", "softplus", "exp"):
+        x = parameter(rng.normal(size=16) * 0.7)
+        probe = Tensor(rng.normal(size=16))
+        targets.append((f"op:{name}",
+                        lambda n=name, x=x, p=probe: sum_(activation(n, x) * p), [x]))
+
+    x = parameter(rng.normal(size=(4, 6)))
+    probe = Tensor(rng.normal(size=(4, 6)))
+    targets.append(("op:softmax", lambda: sum_(softmax(x, axis=-1) * probe), [x]))
+    w = parameter(rng.normal(size=6) + 1.0)
+    targets.append(("op:rmsnorm", lambda: sum_(rmsnorm(x, w, 1e-6) * probe), [x, w]))
+
+    xs = parameter(rng.normal(size=(4, 6)))
+    ws = parameter(rng.normal(size=(6, 3)))
+    spk = Tensor(rng.normal(size=(4, 3)))
+    targets.append(("sgc_path",
+                    lambda: hidden_align_loss(spk, sgc_forward(xs, ws, 4)), [xs, ws]))
+
+    t = rng.normal(size=(4, 9))
+    sl = parameter(rng.normal(size=(4, 9)))
+    targets.append(("kl_loss", lambda: kl_distill_loss(t, sl), [sl]))
+
+    lw, ll = parameter(0.3), parameter(-0.2)
+    targets.append(("dpo_loss",
+                    lambda: dpo_loss((lw, ll), (0.1, 0.0), 0.7), [lw, ll]))
+
+    lps = [parameter(float(v)) for v in rng.normal(size=3)]
+    targets.append(("kto_loss",
+                    lambda: kto_loss(lps, [0.0, 0.1, -0.1], [1, -1, 1], 0.5,
+                                     z_ref=0.02), lps))
+
+    logits = parameter(rng.normal(size=(2, 6, 5)))
+    toks = rng.integers(0, 5, size=(2, 6))
+    row_w = Tensor(rng.normal(size=2))
+    targets.append(("sequence_logprob",  # a padded batch: rows of length 6 and 4
+                    lambda: sum_(sequence_logprob(logits, toks, [1, 2], [6, 4]) * row_w),
+                    [logits]))
+
+    cfg = Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8,
+                       n_layers=1, vocab=11)
+    params = init_block_params(cfg, rng, 0)
+    u = parameter(rng.normal(size=(1, 4, cfg.d_model)))
+    bp = Tensor(rng.normal(size=(1, 4, cfg.d_model)))
+
+    def block_loss():
+        y, _ = block_forward(params, u, cfg)
+        return sum_(y * bp)
+
+    targets.append(("dense_block", block_loss, [u] + [p for _, p in params.named()]))
+    return targets

@@ -1,8 +1,8 @@
 """Distillation and preference-optimization losses.
 
-All losses return scalar tensors on the tape. Teacher / reference
-quantities enter as plain floats or arrays: they are training data, not
-differentiable inputs.
+All losses return scalar tensors on the tape (``sequence_logprob``, one
+per sequence of a batch). Teacher / reference quantities enter as plain
+floats or arrays: they are training data, not differentiable inputs.
 """
 
 from __future__ import annotations
@@ -111,19 +111,30 @@ def kto_loss(policy_logprobs: list[Tensor], ref_logprobs: list[float],
     return acc * (1.0 / n)
 
 
-def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int) -> Tensor:
-    """Sum of log p(tokens[t] | tokens[:t]) for t >= start, from (T, V) logits."""
+def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int | np.ndarray,
+                     length: int | np.ndarray | None = None) -> Tensor:
+    """Per-row sum of log p(tokens[t] | tokens[:t]) for start <= t < length.
+
+    ``logits`` is (B, T, V) over (B, T) ``tokens`` and gives a (B,) tensor;
+    ``start`` and ``length`` (default T) are one int or one per row.
+    Positions from ``length`` on are padding and contribute nothing. A
+    (T, V) / (T,) pair is a single row and gives a scalar.
+    """
     tokens = np.asarray(tokens)
-    T = tokens.size
-    if logits.shape[0] != T:
+    if logits.shape[:-1] != tokens.shape or tokens.ndim not in (1, 2):
         raise DimensionError("logits/token length mismatch")
-    if not 1 <= start <= T:
-        raise ContractError("start must be in [1, len(tokens)]")
+    rows = tokens.reshape(-1, tokens.shape[-1])
+    B, T = rows.shape
+    start = np.broadcast_to(np.asarray(start), (B,))
+    length = np.broadcast_to(np.asarray(T if length is None else length), (B,))
+    if not ((1 <= start) & (start <= length) & (length <= T)).all():
+        raise ContractError("need 1 <= start <= length <= len(tokens) per row")
     logp = log_softmax(logits, axis=-1)
-    mask = np.zeros((T, logits.shape[-1]), dtype=logits.data.dtype)
-    for t in range(start, T):
-        mask[t - 1, tokens[t]] = 1.0  # position t-1 predicts token t
-    return sum_(logp * Tensor(mask))
+    pos = np.arange(T)
+    r, t = np.nonzero((pos >= start[:, None]) & (pos < length[:, None]))
+    mask = np.zeros((B, T, logits.shape[-1]), dtype=logits.data.dtype)
+    mask[r, t - 1, rows[r, t]] = 1.0  # position t-1 predicts token t
+    return sum_(logp * Tensor(mask.reshape(logits.shape)), axis=(-2, -1))
 
 
 def perplexity(mean_cross_entropy: float) -> float:

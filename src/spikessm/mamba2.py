@@ -339,15 +339,13 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
 
 def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
                cfg: Mamba2Config, *, layer_idx: int = 0, kernel: str = "int",
-               counter: OpCounter | None = None, want_sgc: bool = False,
+               counter: OpCounter | None = None,
                ) -> tuple[np.ndarray, BlockState, BlockAux]:
     """One recurrent step; ``u_t`` is (..., d_model), plain arrays throughout.
 
     ``kernel`` picks the spiking projection route: "int" (sparse signed
     accumulation), "event" (binary micro-step train), or "matmul"
     (dense arithmetic on the quantized activations; identical result).
-    ``want_sgc`` additionally evaluates the compensation-path outputs
-    (plain arrays here; the batched path is the differentiable one).
     """
     H, P, N = cfg.n_heads, cfg.d_head, cfg.n_state
     d_inner = cfg.d_inner
@@ -365,9 +363,6 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
         u2 = _project(s_in, params.w_in.data, kernel, cfg.neuron, counter)
     else:
         u2 = u_t @ params.w_in.data
-    if want_sgc and params.w_sgc_in is not None:
-        mim = tn.activation_forward("tanh", u_t) * float(cfg.neuron.d_max)
-        aux.sgc_pairs.append((u2, mim @ params.w_sgc_in.data))
 
     # the layout of block_forward, one time step long
     z = u2[..., :d_inner]
@@ -399,9 +394,6 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
         y_out = _project(s_out, params.w_out.data, kernel, cfg.neuron, counter)
     else:
         y_out = y @ params.w_out.data
-    if want_sgc and params.w_sgc_out is not None:
-        mim = tn.activation_forward("tanh", y) * float(cfg.neuron.d_max)
-        aux.sgc_pairs.append((y_out, mim @ params.w_sgc_out.data))
 
     if not np.isfinite(y_out).all():
         raise NumericError(f"non-finite step output at layer {layer_idx}")

@@ -244,6 +244,11 @@ class PreferenceExample:
     def paired(self) -> bool:
         return self.response_w is not None
 
+    @property
+    def responses(self) -> tuple[str, ...]:
+        """The preferred then the dispreferred response, or the one response."""
+        return (self.response_w, self.response_l) if self.paired else (self.response,)
+
 
 def parse_preference_line(line: str, method: str) -> PreferenceExample:
     """Tab-separated records: DPO lines are ``prompt<TAB>preferred<TAB>
@@ -305,15 +310,38 @@ def _example_tokens(prompt: str, response: str) -> tuple[np.ndarray, int]:
     return ids, start
 
 
-def _response_logprob(model: LanguageModel, tokens: np.ndarray, start: int) -> Tensor:
-    logits, _ = model.forward_batch(tokens[None, :])
-    return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
+def _padded(seqs: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-pad (ids, start) sequences with EOS into one (N, T) batch;
+    returns the batch, the starts and the unpadded lengths."""
+    lengths = np.array([ids.size for ids, _ in seqs])
+    tokens = np.full((len(seqs), lengths.max()), EOS, dtype=np.int64)
+    for row, (ids, _) in zip(tokens, seqs):
+        row[:ids.size] = ids
+    return tokens, np.array([s for _, s in seqs]), lengths
+
+
+def _response_logprobs(model: LanguageModel, tokens: np.ndarray,
+                       starts: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """(N,) response log-probs of a padded batch from one forward. Padding
+    is exact: every op of the forward is per-token or causal, so pad
+    positions never reach a real one, and the mask drops their logits."""
+    logits, _ = model.forward_batch(tokens)
+    return sequence_logprob(logits, tokens, starts, lengths)
 
 
 def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
            method: str, steps: int = 120, batch: int = 4, lr: float = 5e-6,
            beta_pref: float = 0.1, seed: int = 0) -> list[dict]:
-    """DPO / KTO alignment against a frozen copy of the starting policy."""
+    """DPO / KTO alignment against a frozen copy of the starting policy.
+
+    Each step runs one padded policy forward over its sequences (DPO: the
+    ``batch`` preferred responses, then the dispreferred ones; KTO: the
+    responses). The reference log-probs are constants of an example, so
+    each is computed once, in one no-tape forward over the rows of the
+    step that first samples the example.
+    """
+    if not examples:
+        raise ContractError("no preference examples")
     if method not in ("dpo", "kto"):
         raise ContractError(f"unknown preference method {method!r}")
     if method == "dpo" and not all(e.paired for e in examples):
@@ -323,34 +351,43 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
             PreferenceExample(prompt=e.prompt, response=e.response_w, label=1)
             for e in examples
         ]
+    n_resp = 2 if method == "dpo" else 1
     reference = policy.clone()
     rng = np.random.default_rng(seed)
     params = policy.parameters()
+    seqs: dict[int, tuple] = {}    # example index -> (ids, start) per response
+    ref_lp: dict[int, tuple] = {}  # example index -> reference log-prob per response
     opt = AdamW(params)
     rows = []
     for step in range(steps):
-        idx = rng.integers(0, len(examples), size=batch)
+        idx = [int(i) for i in rng.integers(0, len(examples), size=batch)]
         cur_lr = lr_schedule(step, steps, lr)
+        for i in idx:
+            if i not in seqs:
+                ex = examples[i]
+                seqs[i] = tuple(_example_tokens(ex.prompt, r) for r in ex.responses)
+        order = [(i, k) for k in range(n_resp) for i in idx]
+        tokens, starts, lengths = _padded([seqs[i][k] for i, k in order])
+        miss = [i for i in dict.fromkeys(idx) if i not in ref_lp]
+        if miss:
+            picks = [order.index((i, k)) for k in range(n_resp) for i in miss]
+            with pause_recording():  # the reference policy is frozen
+                lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
+                                            lengths[picks]).data
+            for j, i in enumerate(miss):
+                ref_lp[i] = tuple(float(lp_ref[k * len(miss) + j]) for k in range(n_resp))
         with Graph() as g:
+            lp = _response_logprobs(policy, tokens, starts, lengths)
+            lp_rows = [reshape(narrow(lp, 0, r, 1), ()) for r in range(len(order))]
             losses = []
-            for i in idx:
+            for j, i in enumerate(idx):
                 ex = examples[i]
                 if method == "dpo":
-                    tw, sw = _example_tokens(ex.prompt, ex.response_w)
-                    tl, sl = _example_tokens(ex.prompt, ex.response_l)
-                    with pause_recording():  # the reference policy is frozen
-                        ref_w = _response_logprob(reference, tw, sw).item()
-                        ref_l = _response_logprob(reference, tl, sl).item()
-                    lp_w = _response_logprob(policy, tw, sw)
-                    lp_l = _response_logprob(policy, tl, sl)
-                    losses.append(dpo_loss((lp_w, lp_l), (ref_w, ref_l), beta_pref))
+                    losses.append(dpo_loss((lp_rows[j], lp_rows[batch + j]),
+                                           ref_lp[i], beta_pref))
                 else:
-                    toks, start = _example_tokens(ex.prompt, ex.response)
-                    with pause_recording():
-                        ref = _response_logprob(reference, toks, start).item()
-                    lp = _response_logprob(policy, toks, start)
-                    losses.append(kto_loss([lp], [ref], [ex.label], beta_pref,
-                                           weights=[ex.weight]))
+                    losses.append(kto_loss([lp_rows[j]], ref_lp[i], [ex.label],
+                                           beta_pref, weights=[ex.weight]))
             loss = losses[0]
             for extra in losses[1:]:
                 loss = loss + extra

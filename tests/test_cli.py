@@ -83,6 +83,7 @@ def test_gradcheck_cli(tmp_path):
     assert rc == 0
     body = (tmp_path / "gradcheck.csv").read_text()
     assert "dense_block" in body and "fail" not in body
+    assert "sequence_logprob" in body
 
 
 def test_eval_ppl_requires_corpus(teacher_dir, tmp_path):
@@ -123,6 +124,18 @@ def test_activation_hist_bad_layer(teacher_dir, tmp_path):
                "--layer", "9", "--out", str(tmp_path),
                "--corpus", str(teacher_dir / "corpus.txt")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("cut", [2, 10, 40, -3])
+def test_eval_ppl_truncated_checkpoint(teacher_dir, tmp_path, capsys, cut):
+    blob = (teacher_dir / "teacher.spkm").read_bytes()
+    bad = tmp_path / "cut.spkm"
+    bad.write_bytes(blob[:cut])
+    rc = main(["eval-ppl", "--ckpt", str(bad), "--corpus",
+               str(teacher_dir / "corpus.txt"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "truncated container" in err[0] and "at byte" in err[0]
 
 
 def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):

@@ -14,7 +14,7 @@ from spikessm.losses import (
     total_distill_loss,
 )
 from spikessm.optim import AdamW, lr_schedule
-from spikessm.tensor import ContractError, Graph, Tensor, parameter
+from spikessm.tensor import ContractError, DimensionError, Graph, Tensor, parameter
 
 
 def test_kl_zero_when_equal(rng, f64):
@@ -169,6 +169,41 @@ def test_sequence_logprob(rng, f64):
     logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
     manual = logp[1, toks[2]] + logp[2, toks[3]] + logp[3, toks[4]]
     assert got == pytest.approx(float(manual), abs=1e-12)
+
+
+def test_sequence_logprob_padded_rows_equal_single_rows(rng, f64):
+    logits = rng.normal(size=(3, 7, 6))
+    toks = rng.integers(0, 6, size=(3, 7))
+    start, length = np.array([1, 3, 2]), np.array([7, 5, 2])
+    got = sequence_logprob(Tensor(logits), toks, start, length)
+    assert got.shape == (3,)
+    for r in range(3):
+        n = length[r]
+        one = sequence_logprob(Tensor(logits[r, :n]), toks[r, :n], start=start[r])
+        assert one.shape == ()
+        z = logits[r] - logits[r].max(-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+        manual = sum(logp[t - 1, toks[r, t]] for t in range(start[r], n))
+        assert got.data[r] == pytest.approx(one.item(), abs=1e-12)
+        assert got.data[r] == pytest.approx(float(manual), abs=1e-12)
+    # an int start and no length cover every row in full
+    full = sequence_logprob(Tensor(logits), toks, 1)
+    for r in range(3):
+        assert full.data[r] == pytest.approx(
+            sequence_logprob(Tensor(logits[r]), toks[r], 1).item(), abs=1e-12)
+
+
+def test_sequence_logprob_rejects_bad_rows(rng):
+    logits = Tensor(rng.normal(size=(2, 5, 4)))
+    toks = np.zeros((2, 5), dtype=np.int64)
+    with pytest.raises(ContractError):
+        sequence_logprob(logits, toks, [1, 4], [5, 3])  # start past length
+    with pytest.raises(ContractError):
+        sequence_logprob(logits, toks, 1, [5, 6])       # length past T
+    with pytest.raises(ContractError):
+        sequence_logprob(logits, toks, 0)
+    with pytest.raises(DimensionError):
+        sequence_logprob(logits, toks[:, :4], 1)
 
 
 def test_adam_zero_grad_fixed_point(f64):

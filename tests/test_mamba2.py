@@ -413,19 +413,6 @@ def test_site_stats_aggregation(rng):
     assert stats.fr_in.spike_count == manual
 
 
-def test_block_step_sgc_outputs(rng, f64):
-    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
-                       sgc_layers=frozenset({0}))
-    params = init_block_params(cfg, rng, 0)
-    u = rng.normal(size=cfg.d_model)
-    _, _, aux = block_step(params, init_block_state(cfg), u, cfg, want_sgc=True)
-    assert len(aux.sgc_pairs) == 2
-    spk_in, sgc_in = aux.sgc_pairs[0]
-    np.testing.assert_allclose(
-        sgc_in, (4 * np.tanh(u)) @ params.w_sgc_in.data, atol=1e-12)
-    assert spk_in.shape == sgc_in.shape
-
-
 def test_sgc_pairs_shapes(rng):
     cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
                        sgc_layers=frozenset({0}))

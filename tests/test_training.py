@@ -8,11 +8,16 @@ from spikessm.mamba2 import (
     make_clamp_hook,
     toy_config,
 )
+from spikessm.losses import dpo_loss, kto_loss, sequence_logprob
 from spikessm.neurons import NeuronConfig, TILIF
-from spikessm.tensor import ContractError
+from spikessm.optim import AdamW, lr_schedule
+from spikessm.tensor import ContractError, Graph, Tensor, pause_recording, reshape
 from spikessm.training import (
     DistillResult,
     PreferenceExample,
+    _example_tokens,
+    _padded,
+    _response_logprobs,
     distill_run,
     eval_ppl,
     generate_pseudo_labels,
@@ -252,3 +257,121 @@ def test_rl_validates_method(rng):
     with pytest.raises(ContractError):
         rl_run(teacher, [PreferenceExample(prompt="p", response="r")],
                method="dpo", steps=1)
+
+
+def test_rl_rejects_empty_examples(rng):
+    teacher = LanguageModel(tiny_cfg(), rng)
+    with pytest.raises(ContractError, match="no preference examples"):
+        rl_run(teacher, [], method="dpo", steps=1)
+
+
+# ---------------------------------------------------------------------------
+# preference optimization: the per-example loop as the oracle of rl_run
+
+def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
+                beta_pref=0.1, seed=0):
+    """``rl_run`` as it was before batching: every sequence its own B=1
+    forward, and the reference log-probs recomputed on every step."""
+    def response_logprob(model, tokens, start):
+        logits, _ = model.forward_batch(tokens[None, :])
+        return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
+
+    if method == "kto" and any(e.paired for e in examples):
+        examples = [PreferenceExample(prompt=e.prompt, response=e.response_w, label=1)
+                    for e in examples]
+    reference = policy.clone()
+    rng = np.random.default_rng(seed)
+    params = policy.parameters()
+    opt = AdamW(params)
+    rows = []
+    for step in range(steps):
+        idx = rng.integers(0, len(examples), size=batch)
+        cur_lr = lr_schedule(step, steps, lr)
+        with Graph() as g:
+            losses = []
+            for i in idx:
+                ex = examples[i]
+                if method == "dpo":
+                    tw, sw = _example_tokens(ex.prompt, ex.response_w)
+                    tl, sl = _example_tokens(ex.prompt, ex.response_l)
+                    with pause_recording():
+                        ref_w = response_logprob(reference, tw, sw).item()
+                        ref_l = response_logprob(reference, tl, sl).item()
+                    lp_w = response_logprob(policy, tw, sw)
+                    lp_l = response_logprob(policy, tl, sl)
+                    losses.append(dpo_loss((lp_w, lp_l), (ref_w, ref_l), beta_pref))
+                else:
+                    toks, start = _example_tokens(ex.prompt, ex.response)
+                    with pause_recording():
+                        ref = response_logprob(reference, toks, start).item()
+                    lp = response_logprob(policy, toks, start)
+                    losses.append(kto_loss([lp], [ref], [ex.label], beta_pref,
+                                           weights=[ex.weight]))
+            loss = losses[0]
+            for extra in losses[1:]:
+                loss = loss + extra
+            loss = loss * (1.0 / len(losses))
+        grads = g.backward(loss, wrt=params)
+        opt.step(grads, cur_lr)
+        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr})
+    return rows
+
+
+def _preference_examples(method):
+    """Responses of different lengths, so every batch is padded; KTO mixes
+    labels and weights."""
+    lines = synth_preference_lines(synthetic_corpus(30, seed=0), 6, 4, method)
+    examples = [parse_preference_line(line, method) for line in lines]
+    if method == "dpo":
+        examples[1].response_l += "tail"
+    else:
+        examples[2].weight = 2.5
+        assert {e.label for e in examples} == {1, -1}
+    return examples
+
+
+@pytest.mark.parametrize("method", ["dpo", "kto"])
+def test_rl_batched_equals_per_example_loop(rng, f64, method):
+    model = LanguageModel(tiny_cfg(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
+                          rng)
+    examples = _preference_examples(method)
+    steps, batch, seed = 6, 3, 7
+    draws = np.random.default_rng(seed)
+    idx = [draws.integers(0, len(examples), size=batch) for _ in range(steps)]
+    assert any(len(set(i.tolist())) < batch for i in idx)  # an index repeats
+    lengths = {e.response_l if method == "dpo" else e.response for e in examples}
+    assert len({len(r) for r in lengths}) > 1
+
+    a, b = model.clone(), model.clone()
+    kw = dict(method=method, steps=steps, batch=batch, lr=1e-2, seed=seed)
+    got = rl_run(a, examples, **kw)
+    want = rl_run_loop(b, examples, **kw)
+    for r_got, r_want in zip(got, want):
+        assert r_got["loss"] == pytest.approx(r_want["loss"], abs=1e-9)
+    for (name, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+        np.testing.assert_allclose(pa.data, pb.data, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
+    assert not np.array_equal(a.parameters()[0].data, model.parameters()[0].data)
+
+
+def test_rl_first_dpo_loss_is_ln2(rng, f64):
+    model = LanguageModel(tiny_cfg(), rng)
+    rows = rl_run(model, _preference_examples("dpo"), method="dpo", steps=2,
+                  batch=4, seed=1)
+    assert rows[0]["loss"] == pytest.approx(np.log(2.0), abs=1e-9)
+
+
+def test_padded_forward_logprobs_equal_single_rows(rng, f64):
+    """Right padding with EOS is exact through the whole model."""
+    model = LanguageModel(tiny_cfg(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
+                          rng)
+    seqs = [_example_tokens("the spike ", "rides the slow river."),
+            _example_tokens("a", "b"),
+            _example_tokens("the gate opens ", "a quiet pulse and more.")]
+    tokens, starts, lengths = _padded(seqs)
+    assert len(set(lengths.tolist())) == 3 and tokens.shape[1] > 16
+    got = _response_logprobs(model, tokens, starts, lengths).data
+    for r, (ids, start) in enumerate(seqs):
+        logits, _ = model.forward_batch(ids[None, :])
+        one = sequence_logprob(Tensor(logits.data[0]), ids, start)
+        assert got[r] == pytest.approx(one.item(), abs=1e-12)
