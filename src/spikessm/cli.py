@@ -10,8 +10,10 @@ reproducible. Exit codes: 0 success, 1 input validation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -163,7 +165,8 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 
 # counts a run cannot do without: zero steps would leave no metrics row,
 # zero trials or probes would pass a check that checked nothing
-POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins")
+POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
+            "corpus_lines")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,11 +192,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def reading(what: str, path: str):
+    """Turn a failure to open, read or decode the input file ``path``
+    into a one-line :class:`CliError` naming it as ``what``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise CliError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"{what} is not UTF-8 text: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def load_params_file(path: str, schema: dict[str, Opt]) -> dict[str, Any]:
-    if not os.path.exists(path):
-        raise CliError(f"parameter file not found: {path}")
     values: dict[str, Any] = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with reading("parameter file", path), open(path, "r", encoding="utf-8") as f:
         for ln, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -231,6 +246,10 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"{key} must be one of {opt.choices}")
         if key in POSITIVE and resolved[key] < 1:
             raise CliError(f"{key} must be >= 1, got {resolved[key]}")
+    if resolved.get("lr") is not None and not 0 < resolved["lr"] < math.inf:
+        raise CliError(f"lr must be positive and finite, got {resolved['lr']}")
+    if resolved["seed"] < 0:
+        raise CliError(f"seed must be >= 0, got {resolved['seed']}")
     if not resolved["out"]:
         raise CliError("--out is required")
     return resolved
@@ -247,15 +266,12 @@ def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
 def load_corpus(resolved: dict[str, Any]) -> list[str]:
     path = resolved.get("corpus")
     if path:
-        if not os.path.exists(path):
-            raise CliError(f"corpus file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
+        with reading("corpus file", path), open(path, "r", encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f if ln.strip()]
         if not lines:
             raise CliError(f"corpus file is empty: {path}")
         return lines
-    return synthetic_corpus(resolved.get("corpus_lines", 400) or 400,
-                            seed=resolved["seed"])
+    return synthetic_corpus(resolved["corpus_lines"], seed=resolved["seed"])
 
 
 def _save_corpus(outdir: str, lines: list[str]) -> None:
@@ -266,9 +282,8 @@ def _save_corpus(outdir: str, lines: list[str]) -> None:
 def _load_model(path: str) -> LanguageModel:
     if not path:
         raise CliError("a checkpoint path is required")
-    if not os.path.exists(path):
-        raise CliError(f"checkpoint not found: {path}")
-    return checkpoint.load(path)
+    with reading("checkpoint", path):
+        return checkpoint.load(path)
 
 
 def neuron_from(resolved: dict[str, Any]) -> NeuronConfig:
@@ -426,9 +441,8 @@ def cmd_rl(resolved) -> int:
     policy = _load_model(resolved["ckpt"])
     outdir = resolved["out"]
     if resolved["data"]:
-        if not os.path.exists(resolved["data"]):
-            raise CliError(f"preference file not found: {resolved['data']}")
-        examples = load_preference_file(resolved["data"], resolved["method"])
+        with reading("preference file", resolved["data"]):
+            examples = load_preference_file(resolved["data"], resolved["method"])
     else:
         lines = synthetic_corpus(200, seed=resolved["seed"])
         pref_lines = synth_preference_lines(lines, resolved["corpus_lines"],

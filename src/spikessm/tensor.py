@@ -11,6 +11,15 @@ norm and the conv are also exposed on plain arrays
 (``activation_forward``, ``rmsnorm_forward``, ``causal_conv1d_forward``)
 for off-tape callers; the tape ops run those same functions.
 
+The hot forwards are lean for the no-tape passes of evaluation and
+inference: the sigmoid selects its half by multiplying with the sign
+mask (``pos*m + neg*~m``) instead of a data-dependent ``np.where``,
+log-softmax leaves the exp only its backward needs to the backward, and
+the conv broadcasts contiguous tap rows of ``kernel.T`` into one product
+buffer. Each does the floating-point operations of the direct form in
+the same order, so results are bit-identical to it at float32 and
+float64 (the direct forms are the oracles in ``tests/test_tensor.py``).
+
 Tape construction and backward are single-threaded per model instance.
 Tensors are treated as immutable once created (the optimizer swaps the
 buffer of leaf parameters between steps), so forward-only inference
@@ -356,12 +365,22 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # activations
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # both branches evaluate vectorized; the out-of-range exp harmlessly
-    # saturates on the side where the other branch is selected
-    with np.errstate(over="ignore"):
-        ex_neg = np.exp(-np.abs(x))
-    pos = 1.0 / (1.0 + ex_neg)
-    return np.where(x >= 0, pos, 1.0 - pos)
+    # pos = 1 / (1 + exp(-|x|)) is sigmoid(|x|); sigmoid(x) is pos where
+    # x >= 0 and 1 - pos elsewhere. The select is pos*m + neg*~m rather
+    # than np.where, whose data-dependent branch is slow on mixed signs:
+    # both products are exact, one of them is +0 and the other the chosen
+    # value, so the sum rounds nothing. ``out=`` keeps 0-d inputs arrays.
+    m = x >= 0
+    pos = np.abs(x, out=np.empty_like(x))
+    np.negative(pos, out=pos)
+    np.exp(pos, out=pos)
+    pos += 1.0
+    np.divide(1.0, pos, out=pos)
+    neg = 1.0 - pos
+    pos *= m
+    neg *= ~m
+    pos += neg
+    return pos
 
 
 def _stable_softplus(x: np.ndarray) -> np.ndarray:
@@ -498,10 +517,9 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     data = z - lse
-    soft = np.exp(data)
 
     def grad_fn(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
 
     return _make(data, "log_softmax", (x,), grad_fn)
 
@@ -563,9 +581,12 @@ def causal_conv1d_forward(x: np.ndarray, kernel: np.ndarray,
         raise DimensionError(f"conv state shape {state.shape} != {lead + (w - 1, c)}")
 
     xp = np.concatenate([state, x], axis=-2)
-    y = np.zeros_like(x)
-    for j in range(w):  # ascending taps, so any split of T sums identically
-        y = y + kernel[:, j] * xp[..., j:j + T, :]
+    taps = np.ascontiguousarray(kernel.T)  # (w, c): each tap a contiguous row
+    # y starts at +0, so a -0 first product sums to +0 as 0 + (-0) does
+    y = np.zeros(x.shape, np.result_type(taps, xp))
+    buf = np.empty_like(y)
+    for j, tap in enumerate(taps):  # ascending taps, so any split of T sums identically
+        y += np.multiply(tap, xp[..., j:j + T, :], out=buf)
     return y, xp[..., T:, :].copy()
 
 
@@ -585,13 +606,15 @@ def causal_conv1d(x, kernel, state: np.ndarray | None = None):
 
     def grad_fn(g):
         xp = np.concatenate([state, x.data], axis=-2)
+        taps = np.ascontiguousarray(kernel.data.T)
         dxp = np.zeros_like(xp)
-        dk = np.zeros_like(kernel.data)
-        for j in range(w):
-            win = xp[..., j:j + T, :]
-            dk[:, j] = (g * win).reshape(-1, c).sum(axis=0)
-            dxp[..., j:j + T, :] += g * kernel.data[:, j]
-        return dxp[..., w - 1:, :], dk
+        dtaps = np.empty_like(taps)
+        buf = np.empty(g.shape, np.result_type(g, xp, taps))
+        for j, tap in enumerate(taps):
+            np.multiply(g, xp[..., j:j + T, :], out=buf)
+            dtaps[j] = buf.reshape(-1, c).sum(axis=0)
+            dxp[..., j:j + T, :] += np.multiply(g, tap, out=buf)
+        return dxp[..., w - 1:, :], np.ascontiguousarray(dtaps.T)
 
     return _make(data, "conv1d", (x, kernel), grad_fn), new_state
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikessm import checkpoint
-from spikessm.cli import main
+from spikessm.cli import COMMANDS, GLOBAL_OPTS, _bool, main
 from spikessm.mamba2 import LanguageModel, toy_config
 from spikessm.training import synthetic_corpus, train_teacher
 
@@ -218,6 +224,9 @@ def test_rl_requires_method(teacher_dir, tmp_path):
     ["verify-equivalence", "--trials", "-3"],
     ["gradcheck", "--probes", "0"],
     ["activation-hist", "--ckpt", "m.spkm", "--bins", "0"],
+    ["train-teacher", "--corpus-lines", "0"],
+    ["distill", "--teacher", "t.spkm", "--corpus-lines", "-2"],
+    ["rl", "--method", "kto", "--ckpt", "p.spkm", "--corpus-lines", "0"],
 ])
 def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     out = tmp_path / "o"
@@ -225,3 +234,131 @@ def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "must be >= 1" in err
     assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-teacher", "--lr", "-1"], "lr must be positive and finite"),
+    (["train-teacher", "--lr", "0"], "lr must be positive and finite"),
+    (["train-teacher", "--lr", "nan"], "lr must be positive and finite"),
+    (["distill", "--teacher", "t.spkm", "--lr", "inf"], "lr must be positive and finite"),
+    (["rl", "--method", "dpo", "--ckpt", "p.spkm", "--lr=-5e-6"],
+     "lr must be positive and finite"),
+    (["verify-equivalence", "--seed", "-1"], "seed must be >= 0"),
+])
+def test_bad_lr_and_seed_rejected(argv, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["params-bytes", "params-dir", "corpus-bytes",
+                                  "corpus-dir", "ckpt-dir", "data-bytes", "data-dir"])
+def test_malformed_input_files_exit_1_one_line(case, teacher_dir, tmp_path, capsys):
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_bytes(b"\xff\xfeseed=1\tgood\tbad\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    ckpt, corpus = str(teacher_dir / "teacher.spkm"), str(teacher_dir / "corpus.txt")
+    kind, _, what = case.partition("-")
+    bad = str(garbled if what == "bytes" else folder)
+    argv = {
+        "params": ["energy-report", "--params", bad],
+        "corpus": ["eval-ppl", "--ckpt", ckpt, "--corpus", bad],
+        "ckpt": ["eval-ppl", "--ckpt", bad, "--corpus", corpus],
+        "data": ["rl", "--method", "dpo", "--ckpt", ckpt, "--data", bad],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
+    assert ("not UTF-8 text" if what == "bytes" else "Is a directory") in err[0]
+
+
+def test_corpus_lines_sets_synthetic_corpus_size(tmp_path):
+    out = tmp_path / "o"
+    assert main(["train-teacher", "--steps", "1", "--batch", "2", "--seq-len", "8",
+                 "--corpus-lines", "7", "--out", str(out)]) == 0
+    assert len((out / "corpus.txt").read_text(encoding="utf-8").splitlines()) == 7
+
+
+def test_same_seed_byte_identical_across_blas_threads(tmp_path):
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        cmd = [sys.executable, "-m", "spikessm.cli", "train-teacher", "--steps", "20",
+               "--seed", "3", "--out", str(out)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return (out / "teacher.spkm").read_bytes(), (out / "metrics.csv").read_bytes()
+
+    assert run("1") == run("2")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the argv or the parameter file, main exits 0, 1 or 2
+# with a message, never an exception. Only commands whose valid runs take
+# milliseconds are driven; verify-equivalence's sizes are capped for that.
+
+FUZZ_CAPS = {"trials": 20, "max_dim": 16}
+JUNK = st.text(alphabet="-=_.abcxyz ", max_size=6)  # no digits: cannot lift a cap
+
+
+def _fuzz_value(key, opt):
+    if opt.choices:
+        good = st.sampled_from([str(c) for c in opt.choices])
+    elif opt.type is int:
+        good = st.one_of(st.integers(-3, 3),  # the edges of every range check
+                         st.integers(-3, FUZZ_CAPS.get(key, 10 ** 6))).map(str)
+    elif opt.type is float:
+        good = st.floats().map(repr)
+    elif opt.type is _bool:
+        good = st.sampled_from(["true", "false", "1", "0", "yes"])
+    else:
+        good = JUNK
+    return st.one_of(good, good, good, JUNK)  # mostly well-formed, to reach the handler
+
+
+def _fuzz_argv(command):
+    schema = {k: v for k, v in {**GLOBAL_OPTS, **COMMANDS[command]}.items()
+              if k not in ("out", "params")}
+    values = {k: _fuzz_value(k, opt) for k, opt in schema.items()}
+    options = st.fixed_dictionaries(  # a capped size is always given: its default is not
+        {k: v for k, v in values.items() if k in FUZZ_CAPS},
+        optional={k: v for k, v in values.items() if k not in FUZZ_CAPS})
+    return st.builds(
+        lambda opts, junk: [command] + [t for k, v in opts.items()
+                                        for t in (f"--{k.replace('_', '-')}", v)] + junk,
+        options, st.lists(JUNK, max_size=2))
+
+
+def _run_main(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--out", os.path.join(tmp, "o")])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=st.one_of(_fuzz_argv("energy-report"), _fuzz_argv("verify-equivalence")))
+def test_fuzz_argv_exits_cleanly(argv):
+    rc, err = _run_main(argv)
+    assert rc in (0, 1, 2) and "Traceback" not in err
+
+
+ENERGY_KEYS = sorted({**GLOBAL_OPTS, **COMMANDS["energy-report"]}) + ["width", "", " "]
+PARAMS_LINES = st.lists(st.tuples(st.sampled_from(ENERGY_KEYS), st.text(max_size=8)),
+                        max_size=4).map(
+    lambda kv: "\n".join(f"{k}={v}" for k, v in kv).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blob=st.one_of(st.binary(max_size=64), PARAMS_LINES))
+def test_fuzz_params_file_exits_cleanly(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.params")
+        with open(path, "wb") as f:
+            f.write(blob)
+        rc, err = _run_main(["energy-report", "--params", path])
+    assert rc in (0, 1, 2) and "Traceback" not in err

@@ -11,8 +11,11 @@ from spikessm.tensor import (
     Graph,
     Tensor,
     activation,
+    activation_forward,
     causal_conv1d,
+    causal_conv1d_forward,
     concat,
+    dtype_scope,
     embedding,
     log_softmax,
     matmul,
@@ -241,3 +244,139 @@ def test_broadcast_backward(rng, f64):
         return sum_((a * b + a) * probe)
 
     assert check_gradients(loss_fn, [a, b], rng, probes=100) < REL_TOL
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the forms these kernels had before their lean rewrites. The
+# rewrites do the same floating-point operations in the same order, so
+# they must reproduce the oracles bit for bit, NaN payloads included.
+
+def sigmoid_where(x):
+    with np.errstate(over="ignore"):
+        ex_neg = np.exp(-np.abs(x))
+    pos = 1.0 / (1.0 + ex_neg)
+    return np.where(x >= 0, pos, 1.0 - pos)
+
+
+ACTIVATION_ORACLES = {  # kind -> (value, local derivative), both from sigmoid_where
+    "sigmoid": lambda x: (sigmoid_where(x),
+                          sigmoid_where(x) * (1.0 - sigmoid_where(x))),
+    "silu": lambda x: (x * sigmoid_where(x),
+                       sigmoid_where(x) * (1.0 + x * (1.0 - sigmoid_where(x)))),
+    "softplus": lambda x: (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                           sigmoid_where(x)),
+}
+
+
+def log_softmax_eager(x, axis):
+    """Forward and backward, with the backward's exp taken eagerly."""
+    z = x - x.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    data = z - lse
+    soft = np.exp(data)
+    return data, lambda g: g - soft * g.sum(axis=axis, keepdims=True)
+
+
+def conv_strided_taps(x, kernel, state, g):
+    """Forward ``(y, state')`` and backward ``(dx, dkernel)`` broadcasting
+    the strided kernel columns ``kernel[:, j]``."""
+    c, w = kernel.shape
+    T = x.shape[-2]
+    xp = np.concatenate([state, x], axis=-2)
+    y = np.zeros_like(x)
+    for j in range(w):
+        y = y + kernel[:, j] * xp[..., j:j + T, :]
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernel)
+    for j in range(w):
+        dk[:, j] = (g * xp[..., j:j + T, :]).reshape(-1, c).sum(axis=0)
+        dxp[..., j:j + T, :] += g * kernel[:, j]
+    return y, xp[..., T:, :].copy(), dxp[..., w - 1:, :], dk
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = {4: np.uint32, 8: np.uint64}[got.dtype.itemsize]
+    assert np.array_equal(got.view(uint), want.view(uint))
+
+
+SPECIALS = [0.0, -0.0, 0.5, -0.5, 1e-40, -1e-40, 17.0, -17.0, 88.5, -88.5,
+            745.2, -745.2, 1e3, -1e3, 3e4, -3e4, np.inf, -np.inf, np.nan,
+            -np.nan]
+
+
+def elementwise_cases(dtype):
+    rng = np.random.default_rng(7)
+    cases = [np.array(v, dtype) for v in SPECIALS]  # 0-d
+    cases.append(np.array([-2.5], dtype))
+    cases.append(np.array(SPECIALS, dtype))
+    cases.append((rng.normal(size=37) * 6).astype(dtype))  # odd size, mixed signs
+    cases.append((rng.normal(size=(3, 1001)) * 40).astype(dtype))
+    cases.append((rng.normal(size=(5, 8)) * 3).astype(dtype)[:, ::3])  # strided
+    return cases
+
+
+def _tape_grad(fn, x, g):
+    """d(sum(fn(x) * g)) / dx through the tape."""
+    p = parameter(x)
+    with Graph() as tape:
+        loss = sum_(fn(p) * Tensor(g))
+    return tape.backward(loss, wrt=[p])[id(p)]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_sigmoid_family_bitwise_equals_where_oracle(dtype):
+    rng = np.random.default_rng(3)
+    with dtype_scope(dtype), np.errstate(all="ignore"):
+        for x in elementwise_cases(np.dtype(dtype)):
+            g = rng.normal(size=x.shape).astype(dtype)
+            for kind, oracle in ACTIVATION_ORACLES.items():
+                want, deriv = oracle(x)
+                assert_bits_equal(activation_forward(kind, x), want)
+                got = _tape_grad(lambda p: activation(kind, p), x, g)
+                assert_bits_equal(got, g * deriv)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_log_softmax_bitwise_equals_eager_oracle(dtype):
+    rng = np.random.default_rng(4)
+    shapes_axes = [((1,), -1), ((7,), -1), ((3, 11), -1), ((3, 11), 0),
+                   ((2, 5, 9), -1)]
+    with dtype_scope(dtype), np.errstate(all="ignore"):
+        for shape, axis in shapes_axes:
+            for scale in (1.0, 1e3):
+                x = (rng.normal(size=shape) * scale).astype(dtype)
+                g = rng.normal(size=shape).astype(dtype)
+                want, backward = log_softmax_eager(x, axis)
+                assert_bits_equal(log_softmax(Tensor(x), axis=axis).data, want)
+                got = _tape_grad(lambda p: log_softmax(p, axis=axis), x, g)
+                assert_bits_equal(got, backward(g))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_conv_bitwise_equals_strided_tap_oracle(dtype):
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1), (1, 5), (6, 3), (2, 9, 7), (3, 2, 1, 4)]
+    with dtype_scope(dtype), np.errstate(all="ignore"):
+        for shape in shapes:
+            x = rng.normal(size=shape).astype(dtype)
+            state = rng.normal(size=shape[:-2] + (3, shape[-1])).astype(dtype)
+            kernel = rng.normal(size=(shape[-1], 4)).astype(dtype)
+            # channel 0: every product is -0, and the sum from +0 is +0
+            kernel[0] = -0.0
+            x[..., 0], state[..., 0] = np.abs(x[..., 0]), np.abs(state[..., 0])
+            x.reshape(-1)[-3:] = [-0.0, np.inf, np.nan][-x.size:]
+            g = rng.normal(size=shape).astype(dtype)
+            y, new_state, dx, dk = conv_strided_taps(x, kernel, state, g)
+            got_y, got_state = causal_conv1d_forward(x, kernel, state)
+            assert_bits_equal(got_y, y)
+            assert_bits_equal(got_state, new_state)
+            xt, kt = parameter(x), parameter(kernel)
+            with Graph() as tape:
+                out, _ = causal_conv1d(xt, kt, state)
+                loss = sum_(out * Tensor(g))
+            grads = tape.backward(loss, wrt=[xt, kt])
+            assert_bits_equal(out.data, y)
+            assert_bits_equal(grads[id(xt)], dx)
+            assert_bits_equal(grads[id(kt)], dk)
