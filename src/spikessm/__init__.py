@@ -46,7 +46,6 @@ from .mamba2 import (
     block_step,
     clamp_channel_hook,
     hidden_align_loss,
-    model_forward,
     sgc_forward,
     toy_config,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "expand_spike_train",
     "hidden_align_loss",
     "measure_fire_rate",
-    "model_forward",
     "neuron_forward",
     "parameter",
     "set_default_dtype",

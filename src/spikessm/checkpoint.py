@@ -28,7 +28,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .mamba2 import LanguageModel, Mamba2Config
+from .mamba2 import LanguageModel, Mamba2Config, check_param_shapes
 from .neurons import NeuronConfig
 from .tensor import ContractError
 
@@ -170,7 +170,14 @@ def load_raw(path) -> tuple[Mamba2Config, dict[str, np.ndarray]]:
 
 
 def load(path) -> LanguageModel:
+    """The model a container holds. Its tensor names and shapes are checked
+    against its config before the model is built, so a crafted config
+    cannot ask for an allocation its tensors do not back."""
     cfg, tensors = load_raw(path)
+    try:
+        check_param_shapes(cfg, tensors)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     model = LanguageModel(cfg)
     model.load_state(tensors)
     return model

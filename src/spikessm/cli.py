@@ -167,6 +167,9 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 # zero trials or probes would pass a check that checked nothing
 POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
             "corpus_lines")
+# rates and scales: zero, negative or non-finite would run a step that
+# trains nothing or turns the weights non-finite
+POSITIVE_FINITE = ("lr", "beta_pref")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,8 +249,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"{key} must be one of {opt.choices}")
         if key in POSITIVE and resolved[key] < 1:
             raise CliError(f"{key} must be >= 1, got {resolved[key]}")
-    if resolved.get("lr") is not None and not 0 < resolved["lr"] < math.inf:
-        raise CliError(f"lr must be positive and finite, got {resolved['lr']}")
+    for key in POSITIVE_FINITE:
+        if resolved.get(key) is not None and not 0 < resolved[key] < math.inf:
+            raise CliError(f"{key} must be positive and finite, got {resolved[key]}")
     if resolved["seed"] < 0:
         raise CliError(f"seed must be >= 0, got {resolved['seed']}")
     if not resolved["out"]:

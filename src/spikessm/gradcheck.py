@@ -96,6 +96,8 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
     spk = Tensor(rng.normal(size=(4, 3)))
     targets.append(("sgc_path",
                     lambda: hidden_align_loss(spk, sgc_forward(xs, ws, 4)), [xs, ws]))
+    ya, yb = parameter(rng.normal(size=(4, 5))), parameter(rng.normal(size=(4, 5)))
+    targets.append(("hidden_align", lambda: hidden_align_loss(ya, yb), [ya, yb]))
 
     t = rng.normal(size=(4, 9))
     sl = parameter(rng.normal(size=(4, 9)))

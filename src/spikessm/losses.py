@@ -13,20 +13,29 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
+    custom_op,
+    default_dtype,
     log_softmax,
+    log_softmax_forward,
     sigmoid,
     softplus,
     sum_,
 )
 
-
-def np_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+np_log_softmax = log_softmax_forward  # the name callers outside the package import
 
 
-def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor) -> Tensor:
-    """Mean per-position KL(teacher || student), computed in log space."""
+def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor,
+                    teacher_norm: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Mean per-position KL(teacher || student), computed in log space.
+
+    One tape node over the student logits. ``teacher_norm`` is the
+    teacher's ``(max, log-normaliser)`` from :func:`tensor.log_softmax_norm`,
+    for a caller that keeps it per sequence; without it the pair is
+    computed here. The floating-point operations are those of the
+    composite ``const - sum(p_t * log_softmax(s)) / rows``, in its order,
+    so value and gradient are bit-identical to it.
+    """
     teacher_logits = np.asarray(teacher_logits)
     if teacher_logits.shape != student_logits.shape:
         raise DimensionError(
@@ -34,12 +43,24 @@ def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor) -> Tenso
             f"{teacher_logits.shape} vs {student_logits.shape}"
         )
     rows = int(np.prod(teacher_logits.shape[:-1]))
-    t_logp = np_log_softmax(teacher_logits)
+    t_logp = log_softmax_forward(teacher_logits, norm=teacher_norm)
     t_p = np.exp(t_logp)
-    const = float((t_p * t_logp).sum()) / rows  # -H(teacher), independent of student
-    s_logp = log_softmax(student_logits, axis=-1)
-    cross = sum_(Tensor(t_p) * s_logp) * (1.0 / rows)
-    return const - cross
+    # -H(teacher) over this batch, independent of the student
+    const = float(np.multiply(t_p, t_logp, out=t_logp).sum()) / rows
+    t_p = t_p.astype(default_dtype(), copy=False)  # as the composite's Tensor(t_p)
+    s_logp = log_softmax_forward(student_logits.data)
+    scale = np.asarray(1.0 / rows, dtype=default_dtype())
+    cross = (t_p * s_logp).sum() * scale
+    data = np.asarray(const, dtype=default_dtype()) - cross
+
+    def grad_fn(g):
+        dx = np.multiply(t_p, (-g) * scale)
+        e = np.exp(s_logp)
+        e *= dx.sum(axis=-1, keepdims=True)
+        dx -= e
+        return (dx,)
+
+    return custom_op(data, (student_logits,), grad_fn, "kl_distill")
 
 
 def total_distill_loss(l_kl: Tensor, hidden_losses: list[Tensor]) -> Tensor:

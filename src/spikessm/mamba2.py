@@ -42,8 +42,6 @@ from .tensor import (
     narrow,
     reshape,
     rmsnorm,
-    softmax,
-    sum_,
     transpose2d,
 )
 
@@ -167,6 +165,45 @@ def init_block_state(cfg: Mamba2Config, batch_shape: tuple[int, ...] = ()) -> Bl
     )
 
 
+def block_param_shapes(cfg: Mamba2Config, layer_idx: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter of block ``layer_idx``, by name, in the
+    order of :meth:`BlockParams.named`."""
+    H, P, N, D = cfg.n_heads, cfg.d_head, cfg.n_state, cfg.d_model
+    w = cfg.conv_width
+    shapes = {
+        "w_in": (D, cfg.d_proj), "w_out": (cfg.d_inner, D),
+        "conv_x": (cfg.d_inner, w), "conv_b": (N, w), "conv_c": (N, w),
+        "a_log": (H,), "d_skip": (H, P), "dt_bias": (H,), "norm_w": (cfg.d_inner,),
+    }
+    if layer_idx in cfg.sgc_layers:  # mirrors of the two projections
+        shapes["w_sgc_in"], shapes["w_sgc_out"] = shapes["w_in"], shapes["w_out"]
+    return shapes
+
+
+def param_shapes(cfg: Mamba2Config) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter of ``LanguageModel(cfg)``, by name, in the
+    order of :meth:`LanguageModel.named_parameters`; nothing is allocated."""
+    shapes = {"embedding": (cfg.vocab, cfg.d_model), "norm_f": (cfg.d_model,)}
+    for i in range(cfg.n_layers):
+        shapes[f"layers.{i}.pre_norm"] = (cfg.d_model,)
+        shapes.update((f"layers.{i}.{name}", shape)
+                      for name, shape in block_param_shapes(cfg, i).items())
+    return shapes
+
+
+def check_param_shapes(cfg: Mamba2Config, tensors: dict[str, np.ndarray]) -> None:
+    """ContractError unless ``tensors`` has exactly the names and shapes
+    of :func:`param_shapes`."""
+    expected = param_shapes(cfg)
+    if set(expected) != set(tensors):
+        raise ContractError(f"tensor names disagree with the config: "
+                            f"{sorted(set(expected) ^ set(tensors))}")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ContractError(f"{name} has shape {tensors[name].shape}, "
+                                f"the config needs {shape}")
+
+
 def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
                       layer_idx: int) -> BlockParams:
     """Fresh block parameters.
@@ -175,25 +212,29 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
     decay rates are log-spaced so heads cover fast and slow memory; the
     step bias puts the initial softplus step in roughly [0.001, 0.1].
     """
-    H, P, N, D = cfg.n_heads, cfg.d_head, cfg.n_state, cfg.d_model
-    w = cfg.conv_width
+    shape = block_param_shapes(cfg, layer_idx)
+    H, w = cfg.n_heads, cfg.conv_width
 
-    def proj(fan_in, fan_out):
-        return tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
+    def proj(name):
+        fan_in = shape[name][0]
+        return tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape[name]))
+
+    def conv(name):
+        return tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(w), shape[name]))
 
     a_real = np.exp(np.linspace(math.log(1.0), math.log(8.0), H))
     dt_init = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), H))
 
     params = BlockParams(
-        w_in=proj(D, cfg.d_proj),
-        w_out=proj(cfg.d_inner, D),
-        conv_x=tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(w), (cfg.d_inner, w))),
-        conv_b=tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(w), (N, w))),
-        conv_c=tn.parameter(rng.normal(0.0, 1.0 / math.sqrt(w), (N, w))),
+        w_in=proj("w_in"),
+        w_out=proj("w_out"),
+        conv_x=conv("conv_x"),
+        conv_b=conv("conv_b"),
+        conv_c=conv("conv_c"),
         a_log=tn.parameter(np.log(a_real)),
-        d_skip=tn.parameter(np.ones((H, P))),
+        d_skip=tn.parameter(np.ones(shape["d_skip"])),
         dt_bias=tn.parameter(np.log(np.expm1(dt_init))),
-        norm_w=tn.parameter(np.ones(cfg.d_inner)),
+        norm_w=tn.parameter(np.ones(shape["norm_w"])),
     )
     if layer_idx in cfg.sgc_layers:
         attach_sgc(params)
@@ -215,14 +256,50 @@ def sgc_forward(x: Tensor, w_sgc: Tensor, d_max: int) -> Tensor:
 
 
 def hidden_align_loss(y_spiking: Tensor, y_sgc: Tensor) -> Tensor:
-    """Half the mean squared distance between channel softmaxes of the two paths."""
+    """Half the mean squared distance between channel softmaxes of the two paths.
+
+    One tape node. Its floating-point operations are those of the
+    composite ``sum((softmax(a) - softmax(b))**2) * (0.5 / rows)`` and of
+    that composite's backward, in their order, so value and gradients are
+    bit-identical to it. A constant input (the detached spiking side of
+    ``distill_run(freeze_spiking_in_hidden=True)``) gets no gradient.
+    """
     if y_spiking.shape != y_sgc.shape:
         raise DimensionError(
             f"alignment shapes disagree: {y_spiking.shape} vs {y_sgc.shape}"
         )
     rows = int(np.prod(y_spiking.shape[:-1]))
-    diff = softmax(y_spiking, axis=-1) - softmax(y_sgc, axis=-1)
-    return sum_(diff * diff) * (0.5 / rows)
+    p = tn.softmax_forward(y_spiking.data)
+    q = tn.softmax_forward(y_sgc.data)
+    d = p - q
+    scale = np.asarray(0.5 / rows, dtype=tn.default_dtype())
+    data = (d * d).sum() * scale
+    want_p, want_q = tn.needs_grad(y_spiking), tn.needs_grad(y_sgc)
+
+    def grad_fn(g):
+        # the composite's adjoint of diff: the square's two operand
+        # gradients d*g', summed by the engine
+        t = np.multiply(d, g * scale)
+        t += t
+        dp = dq = buf = None
+        # softmax backwards, two buffers in all: p * (t - sum(t*p)) and
+        # q * (-t - sum(-t*q)), the latter with -t itself, since
+        # -sum(t*q) can differ from it in the sign of a zero
+        if want_p:
+            buf = np.multiply(t, p)
+            inner_p = buf.sum(axis=-1, keepdims=True)
+        if want_q:
+            dq = np.negative(t, out=buf)
+            inner_q = np.multiply(dq, q, out=dq).sum(axis=-1, keepdims=True)
+            np.negative(t, out=dq)
+            dq -= inner_q
+            dq *= q
+        if want_p:
+            dp = np.subtract(t, inner_p, out=t)
+            dp *= p
+        return dp, dq
+
+    return tn.custom_op(data, (y_spiking, y_sgc), grad_fn, "hidden_align")
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +637,14 @@ class LanguageModel:
     def __init__(self, cfg: Mamba2Config, rng: np.random.Generator | None = None):
         self.cfg = cfg
         rng = rng or np.random.default_rng(0)
-        self.embedding = tn.parameter(rng.normal(0.0, 0.08, (cfg.vocab, cfg.d_model)))
-        self.norm_f = tn.parameter(np.ones(cfg.d_model))
+        shape = param_shapes(cfg)
+        self.embedding = tn.parameter(rng.normal(0.0, 0.08, shape["embedding"]))
+        self.norm_f = tn.parameter(np.ones(shape["norm_f"]))
         self.layers = [init_block_params(cfg, rng, i) for i in range(cfg.n_layers)]
         # the residual stream is normalized before each block, so the
         # quantizers at the projection sites see unit-scale activations
-        self.pre_norms = [tn.parameter(np.ones(cfg.d_model))
-                          for _ in range(cfg.n_layers)]
+        self.pre_norms = [tn.parameter(np.ones(shape[f"layers.{i}.pre_norm"]))
+                          for i in range(cfg.n_layers)]
 
     # -- parameters ---------------------------------------------------------
 
@@ -581,13 +659,8 @@ class LanguageModel:
         return [t for _, t in self.named_parameters()]
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        if set(own) != set(tensors):
-            missing = set(own) ^ set(tensors)
-            raise ContractError(f"parameter names disagree: {sorted(missing)}")
-        for name, t in own.items():
-            if t.data.shape != tensors[name].shape:
-                raise ContractError(f"shape mismatch for {name}")
+        check_param_shapes(self.cfg, tensors)
+        for name, t in self.named_parameters():
             t.data = tensors[name].astype(t.data.dtype)
 
     def clone(self, mode: str | None = None, neuron: NeuronConfig | None = None,
@@ -697,13 +770,3 @@ class LanguageModel:
             out.append(cur[:, None])
             logits, state = self.step(cur, state, kernel=kernel)
         return np.concatenate(out, axis=1)
-
-
-def model_forward(model: LanguageModel, tokens: np.ndarray,
-                  hook: Hook | None = None) -> tuple[Tensor, SiteStats | None]:
-    """Logits for one token sequence plus fire stats per projection site."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise DimensionError("model_forward takes a single token sequence")
-    logits, auxes = model.forward_batch(tokens[None, :], hook=hook)
-    return reshape(logits, (tokens.size, model.cfg.vocab)), model.site_stats(auxes)

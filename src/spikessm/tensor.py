@@ -6,10 +6,14 @@ log-softmax, RMS norm, causal depthwise conv, embedding gather,
 reductions, slicing/concat, and the quantizing neuron op registered
 from :mod:`spikessm.neurons`. There is no graph compiler; gradients
 are accumulated by walking the tape in reverse creation order, which
-makes every run bit-reproducible. The forwards of the activations, RMS
-norm and the conv are also exposed on plain arrays
-(``activation_forward``, ``rmsnorm_forward``, ``causal_conv1d_forward``)
-for off-tape callers; the tape ops run those same functions.
+makes every run bit-reproducible. A ``narrow`` hands the engine its
+slice and gradient (:class:`SliceGrad`), which it adds into one buffer
+per input instead of a zero-filled full-size array per slice. The
+forwards of the activations, softmax, log-softmax, RMS norm and the
+conv are also exposed on plain arrays (``activation_forward``,
+``softmax_forward``, ``log_softmax_forward``, ``rmsnorm_forward``,
+``causal_conv1d_forward``) for off-tape callers and fused ops; the tape
+ops run those same functions.
 
 The hot forwards are lean for the no-tape passes of evaluation and
 inference: the sigmoid selects its half by multiplying with the sign
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,11 +123,19 @@ class Graph:
         """Gradients of a scalar loss for every tensor in ``wrt``.
 
         Returns a dict keyed by ``id(tensor)``; tensors that do not
-        influence the loss get an explicit zero gradient.
+        influence the loss get an explicit zero gradient. Only trainable
+        leaves and recorded op outputs carry gradient: every other tensor
+        is a constant, and ops may skip its gradient.
+
+        A :class:`SliceGrad` contribution is added into one gradient
+        buffer per input that the engine allocated itself; an array a
+        ``grad_fn`` returned may alias another gradient, so it is copied
+        before any slice is added to it.
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()  # inputs whose gradient buffer the engine allocated
         for node in reversed(self.nodes):
             g_out = grads.pop(id(node), None)
             if g_out is None or node._grad_fn is None:
@@ -131,12 +143,34 @@ class Graph:
             for inp, g_in in zip(node._inputs, node._grad_fn(g_out)):
                 if g_in is None:
                     continue
-                prior = grads.get(id(inp))
-                grads[id(inp)] = g_in if prior is None else prior + g_in
+                key = id(inp)
+                prior = grads.get(key)
+                if type(g_in) is SliceGrad:
+                    if prior is None:
+                        prior = np.zeros_like(inp.data)
+                        prior[g_in.index] = g_in.g
+                    else:
+                        if key not in owned:
+                            prior = prior.copy()
+                        prior[g_in.index] += g_in.g
+                    grads[key] = prior
+                    owned.add(key)
+                elif prior is None:
+                    grads[key] = g_in
+                else:
+                    grads[key] = prior + g_in
+                    owned.add(key)
         return {
             id(p): grads.get(id(p), np.zeros_like(p.data))
             for p in wrt
         }
+
+
+class SliceGrad(NamedTuple):
+    """A gradient equal to ``g`` on ``index`` of its input and zero elsewhere."""
+
+    index: tuple
+    g: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +237,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def needs_grad(x: Tensor) -> bool:
+    """False for a constant: a leaf that is not trainable, or an op output
+    recorded on no tape. Ops return no gradient for constants."""
+    return x.trainable or x._grad_fn is not None
+
+
 def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -259,7 +299,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if needs_grad(a) else None,
+                _unbroadcast(g * a.data, b.shape) if needs_grad(b) else None)
 
     return _make(data, "mul", (a, b), grad_fn)
 
@@ -313,9 +354,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = x.data[idx]
 
     def grad_fn(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        return (full,)
+        return (SliceGrad(idx, g),)
 
     return _make(data, "narrow", (x,), grad_fn)
 
@@ -349,16 +388,6 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _make(data, "sum", (x,), grad_fn)
-
-
-def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([x.shape[a] for a in axis]))
-    else:
-        n = x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +526,44 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> T
 # ---------------------------------------------------------------------------
 # softmax family
 
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The tape op's forward on a plain array: ``exp(x - max) / sum``."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _log_normaliser(z: np.ndarray, axis: int) -> np.ndarray:
+    return np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
+def log_softmax_norm(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, lse)``: the max of ``x`` and the log-sum-exp of ``x - m`` along
+    ``axis``, both keeping it at length 1. A row's pair depends on that
+    row alone, so a caller may compute it once and slice it."""
+    m = x.max(axis=axis, keepdims=True)
+    return m, _log_normaliser(x - m, axis)
+
+
+def log_softmax_forward(x: np.ndarray, axis: int = -1,
+                        norm: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The tape op's forward on a plain array: ``(x - m) - lse``, with
+    ``norm = (m, lse)`` from :func:`log_softmax_norm` when given."""
+    if norm is None:
+        z = x - x.max(axis=axis, keepdims=True)
+        lse = _log_normaliser(z, axis)
+    else:
+        m, lse = norm
+        z = x - m
+    return z - lse
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_forward(x.data, axis)
 
     def grad_fn(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
@@ -514,9 +574,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    data = z - lse
+    data = log_softmax_forward(x.data, axis)
 
     def grad_fn(g):
         return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)

@@ -22,7 +22,15 @@ from .losses import (
 )
 from .mamba2 import SPIKING, Hook, LanguageModel, hidden_align_loss
 from .optim import AdamW, lr_schedule
-from .tensor import ContractError, Graph, Tensor, narrow, pause_recording, reshape
+from .tensor import (
+    ContractError,
+    Graph,
+    Tensor,
+    log_softmax_norm,
+    narrow,
+    pause_recording,
+    reshape,
+)
 from .tokenizer import BOS, EOS, tokenize
 
 # ---------------------------------------------------------------------------
@@ -109,14 +117,28 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
 # ---------------------------------------------------------------------------
 # distillation
 
+_NORM_CHUNK = 8  # sequences per teacher-normaliser pass
+
+
 @dataclass
 class DistillBatch:
     """Teacher-forced pseudo-label sequences plus the teacher's logits
-    over the continuation region."""
+    over the continuation region, and per position the max and
+    log-normaliser of those logits (:func:`tensor.log_softmax_norm`),
+    computed once here rather than on every step that samples them."""
 
     sequences: np.ndarray       # (B, T) ids: prompt followed by continuation
     prompt_len: int
     teacher_logits: np.ndarray  # (B, T - prompt_len, vocab), continuation-aligned
+    teacher_max: np.ndarray = field(init=False)  # (B, T - prompt_len, 1)
+    teacher_lse: np.ndarray = field(init=False)  # (B, T - prompt_len, 1)
+
+    def __post_init__(self):
+        # a few sequences at a time: no second logits-sized array is held
+        parts = [log_softmax_norm(self.teacher_logits[i:i + _NORM_CHUNK])
+                 for i in range(0, self.teacher_logits.shape[0], _NORM_CHUNK)]
+        self.teacher_max = np.concatenate([m for m, _ in parts])
+        self.teacher_lse = np.concatenate([lse for _, lse in parts])
 
 
 @dataclass
@@ -190,7 +212,8 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         with Graph() as g:
             logits, auxes = student.forward_batch(window, want_sgc=True)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
-            l_kl = kl_distill_loss(data.teacher_logits[idx], s_cont)
+            l_kl = kl_distill_loss(data.teacher_logits[idx], s_cont,
+                                   (data.teacher_max[idx], data.teacher_lse[idx]))
             hidden = []
             for aux in auxes:
                 for spk, sgc in aux.sgc_pairs:

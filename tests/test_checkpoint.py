@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikessm.checkpoint import config_from_json, config_to_json, load, load_raw, save
-from spikessm.mamba2 import SPIKING, LanguageModel, Mamba2Config
+from spikessm.mamba2 import SPIKING, LanguageModel, Mamba2Config, param_shapes
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.tensor import ContractError
 
@@ -163,3 +163,31 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path, rng):
     path.write_bytes(bytes(blob))
     with pytest.raises(ContractError, match=f"non-finite weights in {name} at byte {lo}"):
         load_raw(path)
+
+
+def with_config(blob: bytes, **changes) -> bytes:
+    """A container's bytes with keys of its config JSON replaced."""
+    (n,) = struct.unpack("<I", blob[8:12])
+    cfg = json.loads(blob[12:12 + n])
+    text = json.dumps({**cfg, **changes}).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:]
+
+
+def test_param_shapes_table_matches_model(rng):
+    for model in (make_model(rng), LanguageModel(Mamba2Config(
+            d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=3, vocab=11))):
+        built = [(name, t.shape) for name, t in model.named_parameters()]
+        assert built == list(param_shapes(model.cfg).items())
+
+
+def test_load_checks_tensors_against_config_before_building(tmp_path, rng):
+    path = tmp_path / "model.spkm"
+    save(path, make_model(rng))
+    blob = path.read_bytes()
+    # building this model would ask numpy for 2**40 * 8 floats
+    path.write_bytes(with_config(blob, vocab=2 ** 40))
+    with pytest.raises(ContractError, match="embedding has shape"):
+        load(path)
+    path.write_bytes(with_config(blob, n_layers=3))
+    with pytest.raises(ContractError, match="names disagree.*layers.2"):
+        load(path)

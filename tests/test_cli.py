@@ -1,6 +1,8 @@
 import contextlib
 import io
+import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -90,6 +92,7 @@ def test_gradcheck_cli(tmp_path):
     body = (tmp_path / "gradcheck.csv").read_text()
     assert "dense_block" in body and "fail" not in body
     assert "sequence_logprob" in body
+    assert "\nhidden_align," in body  # both inputs trainable, unlike sgc_path
 
 
 def test_eval_ppl_requires_corpus(teacher_dir, tmp_path):
@@ -142,6 +145,19 @@ def test_eval_ppl_truncated_checkpoint(teacher_dir, tmp_path, capsys, cut):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "truncated container" in err[0] and "at byte" in err[0]
+
+
+def test_eval_ppl_config_the_tensors_do_not_back(teacher_dir, tmp_path, capsys):
+    blob = (teacher_dir / "teacher.spkm").read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    cfg = json.dumps({**json.loads(blob[12:12 + n]), "vocab": 2 ** 40}).encode()
+    bad = tmp_path / "huge.spkm"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
+    rc = main(["eval-ppl", "--ckpt", str(bad), "--corpus",
+               str(teacher_dir / "corpus.txt"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "embedding has shape" in err[0]
 
 
 def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):
@@ -244,6 +260,14 @@ def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     (["rl", "--method", "dpo", "--ckpt", "p.spkm", "--lr=-5e-6"],
      "lr must be positive and finite"),
     (["verify-equivalence", "--seed", "-1"], "seed must be >= 0"),
+    (["rl", "--method", "dpo", "--ckpt", "p.spkm", "--beta-pref", "nan"],
+     "beta_pref must be positive and finite"),
+    (["rl", "--method", "dpo", "--ckpt", "p.spkm", "--beta-pref", "inf"],
+     "beta_pref must be positive and finite"),
+    (["rl", "--method", "kto", "--ckpt", "p.spkm", "--beta-pref", "0"],
+     "beta_pref must be positive and finite"),
+    (["rl", "--method", "kto", "--ckpt", "p.spkm", "--beta-pref=-0.1"],
+     "beta_pref must be positive and finite"),
 ])
 def test_bad_lr_and_seed_rejected(argv, message, tmp_path, capsys):
     out = tmp_path / "o"

@@ -13,8 +13,118 @@ from spikessm.losses import (
     sequence_logprob,
     total_distill_loss,
 )
+from spikessm import training
+from spikessm.mamba2 import SPIKING, LanguageModel, hidden_align_loss, toy_config
+from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.optim import AdamW, lr_schedule
-from spikessm.tensor import ContractError, DimensionError, Graph, Tensor, parameter
+from spikessm.tensor import (
+    ContractError,
+    DimensionError,
+    Graph,
+    Tensor,
+    dtype_scope,
+    log_softmax,
+    log_softmax_norm,
+    parameter,
+    softmax,
+    sum_,
+)
+
+
+# ---------------------------------------------------------------------------
+# the fused distillation losses against their composite forms
+
+def kl_distill_composite(teacher_logits, student_logits, teacher_norm=None):
+    """Oracle: the KL as generic tape ops, the teacher normalised per call."""
+    rows = int(np.prod(teacher_logits.shape[:-1]))
+    z = teacher_logits - teacher_logits.max(axis=-1, keepdims=True)
+    t_logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    t_p = np.exp(t_logp)
+    const = float((t_p * t_logp).sum()) / rows
+    cross = sum_(Tensor(t_p) * log_softmax(student_logits, axis=-1)) * (1.0 / rows)
+    return const - cross
+
+
+def hidden_align_composite(y_spiking, y_sgc):
+    """Oracle: the alignment loss as generic tape ops."""
+    rows = int(np.prod(y_spiking.shape[:-1]))
+    diff = softmax(y_spiking, axis=-1) - softmax(y_sgc, axis=-1)
+    return sum_(diff * diff) * (0.5 / rows)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = {4: np.uint32, 8: np.uint64}[got.dtype.itemsize]
+    assert np.array_equal(got.view(uint), want.view(uint))
+
+
+def value_and_grads(loss_fn, inputs, trainable):
+    """Loss value and the gradients of the trainable inputs under a
+    non-unit upstream gradient, as the distillation total applies."""
+    ts = [parameter(x) if tr else Tensor(x) for x, tr in zip(inputs, trainable)]
+    with Graph() as g:
+        loss = loss_fn(*ts)
+        scaled = loss * 0.37
+    grads = g.backward(scaled, wrt=[t for t in ts if t.trainable])
+    return [loss.data] + [grads[id(t)] for t in ts if t.trainable], loss
+
+
+FUSED_SHAPES = [(8, 64, 290), (8, 64, 64), (8, 56, 259), (6, 11)]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+def test_fused_losses_bitwise_equal_composites(dtype, shape):
+    rng = np.random.default_rng(11)
+    with dtype_scope(dtype):
+        # scale 300: most softmax entries underflow to 0 in either precision
+        for scale in (1.0, 300.0):
+            a, b, t = ((rng.normal(size=shape) * scale).astype(dtype) for _ in range(3))
+            for trainable in ((True, True), (False, True)):  # False: frozen spiking side
+                fused, node = value_and_grads(hidden_align_loss, (a, b), trainable)
+                want, _ = value_and_grads(hidden_align_composite, (a, b), trainable)
+                for x, y in zip(fused, want):
+                    assert_bits_equal(x, y)
+                if not trainable[0]:
+                    assert node._grad_fn(np.ones((), dtype))[0] is None
+            norm = log_softmax_norm(t)
+            for kl in (lambda s: training.kl_distill_loss(t, s),
+                       lambda s: training.kl_distill_loss(t, s, norm)):
+                fused, _ = value_and_grads(kl, (a,), (True,))
+                want, _ = value_and_grads(
+                    lambda s: kl_distill_composite(t, s), (a,), (True,))
+                for x, y in zip(fused, want):
+                    assert_bits_equal(x, y)
+
+
+def test_distill_batch_normalisers_equal_per_batch_ones(rng):
+    logits = (rng.normal(size=(19, 5, 13)) * 4).astype(np.float32)
+    data = training.DistillBatch(sequences=np.zeros((19, 9), np.int64), prompt_len=4,
+                                 teacher_logits=logits)
+    idx = rng.integers(0, 19, size=8)
+    m, lse = log_softmax_norm(logits[idx])
+    assert_bits_equal(data.teacher_max[idx], m)
+    assert_bits_equal(data.teacher_lse[idx], lse)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_distill_run_equals_run_on_composite_losses(freeze, monkeypatch):
+    lines = training.synthetic_corpus(60, seed=2)
+    teacher = LanguageModel(toy_config(), np.random.default_rng(4))
+
+    def run():
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                sgc=True)
+        res = training.distill_run(teacher, student, lines, steps=10, batch=8,
+                                   n_sequences=16, seed=5,
+                                   freeze_spiking_in_hidden=freeze)
+        return res.metrics, [t.data.tobytes() for t in student.parameters()]
+
+    fused = run()
+    monkeypatch.setattr(training, "kl_distill_loss", kl_distill_composite)
+    monkeypatch.setattr(training, "hidden_align_loss", hidden_align_composite)
+    assert run() == fused
 
 
 def test_kl_zero_when_equal(rng, f64):

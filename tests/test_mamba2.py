@@ -18,7 +18,6 @@ from spikessm.mamba2 import (
     hidden_align_loss,
     init_block_params,
     init_block_state,
-    model_forward,
     sgc_forward,
     ssm_scan,
     ssm_update,
@@ -325,7 +324,7 @@ def test_zero_weight_model_uniform(rng):
     model = LanguageModel(cfg, rng)
     for p in model.parameters():
         p.data = np.zeros_like(p.data)
-    logits, _ = model_forward(model, np.array([1, 2, 3]))
+    logits, _ = model.forward_batch(np.array([[1, 2, 3]]))
     p = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(p, 1.0 / cfg.vocab, atol=1e-7)
@@ -340,8 +339,7 @@ def test_single_block_oracle(rng, f64):
     cfg = Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8,
                        n_layers=1, vocab=11)
     model = LanguageModel(cfg, rng)
-    tok = np.array([3])
-    logits, _ = model_forward(model, tok)
+    logits, _ = model.forward_batch(np.array([[3]]))
 
     # oracle: everything unrolled by hand for one token, zero state
     p = model.layers[0]
@@ -362,7 +360,7 @@ def test_single_block_oracle(rng, f64):
     res = emb + y @ p.w_out.data
     final = res / np.sqrt((res ** 2).mean() + RMS_EPS) * model.norm_f.data
     expect = final @ model.embedding.data.T
-    np.testing.assert_allclose(logits.data[0], expect, atol=1e-12)
+    np.testing.assert_allclose(logits.data[0, 0], expect, atol=1e-12)
 
 
 def test_dense_matches_spiking_passthrough(rng, f64):

@@ -19,7 +19,6 @@ from spikessm.tensor import (
     embedding,
     log_softmax,
     matmul,
-    mean_,
     narrow,
     parameter,
     reshape,
@@ -213,9 +212,32 @@ def test_finite_difference_structural_ops(rng, f64):
         y, _ = causal_conv1d(conv_in, transpose2d(reshape(k, (4, 3))))
         part = narrow(y, 0, 0, 4) * probe1
         rest = narrow(y, 0, 3, 5) * probe2
-        return sum_(part) + sum_(mean_(rest, axis=0))
+        return sum_(part) + sum_(sum_(rest, axis=0) * (1.0 / 5))
 
     assert check_gradients(loss_fn, [x, k], rng, probes=100) < REL_TOL
+
+
+def test_slice_accumulation_leaves_aliased_gradient_unchanged():
+    a, b = parameter(np.arange(4.0)), parameter(np.ones(4))
+    probe = np.array([1.0, 2.0, 3.0, 4.0])
+    with Graph() as g:
+        part = sum_(narrow(a, 0, 1, 2) * Tensor([5.0, 7.0]))
+        # created after the narrow, so its backward runs first; ``add``
+        # hands a and b the same array as their first gradient
+        both = sum_((a + b) * Tensor(probe))
+        loss = part + both
+    grads = g.backward(loss, wrt=[a, b])
+    np.testing.assert_array_equal(grads[id(b)], probe)
+    np.testing.assert_array_equal(grads[id(a)], probe + [0.0, 5.0, 7.0, 0.0])
+
+
+def test_mul_returns_no_gradient_for_a_constant():
+    x = parameter(np.ones(3))
+    with Graph():
+        by_float, by_leaf = x * 2.0, Tensor(np.ones(3)) * x
+    assert by_float._grad_fn(np.ones(3))[1] is None
+    assert by_leaf._grad_fn(np.ones(3))[0] is None
+    assert by_leaf._grad_fn(np.ones(3))[1] is not None
 
 
 def test_finite_difference_embedding(rng, f64):
