@@ -86,7 +86,9 @@ class Mamba2Config:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.conv_width != tn.CONV_WIDTH:
             raise ContractError(f"conv_width must be {tn.CONV_WIDTH}")
-        if not frozenset(self.sgc_layers) <= frozenset(range(self.n_layers)):
+        # compared, not looked up in range(n_layers): that set would be as
+        # large as a crafted config's layer count
+        if not all(0 <= i < self.n_layers for i in self.sgc_layers):
             raise ContractError("sgc_layers must be a subset of layer indices")
         object.__setattr__(self, "sgc_layers", frozenset(self.sgc_layers))
 
@@ -193,7 +195,12 @@ def param_shapes(cfg: Mamba2Config) -> dict[str, tuple[int, ...]]:
 
 def check_param_shapes(cfg: Mamba2Config, tensors: dict[str, np.ndarray]) -> None:
     """ContractError unless ``tensors`` has exactly the names and shapes
-    of :func:`param_shapes`."""
+    of :func:`param_shapes`. A config with more layers than ``tensors``
+    has entries (every layer has at least its pre-norm) is refused before
+    the table is built, so a crafted layer count cannot make it huge."""
+    if cfg.n_layers > len(tensors):
+        raise ContractError(f"the config has {cfg.n_layers} layers, more than "
+                            f"the {len(tensors)} tensors given")
     expected = param_shapes(cfg)
     if set(expected) != set(tensors):
         raise ContractError(f"tensor names disagree with the config: "

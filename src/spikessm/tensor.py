@@ -24,6 +24,14 @@ buffer. Each does the floating-point operations of the direct form in
 the same order, so results are bit-identical to it at float32 and
 float64 (the direct forms are the oracles in ``tests/test_tensor.py``).
 
+Importing this module sets glibc's allocator policy for the process
+(:func:`keep_freed_pages_mapped`; a no-op elsewhere): the pages of the
+arrays one pass frees stay mapped for the next, instead of being handed
+back to the kernel and faulted in again. Freed memory stays in the
+process up to a 64 MiB trim threshold; peak RSS moves by -0.6% to
++2.8% (at most 2.1 MB) on the benchmark's workloads, and no result
+changes.
+
 Tape construction and backward are single-threaded per model instance.
 Tensors are treated as immutable once created (the optimizer swaps the
 buffer of leaf parameters between steps), so forward-only inference
@@ -32,6 +40,7 @@ over independent sequences may run in parallel threads.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
@@ -49,6 +58,48 @@ class ContractError(ValueError):
 
 class NumericError(ArithmeticError):
     """A non-finite value appeared where the contract forbids it."""
+
+
+# ---------------------------------------------------------------------------
+# allocator policy: freed arrays stay mapped for the next pass
+
+# glibc <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# 32 MiB is the ceiling glibc's own dynamic mmap threshold grows to on
+# 64-bit; some glibc versions refuse a larger one
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def keep_freed_pages_mapped(libc=None) -> bool:
+    """Make glibc's malloc serve arrays up to :data:`MMAP_THRESHOLD` from
+    the heap and keep up to :data:`TRIM_THRESHOLD` of freed memory at its
+    top; return whether both settings took. ``libc`` defaults to the
+    process's C library; without a glibc ``mallopt`` (musl's refuses
+    every setting, macOS has none) nothing is changed.
+
+    This is a process-wide setting, made once at import. It is here
+    because the engine's traffic is many short-lived arrays of 0.1-1 MB
+    per pass: under glibc's defaults a no-tape ``eval_ppl`` pass of the
+    toy student faults about 1,600 pages (6 MB) back in, with it none.
+    """
+    if libc is None:
+        try:
+            libc = ctypes.CDLL(None)
+        except (OSError, TypeError):  # TypeError: no dlopen(NULL), as on Windows
+            return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the trim threshold is set only once the mmap one took
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 0 and
+            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 0)
+
+
+keep_freed_pages_mapped()
 
 
 # ---------------------------------------------------------------------------

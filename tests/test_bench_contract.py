@@ -2,17 +2,19 @@
 
 The benchmark patches library functions by name and reads keyword
 arguments of ``block_step`` calls, so a refactor that renames or
-re-signatures one of them breaks it. These tests run its tracer and its
-event-kernel audit on a small untrained model.
+re-signatures one of them breaks it. These tests run its tracer, its
+event-kernel audit and the stand-ins it puts into ``training`` on a
+small untrained model.
 """
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikessm import SPIKING, TILIF, LanguageModel, NeuronConfig, mamba2, toy_config
+from spikessm import SPIKING, TILIF, LanguageModel, NeuronConfig, mamba2, toy_config, training
 from spikessm import tensor as tn
 from spikessm.training import synthetic_corpus
 
@@ -57,3 +59,35 @@ def test_event_audit_passes_on_untrained_student(bench):
     audit = workloads.event_audit(_student(), prompts, checks)
     assert checks.attempted > 0 and checks.failed == 0, checks.notes
     assert audit["op_count_ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_served_setup_stands_in_for_distill_set_up(bench):
+    _, workloads = bench
+    lines = synthetic_corpus(40, seed=5)
+    teacher = LanguageModel(toy_config(), np.random.default_rng(5))
+    seqs = training.generate_pseudo_labels(teacher, lines, n_sequences=8, prompt_len=8,
+                                           total_len=16, seed=5)
+    logits = training._teacher_logits(teacher, seqs, 8)
+    originals = training.generate_pseudo_labels, training._teacher_logits
+    with workloads.served_setup(seqs, logits):
+        assert training.generate_pseudo_labels is not originals[0]
+        training.distill_run(teacher, _student(), lines, steps=2, batch=4, prompt_len=8,
+                             total_len=16, n_sequences=8, seed=5)
+        # each stand-in puts the original back when it is called
+        assert (training.generate_pseudo_labels, training._teacher_logits) == originals
+    assert (training.generate_pseudo_labels, training._teacher_logits) == originals
+
+
+def test_around_optimizer_times_every_rl_step(bench):
+    _, workloads = bench
+    p = workloads.Pass()
+    serve = SimpleNamespace(run_until=lambda share: None)
+    loop = workloads.MainLoop(2, "align", serve, p, set_unit=lambda unit: None)
+    pref = training.synth_preference_lines(synthetic_corpus(40, seed=5), 8, 5, "dpo")
+    examples = [training.parse_preference_line(line, "dpo") for line in pref]
+    saved = training.AdamW
+    with loop.around_optimizer():
+        assert training.AdamW is not saved
+        training.rl_run(_student(), examples, method="dpo", steps=2, batch=2, seed=5)
+    assert training.AdamW is saved
+    assert len(p.step) == 2 and loop.done == 2

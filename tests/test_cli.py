@@ -160,6 +160,23 @@ def test_eval_ppl_config_the_tensors_do_not_back(teacher_dir, tmp_path, capsys):
     assert len(err) == 1 and "embedding has shape" in err[0]
 
 
+def test_eval_ppl_huge_layer_count_fails_fast(teacher_dir, tmp_path):
+    # a set or shape table of 10**12 layers would never finish (or fill
+    # the host's memory), so the run is bounded by a timeout
+    blob = (teacher_dir / "teacher.spkm").read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    cfg = json.dumps({**json.loads(blob[12:12 + n]), "n_layers": 10 ** 12,
+                      "sgc_layers": [0, 10 ** 12 - 1]}).encode()
+    bad = tmp_path / "deep.spkm"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
+    cmd = [sys.executable, "-m", "spikessm.cli", "eval-ppl", "--ckpt", str(bad),
+           "--corpus", str(teacher_dir / "corpus.txt"), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and f"{10 ** 12} layers" in err[0], err
+
+
 def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):
     corpus = tmp_path / "short.txt"
     corpus.write_text("hi there\n", encoding="utf-8")

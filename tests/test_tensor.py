@@ -1,11 +1,19 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spikessm.gradcheck import REL_TOL, check_gradients
 from spikessm.tensor import (
+    MMAP_THRESHOLD,
+    TRIM_THRESHOLD,
     ContractError,
     DimensionError,
     Graph,
@@ -17,6 +25,7 @@ from spikessm.tensor import (
     concat,
     dtype_scope,
     embedding,
+    keep_freed_pages_mapped,
     log_softmax,
     matmul,
     narrow,
@@ -402,3 +411,61 @@ def test_conv_bitwise_equals_strided_tap_oracle(dtype):
             assert_bits_equal(out.data, y)
             assert_bits_equal(grads[id(xt)], dx)
             assert_bits_equal(grads[id(kt)], dk)
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from spikessm import SPIKING, TILIF, LanguageModel, NeuronConfig, toy_config
+from spikessm.tokenizer import tokenize
+from spikessm.training import eval_ppl, synthetic_corpus
+
+teacher = LanguageModel(toy_config(), np.random.default_rng(5))
+student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
+lines, size = [], 0
+for line in synthetic_corpus(400, seed=5):  # the shortest prefix of 16 windows
+    lines.append(line)
+    size += tokenize(line).size
+    if size // 49 == 16:
+        break
+for _ in range(3):
+    eval_ppl(student, lines)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    eval_ppl(student, lines)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or
+                    platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_no_tape_forward_keeps_heap_pages_mapped():
+    # under glibc's default thresholds every pass faults ~1,600 pages back in
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64
+
+
+class _FakeMallopt:
+    def __init__(self, result):
+        self.result, self.calls = result, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+def test_allocator_policy_without_glibc_mallopt():
+    assert keep_freed_pages_mapped(SimpleNamespace()) is False
+    refusing = _FakeMallopt(0)  # musl's mallopt accepts nothing
+    assert keep_freed_pages_mapped(SimpleNamespace(mallopt=refusing)) is False
+    assert len(refusing.calls) == 1  # nothing further is tried
+    taking = _FakeMallopt(1)
+    assert keep_freed_pages_mapped(SimpleNamespace(mallopt=taking)) is True
+    assert [v for _, v in taking.calls] == [MMAP_THRESHOLD, TRIM_THRESHOLD]
