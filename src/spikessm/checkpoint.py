@@ -16,7 +16,8 @@ float32):
         data     prod(dims) float32, row-major
 
 Round-trips are bit-exact: parameters are stored and reloaded as
-float32 without re-encoding.
+float32 without re-encoding, and :func:`load` hands the arrays it reads
+to :meth:`LanguageModel.from_tensors` without a random initialisation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .mamba2 import LanguageModel, Mamba2Config, check_param_shapes
+from .mamba2 import LanguageModel, Mamba2Config
 from .neurons import NeuronConfig
 from .tensor import ContractError
 
@@ -170,14 +171,12 @@ def load_raw(path) -> tuple[Mamba2Config, dict[str, np.ndarray]]:
 
 
 def load(path) -> LanguageModel:
-    """The model a container holds. Its tensor names and shapes are checked
-    against its config before the model is built, so a crafted config
-    cannot ask for an allocation its tensors do not back."""
+    """The model a container holds, built by :meth:`LanguageModel.from_tensors`.
+    Its tensor names and shapes are checked against its config before
+    the model is built, so a crafted config cannot ask for an allocation
+    its tensors do not back."""
     cfg, tensors = load_raw(path)
     try:
-        check_param_shapes(cfg, tensors)
+        return LanguageModel.from_tensors(cfg, tensors)
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
-    model = LanguageModel(cfg)
-    model.load_state(tensors)
-    return model

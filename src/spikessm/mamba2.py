@@ -17,12 +17,19 @@ at one token the tape's per-op overhead would outweigh the chunked
 scan. Their agreement is a tested invariant. Parameters are immutable during forward, so
 concurrent forwards over independent sequences are safe; training
 updates are single-threaded.
+
+``LanguageModel(cfg, rng)`` draws a fresh initialisation. Every other
+model is built from a name -> array table by
+``LanguageModel.from_tensors``, which checks the names and shapes
+against the config (:func:`param_shapes`) and draws nothing:
+``clone`` hands it copies of the source's parameters, and
+``checkpoint.load`` the arrays read from a container.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -138,17 +145,8 @@ class BlockParams:
     w_sgc_out: Tensor | None = None
 
     def named(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("w_in", self.w_in), ("w_out", self.w_out),
-            ("conv_x", self.conv_x), ("conv_b", self.conv_b), ("conv_c", self.conv_c),
-            ("a_log", self.a_log), ("d_skip", self.d_skip),
-            ("dt_bias", self.dt_bias), ("norm_w", self.norm_w),
-        ]
-        if self.w_sgc_in is not None:
-            out.append(("w_sgc_in", self.w_sgc_in))
-        if self.w_sgc_out is not None:
-            out.append(("w_sgc_out", self.w_sgc_out))
-        return out
+        """The parameters present, by field name, in declaration order."""
+        return [(f.name, t) for f in fields(self) if (t := getattr(self, f.name)) is not None]
 
 
 @dataclass
@@ -202,9 +200,12 @@ def check_param_shapes(cfg: Mamba2Config, tensors: dict[str, np.ndarray]) -> Non
         raise ContractError(f"the config has {cfg.n_layers} layers, more than "
                             f"the {len(tensors)} tensors given")
     expected = param_shapes(cfg)
-    if set(expected) != set(tensors):
+    missing = sorted(expected.keys() - tensors.keys())
+    unexpected = sorted(tensors.keys() - expected.keys())
+    if missing or unexpected:
         raise ContractError(f"tensor names disagree with the config: "
-                            f"{sorted(set(expected) ^ set(tensors))}")
+                            f"{len(missing)} missing {missing[:3]}, "
+                            f"{len(unexpected)} unexpected {unexpected[:3]}")
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise ContractError(f"{name} has shape {tensors[name].shape}, "
@@ -243,15 +244,10 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
         dt_bias=tn.parameter(np.log(np.expm1(dt_init))),
         norm_w=tn.parameter(np.ones(shape["norm_w"])),
     )
-    if layer_idx in cfg.sgc_layers:
-        attach_sgc(params)
+    if layer_idx in cfg.sgc_layers:  # compensation starts equal to its mirror
+        params.w_sgc_in = tn.parameter(params.w_in.data.copy())
+        params.w_sgc_out = tn.parameter(params.w_out.data.copy())
     return params
-
-
-def attach_sgc(params: BlockParams) -> None:
-    """Create the compensation projections, initialized equal to the mirrored ones."""
-    params.w_sgc_in = tn.parameter(params.w_in.data.copy())
-    params.w_sgc_out = tn.parameter(params.w_out.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +661,28 @@ class LanguageModel:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        check_param_shapes(self.cfg, tensors)
-        for name, t in self.named_parameters():
-            t.data = tensors[name].astype(t.data.dtype)
+    @classmethod
+    def from_tensors(cls, cfg: Mamba2Config, tensors: dict[str, np.ndarray]) -> "LanguageModel":
+        """The model whose parameters are ``tensors``, by the names of
+        :func:`param_shapes`, checked against ``cfg`` first. Each array
+        becomes a parameter in the run precision (one already in it is
+        used without a copy); no random numbers are drawn."""
+        check_param_shapes(cfg, tensors)
+        p = {name: tn.parameter(arr) for name, arr in tensors.items()}
+        model = cls.__new__(cls)
+        model.cfg = cfg
+        model.embedding, model.norm_f = p["embedding"], p["norm_f"]
+        model.layers = [
+            BlockParams(**{n: p[f"layers.{i}.{n}"] for n in block_param_shapes(cfg, i)})
+            for i in range(cfg.n_layers)]
+        model.pre_norms = [p[f"layers.{i}.pre_norm"] for i in range(cfg.n_layers)]
+        return model
 
     def clone(self, mode: str | None = None, neuron: NeuronConfig | None = None,
               sgc: bool | None = None) -> "LanguageModel":
-        """Copy of this model, optionally switching mode / neuron / SGC layers."""
+        """Copy of this model in the run precision, optionally switching
+        mode / neuron / SGC layers. A compensation projection the copy
+        gains starts as a copy of the projection it mirrors."""
         cfg = self.cfg
         new_cfg = replace(
             cfg,
@@ -681,24 +691,10 @@ class LanguageModel:
             sgc_layers=(default_sgc_layers(cfg.n_layers) if sgc else frozenset())
             if sgc is not None else cfg.sgc_layers,
         )
-        other = LanguageModel(new_cfg)
-        other.embedding.data = self.embedding.data.copy()
-        other.norm_f.data = self.norm_f.data.copy()
-        for dst_n, src_n in zip(other.pre_norms, self.pre_norms):
-            dst_n.data = src_n.data.copy()
-        for i, (src, dst) in enumerate(zip(self.layers, other.layers)):
-            for (_, a), (_, b) in zip(src.named()[:9], dst.named()[:9]):
-                b.data = a.data.copy()
-            if i in new_cfg.sgc_layers:
-                if dst.w_sgc_in is None:
-                    attach_sgc(dst)
-                if src.w_sgc_in is not None:
-                    dst.w_sgc_in.data = src.w_sgc_in.data.copy()
-                    dst.w_sgc_out.data = src.w_sgc_out.data.copy()
-                else:
-                    dst.w_sgc_in.data = dst.w_in.data.copy()
-                    dst.w_sgc_out.data = dst.w_out.data.copy()
-        return other
+        have = {name: t.data for name, t in self.named_parameters()}
+        return LanguageModel.from_tensors(new_cfg, {
+            name: have[name if name in have else name.replace(".w_sgc_", ".w_")].copy()
+            for name in param_shapes(new_cfg)})
 
     # -- batched (teacher-forced) forward ------------------------------------
 
@@ -755,12 +751,8 @@ class LanguageModel:
         return logits, ModelState(blocks=new_blocks)
 
     def generate_greedy(self, prompts: np.ndarray, max_new: int, *,
-                        stop_id: int | None = None,
                         kernel: str = "matmul") -> np.ndarray:
-        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new).
-
-        Generation past a stop id repeats the stop id, so rows stay aligned.
-        """
+        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new)."""
         prompts = np.atleast_2d(np.asarray(prompts))
         B, T0 = prompts.shape
         state = self.init_state((B,))
@@ -768,12 +760,8 @@ class LanguageModel:
         for t in range(T0):
             logits, state = self.step(prompts[:, t], state, kernel=kernel)
         out = [prompts]
-        done = np.zeros(B, dtype=bool)
         for _ in range(max_new):
             cur = logits.argmax(axis=-1)
-            if stop_id is not None:
-                cur = np.where(done, stop_id, cur)
-                done |= cur == stop_id
             out.append(cur[:, None])
             logits, state = self.step(cur, state, kernel=kernel)
         return np.concatenate(out, axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ContractError, Tensor, apply_unary
+from .tensor import ContractError, Tensor, custom_op
 
 LIF = "lif"
 ILIF = "ilif"
@@ -24,6 +24,10 @@ KINDS = (LIF, ILIF, TILIF)
 @dataclass(frozen=True)
 class NeuronConfig:
     """Neuron kind plus its amplitude bound, threshold, decay and surrogate scale.
+
+    ``beta`` (the decay) is validated and stored in a checkpoint's config,
+    but no forward reads it: the micro-step expansion fixes beta = 1 so
+    that spike counts reconstruct the integers exactly.
 
     ``passthrough`` is a test hook: the neuron becomes the identity with
     unit gradient, which makes a spiking model arithmetically equal to
@@ -89,12 +93,10 @@ def surrogate_window(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
 
 def neuron_forward(cfg: NeuronConfig, x: Tensor) -> Tensor:
     """Integer-valued spike activation with the rectangular surrogate backward."""
-    return apply_unary(
-        x,
-        lambda d: quantize(cfg, d),
-        lambda d: surrogate_window(cfg, d),
-        f"neuron_{cfg.kind}",
-    )
+    def grad_fn(g):
+        return (g * surrogate_window(cfg, x.data),)
+
+    return custom_op(quantize(cfg, x.data), (x,), grad_fn, f"neuron_{cfg.kind}")
 
 
 def expand_spike_train(cfg: NeuronConfig, s_int: np.ndarray) -> SpikeTrain:

@@ -552,22 +552,9 @@ def exp(x) -> Tensor:
     return activation("exp", x)
 
 
-def apply_unary(x: Tensor, forward: Callable, grad: Callable, op: str) -> Tensor:
-    """Register a custom elementwise op (used for the spiking neuron).
-
-    ``forward(data) -> data`` and ``grad(x_data) -> local derivative``.
-    """
-    x = _as_tensor(x)
-    data = forward(x.data)
-
-    def grad_fn(g):
-        return (g * grad(x.data),)
-
-    return _make(data, op, (x,), grad_fn)
-
-
 def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> Tensor:
-    """Register an op with a hand-written backward (used for the state scan).
+    """Register an op with a hand-written backward (the state scan, the
+    spiking neurons and the fused losses).
 
     ``grad_fn(g_out)`` must return one gradient per input, in order.
     """

@@ -31,7 +31,7 @@ from .tensor import (
     pause_recording,
     reshape,
 )
-from .tokenizer import BOS, EOS, tokenize
+from .tokenizer import EOS, tokenize
 
 # ---------------------------------------------------------------------------
 # synthetic corpus
@@ -323,14 +323,9 @@ def synth_preference_lines(lines: list[str], n: int, seed: int,
 
 
 def _example_tokens(prompt: str, response: str) -> tuple[np.ndarray, int]:
-    ids = np.concatenate([
-        np.frombuffer(prompt.encode("utf-8"), dtype=np.uint8).astype(np.int64),
-        np.frombuffer(response.encode("utf-8"), dtype=np.uint8).astype(np.int64),
-        np.array([EOS], dtype=np.int64),
-    ])
-    ids = np.concatenate([np.array([BOS], dtype=np.int64), ids])
-    start = 1 + len(prompt.encode("utf-8"))
-    return ids, start
+    """The framed ids of prompt + response and the index of the first
+    response token."""
+    return tokenize(prompt + response), 1 + len(prompt.encode("utf-8"))
 
 
 def _padded(seqs: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -91,3 +91,15 @@ def test_around_optimizer_times_every_rl_step(bench):
         training.rl_run(_student(), examples, method="dpo", steps=2, batch=2, seed=5)
     assert training.AdamW is saved
     assert len(p.step) == 2 and loop.done == 2
+
+
+def test_infer_and_align_set_ups_build_their_models(bench, tmp_path):
+    _, workloads = bench
+    infer = workloads.setup_infer(5, tmp_path)
+    # the check main_infer makes: the round trip reproduces the saved student
+    saved, loaded = infer["saved"].named_parameters(), infer["model"].named_parameters()
+    assert [n for n, _ in saved] == [n for n, _ in loaded]
+    assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in zip(saved, loaded))
+    assert list(tmp_path.iterdir()) == []
+    align = workloads.setup_align(5, tmp_path)
+    assert align["model"].cfg == infer["model"].cfg and align["examples"]

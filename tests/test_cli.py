@@ -177,6 +177,24 @@ def test_eval_ppl_huge_layer_count_fails_fast(teacher_dir, tmp_path):
     assert len(err) == 1 and f"{10 ** 12} layers" in err[0], err
 
 
+def test_eval_ppl_layer_count_mismatch_is_one_short_line(teacher_dir, tmp_path, capsys):
+    # 22 layers pass the layer-count bound (the toy teacher has 22
+    # tensors) and leave 200 names missing; the message counts them
+    blob = (teacher_dir / "teacher.spkm").read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    cfg = json.dumps({**json.loads(blob[12:12 + n]), "n_layers": 22}).encode()
+    bad = tmp_path / "deep.spkm"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
+    rc = main(["eval-ppl", "--ckpt", str(bad), "--corpus", str(teacher_dir / "corpus.txt"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    msg = err[0].replace(str(bad), "<ckpt>")
+    assert len(msg.encode("utf-8")) < 300, msg
+    assert "200 missing" in msg and "'layers.10.a_log'" in msg, msg
+
+
 def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):
     corpus = tmp_path / "short.txt"
     corpus.write_text("hi there\n", encoding="utf-8")

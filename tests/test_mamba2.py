@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spikessm import checkpoint, mamba2
 from spikessm.gradcheck import REL_TOL, check_gradients
 from spikessm.mamba2 import (
     DENSE,
@@ -23,7 +25,7 @@ from spikessm.mamba2 import (
     ssm_update,
     toy_config,
 )
-from spikessm.neurons import NeuronConfig, TILIF, quantize
+from spikessm.neurons import LIF, NeuronConfig, TILIF, quantize
 from spikessm.tensor import (
     ContractError,
     Graph,
@@ -372,6 +374,84 @@ def test_dense_matches_spiking_passthrough(rng, f64):
     a, _ = dense.forward_batch(toks)
     b, _ = spik.forward_batch(toks)
     np.testing.assert_allclose(a.data, b.data, atol=1e-4)
+
+
+def _clone_oracle(model, mode=None, neuron=None, sgc=None):
+    """The field-by-field clone ``from_tensors`` replaced: a random
+    initialisation of the new config with every value then overwritten."""
+    cfg = model.cfg
+    new_cfg = replace(
+        cfg,
+        mode=mode if mode is not None else cfg.mode,
+        neuron=neuron if neuron is not None else cfg.neuron,
+        sgc_layers=(default_sgc_layers(cfg.n_layers) if sgc else frozenset())
+        if sgc is not None else cfg.sgc_layers,
+    )
+    other = LanguageModel(new_cfg)
+    other.embedding.data = model.embedding.data.copy()
+    other.norm_f.data = model.norm_f.data.copy()
+    for dst_n, src_n in zip(other.pre_norms, model.pre_norms):
+        dst_n.data = src_n.data.copy()
+    for i, (src, dst) in enumerate(zip(model.layers, other.layers)):
+        for (_, a), (_, b) in zip(src.named()[:9], dst.named()[:9]):
+            b.data = a.data.copy()
+        if i in new_cfg.sgc_layers:
+            if src.w_sgc_in is not None:
+                dst.w_sgc_in.data = src.w_sgc_in.data.copy()
+                dst.w_sgc_out.data = src.w_sgc_out.data.copy()
+            else:
+                dst.w_sgc_in.data = dst.w_in.data.copy()
+                dst.w_sgc_out.data = dst.w_out.data.copy()
+    return other
+
+
+SPIKE4 = NeuronConfig(kind=TILIF, d_max=4)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("source, switch", [
+    (dict(sgc_layers=frozenset({1})), dict(sgc=True)),    # on -> on, layers 0, 2 gain it
+    (dict(), dict(sgc=True)),                             # off -> on
+    (dict(sgc_layers=frozenset({0, 2})), dict(sgc=False)),  # on -> off
+    (dict(sgc_layers=frozenset({1})), dict()),            # unchanged
+    (dict(), dict(mode=SPIKING, neuron=SPIKE4)),
+    (dict(mode=SPIKING, neuron=SPIKE4, sgc_layers=frozenset({1})),
+     dict(mode=DENSE, neuron=NeuronConfig(kind=LIF, d_max=1))),
+])
+def test_clone_matches_field_by_field_oracle(precision, source, switch):
+    with dtype_scope(precision):
+        cfg = replace(small_config(), n_layers=3, **source)
+        model = LanguageModel(cfg, np.random.default_rng(4))
+        for layer in model.layers:  # trained compensation weights differ from their mirrors
+            if layer.w_sgc_in is not None:
+                layer.w_sgc_in.data = layer.w_sgc_in.data + 0.25
+                layer.w_sgc_out.data = layer.w_sgc_out.data - 0.5
+        got, want = model.clone(**switch), _clone_oracle(model, **switch)
+    assert got.cfg == want.cfg
+    assert [n for n, _ in got.named_parameters()] == [n for n, _ in want.named_parameters()]
+    sources = [t.data for t in model.parameters()]
+    for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
+        assert a.data.dtype == b.data.dtype == np.dtype(precision), name
+        assert a.data.tobytes() == b.data.tobytes(), name
+        assert a.trainable, name
+        assert not any(np.shares_memory(a.data, s) for s in sources), name
+
+
+def test_clone_and_load_draw_no_initialisation(tmp_path, rng, monkeypatch):
+    model = LanguageModel(small_config(sgc_layers=frozenset({0})), rng)
+    path = tmp_path / "model.spkm"
+    checkpoint.save(path, model)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("a random initialisation was drawn")
+
+    monkeypatch.setattr(mamba2, "init_block_params", no_init)
+    loaded = checkpoint.load(path)
+    student = loaded.clone(mode=SPIKING, neuron=SPIKE4, sgc=True)
+    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(student.layers[1].w_sgc_in.data, model.layers[1].w_in.data)
+    assert np.array_equal(student.layers[0].w_sgc_in.data, model.layers[0].w_sgc_in.data)
 
 
 def test_spiking_logits_invariant_within_rounding_cell(rng):
