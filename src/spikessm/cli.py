@@ -191,7 +191,7 @@ def build_parser() -> _Parser:
                 kwargs["const"] = "true"
             if opt.choices:
                 kwargs["choices"] = [str(c) for c in opt.choices]
-            p.add_argument(f"--{key.replace(chr(95), chr(45))}", dest=key, **kwargs)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 

@@ -13,8 +13,7 @@ reference totals for both preset geometries; see ``CATEGORY``.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .tensor import ContractError
 
@@ -205,11 +204,7 @@ def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
                            k=k, fr_in=fr_in, fr_out=fr_out)
     base = energy_report(count_ops(geom, ANN), constants, config=config)
     ratio = base.total_uj / report.total_uj if report.total_uj > 0 else None
-    return _with_ratio(report, ratio if variant != ANN else 1.0)
-
-
-def _with_ratio(report: EnergyReport, ratio: float | None) -> EnergyReport:
-    return EnergyReport(**{**report.__dict__, "ratio": ratio})
+    return replace(report, ratio=ratio if variant != ANN else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +275,22 @@ CSV_HEADER = ("config,variant,k,fr_in,fr_out,in_proj_uj,out_proj_uj,"
               "ssm_uj,others_uj,neuron_uj,total_uj,ratio")
 
 
+def _cells(r: EnergyReport, no_ratio: str) -> list[str]:
+    """The 12 cells of one report row; ``no_ratio`` stands in for a missing ratio."""
+    values = (r.fr_in, r.fr_out, r.in_proj_uj, r.out_proj_uj, r.ssm_uj,
+              r.others_uj, r.neuron_uj, r.total_uj)
+    ratio = no_ratio if r.ratio is None else f"{r.ratio:.4f}"
+    return [r.config, r.variant, str(r.k), *(f"{v:.4f}" for v in values), ratio]
+
+
 def to_csv(reports: list[EnergyReport]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in reports:
-        ratio = f"{r.ratio:.4f}" if r.ratio is not None else ""
-        buf.write(
-            f"{r.config},{r.variant},{r.k},{r.fr_in:.4f},{r.fr_out:.4f},"
-            f"{r.in_proj_uj:.4f},{r.out_proj_uj:.4f},{r.ssm_uj:.4f},"
-            f"{r.others_uj:.4f},{r.neuron_uj:.4f},{r.total_uj:.4f},{ratio}\n"
-        )
-    return buf.getvalue()
+    return CSV_HEADER + "\n" + "".join(",".join(_cells(r, "")) + "\n" for r in reports)
 
 
 def to_table(reports: list[EnergyReport]) -> str:
     cols = ["config", "variant", "k", "fr_in", "fr_out", "in_proj", "out_proj",
             "ssm", "others", "neuron", "total", "ratio"]
-    rows = [cols]
-    for r in reports:
-        rows.append([
-            r.config, r.variant, str(r.k), f"{r.fr_in:.4f}", f"{r.fr_out:.4f}",
-            f"{r.in_proj_uj:.4f}", f"{r.out_proj_uj:.4f}", f"{r.ssm_uj:.4f}",
-            f"{r.others_uj:.4f}", f"{r.neuron_uj:.4f}", f"{r.total_uj:.4f}",
-            f"{r.ratio:.4f}" if r.ratio is not None else "-",
-        ])
+    rows = [cols] + [_cells(r, "-") for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(cols))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"
+                   for row in rows)

@@ -156,7 +156,3 @@ def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int | np.ndarray
     mask = np.zeros((B, T, logits.shape[-1]), dtype=logits.data.dtype)
     mask[r, t - 1, rows[r, t]] = 1.0  # position t-1 predicts token t
     return sum_(logp * Tensor(mask.reshape(logits.shape)), axis=(-2, -1))
-
-
-def perplexity(mean_cross_entropy: float) -> float:
-    return float(np.exp(mean_cross_entropy))

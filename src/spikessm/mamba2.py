@@ -78,7 +78,6 @@ class Mamba2Config:
     d_head: int
     n_layers: int
     vocab: int
-    conv_width: int = 4
     mode: str = DENSE
     neuron: NeuronConfig = field(default_factory=NeuronConfig)
     sgc_layers: frozenset[int] = frozenset()
@@ -91,8 +90,6 @@ class Mamba2Config:
             )
         if self.mode not in (DENSE, SPIKING):
             raise ContractError(f"unknown mode {self.mode!r}")
-        if self.conv_width != tn.CONV_WIDTH:
-            raise ContractError(f"conv_width must be {tn.CONV_WIDTH}")
         # compared, not looked up in range(n_layers): that set would be as
         # large as a crafted config's layer count
         if not all(0 <= i < self.n_layers for i in self.sgc_layers):
@@ -160,7 +157,7 @@ def init_block_state(cfg: Mamba2Config, batch_shape: tuple[int, ...] = ()) -> Bl
     return BlockState(
         h=np.zeros(batch_shape + (cfg.n_heads, cfg.n_state, cfg.d_head), dtype=dt),
         conv_state=np.zeros(
-            batch_shape + (cfg.conv_width - 1, cfg.d_inner + 2 * cfg.n_state), dtype=dt
+            batch_shape + (tn.CONV_WIDTH - 1, cfg.d_inner + 2 * cfg.n_state), dtype=dt
         ),
     )
 
@@ -169,7 +166,7 @@ def block_param_shapes(cfg: Mamba2Config, layer_idx: int) -> dict[str, tuple[int
     """Shape of each parameter of block ``layer_idx``, by name, in the
     order of :meth:`BlockParams.named`."""
     H, P, N, D = cfg.n_heads, cfg.d_head, cfg.n_state, cfg.d_model
-    w = cfg.conv_width
+    w = tn.CONV_WIDTH
     shapes = {
         "w_in": (D, cfg.d_proj), "w_out": (cfg.d_inner, D),
         "conv_x": (cfg.d_inner, w), "conv_b": (N, w), "conv_c": (N, w),
@@ -221,7 +218,7 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
     step bias puts the initial softplus step in roughly [0.001, 0.1].
     """
     shape = block_param_shapes(cfg, layer_idx)
-    H, w = cfg.n_heads, cfg.conv_width
+    H, w = cfg.n_heads, tn.CONV_WIDTH
 
     def proj(name):
         fan_in = shape[name][0]
@@ -343,8 +340,8 @@ def make_clamp_hook(mode: str, site: str) -> Hook:
 class BlockAux:
     s_in: np.ndarray | None = None   # integer activations at the input projection
     s_out: np.ndarray | None = None  # integer activations at the output projection
-    # (spiking output, compensation output) per mirrored projection;
-    # tape tensors on the batched path, plain arrays on the stepwise path
+    # (spiking output, compensation output) tape tensors per mirrored
+    # projection; only block_forward(want_sgc=True) fills it
     sgc_pairs: list[tuple] = field(default_factory=list)
 
 

@@ -9,7 +9,7 @@ channels and sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,10 @@ KINDS = (LIF, ILIF, TILIF)
 
 @dataclass(frozen=True)
 class NeuronConfig:
-    """Neuron kind plus its amplitude bound, threshold, decay and surrogate scale.
+    """Neuron kind plus its amplitude bound and surrogate scale.
 
-    ``beta`` (the decay) is validated and stored in a checkpoint's config,
-    but no forward reads it: the micro-step expansion fixes beta = 1 so
-    that spike counts reconstruct the integers exactly.
+    Decay and threshold are fixed at 1: the micro-step expansion is exact
+    only then, so neither is a setting.
 
     ``passthrough`` is a test hook: the neuron becomes the identity with
     unit gradient, which makes a spiking model arithmetically equal to
@@ -36,8 +35,6 @@ class NeuronConfig:
 
     kind: str = TILIF
     d_max: int = 4
-    v_th: float = 1.0
-    beta: float = 1.0
     alpha: float = 1.0
     passthrough: bool = False
 
@@ -48,10 +45,6 @@ class NeuronConfig:
             raise ContractError("d_max must be >= 1")
         if self.kind == LIF and self.d_max != 1:
             raise ContractError("LIF implies d_max == 1")
-        if self.v_th <= 0:
-            raise ContractError("v_th must be positive")
-        if not 0.0 < self.beta <= 1.0:
-            raise ContractError("beta must be in (0, 1]")
 
 
 @dataclass
@@ -60,7 +53,6 @@ class SpikeTrain:
 
     spikes: np.ndarray  # (d_max, channels) of {0, 1}
     sign: np.ndarray    # (channels,) of {+1, -1}
-    meta: NeuronConfig = field(repr=False, default=NeuronConfig())
 
     @property
     def channels(self) -> int:
@@ -76,7 +68,7 @@ def quantize(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
     if cfg.passthrough:
         return x
     if cfg.kind == LIF:
-        return (x - cfg.v_th >= 0.0).astype(x.dtype)
+        return (x - 1.0 >= 0.0).astype(x.dtype)
     r = np.round(x)
     lo = 0.0 if cfg.kind == ILIF else -float(cfg.d_max)
     return np.clip(r, lo, float(cfg.d_max))
@@ -102,10 +94,10 @@ def neuron_forward(cfg: NeuronConfig, x: Tensor) -> Tensor:
 def expand_spike_train(cfg: NeuronConfig, s_int: np.ndarray) -> SpikeTrain:
     """Expand integer activations into d_max binary micro-steps.
 
-    Runs the discrete leaky integrate-and-fire recurrence with beta=1 and
-    v_th=1, injecting |s_int| once at the first micro-step. The per-channel
-    spike count then equals |s_int| exactly; the sign is carried separately
-    (sign of zero is +1).
+    Micro-step i fires iff |s_int| >= i + 1: the leaky integrate-and-fire
+    recurrence with decay 1 and threshold 1, fed |s_int| once at the
+    first micro-step. The per-channel spike count then equals |s_int|
+    exactly; the sign is carried separately (sign of zero is +1).
     """
     s = np.asarray(s_int, dtype=np.float64).reshape(-1)
     if not np.all(s == np.round(s)):
@@ -114,20 +106,8 @@ def expand_spike_train(cfg: NeuronConfig, s_int: np.ndarray) -> SpikeTrain:
         raise ContractError(
             f"activation magnitude exceeds d_max={cfg.d_max}: max |s| = {np.abs(s).max()}"
         )
-    sign = np.where(s < 0, -1.0, 1.0)
-    mag = np.abs(s)
-
-    spikes = np.zeros((cfg.d_max, s.size), dtype=np.uint8)
-    v = np.zeros_like(mag)
-    prev = np.zeros_like(mag)
-    v_th = 1.0
-    for i in range(cfg.d_max):
-        inject = mag if i == 0 else 0.0
-        v = 1.0 * (v - v_th * prev) + inject  # beta = 1: exact reconstruction
-        fired = v - v_th >= 0.0
-        spikes[i] = fired
-        prev = fired.astype(mag.dtype)
-    return SpikeTrain(spikes=spikes, sign=sign, meta=cfg)
+    spikes = (np.abs(s) >= np.arange(1, cfg.d_max + 1)[:, None]).astype(np.uint8)
+    return SpikeTrain(spikes=spikes, sign=np.where(s < 0, -1.0, 1.0))
 
 
 def collapse_spike_train(train: SpikeTrain) -> np.ndarray:

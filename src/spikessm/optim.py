@@ -1,4 +1,4 @@
-"""Decoupled-weight-decay adaptive optimizer and the run schedule."""
+"""Bias-corrected adaptive optimizer and the run schedule."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ from .tensor import ContractError, Tensor
 
 
 class AdamW:
-    """Standard bias-corrected adaptive update with decoupled weight decay."""
+    """Standard bias-corrected adaptive update, without weight decay."""
 
-    def __init__(self, params: list[Tensor], betas: tuple[float, float] = (0.9, 0.98),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    b1, b2, eps = 0.9, 0.98, 1e-8
+
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = {id(p): np.zeros_like(p.data) for p in self.params}
         self._v = {id(p): np.zeros_like(p.data) for p in self.params}
@@ -39,19 +37,15 @@ class AdamW:
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay:
-                p.data = p.data - lr * (update + self.weight_decay * p.data)
-            else:
-                p.data = p.data - lr * update
+            p.data = p.data - lr * update
 
 
-def lr_schedule(step: int, total_steps: int, peak: float,
-                warmup_frac: float = 0.01, floor_frac: float = 0.1) -> float:
+def lr_schedule(step: int, total_steps: int, peak: float) -> float:
     """Linear warm-up over the first 1% of steps, then cosine to 10% of peak."""
-    warmup = max(1, int(round(warmup_frac * total_steps)))
+    warmup = max(1, int(round(0.01 * total_steps)))
     if step < warmup:
         return peak * (step + 1) / warmup
     span = max(1, total_steps - warmup)
     progress = min(1.0, (step - warmup) / span)
-    floor = floor_frac * peak
+    floor = 0.1 * peak
     return floor + 0.5 * (peak - floor) * (1.0 + math.cos(math.pi * progress))

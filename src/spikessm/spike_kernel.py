@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .neurons import LIF, SpikeTrain
+from .neurons import SpikeTrain
 from .tensor import ContractError, DimensionError
 
 
@@ -91,18 +91,20 @@ def spike_linear_event(
     return y
 
 
-def measure_fire_rate(trains: Sequence[SpikeTrain], k: int) -> FireStats:
-    """Aggregate spike activity over all tokens of a run at one neuron site."""
+def measure_fire_rate(trains: Sequence[SpikeTrain]) -> FireStats:
+    """Aggregate spike activity over all tokens of a run at one neuron site.
+
+    The micro-step count is the first axis of the spike arrays (d_max,
+    which is 1 for LIF); every train must share its shape.
+    """
     if len(trains) == 0:
         raise ContractError("measure_fire_rate requires at least one spike train")
-    channels = trains[0].channels
+    k, channels = trains[0].spikes.shape
     for t in trains:
-        if t.channels != channels:
-            raise DimensionError("all spike trains at a site must share channel count")
-        expected = 1 if t.meta.kind == LIF else t.meta.d_max
-        if k != expected:
-            raise ContractError(
-                f"k={k} inconsistent with neuron kind {t.meta.kind} (expected {expected})"
+        if t.spikes.shape != (k, channels):
+            raise DimensionError(
+                f"all spike trains at a site must share shape {(k, channels)}, "
+                f"got {t.spikes.shape}"
             )
     count = sum(t.spike_count for t in trains)
     return FireStats(spike_count=count, micro_steps=k, channels=channels, tokens=len(trains))

@@ -231,12 +231,11 @@ class Tensor:
     """Immutable dense array node. ``data`` is a numpy array in the
     run precision; op results carry the closure needed for backward."""
 
-    __slots__ = ("data", "trainable", "name", "_inputs", "_grad_fn", "_op")
+    __slots__ = ("data", "trainable", "_inputs", "_grad_fn", "_op")
 
-    def __init__(self, data, trainable: bool = False, name: str = ""):
+    def __init__(self, data, trainable: bool = False):
         self.data = np.asarray(data, dtype=default_dtype())
         self.trainable = trainable
-        self.name = name
         self._inputs: tuple[Tensor, ...] = ()
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
         self._op: str = "leaf"
@@ -253,8 +252,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, op={self._op}{tag})"
+        return f"Tensor(shape={self.shape}, op={self._op})"
 
     # arithmetic sugar
     def __add__(self, other):
@@ -280,8 +278,8 @@ class Tensor:
         return matmul(self, other)
 
 
-def parameter(data, name: str = "") -> Tensor:
-    return Tensor(data, trainable=True, name=name)
+def parameter(data) -> Tensor:
+    return Tensor(data, trainable=True)
 
 
 def _as_tensor(x) -> Tensor:
@@ -298,7 +296,6 @@ def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], grad_fn) -> Ten
     out = Tensor.__new__(Tensor)
     out.data = data
     out.trainable = False
-    out.name = ""
     out._op = op
     g = active_graph()
     if g is not None:

@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spikessm.tensor import dtype_scope
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_pythonpath():
+    """Child processes that tests start (CLI runs) import the package from
+    the source tree too, as pyproject's ``pythonpath`` makes this one do."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", SRC, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

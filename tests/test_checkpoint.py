@@ -144,13 +144,14 @@ def test_checkpoint_bad_config_names_offset(tmp_path, text, msg):
 def test_config_keys_and_values_checked(rng):
     d = json.loads(config_to_json(make_model(rng).cfg))
     for key, value in [("extra", 1), ("d_model", "8"), ("d_model", 0),
-                       ("d_model", True), ("sgc_layers", [0.5]), ("mode", 3)]:
+                       ("d_model", True), ("sgc_layers", [0.5]), ("mode", 3),
+                       ("conv_width", 4), ("neuron", {**d["neuron"], "beta": 1.0})]:
         with pytest.raises(ContractError):
             config_from_json(json.dumps({**d, key: value}))
     with pytest.raises(ContractError, match="missing"):
         config_from_json(json.dumps({k: v for k, v in d.items() if k != "vocab"}))
     with pytest.raises(ContractError):
-        config_from_json(json.dumps({**d, "neuron": {**d["neuron"], "v_th": float("nan")}}))
+        config_from_json(json.dumps({**d, "neuron": {**d["neuron"], "alpha": float("nan")}}))
 
 
 def test_checkpoint_rejects_non_finite_weights(tmp_path, rng):

@@ -9,7 +9,6 @@ from spikessm.losses import (
     dpo_loss,
     kl_distill_loss,
     kto_loss,
-    perplexity,
     sequence_logprob,
     total_distill_loss,
 )
@@ -268,7 +267,6 @@ def test_cross_entropy_matches_manual(rng, f64):
     logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
     manual = -np.take_along_axis(logp, targets[..., None], axis=-1).mean()
     assert got == pytest.approx(float(manual), abs=1e-12)
-    assert perplexity(got) == pytest.approx(math.exp(got))
 
 
 def test_sequence_logprob(rng, f64):
@@ -319,7 +317,7 @@ def test_sequence_logprob_rejects_bad_rows(rng):
 def test_adam_zero_grad_fixed_point(f64):
     p = parameter(np.array([1.0, -2.0]))
     before = p.data.copy()
-    opt = AdamW([p], weight_decay=0.0)
+    opt = AdamW([p])
     opt.step({id(p): np.zeros(2)}, lr=0.1)
     np.testing.assert_array_equal(p.data, before)
 

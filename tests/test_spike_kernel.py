@@ -100,13 +100,13 @@ def test_zero_input_touches_nothing():
 def test_fire_rate_examples():
     cfg = NeuronConfig(kind=TILIF, d_max=4)
     train = expand_spike_train(cfg, np.array([3.0, -1.0]))
-    stats = measure_fire_rate([train], k=4)
+    stats = measure_fire_rate([train])
     assert stats.rate == pytest.approx(4 / (1 * 4 * 2))
 
-    zero = measure_fire_rate([expand_spike_train(cfg, np.zeros(2))], k=4)
+    zero = measure_fire_rate([expand_spike_train(cfg, np.zeros(2))])
     assert zero.rate == 0.0
 
-    sat = measure_fire_rate([expand_spike_train(cfg, np.array([4.0, -4.0]))], k=4)
+    sat = measure_fire_rate([expand_spike_train(cfg, np.array([4.0, -4.0]))])
     assert sat.rate == 1.0
 
 
@@ -114,19 +114,21 @@ def test_fire_rate_validation():
     cfg = NeuronConfig(kind=TILIF, d_max=4)
     train = expand_spike_train(cfg, np.array([1.0]))
     with pytest.raises(ContractError):
-        measure_fire_rate([], k=4)
-    with pytest.raises(ContractError):
-        measure_fire_rate([train], k=1)  # k must match d_max for TI-LIF
+        measure_fire_rate([])
+    assert measure_fire_rate([train]).micro_steps == 4  # k is d_max for TI-LIF
     lif_train = expand_spike_train(NeuronConfig(kind=LIF, d_max=1), np.array([1.0]))
-    assert measure_fire_rate([lif_train], k=1).rate == 1.0
+    lif = measure_fire_rate([lif_train])
+    assert (lif.micro_steps, lif.rate) == (1, 1.0)
+    with pytest.raises(DimensionError, match="share shape"):
+        measure_fire_rate([train, lif_train])  # trains of different kinds at one site
 
 
 def test_fire_rate_permutation_invariant(rng):
     cfg = NeuronConfig(kind=TILIF, d_max=4)
     s = quantize(cfg, rng.normal(scale=2.0, size=32))
     perm = rng.permutation(32)
-    a = measure_fire_rate([expand_spike_train(cfg, s)], k=4)
-    b = measure_fire_rate([expand_spike_train(cfg, s[perm])], k=4)
+    a = measure_fire_rate([expand_spike_train(cfg, s)])
+    b = measure_fire_rate([expand_spike_train(cfg, s[perm])])
     assert a.rate == b.rate
 
 
@@ -134,7 +136,7 @@ def test_fire_stats_from_ints_matches_trains(rng):
     cfg = NeuronConfig(kind=TILIF, d_max=4)
     s = quantize(cfg, rng.normal(scale=2.0, size=(5, 16)))
     trains = [expand_spike_train(cfg, row) for row in s]
-    via_trains = measure_fire_rate(trains, k=4)
+    via_trains = measure_fire_rate(trains)
     direct = fire_stats_from_ints(s, k=4)
     assert direct == via_trains
 
