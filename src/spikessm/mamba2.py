@@ -14,9 +14,9 @@ path carrying explicit recurrent state for generation. The step shares
 every formula with the tape ops by calling their plain-array forwards;
 only the scan has its own form there, the recurrent state update, since
 at one token the tape's per-op overhead would outweigh the chunked
-scan. Their agreement is a tested invariant. Parameters are immutable during forward, so
-concurrent forwards over independent sequences are safe; training
-updates are single-threaded.
+scan. Their agreement is a tested invariant. Parameters are immutable
+during forward, so concurrent forwards over independent sequences are
+safe; training updates are single-threaded.
 
 ``LanguageModel(cfg, rng)`` draws a fresh initialisation. Every other
 model is built from a name -> array table by
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tn
-from .neurons import LIF, NeuronConfig, expand_spike_train, neuron_forward, quantize
+from .neurons import NeuronConfig, expand_spike_train, neuron_forward, quantize
 from .spike_kernel import FireStats, OpCounter, fire_stats_from_ints, spike_linear_event, spike_linear_int
 from .tensor import (
     ContractError,
@@ -56,6 +56,9 @@ RMS_EPS = 1e-6
 
 DENSE = "dense"
 SPIKING = "spiking"
+
+# projection routes of the stepwise block, see block_step
+KERNELS = ("matmul", "int", "event")
 
 SITE_U = "u_t"
 SITE_Y = "y_t"
@@ -107,7 +110,7 @@ class Mamba2Config:
 
     @property
     def micro_steps(self) -> int:
-        return 1 if self.neuron.kind == LIF else self.neuron.d_max
+        return self.neuron.d_max  # NeuronConfig holds LIF to d_max == 1
 
 
 def toy_config(mode: str = DENSE, neuron: NeuronConfig | None = None,
@@ -422,8 +425,13 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
 
     ``kernel`` picks the spiking projection route: "int" (sparse signed
     accumulation), "event" (binary micro-step train), or "matmul"
-    (dense arithmetic on the quantized activations; identical result).
+    (dense arithmetic on the quantized activations). The sparse kernels
+    sum in another order than the dense product, so they agree with it
+    to rounding, not bit for bit. A dense model projects densely
+    whatever the kernel, but an unknown name is refused in both modes.
     """
+    if kernel not in KERNELS:
+        raise ContractError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     H, P, N = cfg.n_heads, cfg.d_head, cfg.n_state
     d_inner = cfg.d_inner
     lead = u_t.shape[:-1]
@@ -459,7 +467,7 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
         "exp", -(dt * tn.activation_forward("exp", params.a_log.data)))   # (..., H)
 
     h = ssm_update(state.h, decay, dt, b, x)                   # (..., H,N,P)
-    o = (c[..., None, :, None] * h).sum(axis=-2)               # (..., H,P)
+    o = ssm_readout(h, c)                                      # (..., H,P)
     o = o + params.d_skip.data * x
 
     gated = o.reshape(lead + (d_inner,)) * tn.activation_forward("silu", z)
@@ -487,19 +495,43 @@ def _project(s_int: np.ndarray, w: np.ndarray, kernel: str,
     for row in flat:
         if kernel == "int":
             rows.append(spike_linear_int(wt, row))
-        elif kernel == "event":
+        else:  # "event"; block_step has checked the name
             train = expand_spike_train(neuron, row)
             rows.append(spike_linear_event(wt, train, counter=counter))
-        else:
-            raise ContractError(f"unknown kernel {kernel!r}")
     return np.stack(rows).reshape(s_int.shape[:-1] + (w.shape[1],))
 
 
 def ssm_update(h: np.ndarray, decay: np.ndarray, dt: np.ndarray,
                b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-head state update: h' = decay * h + (dt * b) outer x."""
-    dbx = dt[..., :, None, None] * b[..., None, :, None] * x[..., :, None, :]
-    return decay[..., :, None, None] * h + dbx
+    """Per-head state update: h' = decay * h + (dt * b) outer x.
+
+    Returns a new array and leaves ``h`` as it was. The outer product is
+    built in one state-sized temporary and added in place. Repeating
+    ``dt * b`` along p first leaves x its only broadcast operand: numpy
+    copies broadcast operands through its iteration buffer, so one fewer
+    is faster at large batch. The repeat only copies values, so every
+    entry is ``decay*h + (dt*b)*x`` with the same roundings. ``einsum``
+    is not used for the outer product: it adds each product to a +0,
+    which turns a -0 product into +0 and can flip the sign of a zero
+    state entry.
+    """
+    out = decay[..., :, None, None] * h
+    dbx = (dt[..., :, None] * b[..., None, :])[..., None].repeat(h.shape[-1], axis=-1)
+    dbx *= x[..., :, None, :]
+    out += dbx
+    return out
+
+
+def ssm_readout(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-head readout o[p] = sum_n c[n] * h[n, p]; (..., H, N, P) -> (..., H, P).
+
+    ``einsum`` forms no state-sized product array. It adds the products
+    from +0 in order of n, the order numpy reduces a broadcast product
+    ``(c * h).sum(axis=-2)`` in while d_head > 1, so the two agree bit
+    for bit there. At d_head == 1 numpy sums that product pairwise and
+    the two agree to rounding.
+    """
+    return np.einsum("...hnp,...n->...hp", h, c)
 
 
 # Time steps per chunk of the batched scan. Inside a chunk the scan is a
@@ -752,6 +784,10 @@ class LanguageModel:
         """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new)."""
         prompts = np.atleast_2d(np.asarray(prompts))
         B, T0 = prompts.shape
+        if T0 == 0:
+            raise ContractError("generate_greedy needs a prompt of at least one token")
+        if max_new < 0:
+            raise ContractError(f"generate_greedy max_new must be >= 0, got {max_new}")
         state = self.init_state((B,))
         logits = None
         for t in range(T0):

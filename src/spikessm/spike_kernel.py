@@ -1,10 +1,13 @@
 """Event-driven sparse linear projection and fire-rate accounting.
 
-Both kernels are exact replacements for a dense matmul on quantized
-activations: zero channels are skipped entirely, and the event kernel
-accumulates weight columns micro-step-major, channel-minor, so the
-per-row reduction order is fixed. Parallelism across output rows is
-safe because each row's sum is order-identical.
+Both kernels compute the dense matmul on quantized activations: zero
+channels are skipped entirely, and the event kernel accumulates weight
+columns micro-step-major, channel-minor, so the per-row reduction order
+is fixed. That order is not the dense product's, so with floating-point
+weights they agree with it to rounding, not bit for bit; they are exact
+only where every partial sum is representable (integer weights, say).
+Parallelism across output rows is safe because each row's sum is
+order-identical.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from spikessm import checkpoint, mamba2
 from spikessm.gradcheck import REL_TOL, check_gradients
 from spikessm.mamba2 import (
     DENSE,
+    KERNELS,
     RMS_EPS,
     SCAN_CHUNK,
     SPIKING,
@@ -21,6 +22,7 @@ from spikessm.mamba2 import (
     init_block_params,
     init_block_state,
     sgc_forward,
+    ssm_readout,
     ssm_scan,
     ssm_update,
     toy_config,
@@ -51,6 +53,8 @@ def test_config_invariants():
         Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=1,
                      vocab=5, sgc_layers=frozenset({3}))
     assert default_sgc_layers(6) == {0, 3, 5}
+    assert small_config(neuron=NeuronConfig(kind=LIF, d_max=1)).micro_steps == 1
+    assert small_config(neuron=NeuronConfig(kind=TILIF, d_max=4)).micro_steps == 4
     assert toy_config().n_heads * toy_config().d_head == 2 * toy_config().d_model
 
 
@@ -75,6 +79,126 @@ def test_ssm_state_contraction(rng):
     decay = np.exp(-dt * np.exp(rng.normal(size=H)))
     out = ssm_update(h, decay, dt=np.zeros(H), b=np.zeros(N), x=np.zeros((H, P)))
     assert np.linalg.norm(out) <= np.linalg.norm(h)
+
+
+def ssm_update_broadcast(h, decay, dt, b, x):
+    """Oracle for ssm_update: three broadcast products, three state-sized arrays."""
+    dbx = dt[..., :, None, None] * b[..., None, :, None] * x[..., :, None, :]
+    return decay[..., :, None, None] * h + dbx
+
+
+def ssm_readout_broadcast(h, c):
+    """Oracle for ssm_readout: a state-sized broadcast product, summed over n."""
+    return (c[..., None, :, None] * h).sum(axis=-2)
+
+
+def _signed_zeros_and_subnormals(rng, shape, dtype):
+    """Normal values with about a tenth each of +0, -0 and +-subnormals."""
+    a = rng.normal(size=shape).astype(dtype)
+    pick = rng.integers(0, 10, size=shape)
+    tiny = np.finfo(dtype).smallest_subnormal
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    a[pick == 2] = tiny * rng.integers(-40, 40, size=int((pick == 2).sum()))
+    return a
+
+
+@pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 4)])
+@pytest.mark.parametrize("hnp", [(2, 16, 64), (3, 5, 2)])
+def test_update_and_readout_match_broadcast_oracles(dtype, uint, lead, hnp, rng):
+    H, N, P = hnp
+    h, decay, dt, b, x, c = (
+        _signed_zeros_and_subnormals(rng, lead + shape, dtype)
+        for shape in ((H, N, P), (H,), (H,), (N,), (H, P), (N,)))
+    decay = np.abs(decay)  # exp(-...) in the model: +0 or positive
+    h[..., 0, :] = -0.0    # a whole row of -0 state, and of -0 products
+    x[..., 0, :] = -0.0
+    h_before = h.copy()
+    out = ssm_update(h, decay, dt, b, x)
+    assert not np.shares_memory(out, h)
+    np.testing.assert_array_equal(h.view(uint), h_before.view(uint))
+    expect = ssm_update_broadcast(h, decay, dt, b, x)
+    assert out.dtype == dtype and out.shape == expect.shape
+    np.testing.assert_array_equal(out.view(uint), expect.view(uint))
+    assert (out.view(uint) == np.array(-0.0, dtype).view(uint)).any()  # -0 kept
+    o = ssm_readout(out, c)
+    o_expect = ssm_readout_broadcast(out, c)
+    assert o.dtype == dtype and o.shape == o_expect.shape
+    np.testing.assert_array_equal(o.view(uint), o_expect.view(uint))
+
+
+def test_readout_at_d_head_one_agrees_to_rounding(rng):
+    # numpy sums the contiguous n axis of the oracle's product pairwise
+    # there; einsum adds in order of n
+    h = rng.normal(size=(5, 2, 40, 1)).astype(np.float32)
+    c = rng.normal(size=(5, 40)).astype(np.float32)
+    np.testing.assert_allclose(ssm_readout(h, c), ssm_readout_broadcast(h, c),
+                               rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("mode", [DENSE, SPIKING])
+def test_step_bit_identical_to_broadcast_forms(mode, rng, monkeypatch):
+    cfg = small_config(mode=mode, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    model = LanguageModel(cfg, rng)
+    tokens = rng.integers(0, cfg.vocab, size=(3, 6))
+
+    def run():
+        state, outs = model.init_state((3,)), []
+        for kernel in KERNELS:
+            for t in range(tokens.shape[1]):
+                logits, state = model.step(tokens[:, t], state, kernel=kernel)
+                outs.append(logits)
+            outs += [bst.h for bst in state.blocks]
+        return outs
+
+    lean = run()
+    monkeypatch.setattr(mamba2, "ssm_update", ssm_update_broadcast)
+    monkeypatch.setattr(mamba2, "ssm_readout", ssm_readout_broadcast)
+    for a, b in zip(lean, run(), strict=True):
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_batched_step_matches_row_by_row(kernel, rng):
+    # a tolerance, not equality: BLAS may sum a one-row product in
+    # another order than a many-row one
+    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    model = LanguageModel(cfg, rng)
+    tokens = rng.integers(0, cfg.vocab, size=(4, 7))
+    batch = model.init_state((4,))
+    rows = [model.init_state((1,)) for _ in range(4)]
+    for t in range(tokens.shape[1]):
+        logits, batch = model.step(tokens[:, t], batch, kernel=kernel)
+        for i in range(4):
+            row_logits, rows[i] = model.step(tokens[i:i + 1, t], rows[i], kernel=kernel)
+            np.testing.assert_allclose(row_logits[0], logits[i], rtol=0, atol=1e-5)
+    for i, row in enumerate(rows):
+        for bst, row_bst in zip(batch.blocks, row.blocks, strict=True):
+            np.testing.assert_allclose(row_bst.h[0], bst.h[i], rtol=0, atol=1e-5)
+            np.testing.assert_allclose(row_bst.conv_state[0], bst.conv_state[i],
+                                       rtol=0, atol=1e-5)
+
+
+def test_unknown_kernel_refused_in_both_modes(rng):
+    for mode in (DENSE, SPIKING):
+        cfg = small_config(mode=mode)
+        params = init_block_params(cfg, rng, 0)
+        with pytest.raises(ContractError, match="unknown kernel 'bogus'"):
+            block_step(params, init_block_state(cfg), np.zeros(cfg.d_model), cfg,
+                       layer_idx=0, kernel="bogus")
+        model = LanguageModel(cfg, rng)
+        with pytest.raises(ContractError, match="unknown kernel 'bogus'"):
+            model.generate_greedy(np.array([[1, 2]]), 3, kernel="bogus")
+
+
+def test_generate_greedy_refuses_bad_lengths(rng):
+    model = LanguageModel(small_config(), rng)
+    with pytest.raises(ContractError, match="at least one token"):
+        model.generate_greedy(np.zeros((2, 0), dtype=np.int64), 4)
+    with pytest.raises(ContractError, match="max_new must be >= 0"):
+        model.generate_greedy(np.array([[1, 2]]), -1)
+    assert model.generate_greedy(np.array([[1, 2]]), 0).tolist() == [[1, 2]]
 
 
 def test_step_with_tiny_dt_keeps_state(rng, f64):
