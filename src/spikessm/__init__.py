@@ -31,7 +31,6 @@ from .neurons import (
 )
 from .spike_kernel import (
     FireStats,
-    measure_fire_rate,
     spike_linear_event,
     spike_linear_int,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "dtype_scope",
     "expand_spike_train",
     "hidden_align_loss",
-    "measure_fire_rate",
     "neuron_forward",
     "parameter",
     "set_default_dtype",

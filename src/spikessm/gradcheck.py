@@ -103,14 +103,16 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
     sl = parameter(rng.normal(size=(4, 9)))
     targets.append(("kl_loss", lambda: kl_distill_loss(t, sl), [sl]))
 
-    lw, ll = parameter(0.3), parameter(-0.2)
+    # the preference losses on (B,) vectors, the form rl_run calls them in
+    lw, ll = parameter(rng.normal(size=3)), parameter(rng.normal(size=3))
+    ref_w, ref_l = rng.normal(size=3), rng.normal(size=3)
     targets.append(("dpo_loss",
-                    lambda: dpo_loss((lw, ll), (0.1, 0.0), 0.7), [lw, ll]))
+                    lambda: dpo_loss((lw, ll), (ref_w, ref_l), 0.7), [lw, ll]))
 
-    lps = [parameter(float(v)) for v in rng.normal(size=3)]
+    lps = parameter(rng.normal(size=3))
     targets.append(("kto_loss",
                     lambda: kto_loss(lps, [0.0, 0.1, -0.1], [1, -1, 1], 0.5,
-                                     z_ref=0.02), lps))
+                                     z_ref=0.02), [lps]))
 
     logits = parameter(rng.normal(size=(2, 6, 5)))
     toks = rng.integers(0, 5, size=(2, 6))

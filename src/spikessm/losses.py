@@ -13,10 +13,12 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
+    concat,
     custom_op,
     default_dtype,
     log_softmax,
     log_softmax_forward,
+    reshape,
     sigmoid,
     softplus,
     sum_,
@@ -85,51 +87,56 @@ def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -(sum_(log_softmax(logits, axis=-1) * Tensor(onehot)) * (1.0 / rows))
 
 
+def _batch_mean(x: Tensor) -> Tensor:
+    """Mean of the entries of ``x``, added left to right like a chained
+    ``a + b + ...`` (``np.sum`` would pair them up in another order)."""
+    scale = np.asarray(1.0 / x.data.size, dtype=x.data.dtype)
+    data = np.asarray(np.add.accumulate(x.data.reshape(-1))[-1] * scale)
+
+    def grad_fn(g):
+        return (np.full(x.shape, g * scale, dtype=x.data.dtype),)
+
+    return custom_op(data, (x,), grad_fn, "batch_mean")
+
+
 def dpo_loss(policy_logprobs: tuple[Tensor, Tensor],
-             ref_logprobs: tuple[float, float],
+             ref_logprobs: tuple,
              beta_pref: float) -> Tensor:
-    """-log sigmoid(beta * (margin of preferred over dispreferred log-ratios))."""
+    """Batch mean of -log sigmoid(beta * (margin of preferred over dispreferred
+    log-ratios)) over (preferred, dispreferred) pairs of 0-d or (B,) policy
+    tensors and reference floats or (B,) arrays."""
     if len(policy_logprobs) != 2 or len(ref_logprobs) != 2:
         raise ContractError("dpo_loss needs (preferred, dispreferred) pairs")
     lp_w, lp_l = policy_logprobs
-    f_w = lp_w - float(ref_logprobs[0])
-    f_l = lp_l - float(ref_logprobs[1])
+    ref_w, ref_l = (np.asarray(r, dtype=default_dtype()) for r in ref_logprobs)
+    if not (lp_w.shape == lp_l.shape == ref_w.shape == ref_l.shape) or lp_w.ndim > 1:
+        raise DimensionError("dpo_loss operands must share one 0-d or (B,) shape")
+    f_w = lp_w - ref_w
+    f_l = lp_l - ref_l
     # -log sigmoid(z) == softplus(-z), stable for large |z|
-    return softplus(-((f_w - f_l) * beta_pref))
+    return _batch_mean(softplus(-((f_w - f_l) * beta_pref)))
 
 
-def kto_loss(policy_logprobs: list[Tensor], ref_logprobs: list[float],
-             labels: list[int], beta_pref: float,
-             z_ref: float | None = None,
-             weights: list[float] | None = None) -> Tensor:
-    """Mean of w(y) * (1 - sigmoid(s_y * (r - z_ref))).
-
-    ``r`` is beta times the policy/reference log-ratio. When ``z_ref``
-    is not supplied it is the batch mean of r over desirable examples
-    (over all examples if none are desirable), treated as a constant.
+def kto_loss(policy_logprobs: Tensor | list[Tensor], ref_logprobs,
+             labels, beta_pref: float, z_ref: float) -> Tensor:
+    """Mean over examples of 1 - sigmoid(s_y * (r - z_ref)), ``r`` beta times
+    the policy/reference log-ratio. The examples are the entries, in order,
+    of ``policy_logprobs`` (a (B,) tensor or a list of B scalars), one
+    reference log-prob and label (+1 desirable, -1 not) each. ``z_ref`` is a
+    constant; ``rl_run`` passes the batch estimate of ``training._kto_z_ref``.
     """
-    n = len(policy_logprobs)
-    if n == 0:
+    parts = [policy_logprobs] if isinstance(policy_logprobs, Tensor) else policy_logprobs
+    if len(parts) == 0:
         raise ContractError("kto_loss needs at least one example")
-    if not (len(ref_logprobs) == len(labels) == n):
+    lp = concat([reshape(p, (-1,)) for p in parts], axis=0)
+    ref = np.asarray(ref_logprobs, dtype=default_dtype()).reshape(-1)
+    signs = np.asarray(labels, dtype=default_dtype()).reshape(-1)
+    if not (lp.shape == ref.shape == signs.shape) or lp.shape[0] == 0:
         raise ContractError("kto_loss inputs must align")
-    weights = weights if weights is not None else [1.0] * n
-    if any(w <= 0 for w in weights):
-        raise ContractError("weights must be positive")
-    if any(s not in (1, -1) for s in labels):
+    if not np.isin(signs, (1, -1)).all():
         raise ContractError("labels must be +1 or -1")
-
-    rs = [(lp - float(ref)) * beta_pref for lp, ref in zip(policy_logprobs, ref_logprobs)]
-    if z_ref is None:
-        vals = [float(r.data) for r, s in zip(rs, labels) if s == 1]
-        vals = vals or [float(r.data) for r in rs]
-        z_ref = float(np.mean(vals))
-
-    acc = None
-    for r, s, w in zip(rs, labels, weights):
-        term = (1.0 - sigmoid((r - z_ref) * float(s))) * w
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / n)
+    r = (lp - ref) * beta_pref
+    return _batch_mean(1.0 - sigmoid((r - float(z_ref)) * signs))
 
 
 def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int | np.ndarray,

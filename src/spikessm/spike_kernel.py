@@ -13,8 +13,6 @@ order-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .neurons import SpikeTrain
@@ -94,25 +92,6 @@ def spike_linear_event(
     return y
 
 
-def measure_fire_rate(trains: Sequence[SpikeTrain]) -> FireStats:
-    """Aggregate spike activity over all tokens of a run at one neuron site.
-
-    The micro-step count is the first axis of the spike arrays (d_max,
-    which is 1 for LIF); every train must share its shape.
-    """
-    if len(trains) == 0:
-        raise ContractError("measure_fire_rate requires at least one spike train")
-    k, channels = trains[0].spikes.shape
-    for t in trains:
-        if t.spikes.shape != (k, channels):
-            raise DimensionError(
-                f"all spike trains at a site must share shape {(k, channels)}, "
-                f"got {t.spikes.shape}"
-            )
-    count = sum(t.spike_count for t in trains)
-    return FireStats(spike_count=count, micro_steps=k, channels=channels, tokens=len(trains))
-
-
 def fire_stats_from_ints(s_int: np.ndarray, k: int) -> FireStats:
     """Fire stats computed directly from integer activations (tokens, channels).
 
@@ -120,6 +99,8 @@ def fire_stats_from_ints(s_int: np.ndarray, k: int) -> FireStats:
     sum of magnitudes; this avoids materializing trains during training.
     """
     s = np.asarray(s_int)
+    if s.size == 0:
+        raise ContractError("fire stats need at least one token and channel")
     if s.ndim == 1:
         s = s[None, :]
     tokens = int(np.prod(s.shape[:-1]))

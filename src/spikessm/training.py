@@ -26,10 +26,10 @@ from .tensor import (
     ContractError,
     Graph,
     Tensor,
+    default_dtype,
     log_softmax_norm,
     narrow,
     pause_recording,
-    reshape,
 )
 from .tokenizer import EOS, tokenize
 
@@ -250,7 +250,6 @@ class PreferenceExample:
     label: int = 1
     response_w: str | None = None
     response_l: str | None = None
-    weight: float = 1.0
 
     def __post_init__(self):
         paired = self.response_w is not None or self.response_l is not None
@@ -260,8 +259,6 @@ class PreferenceExample:
             raise ContractError("unpaired examples need a response")
         if self.label not in (1, -1):
             raise ContractError("label must be +1 or -1")
-        if self.weight <= 0:
-            raise ContractError("weight must be positive")
 
     @property
     def paired(self) -> bool:
@@ -347,6 +344,20 @@ def _response_logprobs(model: LanguageModel, tokens: np.ndarray,
     return sequence_logprob(logits, tokens, starts, lengths)
 
 
+def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
+               seqs: list[tuple[np.ndarray, int]], beta_pref: float) -> float:
+    """KTO's z_ref (Ethayarajh et al. 2024): beta * max(0, mean_j log pi(y_{j+1}
+    | x_j) - log pi_ref(y_{j+1} | x_j)), prompt j with row j+1's response (mod
+    B), from one no-tape forward of each model."""
+    pairs = [(np.concatenate((a[:sa], b[sb:])), sa)
+             for (a, sa), (b, sb) in zip(seqs, seqs[1:] + seqs[:1])]
+    tokens, starts, lengths = _padded(pairs)
+    with pause_recording():
+        ratio = (_response_logprobs(policy, tokens, starts, lengths).data
+                 - _response_logprobs(reference, tokens, starts, lengths).data)
+    return beta_pref * max(0.0, float(np.mean(ratio)))
+
+
 def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
            method: str, steps: int = 120, batch: int = 4, lr: float = 5e-6,
            beta_pref: float = 0.1, seed: int = 0) -> list[dict]:
@@ -354,9 +365,11 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
 
     Each step runs one padded policy forward over its sequences (DPO: the
     ``batch`` preferred responses, then the dispreferred ones; KTO: the
-    responses). The reference log-probs are constants of an example, so
-    each is computed once, in one no-tape forward over the rows of the
-    step that first samples the example.
+    responses) and makes one loss call on the (B,) log-prob vectors. The
+    reference log-probs are constants of an example, kept in one
+    (n_examples, n_responses) array; each is computed once, in one no-tape
+    forward over the rows of the step that first samples the example.
+    KTO's ``z_ref`` is :func:`_kto_z_ref`'s, so KTO needs ``batch >= 2``.
     """
     if not examples:
         raise ContractError("no preference examples")
@@ -364,52 +377,43 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
         raise ContractError(f"unknown preference method {method!r}")
     if method == "dpo" and not all(e.paired for e in examples):
         raise ContractError("DPO requires paired examples")
+    if method == "kto" and batch < 2:
+        raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
     if method == "kto" and any(e.paired for e in examples):
         examples = [
             PreferenceExample(prompt=e.prompt, response=e.response_w, label=1)
             for e in examples
         ]
     n_resp = 2 if method == "dpo" else 1
+    seqs = [[_example_tokens(e.prompt, r) for r in e.responses] for e in examples]
+    labels = np.array([e.label for e in examples])
+    ref_lp = np.full((len(examples), n_resp), np.nan, dtype=default_dtype())  # nan: unscored
     reference = policy.clone()
     rng = np.random.default_rng(seed)
     params = policy.parameters()
-    seqs: dict[int, tuple] = {}    # example index -> (ids, start) per response
-    ref_lp: dict[int, tuple] = {}  # example index -> reference log-prob per response
     opt = AdamW(params)
     rows = []
     for step in range(steps):
-        idx = [int(i) for i in rng.integers(0, len(examples), size=batch)]
+        idx = rng.integers(0, len(examples), size=batch)
         cur_lr = lr_schedule(step, steps, lr)
-        for i in idx:
-            if i not in seqs:
-                ex = examples[i]
-                seqs[i] = tuple(_example_tokens(ex.prompt, r) for r in ex.responses)
-        order = [(i, k) for k in range(n_resp) for i in idx]
-        tokens, starts, lengths = _padded([seqs[i][k] for i, k in order])
-        miss = [i for i in dict.fromkeys(idx) if i not in ref_lp]
-        if miss:
-            picks = [order.index((i, k)) for k in range(n_resp) for i in miss]
+        tokens, starts, lengths = _padded([seqs[i][k] for k in range(n_resp) for i in idx])
+        new = [j for j, i in enumerate(idx) if i not in idx[:j] and np.isnan(ref_lp[i, 0])]
+        if new:
+            picks = [k * batch + j for k in range(n_resp) for j in new]
             with pause_recording():  # the reference policy is frozen
                 lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
                                             lengths[picks]).data
-            for j, i in enumerate(miss):
-                ref_lp[i] = tuple(float(lp_ref[k * len(miss) + j]) for k in range(n_resp))
+            ref_lp[idx[new]] = lp_ref.reshape(n_resp, len(new)).T
+        ref = ref_lp[idx]
+        if method == "kto":
+            z_ref = _kto_z_ref(policy, reference, [seqs[i][0] for i in idx], beta_pref)
         with Graph() as g:
             lp = _response_logprobs(policy, tokens, starts, lengths)
-            lp_rows = [reshape(narrow(lp, 0, r, 1), ()) for r in range(len(order))]
-            losses = []
-            for j, i in enumerate(idx):
-                ex = examples[i]
-                if method == "dpo":
-                    losses.append(dpo_loss((lp_rows[j], lp_rows[batch + j]),
-                                           ref_lp[i], beta_pref))
-                else:
-                    losses.append(kto_loss([lp_rows[j]], ref_lp[i], [ex.label],
-                                           beta_pref, weights=[ex.weight]))
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = loss + extra
-            loss = loss * (1.0 / len(losses))
+            if method == "dpo":
+                loss = dpo_loss((narrow(lp, 0, 0, batch), narrow(lp, 0, batch, batch)),
+                                (ref[:, 0], ref[:, 1]), beta_pref)
+            else:
+                loss = kto_loss(lp, ref[:, 0], labels[idx], beta_pref, z_ref)
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
         rows.append({"step": step, "loss": loss.item(), "lr": cur_lr})

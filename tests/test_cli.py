@@ -256,6 +256,39 @@ def test_rl_cli_smoke(teacher_dir, tmp_path):
     assert (tmp_path / "metrics.csv").read_text().startswith("step,loss,lr")
 
 
+def test_rl_kto_loss_moves_and_reruns_identically(teacher_dir, tmp_path, capsys):
+    """KTO on a spiking student: 0.5 on the first step, where the policy is
+    the reference, then other values; same seed, same bytes; one row has
+    no other row to pair its prompt with, so ``--batch 1`` is refused."""
+    assert main(["distill", "--teacher", str(teacher_dir / "teacher.spkm"),
+                 "--steps", "3", "--seed", "3", "--out", str(tmp_path / "student"),
+                 "--corpus", str(teacher_dir / "corpus.txt")]) == 0
+    ckpt = str(tmp_path / "student" / "student.spkm")
+
+    def run(tag, *extra):
+        out = tmp_path / tag
+        rc = main(["rl", "--method", "kto", "--ckpt", ckpt, "--steps", "20",
+                   "--seed", "5", "--out", str(out), *extra])
+        return rc, out
+
+    rc, a = run("a")
+    assert rc == 0
+    losses = [line.split(",")[1] for line in
+              (a / "metrics.csv").read_text().splitlines()[1:]]
+    assert len(losses) == 20 and losses[0] == "0.500000"
+    assert all(v != "0.500000" for v in losses[1:])
+    rc, b = run("b")
+    assert rc == 0
+    for name in ("metrics.csv", "aligned.spkm"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    capsys.readouterr()
+    rc, _ = run("one", "--batch", "1")
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "batch >= 2" in err[0]
+
+
 def test_rl_requires_method(teacher_dir, tmp_path):
     rc = main(["rl", "--ckpt", str(teacher_dir / "teacher.spkm"),
                "--out", str(tmp_path)])

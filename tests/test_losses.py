@@ -24,7 +24,9 @@ from spikessm.tensor import (
     dtype_scope,
     log_softmax,
     log_softmax_norm,
+    narrow,
     parameter,
+    reshape,
     softmax,
     sum_,
 )
@@ -211,6 +213,55 @@ def test_dpo_grad_fd(rng, f64):
     assert check_gradients(loss_fn, [w, l], rng, probes=20) < REL_TOL
 
 
+def test_dpo_batch_equals_chained_rows(rng):
+    """The (B,) form is bit for bit the chained mean of per-row calls, in
+    value and gradient, at float32 where summation order shows."""
+    for b in range(1, 17):
+        lw, ll = parameter(rng.normal(size=b) * 5), parameter(rng.normal(size=b) * 5)
+        ref_w, ref_l = (rng.normal(size=b).astype(np.float32) * 5 for _ in range(2))
+        with Graph() as g:
+            got = dpo_loss((lw, ll), (ref_w, ref_l), 0.1)
+        g_got = g.backward(got, wrt=[lw, ll])
+        with Graph() as g:
+            rows = [dpo_loss((lw_r, ll_r), (float(ref_w[r]), float(ref_l[r])), 0.1)
+                    for r, (lw_r, ll_r) in enumerate(zip(
+                        (reshape(narrow(lw, 0, r, 1), ()) for r in range(b)),
+                        (reshape(narrow(ll, 0, r, 1), ()) for r in range(b))))]
+            want = rows[0]
+            for extra in rows[1:]:
+                want = want + extra
+            want = want * (1.0 / b)
+        g_want = g.backward(want, wrt=[lw, ll])
+        assert got.data.tobytes() == want.data.tobytes()
+        for p in (lw, ll):
+            assert g_got[id(p)].tobytes() == g_want[id(p)].tobytes()
+
+
+def test_dpo_operands_share_one_shape():
+    with pytest.raises(DimensionError):
+        dpo_loss((Tensor([0.0, 1.0]), Tensor([0.0, 1.0])), (0.0, 0.0), 0.1)
+    with pytest.raises(DimensionError):
+        dpo_loss((Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))),
+                 (np.zeros((2, 2)), np.zeros((2, 2))), 0.1)
+
+
+def test_kto_vector_equals_scalar_list(rng, f64):
+    """One (B,) tensor and a list of B scalars are the same examples."""
+    lps = parameter(rng.normal(size=5))
+    refs, labels = rng.normal(size=5), [1, -1, -1, 1, 1]
+    with Graph() as g:
+        vec = kto_loss(lps, refs, labels, 0.3, z_ref=0.1)
+    g_vec = g.backward(vec, wrt=[lps])[id(lps)]
+    with Graph() as g:
+        scalars = [reshape(narrow(lps, 0, r, 1), ()) for r in range(5)]
+        lst = kto_loss(scalars, list(refs), labels, 0.3, z_ref=0.1)
+    g_lst = g.backward(lst, wrt=[lps])[id(lps)]
+    want = np.mean([1 - 1 / (1 + np.exp(-s * (0.3 * (lp - rf) - 0.1)))
+                    for lp, rf, s in zip(lps.data, refs, labels)])
+    assert vec.item() == lst.item() == pytest.approx(want, abs=1e-12)
+    np.testing.assert_array_equal(g_vec, g_lst)
+
+
 def test_kto_hand_case(f64):
     ln3 = math.log(3.0)
     loss = kto_loss(
@@ -221,10 +272,10 @@ def test_kto_hand_case(f64):
 
 
 def test_kto_baseline_case(f64):
-    # r == z_ref: each contribution is 0.5 * w(y)
-    loss = kto_loss([Tensor(2.0)], [0.0], labels=[1], beta_pref=1.0,
-                    z_ref=2.0, weights=[0.8])
-    assert loss.item() == pytest.approx(0.4, abs=1e-12)
+    # r == z_ref: each contribution is 0.5, whatever the label
+    loss = kto_loss(Tensor([2.0, 2.0]), [0.0, 0.0], labels=[1, -1], beta_pref=1.0,
+                    z_ref=2.0)
+    assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kto_saturation(f64):
@@ -233,20 +284,22 @@ def test_kto_saturation(f64):
 
 
 def test_kto_policy_equals_reference_constant(f64):
-    # constant-r batch with z_ref computed from the batch itself
+    # policy == reference: r == 0 == z_ref, as on rl_run's first step
     lps = [Tensor(-3.0), Tensor(-3.0), Tensor(-3.0)]
     refs = [-3.0, -3.0, -3.0]
-    loss = kto_loss(lps, refs, labels=[1, -1, 1], beta_pref=0.1)
+    loss = kto_loss(lps, refs, labels=[1, -1, 1], beta_pref=0.1, z_ref=0.0)
     assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kto_validation(f64):
     with pytest.raises(ContractError):
-        kto_loss([], [], [], beta_pref=0.1)
+        kto_loss([], [], [], beta_pref=0.1, z_ref=0.0)
     with pytest.raises(ContractError):
-        kto_loss([Tensor(0.0)], [0.0], [2], beta_pref=0.1)
-    with pytest.raises(ContractError):
-        kto_loss([Tensor(0.0)], [0.0], [1], beta_pref=0.1, weights=[0.0])
+        kto_loss([Tensor(0.0)], [0.0], [2], beta_pref=0.1, z_ref=0.0)
+    with pytest.raises(ContractError, match="align"):
+        kto_loss(Tensor([0.0, 1.0]), [0.0], [1], beta_pref=0.1, z_ref=0.0)
+    with pytest.raises(TypeError):
+        kto_loss([Tensor(0.0)], [0.0], [1], beta_pref=0.1)  # z_ref is required
 
 
 def test_kto_grad_fd(rng, f64):

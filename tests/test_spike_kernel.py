@@ -13,7 +13,6 @@ from spikessm.spike_kernel import (
     FireStats,
     OpCounter,
     fire_stats_from_ints,
-    measure_fire_rate,
     spike_linear_event,
     spike_linear_int,
 )
@@ -97,48 +96,48 @@ def test_zero_input_touches_nothing():
     assert not y.any()
 
 
+def measure_fire_rate(trains):
+    """Oracle of ``fire_stats_from_ints``: spikes counted from expanded
+    trains, the micro-step count read from their shape."""
+    k, channels = trains[0].spikes.shape
+    assert all(t.spikes.shape == (k, channels) for t in trains)
+    count = sum(t.spike_count for t in trains)
+    return FireStats(spike_count=count, micro_steps=k, channels=channels,
+                     tokens=len(trains))
+
+
 def test_fire_rate_examples():
-    cfg = NeuronConfig(kind=TILIF, d_max=4)
-    train = expand_spike_train(cfg, np.array([3.0, -1.0]))
-    stats = measure_fire_rate([train])
+    stats = fire_stats_from_ints(np.array([3.0, -1.0]), k=4)
     assert stats.rate == pytest.approx(4 / (1 * 4 * 2))
-
-    zero = measure_fire_rate([expand_spike_train(cfg, np.zeros(2))])
-    assert zero.rate == 0.0
-
-    sat = measure_fire_rate([expand_spike_train(cfg, np.array([4.0, -4.0]))])
-    assert sat.rate == 1.0
+    assert fire_stats_from_ints(np.zeros(2), k=4).rate == 0.0
+    assert fire_stats_from_ints(np.array([4.0, -4.0]), k=4).rate == 1.0
 
 
 def test_fire_rate_validation():
-    cfg = NeuronConfig(kind=TILIF, d_max=4)
-    train = expand_spike_train(cfg, np.array([1.0]))
     with pytest.raises(ContractError):
-        measure_fire_rate([])
-    assert measure_fire_rate([train]).micro_steps == 4  # k is d_max for TI-LIF
-    lif_train = expand_spike_train(NeuronConfig(kind=LIF, d_max=1), np.array([1.0]))
-    lif = measure_fire_rate([lif_train])
+        fire_stats_from_ints(np.zeros((0, 2)), k=4)
+    tilif = fire_stats_from_ints(np.array([1.0]), k=4)
+    assert tilif.micro_steps == 4  # k is d_max for TI-LIF
+    lif = fire_stats_from_ints(np.array([1.0]), k=1)
     assert (lif.micro_steps, lif.rate) == (1, 1.0)
-    with pytest.raises(DimensionError, match="share shape"):
-        measure_fire_rate([train, lif_train])  # trains of different kinds at one site
+    with pytest.raises(ContractError, match="differently shaped"):
+        tilif.merged(lif)  # stats of different neuron kinds at one site
 
 
 def test_fire_rate_permutation_invariant(rng):
     cfg = NeuronConfig(kind=TILIF, d_max=4)
     s = quantize(cfg, rng.normal(scale=2.0, size=32))
     perm = rng.permutation(32)
-    a = measure_fire_rate([expand_spike_train(cfg, s)])
-    b = measure_fire_rate([expand_spike_train(cfg, s[perm])])
-    assert a.rate == b.rate
+    assert fire_stats_from_ints(s, k=4).rate == fire_stats_from_ints(s[perm], k=4).rate
 
 
 def test_fire_stats_from_ints_matches_trains(rng):
-    cfg = NeuronConfig(kind=TILIF, d_max=4)
-    s = quantize(cfg, rng.normal(scale=2.0, size=(5, 16)))
-    trains = [expand_spike_train(cfg, row) for row in s]
-    via_trains = measure_fire_rate(trains)
-    direct = fire_stats_from_ints(s, k=4)
-    assert direct == via_trains
+    for kind, d_max in [(TILIF, 4), (ILIF, 3), (LIF, 1)]:
+        cfg = NeuronConfig(kind=kind, d_max=d_max)
+        s = quantize(cfg, rng.normal(scale=2.0, size=(5, 16)))
+        trains = [expand_spike_train(cfg, row) for row in s]
+        assert fire_stats_from_ints(s, k=d_max) == measure_fire_rate(trains)
+        assert fire_stats_from_ints(s[0], k=d_max) == measure_fire_rate(trains[:1])
 
 
 def test_fire_stats_invariant():

@@ -11,7 +11,16 @@ from spikessm.mamba2 import (
 from spikessm.losses import dpo_loss, kto_loss, sequence_logprob
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.optim import AdamW, lr_schedule
-from spikessm.tensor import ContractError, Graph, Tensor, pause_recording, reshape
+from spikessm import training
+from spikessm.tensor import (
+    ContractError,
+    Graph,
+    Tensor,
+    narrow,
+    pause_recording,
+    reshape,
+    softplus,
+)
 from spikessm.training import (
     DistillResult,
     PreferenceExample,
@@ -154,7 +163,7 @@ def test_preference_parsing():
     with pytest.raises(ContractError):
         PreferenceExample(prompt="p", response_w="w")  # missing pair half
     with pytest.raises(ContractError):
-        PreferenceExample(prompt="p", response="r", weight=0.0)
+        PreferenceExample(prompt="p", response="r", label=0)
 
 
 def test_preference_file_round_trip(tmp_path):
@@ -271,7 +280,9 @@ def test_rl_rejects_empty_examples(rng):
 def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                 beta_pref=0.1, seed=0):
     """``rl_run`` as it was before batching: every sequence its own B=1
-    forward, and the reference log-probs recomputed on every step."""
+    forward, and the reference log-probs recomputed on every step. KTO's
+    ``z_ref`` (kept in each row) scores prompt j with response j+1 (mod B)
+    the same way; each step makes one ``kto_loss`` call on B scalars."""
     def response_logprob(model, tokens, start):
         logits, _ = model.forward_batch(tokens[None, :])
         return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
@@ -288,7 +299,7 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
         idx = rng.integers(0, len(examples), size=batch)
         cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
-            losses = []
+            losses, lps, refs, labels = [], [], [], []
             for i in idx:
                 ex = examples[i]
                 if method == "dpo":
@@ -303,29 +314,39 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                 else:
                     toks, start = _example_tokens(ex.prompt, ex.response)
                     with pause_recording():
-                        ref = response_logprob(reference, toks, start).item()
-                    lp = response_logprob(policy, toks, start)
-                    losses.append(kto_loss([lp], [ref], [ex.label], beta_pref,
-                                           weights=[ex.weight]))
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = loss + extra
-            loss = loss * (1.0 / len(losses))
+                        refs.append(response_logprob(reference, toks, start).item())
+                    lps.append(response_logprob(policy, toks, start))
+                    labels.append(ex.label)
+            if method == "dpo":
+                loss = losses[0]
+                for extra in losses[1:]:
+                    loss = loss + extra
+                loss = loss * (1.0 / len(losses))
+            else:
+                ratios = []
+                for j, i in enumerate(idx):
+                    nxt = examples[idx[(j + 1) % batch]]
+                    toks, start = _example_tokens(examples[i].prompt, nxt.response)
+                    with pause_recording():
+                        ratios.append(response_logprob(policy, toks, start).item()
+                                      - response_logprob(reference, toks, start).item())
+                z_ref = beta_pref * max(0.0, sum(ratios) / batch)
+                loss = kto_loss(lps, refs, labels, beta_pref, z_ref=z_ref)
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
-        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr})
+        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr,
+                     "z_ref": z_ref if method == "kto" else None})
     return rows
 
 
 def _preference_examples(method):
     """Responses of different lengths, so every batch is padded; KTO mixes
-    labels and weights."""
+    labels."""
     lines = synth_preference_lines(synthetic_corpus(30, seed=0), 6, 4, method)
     examples = [parse_preference_line(line, method) for line in lines]
     if method == "dpo":
         examples[1].response_l += "tail"
     else:
-        examples[2].weight = 2.5
         assert {e.label for e in examples} == {1, -1}
     return examples
 
@@ -352,6 +373,111 @@ def test_rl_batched_equals_per_example_loop(rng, f64, method):
         np.testing.assert_allclose(pa.data, pb.data, rtol=1e-9, atol=1e-12,
                                    err_msg=name)
     assert not np.array_equal(a.parameters()[0].data, model.parameters()[0].data)
+
+
+def rl_run_row_views(policy, examples, *, steps, batch, lr=5e-6, beta_pref=0.1,
+                     seed=0):
+    """The DPO step before whole-batch vectors: one padded policy forward,
+    then a narrow/reshape view, a loss and a chained sum term per row.
+    Rows also carry the step's tape length."""
+    reference = policy.clone()
+    rng = np.random.default_rng(seed)
+    params = policy.parameters()
+    seqs, ref_lp = {}, {}
+    opt = AdamW(params)
+    rows = []
+    for step in range(steps):
+        idx = [int(i) for i in rng.integers(0, len(examples), size=batch)]
+        cur_lr = lr_schedule(step, steps, lr)
+        for i in idx:
+            if i not in seqs:
+                seqs[i] = tuple(_example_tokens(examples[i].prompt, r)
+                                for r in examples[i].responses)
+        order = [(i, k) for k in range(2) for i in idx]
+        tokens, starts, lengths = _padded([seqs[i][k] for i, k in order])
+        miss = [i for i in dict.fromkeys(idx) if i not in ref_lp]
+        if miss:
+            picks = [order.index((i, k)) for k in range(2) for i in miss]
+            with pause_recording():
+                lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
+                                            lengths[picks]).data
+            for j, i in enumerate(miss):
+                ref_lp[i] = (float(lp_ref[j]), float(lp_ref[len(miss) + j]))
+        with Graph() as g:
+            lp = _response_logprobs(policy, tokens, starts, lengths)
+            views = [reshape(narrow(lp, 0, r, 1), ()) for r in range(2 * batch)]
+            losses = []
+            for j, i in enumerate(idx):
+                f_w = views[j] - ref_lp[i][0]
+                f_l = views[batch + j] - ref_lp[i][1]
+                losses.append(softplus(-((f_w - f_l) * beta_pref)))
+            loss = losses[0]
+            for extra in losses[1:]:
+                loss = loss + extra
+            loss = loss * (1.0 / batch)
+        grads = g.backward(loss, wrt=params)
+        opt.step(grads, cur_lr)
+        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr,
+                     "nodes": len(g.nodes)})
+    return rows
+
+
+@pytest.fixture(scope="module")
+def toy_student():
+    return LanguageModel(toy_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
+                         np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("batch", [1, 4, 7])
+def test_rl_dpo_bit_identical_to_row_views(toy_student, monkeypatch, batch):
+    """float32: the whole-batch DPO step gives the row-view step's loss rows
+    and parameter bytes, from a shorter tape and one loss call per step."""
+    examples = _preference_examples("dpo")
+    a, b = toy_student.clone(), toy_student.clone()
+    calls, nodes = [], []
+    monkeypatch.setattr(training, "dpo_loss",
+                        lambda *args: calls.append(1) or dpo_loss(*args))
+    backward = Graph.backward
+    monkeypatch.setattr(Graph, "backward",
+                        lambda g, *args, **kw: nodes.append(len(g.nodes))
+                        or backward(g, *args, **kw))
+    kw = dict(steps=3, batch=batch, lr=1e-3, seed=batch)
+    got = rl_run(a, examples, method="dpo", **kw)
+    monkeypatch.setattr(Graph, "backward", backward)
+    want = rl_run_row_views(b, examples, **kw)
+    assert [(r["step"], r["loss"], r["lr"]) for r in got] == \
+        [(r["step"], r["loss"], r["lr"]) for r in want]
+    for (name, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+        assert pa.data.tobytes() == pb.data.tobytes(), name
+    assert not np.array_equal(a.parameters()[0].data, toy_student.parameters()[0].data)
+    assert len(calls) == 3
+    assert all(n < r["nodes"] for n, r in zip(nodes, want))
+
+
+def test_rl_kto_loss_moves_and_z_ref_matches_loop(rng, f64, monkeypatch):
+    """One kto_loss call per step; 0.5 while the policy is the reference,
+    then not; its z_ref is the per-formula loop's."""
+    model = LanguageModel(tiny_cfg(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
+                          rng)
+    examples = _preference_examples("kto")
+    z_refs = []
+    monkeypatch.setattr(training, "kto_loss",
+                        lambda *args: z_refs.append(args[4]) or kto_loss(*args))
+    kw = dict(method="kto", steps=8, batch=3, lr=1e-3, seed=7)
+    got = rl_run(model.clone(), examples, **kw)
+    want = rl_run_loop(model.clone(), examples, **kw)
+    assert len(z_refs) == 8
+    assert got[0]["loss"] == pytest.approx(0.5, abs=1e-12)
+    assert z_refs[0] == 0.0
+    assert all(abs(r["loss"] - 0.5) > 1e-4 for r in got[1:])
+    assert sum(z > 0 for z in z_refs) >= 3
+    assert z_refs == pytest.approx([r["z_ref"] for r in want], rel=1e-9, abs=1e-12)
+
+
+def test_rl_kto_needs_two_rows(rng):
+    model = LanguageModel(tiny_cfg(), rng)
+    with pytest.raises(ContractError, match="batch >= 2"):
+        rl_run(model, _preference_examples("kto"), method="kto", steps=1, batch=1)
 
 
 def test_rl_first_dpo_loss_is_ln2(rng, f64):
