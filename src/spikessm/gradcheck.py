@@ -123,7 +123,7 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
 
     cfg = Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8,
                        n_layers=1, vocab=11)
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     u = parameter(rng.normal(size=(1, 4, cfg.d_model)))
     bp = Tensor(rng.normal(size=(1, 4, cfg.d_model)))
 

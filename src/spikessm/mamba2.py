@@ -4,8 +4,8 @@ Per token, the block projects the residual stream into gate / state /
 readout pieces, runs a short causal conv and a per-head decaying state
 update, then projects back. The spiking variant quantizes the inputs of
 both projections with a neuron from :mod:`spikessm.neurons`; a smooth
-compensation branch (mirrored projection fed by ``d_max * tanh(x)``)
-can run alongside during training so a distillation loss has a fully
+compensation branch (a mirror of the projection, fed by ``d_max*tanh(x)``
+and handed in by the training loop) gives a distillation loss a fully
 differentiable route.
 
 Two forward paths implement identical math: a batched path on the
@@ -83,6 +83,7 @@ class Mamba2Config:
     vocab: int
     mode: str = DENSE
     neuron: NeuronConfig = field(default_factory=NeuronConfig)
+    # the layers distill_run gives a compensation path (no model parameters)
     sgc_layers: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -141,12 +142,10 @@ class BlockParams:
     d_skip: Tensor     # (n_heads, d_head)
     dt_bias: Tensor    # (n_heads,)
     norm_w: Tensor     # (d_inner,)
-    w_sgc_in: Tensor | None = None
-    w_sgc_out: Tensor | None = None
 
     def named(self) -> list[tuple[str, Tensor]]:
-        """The parameters present, by field name, in declaration order."""
-        return [(f.name, t) for f in fields(self) if (t := getattr(self, f.name)) is not None]
+        """The parameters, by field name, in declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -165,29 +164,26 @@ def init_block_state(cfg: Mamba2Config, batch_shape: tuple[int, ...] = ()) -> Bl
     )
 
 
-def block_param_shapes(cfg: Mamba2Config, layer_idx: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each parameter of block ``layer_idx``, by name, in the
-    order of :meth:`BlockParams.named`."""
+def block_param_shapes(cfg: Mamba2Config) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter of a block, by name, in the order of
+    :meth:`BlockParams.named`; every layer has the same table."""
     H, P, N, D = cfg.n_heads, cfg.d_head, cfg.n_state, cfg.d_model
     w = tn.CONV_WIDTH
-    shapes = {
+    return {
         "w_in": (D, cfg.d_proj), "w_out": (cfg.d_inner, D),
         "conv_x": (cfg.d_inner, w), "conv_b": (N, w), "conv_c": (N, w),
         "a_log": (H,), "d_skip": (H, P), "dt_bias": (H,), "norm_w": (cfg.d_inner,),
     }
-    if layer_idx in cfg.sgc_layers:  # mirrors of the two projections
-        shapes["w_sgc_in"], shapes["w_sgc_out"] = shapes["w_in"], shapes["w_out"]
-    return shapes
 
 
 def param_shapes(cfg: Mamba2Config) -> dict[str, tuple[int, ...]]:
     """Shape of each parameter of ``LanguageModel(cfg)``, by name, in the
     order of :meth:`LanguageModel.named_parameters`; nothing is allocated."""
     shapes = {"embedding": (cfg.vocab, cfg.d_model), "norm_f": (cfg.d_model,)}
+    block = block_param_shapes(cfg)
     for i in range(cfg.n_layers):
         shapes[f"layers.{i}.pre_norm"] = (cfg.d_model,)
-        shapes.update((f"layers.{i}.{name}", shape)
-                      for name, shape in block_param_shapes(cfg, i).items())
+        shapes.update((f"layers.{i}.{name}", shape) for name, shape in block.items())
     return shapes
 
 
@@ -213,14 +209,15 @@ def check_param_shapes(cfg: Mamba2Config, tensors: dict[str, np.ndarray]) -> Non
 
 
 def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
-                      layer_idx: int) -> BlockParams:
+                      layer_idx: int = 0) -> BlockParams:
     """Fresh block parameters.
 
     Projections are scaled normal with gain 1/sqrt(fan_in); the state
     decay rates are log-spaced so heads cover fast and slow memory; the
     step bias puts the initial softplus step in roughly [0.001, 0.1].
+    Every layer draws from one table; ``layer_idx`` changes nothing.
     """
-    shape = block_param_shapes(cfg, layer_idx)
+    shape = block_param_shapes(cfg)
     H, w = cfg.n_heads, tn.CONV_WIDTH
 
     def proj(name):
@@ -233,7 +230,7 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
     a_real = np.exp(np.linspace(math.log(1.0), math.log(8.0), H))
     dt_init = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), H))
 
-    params = BlockParams(
+    return BlockParams(
         w_in=proj("w_in"),
         w_out=proj("w_out"),
         conv_x=conv("conv_x"),
@@ -244,10 +241,6 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
         dt_bias=tn.parameter(np.log(np.expm1(dt_init))),
         norm_w=tn.parameter(np.ones(shape["norm_w"])),
     )
-    if layer_idx in cfg.sgc_layers:  # compensation starts equal to its mirror
-        params.w_sgc_in = tn.parameter(params.w_in.data.copy())
-        params.w_sgc_out = tn.parameter(params.w_out.data.copy())
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +257,7 @@ def hidden_align_loss(y_spiking: Tensor, y_sgc: Tensor) -> Tensor:
     One tape node. Its floating-point operations are those of the
     composite ``sum((softmax(a) - softmax(b))**2) * (0.5 / rows)`` and of
     that composite's backward, in their order, so value and gradients are
-    bit-identical to it. A constant input (the detached spiking side of
-    ``distill_run(freeze_spiking_in_hidden=True)``) gets no gradient.
+    bit-identical to it. A constant input gets no gradient.
     """
     if y_spiking.shape != y_sgc.shape:
         raise DimensionError(
@@ -343,18 +335,20 @@ def make_clamp_hook(mode: str, site: str) -> Hook:
 class BlockAux:
     s_in: np.ndarray | None = None   # integer activations at the input projection
     s_out: np.ndarray | None = None  # integer activations at the output projection
-    # (spiking output, compensation output) tape tensors per mirrored
-    # projection; only block_forward(want_sgc=True) fills it
+    # (spiking output, compensation output) tape tensors per projection of
+    # a block handed mirrors, as distill_run does at each of cfg.sgc_layers
     sgc_pairs: list[tuple] = field(default_factory=list)
 
 
 def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
-                  layer_idx: int = 0, want_sgc: bool = False,
+                  layer_idx: int = 0, sgc: tuple[Tensor, Tensor] | None = None,
                   hook: Hook | None = None) -> tuple[Tensor, BlockAux]:
     """Full-sequence block forward; ``u`` is (B, T, d_model).
 
-    ``hook`` may transform activations at the two neuron sites; it cuts
-    the gradient flow, so it is only legal outside a tape.
+    ``sgc``, mirrors of ``w_in`` and ``w_out``, adds each projection's
+    compensation path. ``hook`` may transform activations at the two
+    neuron sites; it cuts the gradient flow, so it is only legal outside
+    a tape.
     """
     if hook is not None and active_graph() is not None:
         raise ContractError("activation hooks are evaluation-only")
@@ -374,8 +368,8 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
     else:
         u2 = matmul(u, params.w_in)
 
-    if want_sgc and params.w_sgc_in is not None:
-        aux.sgc_pairs.append((u2, sgc_forward(u, params.w_sgc_in, cfg.neuron.d_max)))
+    if sgc is not None:
+        aux.sgc_pairs.append((u2, sgc_forward(u, sgc[0], cfg.neuron.d_max)))
 
     # u2 = [z | x | B | C | dt]; one conv runs over the contiguous x|B|C
     z = narrow(u2, -1, 0, d_inner)
@@ -406,8 +400,8 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
     else:
         y_out = matmul(y, params.w_out)
 
-    if want_sgc and params.w_sgc_out is not None:
-        aux.sgc_pairs.append((y_out, sgc_forward(y, params.w_sgc_out, cfg.neuron.d_max)))
+    if sgc is not None:
+        aux.sgc_pairs.append((y_out, sgc_forward(y, sgc[1], cfg.neuron.d_max)))
 
     if not np.isfinite(y_out.data).all():
         raise NumericError(f"non-finite block output at layer {layer_idx}")
@@ -672,7 +666,7 @@ class LanguageModel:
         shape = param_shapes(cfg)
         self.embedding = tn.parameter(rng.normal(0.0, 0.08, shape["embedding"]))
         self.norm_f = tn.parameter(np.ones(shape["norm_f"]))
-        self.layers = [init_block_params(cfg, rng, i) for i in range(cfg.n_layers)]
+        self.layers = [init_block_params(cfg, rng) for _ in range(cfg.n_layers)]
         # the residual stream is normalized before each block, so the
         # quantizers at the projection sites see unit-scale activations
         self.pre_norms = [tn.parameter(np.ones(shape[f"layers.{i}.pre_norm"]))
@@ -701,17 +695,17 @@ class LanguageModel:
         model = cls.__new__(cls)
         model.cfg = cfg
         model.embedding, model.norm_f = p["embedding"], p["norm_f"]
-        model.layers = [
-            BlockParams(**{n: p[f"layers.{i}.{n}"] for n in block_param_shapes(cfg, i)})
-            for i in range(cfg.n_layers)]
+        names = block_param_shapes(cfg)
+        model.layers = [BlockParams(**{n: p[f"layers.{i}.{n}"] for n in names})
+                        for i in range(cfg.n_layers)]
         model.pre_norms = [p[f"layers.{i}.pre_norm"] for i in range(cfg.n_layers)]
         return model
 
     def clone(self, mode: str | None = None, neuron: NeuronConfig | None = None,
               sgc: bool | None = None) -> "LanguageModel":
         """Copy of this model in the run precision, optionally switching
-        mode / neuron / SGC layers. A compensation projection the copy
-        gains starts as a copy of the projection it mirrors."""
+        mode / neuron / SGC layers (the layers :func:`training.distill_run`
+        gives a compensation path); the parameters are the same in all."""
         cfg = self.cfg
         new_cfg = replace(
             cfg,
@@ -720,15 +714,14 @@ class LanguageModel:
             sgc_layers=(default_sgc_layers(cfg.n_layers) if sgc else frozenset())
             if sgc is not None else cfg.sgc_layers,
         )
-        have = {name: t.data for name, t in self.named_parameters()}
-        return LanguageModel.from_tensors(new_cfg, {
-            name: have[name if name in have else name.replace(".w_sgc_", ".w_")].copy()
-            for name in param_shapes(new_cfg)})
+        return LanguageModel.from_tensors(
+            new_cfg, {name: t.data.copy() for name, t in self.named_parameters()})
 
     # -- batched (teacher-forced) forward ------------------------------------
 
-    def forward_batch(self, tokens: np.ndarray, *, want_sgc: bool = False,
+    def forward_batch(self, tokens: np.ndarray, *, sgc: dict[int, tuple] | None = None,
                       hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
+        """``sgc`` maps a layer to its block's mirrors (see block_forward)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise DimensionError("forward_batch expects (batch, time) token ids")
@@ -737,7 +730,7 @@ class LanguageModel:
         for i, layer in enumerate(self.layers):
             x_in = rmsnorm(x, self.pre_norms[i], RMS_EPS)
             y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i,
-                                   want_sgc=want_sgc, hook=hook)
+                                   sgc=sgc.get(i) if sgc else None, hook=hook)
             auxes.append(aux)
             x = x + y
         x = rmsnorm(x, self.norm_f, RMS_EPS)
@@ -789,12 +782,12 @@ class LanguageModel:
         if max_new < 0:
             raise ContractError(f"generate_greedy max_new must be >= 0, got {max_new}")
         state = self.init_state((B,))
-        logits = None
         for t in range(T0):
             logits, state = self.step(prompts[:, t], state, kernel=kernel)
         out = [prompts]
-        for _ in range(max_new):
+        for i in range(max_new):
+            if i:  # no step after the last token: nothing reads its logits
+                logits, state = self.step(cur, state, kernel=kernel)
             cur = logits.argmax(axis=-1)
             out.append(cur[:, None])
-            logits, state = self.step(cur, state, kernel=kernel)
         return np.concatenate(out, axis=1)

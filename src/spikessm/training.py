@@ -29,6 +29,7 @@ from .tensor import (
     default_dtype,
     log_softmax_norm,
     narrow,
+    parameter,
     pause_recording,
 )
 from .tokenizer import EOS, tokenize
@@ -178,14 +179,13 @@ def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
 def distill_run(teacher: LanguageModel, student: LanguageModel,
                 lines: list[str], *, steps: int = 2000, batch: int = 8,
                 prompt_len: int = 8, total_len: int = 64,
-                n_sequences: int = 192, lr: float = 1e-3, seed: int = 0,
-                freeze_spiking_in_hidden: bool = False) -> DistillResult:
+                n_sequences: int = 192, lr: float = 1e-3, seed: int = 0) -> DistillResult:
     """Single-stage distillation: KL on teacher pseudo-labels plus the
     hidden alignment losses from the compensation path.
 
-    ``freeze_spiking_in_hidden`` detaches the spiking branch inside the
-    alignment loss, so that loss only trains the compensation weights
-    and pre-neuron activations through the smooth route.
+    Each layer of ``student.cfg.sgc_layers`` gets mirrors of its two
+    projections, trained parameters that start as copies of them and are
+    dropped when the run ends: the compensation path is training-only.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -201,7 +201,9 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         teacher_logits=_teacher_logits(teacher, seqs, prompt_len))
 
     rng = np.random.default_rng(seed + 1)
-    params = student.parameters()
+    mirrors = {i: (parameter(layer.w_in.data.copy()), parameter(layer.w_out.data.copy()))
+               for i, layer in enumerate(student.layers) if i in student.cfg.sgc_layers}
+    params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     opt = AdamW(params)
     cont = seqs.shape[1] - prompt_len
     rows = []
@@ -210,16 +212,12 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         window = data.sequences[idx]
         cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
-            logits, auxes = student.forward_batch(window, want_sgc=True)
+            logits, auxes = student.forward_batch(window, sgc=mirrors)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(data.teacher_logits[idx], s_cont,
                                    (data.teacher_max[idx], data.teacher_lse[idx]))
-            hidden = []
-            for aux in auxes:
-                for spk, sgc in aux.sgc_pairs:
-                    if freeze_spiking_in_hidden:
-                        spk = Tensor(spk.data)
-                    hidden.append(hidden_align_loss(spk, sgc))
+            hidden = [hidden_align_loss(spk, sgc)
+                      for aux in auxes for spk, sgc in aux.sgc_pairs]
             loss = total_distill_loss(l_kl, hidden)
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
@@ -345,12 +343,20 @@ def _response_logprobs(model: LanguageModel, tokens: np.ndarray,
 
 
 def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
-               seqs: list[tuple[np.ndarray, int]], beta_pref: float) -> float:
+               seqs: list[list[tuple[np.ndarray, int]]], idx: np.ndarray,
+               beta_pref: float) -> float:
     """KTO's z_ref (Ethayarajh et al. 2024): beta * max(0, mean_j log pi(y_{j+1}
     | x_j) - log pi_ref(y_{j+1} | x_j)), prompt j with row j+1's response (mod
-    B), from one no-tape forward of each model."""
-    pairs = [(np.concatenate((a[:sa], b[sb:])), sa)
-             for (a, sa), (b, sb) in zip(seqs, seqs[1:] + seqs[:1])]
+    B), from one no-tape forward of each model; row j is ``seqs[idx[j]][0]``.
+    A pair of two rows of one example (drawn with replacement) is that
+    example's own reward, so the mean skips it; with no pair left, 0.0."""
+    pairs = []
+    for i, k in zip(idx, np.roll(idx, -1)):
+        if i != k:
+            (a, sa), (b, sb) = seqs[i][0], seqs[k][0]
+            pairs.append((np.concatenate((a[:sa], b[sb:])), sa))
+    if not pairs:
+        return 0.0
     tokens, starts, lengths = _padded(pairs)
     with pause_recording():
         ratio = (_response_logprobs(policy, tokens, starts, lengths).data
@@ -406,7 +412,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
             ref_lp[idx[new]] = lp_ref.reshape(n_resp, len(new)).T
         ref = ref_lp[idx]
         if method == "kto":
-            z_ref = _kto_z_ref(policy, reference, [seqs[i][0] for i in idx], beta_pref)
+            z_ref = _kto_z_ref(policy, reference, seqs, idx, beta_pref)
         with Graph() as g:
             lp = _response_logprobs(policy, tokens, starts, lengths)
             if method == "dpo":

@@ -230,6 +230,41 @@ def test_distill_rejects_spiking_teacher(teacher_dir, tmp_path):
     assert rc == 1
 
 
+def test_distill_saves_the_teacher_tensor_names(teacher_dir, tmp_path, capsys):
+    """The compensation mirrors are run state: ``student.spkm`` holds the
+    teacher's tensor names and a same-seed rerun writes the same bytes. A
+    container that still holds mirrors (a student saved while they were
+    model parameters) is refused with exit 2 and one line."""
+    def run(tag):
+        out = tmp_path / tag
+        assert main(["distill", "--teacher", str(teacher_dir / "teacher.spkm"),
+                     "--steps", "3", "--seed", "4", "--out", str(out),
+                     "--corpus", str(teacher_dir / "corpus.txt")]) == 0
+        return out
+
+    a, b = run("a"), run("b")
+    _, teacher = checkpoint.load_raw(teacher_dir / "teacher.spkm")
+    _, student = checkpoint.load_raw(a / "student.spkm")
+    assert list(student) == list(teacher)
+    for name in ("student.spkm", "metrics.csv", "eval.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    model = checkpoint.load(a / "student.spkm")
+    layer = model.layers[0]
+    named = model.named_parameters() + [("layers.0.w_sgc_in", layer.w_in),
+                                        ("layers.0.w_sgc_out", layer.w_out)]
+    model.named_parameters = lambda: named
+    old = tmp_path / "old.spkm"
+    checkpoint.save(old, model)
+    capsys.readouterr()
+    rc = main(["eval-ppl", "--ckpt", str(old), "--corpus",
+               str(teacher_dir / "corpus.txt"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and \
+        "2 unexpected ['layers.0.w_sgc_in', 'layers.0.w_sgc_out']" in err[0], err
+
+
 def test_rerun_byte_identical_outputs(tmp_path):
     """Same seed, same command: byte-identical CSV outputs."""
     def run(tag):

@@ -109,8 +109,7 @@ def test_distill_batch_normalisers_equal_per_batch_ones(rng):
     assert_bits_equal(data.teacher_lse[idx], lse)
 
 
-@pytest.mark.parametrize("freeze", [False, True])
-def test_distill_run_equals_run_on_composite_losses(freeze, monkeypatch):
+def test_distill_run_equals_run_on_composite_losses(monkeypatch):
     lines = training.synthetic_corpus(60, seed=2)
     teacher = LanguageModel(toy_config(), np.random.default_rng(4))
 
@@ -118,8 +117,7 @@ def test_distill_run_equals_run_on_composite_losses(freeze, monkeypatch):
         student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
                                 sgc=True)
         res = training.distill_run(teacher, student, lines, steps=10, batch=8,
-                                   n_sequences=16, seed=5,
-                                   freeze_spiking_in_hidden=freeze)
+                                   n_sequences=16, seed=5)
         return res.metrics, [t.data.tobytes() for t in student.parameters()]
 
     fused = run()

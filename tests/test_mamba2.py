@@ -21,6 +21,7 @@ from spikessm.mamba2 import (
     hidden_align_loss,
     init_block_params,
     init_block_state,
+    param_shapes,
     sgc_forward,
     ssm_readout,
     ssm_scan,
@@ -183,7 +184,7 @@ def test_batched_step_matches_row_by_row(kernel, rng):
 def test_unknown_kernel_refused_in_both_modes(rng):
     for mode in (DENSE, SPIKING):
         cfg = small_config(mode=mode)
-        params = init_block_params(cfg, rng, 0)
+        params = init_block_params(cfg, rng)
         with pytest.raises(ContractError, match="unknown kernel 'bogus'"):
             block_step(params, init_block_state(cfg), np.zeros(cfg.d_model), cfg,
                        layer_idx=0, kernel="bogus")
@@ -201,9 +202,41 @@ def test_generate_greedy_refuses_bad_lengths(rng):
     assert model.generate_greedy(np.array([[1, 2]]), 0).tolist() == [[1, 2]]
 
 
+def _greedy_stepping_after_every_token(model, prompts, max_new, kernel):
+    """The greedy loop that also stepped the last new token."""
+    state = model.init_state((prompts.shape[0],))
+    for t in range(prompts.shape[1]):
+        logits, state = model.step(prompts[:, t], state, kernel=kernel)
+    out = [prompts]
+    for _ in range(max_new):
+        cur = logits.argmax(axis=-1)
+        out.append(cur[:, None])
+        logits, state = model.step(cur, state, kernel=kernel)
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("mode", [DENSE, SPIKING])
+def test_generate_greedy_steps_only_before_a_read(rng, monkeypatch, mode):
+    """T0 + max_new - 1 steps for max_new >= 1 (T0 for 0), and the ids of
+    the loop that stepped after the last token too."""
+    model = LanguageModel(small_config(mode=mode, neuron=SPIKE4), rng)
+    prompts = rng.integers(0, 11, size=(3, 4))
+    want = {n: _greedy_stepping_after_every_token(model, prompts, n, "int")
+            for n in (0, 1, 5)}
+    calls = []
+    step = LanguageModel.step
+    monkeypatch.setattr(LanguageModel, "step",
+                        lambda self, *a, **kw: calls.append(1) or step(self, *a, **kw))
+    for max_new in (0, 1, 5):
+        calls.clear()
+        got = model.generate_greedy(prompts, max_new, kernel="int")
+        assert len(calls) == 4 + max(max_new - 1, 0)
+        assert got.tolist() == want[max_new].tolist()
+
+
 def test_step_with_tiny_dt_keeps_state(rng, f64):
     cfg = small_config()
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     params.dt_bias.data = np.full(cfg.n_heads, -40.0)
     state = init_block_state(cfg)
     state.h = rng.normal(size=state.h.shape)
@@ -214,7 +247,7 @@ def test_step_with_tiny_dt_keeps_state(rng, f64):
 @pytest.mark.parametrize("mode", [DENSE, SPIKING])
 def test_recurrent_equivalence_float32(mode, rng):
     cfg = small_config(mode=mode, neuron=NeuronConfig(kind=TILIF, d_max=4))
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     u = rng.normal(size=(1, 8, cfg.d_model)).astype(np.float32)
     batched, _ = block_forward(params, Tensor(u), cfg)
     state = init_block_state(cfg)
@@ -227,7 +260,7 @@ def test_recurrent_equivalence_float32(mode, rng):
 
 def test_recurrent_equivalence_float64(rng, f64):
     cfg = small_config()
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     u = rng.normal(size=(2, 8, cfg.d_model))
     batched, _ = block_forward(params, Tensor(u), cfg)
     state = init_block_state(cfg, (2,))
@@ -240,7 +273,7 @@ def test_recurrent_equivalence_float64(rng, f64):
 
 def test_recurrent_equivalence_across_chunks(rng):
     cfg = small_config()
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     T = 2 * SCAN_CHUNK + 5
     u = rng.normal(size=(2, T, cfg.d_model)).astype(np.float32)
     batched, _ = block_forward(params, Tensor(u), cfg)
@@ -254,7 +287,7 @@ def test_recurrent_equivalence_across_chunks(rng):
 
 def test_step_kernels_agree(rng, f64):
     cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     u = rng.normal(scale=2.0, size=cfg.d_model)
     outs = {}
     for kernel in ("matmul", "int", "event"):
@@ -418,7 +451,7 @@ def test_ssm_scan_zero_decay_finite(rng):
 
 def test_dense_block_grad(rng, f64):
     cfg = small_config()
-    params = init_block_params(cfg, rng, 0)
+    params = init_block_params(cfg, rng)
     u = parameter(rng.normal(size=(1, 4, cfg.d_model)))
     probe = Tensor(rng.normal(size=(1, 4, cfg.d_model)))
     wrt = [u] + [t for _, t in params.named()]
@@ -502,7 +535,8 @@ def test_dense_matches_spiking_passthrough(rng, f64):
 
 def _clone_oracle(model, mode=None, neuron=None, sgc=None):
     """The field-by-field clone ``from_tensors`` replaced: a random
-    initialisation of the new config with every value then overwritten."""
+    initialisation of the new config with every value then overwritten.
+    The compensation layers change only the config."""
     cfg = model.cfg
     new_cfg = replace(
         cfg,
@@ -516,16 +550,9 @@ def _clone_oracle(model, mode=None, neuron=None, sgc=None):
     other.norm_f.data = model.norm_f.data.copy()
     for dst_n, src_n in zip(other.pre_norms, model.pre_norms):
         dst_n.data = src_n.data.copy()
-    for i, (src, dst) in enumerate(zip(model.layers, other.layers)):
-        for (_, a), (_, b) in zip(src.named()[:9], dst.named()[:9]):
+    for src, dst in zip(model.layers, other.layers):
+        for (_, a), (_, b) in zip(src.named(), dst.named(), strict=True):
             b.data = a.data.copy()
-        if i in new_cfg.sgc_layers:
-            if src.w_sgc_in is not None:
-                dst.w_sgc_in.data = src.w_sgc_in.data.copy()
-                dst.w_sgc_out.data = src.w_sgc_out.data.copy()
-            else:
-                dst.w_sgc_in.data = dst.w_in.data.copy()
-                dst.w_sgc_out.data = dst.w_out.data.copy()
     return other
 
 
@@ -534,7 +561,7 @@ SPIKE4 = NeuronConfig(kind=TILIF, d_max=4)
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("source, switch", [
-    (dict(sgc_layers=frozenset({1})), dict(sgc=True)),    # on -> on, layers 0, 2 gain it
+    (dict(sgc_layers=frozenset({1})), dict(sgc=True)),    # on -> on, layers 0, 2 join
     (dict(), dict(sgc=True)),                             # off -> on
     (dict(sgc_layers=frozenset({0, 2})), dict(sgc=False)),  # on -> off
     (dict(sgc_layers=frozenset({1})), dict()),            # unchanged
@@ -546,13 +573,11 @@ def test_clone_matches_field_by_field_oracle(precision, source, switch):
     with dtype_scope(precision):
         cfg = replace(small_config(), n_layers=3, **source)
         model = LanguageModel(cfg, np.random.default_rng(4))
-        for layer in model.layers:  # trained compensation weights differ from their mirrors
-            if layer.w_sgc_in is not None:
-                layer.w_sgc_in.data = layer.w_sgc_in.data + 0.25
-                layer.w_sgc_out.data = layer.w_sgc_out.data - 0.5
         got, want = model.clone(**switch), _clone_oracle(model, **switch)
     assert got.cfg == want.cfg
-    assert [n for n, _ in got.named_parameters()] == [n for n, _ in want.named_parameters()]
+    # with compensation layers or without, the table of every config
+    assert [n for n, _ in got.named_parameters()] == list(param_shapes(cfg)) \
+        == list(param_shapes(got.cfg)) == [n for n, _ in want.named_parameters()]
     sources = [t.data for t in model.parameters()]
     for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
         assert a.data.dtype == b.data.dtype == np.dtype(precision), name
@@ -571,11 +596,12 @@ def test_clone_and_load_draw_no_initialisation(tmp_path, rng, monkeypatch):
 
     monkeypatch.setattr(mamba2, "init_block_params", no_init)
     loaded = checkpoint.load(path)
-    student = loaded.clone(mode=SPIKING, neuron=SPIKE4, sgc=True)
-    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
-        assert np.array_equal(a.data, b.data)
-    assert np.array_equal(student.layers[1].w_sgc_in.data, model.layers[1].w_in.data)
-    assert np.array_equal(student.layers[0].w_sgc_in.data, model.layers[0].w_sgc_in.data)
+    for sgc in (True, False):
+        student = loaded.clone(mode=SPIKING, neuron=SPIKE4, sgc=sgc)
+        assert [n for n, _ in student.named_parameters()] == list(param_shapes(model.cfg))
+        for (_, a), (_, b), (_, c) in zip(model.named_parameters(), loaded.named_parameters(),
+                                          student.named_parameters(), strict=True):
+            assert np.array_equal(a.data, b.data) and np.array_equal(a.data, c.data)
 
 
 def test_spiking_logits_invariant_within_rounding_cell(rng):
@@ -620,8 +646,13 @@ def test_sgc_pairs_shapes(rng):
                        sgc_layers=frozenset({0}))
     model = LanguageModel(cfg, rng)
     toks = rng.integers(0, cfg.vocab, size=(1, 5))
-    _, auxes = model.forward_batch(toks, want_sgc=True)
+    mirrors = {0: (parameter(rng.normal(size=model.layers[0].w_in.shape)),
+                   parameter(rng.normal(size=model.layers[0].w_out.shape)))}
+    base, plain = model.forward_batch(toks)
+    logits, auxes = model.forward_batch(toks, sgc=mirrors)
     assert len(auxes[0].sgc_pairs) == 2  # input and output projections
     assert len(auxes[1].sgc_pairs) == 0
+    assert plain[0].sgc_pairs == []
     for spk, sgc in auxes[0].sgc_pairs:
         assert spk.shape == sgc.shape
+    np.testing.assert_array_equal(logits.data, base.data)  # the logits never read them

@@ -6,6 +6,7 @@ from spikessm.mamba2 import (
     LanguageModel,
     Mamba2Config,
     make_clamp_hook,
+    param_shapes,
     toy_config,
 )
 from spikessm.losses import dpo_loss, kto_loss, sequence_logprob
@@ -242,20 +243,38 @@ def test_eval_ppl_clamp_hook_matches_inline_loop(rng, f64):
     assert got == pytest.approx(float(np.exp(total / (16 * n))), rel=1e-12, abs=0)
 
 
-def test_hidden_freeze_flag_changes_gradients(rng):
+def test_distill_mirrors_are_run_state(rng, monkeypatch):
+    """Compensation changes the run, not the student: AdamW gets the
+    student's parameters, then a copy of both projections of each
+    compensation layer, and the student ends with exactly its config's
+    table."""
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
+    handed = []
 
-    def run(freeze):
+    def adamw(params):
+        handed.append([p.data.copy() for p in params])
+        return AdamW(params)
+
+    monkeypatch.setattr(training, "AdamW", adamw)
+
+    def run(sgc):
         student = teacher.clone(
-            mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
+            mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=sgc)
+        start = {n: t.data.copy() for n, t in student.named_parameters()}
         res = distill_run(teacher, student, lines, steps=3, batch=4,
-                          total_len=16, n_sequences=8, seed=3,
-                          freeze_spiking_in_hidden=freeze)
-        return res.metrics[-1]["loss_total"]
+                          total_len=16, n_sequences=8, seed=3)
+        assert [(n, t.shape) for n, t in student.named_parameters()] == \
+            list(param_shapes(student.cfg).items())
+        want = list(start.values()) + [start[f"layers.{i}.{w}"]
+                                       for i in sorted(student.cfg.sgc_layers)
+                                       for w in ("w_in", "w_out")]
+        assert [a.tobytes() for a in handed[-1]] == [a.tobytes() for a in want]
+        return [r["loss_total"] for r in res.metrics]
 
-    # both modes run; detaching the spiking branch changes the trajectory
-    assert run(False) != run(True)
+    on, off = run(True), run(False)
+    assert len(handed[0]) == len(handed[1]) + 4  # both layers mirrored
+    assert on != off
 
 
 def test_rl_validates_method(rng):
@@ -282,7 +301,8 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
     """``rl_run`` as it was before batching: every sequence its own B=1
     forward, and the reference log-probs recomputed on every step. KTO's
     ``z_ref`` (kept in each row) scores prompt j with response j+1 (mod B)
-    the same way; each step makes one ``kto_loss`` call on B scalars."""
+    the same way, over the pairs of two different examples (0.0 if none);
+    each step makes one ``kto_loss`` call on B scalars."""
     def response_logprob(model, tokens, start):
         logits, _ = model.forward_batch(tokens[None, :])
         return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
@@ -325,12 +345,14 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
             else:
                 ratios = []
                 for j, i in enumerate(idx):
+                    if idx[(j + 1) % batch] == i:
+                        continue
                     nxt = examples[idx[(j + 1) % batch]]
                     toks, start = _example_tokens(examples[i].prompt, nxt.response)
                     with pause_recording():
                         ratios.append(response_logprob(policy, toks, start).item()
                                       - response_logprob(reference, toks, start).item())
-                z_ref = beta_pref * max(0.0, sum(ratios) / batch)
+                z_ref = beta_pref * max(0.0, sum(ratios) / len(ratios)) if ratios else 0.0
                 loss = kto_loss(lps, refs, labels, beta_pref, z_ref=z_ref)
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
@@ -472,6 +494,35 @@ def test_rl_kto_loss_moves_and_z_ref_matches_loop(rng, f64, monkeypatch):
     assert all(abs(r["loss"] - 0.5) > 1e-4 for r in got[1:])
     assert sum(z > 0 for z in z_refs) >= 3
     assert z_refs == pytest.approx([r["z_ref"] for r in want], rel=1e-9, abs=1e-12)
+
+
+def test_kto_z_ref_skips_an_examples_own_pair(rng, f64, monkeypatch):
+    """Rows 0 and 1 of ``idx`` are one example: their pair is that example's
+    own reward, which the mean over mismatched pairs leaves out. With every
+    row one example there is no pair: z_ref is 0.0 and no forward runs."""
+    policy = LanguageModel(tiny_cfg(), rng)
+    reference = policy.clone()
+    for t in reference.parameters():
+        t.data = t.data + rng.normal(0.0, 0.05, t.data.shape)
+    examples = _preference_examples("kto")
+    seqs = [[_example_tokens(e.prompt, e.response)] for e in examples]
+
+    def ratio(i, k):
+        ids, start = _example_tokens(examples[i].prompt, examples[k].response)
+        tokens, starts, lengths = _padded([(ids, start)])
+        return (_response_logprobs(policy, tokens, starts, lengths).item()
+                - _response_logprobs(reference, tokens, starts, lengths).item())
+
+    mismatched = [ratio(0, 1), ratio(1, 0)]
+    with_self = [ratio(0, 0)] + mismatched  # the mean before the fix
+    assert min(np.mean(mismatched), np.mean(with_self)) > 0  # no clipping at 0
+    got = training._kto_z_ref(policy, reference, seqs, np.array([0, 0, 1]), 0.1)
+    assert got == pytest.approx(0.1 * np.mean(mismatched), rel=1e-12)
+    assert got != pytest.approx(0.1 * np.mean(with_self), rel=1e-6)
+
+    monkeypatch.setattr(LanguageModel, "forward_batch",
+                        lambda *a, **kw: pytest.fail("a forward ran"))
+    assert training._kto_z_ref(policy, reference, seqs, np.array([2, 2, 2]), 0.1) == 0.0
 
 
 def test_rl_kto_needs_two_rows(rng):
