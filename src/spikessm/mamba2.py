@@ -538,11 +538,13 @@ _STRICT_LOWER = np.tri(SCAN_CHUNK, k=-1, dtype=bool)
 
 def _chunks(arr: np.ndarray, n_chunks: int, fill: float) -> np.ndarray:
     """(B, T, ...) -> (B, n_chunks, SCAN_CHUNK, ...), time padded with ``fill``."""
-    pad = n_chunks * SCAN_CHUNK - arr.shape[1]
-    if pad:
-        widths = [(0, 0), (0, pad)] + [(0, 0)] * (arr.ndim - 2)
-        arr = np.pad(arr, widths, constant_values=fill)
-    return arr.reshape((arr.shape[0], n_chunks, SCAN_CHUNK) + arr.shape[2:])
+    B, T = arr.shape[:2]
+    if T < n_chunks * SCAN_CHUNK:
+        padded = np.empty((B, n_chunks * SCAN_CHUNK) + arr.shape[2:], arr.dtype)
+        padded[:, :T] = arr
+        padded[:, T:] = fill
+        arr = padded
+    return arr.reshape((B, n_chunks, SCAN_CHUNK) + arr.shape[2:])
 
 
 def _unchunk(arr: np.ndarray, T: int) -> np.ndarray:

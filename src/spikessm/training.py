@@ -44,15 +44,14 @@ _OBJECTS = ["the slow river", "a quiet pulse", "the long memory",
 
 
 def synthetic_corpus(n_lines: int = 400, seed: int = 0) -> list[str]:
-    """Short templated sentences over a tiny vocabulary; easy to memorize."""
+    """Short templated sentences over a tiny vocabulary; easy to memorize.
+    The (subject, verb, object) picks of all lines are one bulk draw,
+    which numpy serves from the same stream as one draw per pick."""
+    if n_lines < 0:
+        raise ContractError(f"line count must be >= 0, got {n_lines}")
     rng = np.random.default_rng(seed)
-    lines = []
-    for _ in range(n_lines):
-        s = _SUBJECTS[rng.integers(len(_SUBJECTS))]
-        v = _VERBS[rng.integers(len(_VERBS))]
-        o = _OBJECTS[rng.integers(len(_OBJECTS))]
-        lines.append(f"{s} {v} {o}.")
-    return lines
+    picks = rng.integers((len(_SUBJECTS), len(_VERBS), len(_OBJECTS)), size=(n_lines, 3))
+    return [f"{_SUBJECTS[s]} {_VERBS[v]} {_OBJECTS[o]}." for s, v, o in picks.tolist()]
 
 
 def token_stream(lines: list[str]) -> np.ndarray:
@@ -169,11 +168,15 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
 
 def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
                     prompt_len: int, batch: int = 32) -> np.ndarray:
-    outs = []
-    for i in range(0, seqs.shape[0], batch):
+    """(n, T - prompt_len, vocab) teacher logits over the continuation,
+    copied batch by batch into one array, so no slice keeps a batch's
+    full logits alive."""
+    n, T = seqs.shape
+    out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
+    for i in range(0, n, batch):
         logits, _ = teacher.forward_batch(seqs[i:i + batch])
-        outs.append(logits.data[:, prompt_len - 1:-1, :])
-    return np.concatenate(outs, axis=0)
+        out[i:i + batch] = logits.data[:, prompt_len - 1:-1, :]
+    return out
 
 
 def distill_run(teacher: LanguageModel, student: LanguageModel,
@@ -299,16 +302,20 @@ def load_preference_file(path, method: str) -> list[PreferenceExample]:
 def synth_preference_lines(lines: list[str], n: int, seed: int,
                            method: str) -> list[str]:
     """Toy preference data: real corpus continuations are preferred over
-    random byte noise."""
+    random printable-ASCII noise, drawn one line's worth at a time."""
+    if method not in ("dpo", "kto"):
+        raise ContractError(f"unknown preference method {method!r}")
+    if not lines:
+        raise ContractError("no corpus lines to build preferences from")
+    if n < 0:
+        raise ContractError(f"preference count must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    printable = [chr(c) for c in range(33, 127)]
     out = []
     for _ in range(n):
         line = lines[rng.integers(len(lines))]
         cut = max(3, len(line) // 3)
         prompt, good = line[:cut], line[cut:]
-        noise = "".join(printable[rng.integers(len(printable))]
-                        for _ in range(len(good)))
+        noise = rng.integers(33, 127, size=len(good)).astype(np.uint8).tobytes().decode("ascii")
         if method == "dpo":
             out.append(f"{prompt}\t{good}\t{noise}")
         else:

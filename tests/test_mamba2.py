@@ -437,6 +437,30 @@ def test_ssm_scan_grad_across_chunks(rng, f64):
     assert check_gradients(loss_fn, leaves, rng, probes=150) < REL_TOL
 
 
+def chunks_np_pad(arr, n_chunks, fill):
+    """The scan's chunking as first written, through ``np.pad``: the
+    oracle for :func:`mamba2._chunks`."""
+    pad = n_chunks * SCAN_CHUNK - arr.shape[1]
+    if pad:
+        widths = [(0, 0), (0, pad)] + [(0, 0)] * (arr.ndim - 2)
+        arr = np.pad(arr, widths, constant_values=fill)
+    return arr.reshape((arr.shape[0], n_chunks, SCAN_CHUNK) + arr.shape[2:])
+
+
+@pytest.mark.parametrize("dtype, uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+@pytest.mark.parametrize("T", [1, 15, 16, 17, 41, 64])
+@pytest.mark.parametrize("fill", [1.0, 0.0])
+def test_chunks_bit_equal_to_np_pad(dtype, uint, T, fill, rng):
+    nC = -(-T // SCAN_CHUNK)
+    for shape in [(2, T), (2, T, 3), (2, T, 2, 4)]:
+        arr = rng.normal(size=shape).astype(dtype)
+        arr.reshape(-1)[::3] = -0.0
+        for a in (arr, np.swapaxes(np.swapaxes(arr, 0, 1).copy(), 0, 1)):  # and a strided view
+            got, want = mamba2._chunks(a, nC, fill), chunks_np_pad(a, nC, fill)
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
 def test_ssm_scan_zero_decay_finite(rng):
     # float32 exp(-dt*A) underflows to exactly 0 for a large step
     arrays = [a.astype(np.float32) for a in _scan_inputs(rng, 2, 2 * SCAN_CHUNK + 3)]

@@ -13,10 +13,12 @@ from spikessm.losses import dpo_loss, kto_loss, sequence_logprob
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.optim import AdamW, lr_schedule
 from spikessm import training
+from spikessm.cli import main
 from spikessm.tensor import (
     ContractError,
     Graph,
     Tensor,
+    dtype_scope,
     narrow,
     pause_recording,
     reshape,
@@ -28,6 +30,7 @@ from spikessm.training import (
     _example_tokens,
     _padded,
     _response_logprobs,
+    _teacher_logits,
     distill_run,
     eval_ppl,
     generate_pseudo_labels,
@@ -55,6 +58,111 @@ def test_corpus_deterministic():
     assert a == b
     assert a != synthetic_corpus(50, seed=4)
     assert all(line.endswith(".") for line in a)
+
+
+# The generators as first written, one ``rng.integers`` call per field
+# and per noise character: the oracles for the bulk draws in src.
+
+def synthetic_corpus_per_draw(n_lines, seed):
+    rng = np.random.default_rng(seed)
+    subjects, verbs, objects = training._SUBJECTS, training._VERBS, training._OBJECTS
+    lines = []
+    for _ in range(n_lines):
+        s = subjects[rng.integers(len(subjects))]
+        v = verbs[rng.integers(len(verbs))]
+        o = objects[rng.integers(len(objects))]
+        lines.append(f"{s} {v} {o}.")
+    return lines
+
+
+def synth_preference_lines_per_draw(lines, n, seed, method):
+    rng = np.random.default_rng(seed)
+    printable = [chr(c) for c in range(33, 127)]
+    out = []
+    for _ in range(n):
+        line = lines[rng.integers(len(lines))]
+        cut = max(3, len(line) // 3)
+        prompt, good = line[:cut], line[cut:]
+        noise = "".join(printable[rng.integers(len(printable))]
+                        for _ in range(len(good)))
+        if method == "dpo":
+            out.append(f"{prompt}\t{good}\t{noise}")
+        else:
+            label = "+1" if rng.integers(2) else "-1"
+            out.append(f"{prompt}\t{good if label == '+1' else noise}\t{label}")
+    return out
+
+
+ORACLE_SEEDS = list(range(50)) + [2**31, 12345678901]
+ORACLE_SIZES = [0, 1, 7, 400, 1000]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_corpus_equals_per_draw_oracle(n):
+    for seed in ORACLE_SEEDS:
+        assert synthetic_corpus(n, seed) == synthetic_corpus_per_draw(n, seed), seed
+
+
+@pytest.mark.parametrize("method", ["dpo", "kto"])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_preferences_equal_per_draw_oracle(n, method):
+    for seed in ORACLE_SEEDS:
+        lines = synthetic_corpus_per_draw(200, seed)
+        assert (synth_preference_lines(lines, n, seed, method)
+                == synth_preference_lines_per_draw(lines, n, seed, method)), seed
+
+
+@pytest.mark.parametrize("method", ["dpo", "kto"])
+def test_preferences_from_short_lines_draw_no_noise(method):
+    """A line of 3 characters or fewer is all prompt: no noise is drawn,
+    and the next line's draws must not shift."""
+    lines = ["a", "bc", "def", "ghij", "the spike rides a quiet pulse."]
+    for seed in range(20):
+        got = synth_preference_lines(lines, 50, seed, method)
+        assert got == synth_preference_lines_per_draw(lines, 50, seed, method)
+    short = synth_preference_lines(["xyz"], 3, 0, "dpo")
+    assert short == ["xyz\t\t"] * 3
+
+
+def test_corpus_refuses_negative_count():
+    assert synthetic_corpus(0, seed=0) == []
+    with pytest.raises(ContractError, match="line count"):
+        synthetic_corpus(-1, seed=0)
+
+
+def test_preferences_refuse_negative_count():
+    lines = synthetic_corpus(5, seed=0)
+    assert synth_preference_lines(lines, 0, 0, "dpo") == []
+    with pytest.raises(ContractError, match="preference count"):
+        synth_preference_lines(lines, -1, 0, "kto")
+
+
+def test_preferences_refuse_unknown_method():
+    with pytest.raises(ContractError, match="unknown preference method"):
+        synth_preference_lines(synthetic_corpus(5, seed=0), 3, 0, "ipo")
+
+
+def test_preferences_refuse_empty_corpus():
+    with pytest.raises(ContractError, match="no corpus lines"):
+        synth_preference_lines([], 3, 0, "dpo")
+
+
+@pytest.mark.parametrize("method", ["dpo", "kto"])
+def test_cli_corpus_and_preferences_equal_oracle_text(method, tmp_path):
+    """``train-teacher``'s corpus.txt and ``rl``'s synthesised
+    preferences.tsv, byte for byte the per-draw oracles' text."""
+    teacher = tmp_path / "teacher"
+    assert main(["train-teacher", "--steps", "1", "--batch", "2", "--seq-len", "8",
+                 "--corpus-lines", "60", "--seed", "3", "--out", str(teacher)]) == 0
+    want = "\n".join(synthetic_corpus_per_draw(60, 3)) + "\n"
+    assert (teacher / "corpus.txt").read_bytes() == want.encode("utf-8")
+
+    out = tmp_path / "rl"
+    assert main(["rl", "--method", method, "--ckpt", str(teacher / "teacher.spkm"),
+                 "--steps", "1", "--batch", "2", "--corpus-lines", "150",
+                 "--seed", "5", "--out", str(out)]) == 0
+    prefs = synth_preference_lines_per_draw(synthetic_corpus_per_draw(200, 5), 150, 5, method)
+    assert (out / "preferences.tsv").read_bytes() == ("\n".join(prefs) + "\n").encode("utf-8")
 
 
 def test_token_stream_framing():
@@ -106,6 +214,28 @@ def test_pseudo_labels_deterministic_shape(rng):
     again = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
                                    total_len=12, seed=5)
     np.testing.assert_array_equal(seqs, again)
+
+
+def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
+    """``_teacher_logits`` as first written: per-batch slices, then one
+    concatenate."""
+    outs = []
+    for i in range(0, seqs.shape[0], batch):
+        logits, _ = teacher.forward_batch(seqs[i:i + batch])
+        outs.append(logits.data[:, prompt_len - 1:-1, :])
+    return np.concatenate(outs, axis=0)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_teacher_logits_bit_equal_to_concatenate(precision, rng):
+    with dtype_scope(precision):
+        teacher = LanguageModel(tiny_cfg(), rng)
+        seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
+        got = _teacher_logits(teacher, seqs, 6, batch=4)
+        want = teacher_logits_concatenated(teacher, seqs, 6, batch=4)
+    assert got.shape == want.shape == (11, 14, 259)
+    assert got.dtype == want.dtype == np.dtype(precision)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_distill_requires_spiking_student(rng):
