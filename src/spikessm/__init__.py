@@ -48,7 +48,7 @@ from .mamba2 import (
     sgc_forward,
     toy_config,
 )
-from .energy import EnergyConstants, EnergyReport, compute_report, count_ops
+from .energy import EnergyReport, compute_report, count_ops
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "ContractError",
     "DENSE",
     "DimensionError",
-    "EnergyConstants",
     "EnergyReport",
     "FireStats",
     "Graph",

@@ -39,9 +39,7 @@ MAX_RANK = 2
 
 
 def config_to_json(cfg: Mamba2Config) -> str:
-    d = asdict(cfg)
-    d["sgc_layers"] = sorted(cfg.sgc_layers)
-    return json.dumps(d, sort_keys=True)
+    return json.dumps(asdict(cfg), sort_keys=True)
 
 
 # JSON types a config value may take, by the field's annotation; every
@@ -76,12 +74,7 @@ def config_from_json(text: str) -> Mamba2Config:
     except json.JSONDecodeError as exc:
         raise ContractError(f"config is not valid JSON: {exc}") from None
     d = _checked(d, Mamba2Config)
-    layers = d["sgc_layers"]
-    if not (isinstance(layers, list) and
-            all(isinstance(i, int) and not isinstance(i, bool) for i in layers)):
-        raise ContractError("config key 'sgc_layers' must be a list of layer indices")
     d["neuron"] = NeuronConfig(**_checked(d["neuron"], NeuronConfig))
-    d["sgc_layers"] = frozenset(layers)
     return Mamba2Config(**d)
 
 

@@ -166,7 +166,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 # counts a run cannot do without: zero steps would leave no metrics row,
 # zero trials or probes would pass a check that checked nothing
 POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
-            "corpus_lines")
+            "corpus_lines", "d_max", "k")
 # rates and scales: zero, negative or non-finite would run a step that
 # trains nothing or turns the weights non-finite
 POSITIVE_FINITE = ("lr", "beta_pref")

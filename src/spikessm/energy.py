@@ -1,10 +1,10 @@
 """Analytic per-token energy model.
 
 Every arithmetic operation a block performs in one decoding step is
-counted from the architecture geometry, then priced with per-op energy
-constants for 45nm float32 hardware. Spiking variants replace the two
-projection matmuls with sparse accumulations scaled by measured fire
-rates and the micro-step count k.
+counted from the architecture geometry, then priced with the fixed
+per-op energies of 45nm float32 hardware (``PRICE_PJ``). Spiking
+variants replace the two projection matmuls with sparse accumulations
+scaled by measured fire rates and the micro-step count k.
 
 The category split (which rows roll up into the SSM column versus the
 Others column) was calibrated so the model reproduces the published
@@ -29,21 +29,8 @@ MM = "mm"
 EM = "em"
 ADD = "add"
 
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    """Energy per operation in picojoules (45nm, float32)."""
-
-    e_mm: float = 4.6
-    e_em: float = 3.7
-    e_add: float = 0.9
-
-    def __post_init__(self):
-        if min(self.e_mm, self.e_em, self.e_add) <= 0:
-            raise ContractError("energy constants must be positive")
-
-    def price(self, kind: str) -> float:
-        return {MM: self.e_mm, EM: self.e_em, ADD: self.e_add}[kind]
+# energy per operation in picojoules (45nm, float32)
+PRICE_PJ = {MM: 4.6, EM: 3.7, ADD: 0.9}
 
 
 @dataclass(frozen=True)
@@ -177,13 +164,12 @@ class EnergyReport:
         return self.in_proj_uj + self.out_proj_uj + self.ssm_uj + self.others_uj
 
 
-def energy_report(rows: list[OpRow], constants: EnergyConstants = EnergyConstants(),
-                  *, config: str = "", variant: str = ANN, k: int = 1,
-                  fr_in: float = 0.0, fr_out: float = 0.0) -> EnergyReport:
+def energy_report(rows: list[OpRow], *, config: str = "", variant: str = ANN,
+                  k: int = 1, fr_in: float = 0.0, fr_out: float = 0.0) -> EnergyReport:
     """Price counted operations and roll them up into report categories."""
     buckets = {IN_PROJ: 0.0, OUT_PROJ: 0.0, SSM: 0.0, OTHERS: 0.0, NEURON: 0.0}
     for r in rows:
-        buckets[CATEGORY[r.name]] += r.count * constants.price(r.kind)
+        buckets[CATEGORY[r.name]] += r.count * PRICE_PJ[r.kind]
     return EnergyReport(
         config=config, variant=variant, k=k, fr_in=fr_in, fr_out=fr_out,
         in_proj_uj=buckets[IN_PROJ] / PJ_PER_UJ,
@@ -195,14 +181,12 @@ def energy_report(rows: list[OpRow], constants: EnergyConstants = EnergyConstant
 
 
 def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
-                   fr_out: float = 0.0, k: int = 1,
-                   constants: EnergyConstants = EnergyConstants(),
-                   config: str = "") -> EnergyReport:
+                   fr_out: float = 0.0, k: int = 1, config: str = "") -> EnergyReport:
     """Count, price, and attach the efficiency ratio against the ANN baseline."""
     rows = count_ops(geom, variant, fr_in=fr_in, fr_out=fr_out, k=k)
-    report = energy_report(rows, constants, config=config, variant=variant,
+    report = energy_report(rows, config=config, variant=variant,
                            k=k, fr_in=fr_in, fr_out=fr_out)
-    base = energy_report(count_ops(geom, ANN), constants, config=config)
+    base = energy_report(count_ops(geom, ANN), config=config)
     ratio = base.total_uj / report.total_uj if report.total_uj > 0 else None
     return replace(report, ratio=ratio if variant != ANN else 1.0)
 

@@ -36,16 +36,15 @@ def analytic_grads(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> l
     return [grads[id(p)] for p in params]
 
 
-def numeric_grad_entry(loss_fn: Callable[[], Tensor], param: Tensor, flat_index: int,
-                       step: float = FD_STEP) -> float:
+def numeric_grad_entry(loss_fn: Callable[[], Tensor], param: Tensor, flat_index: int) -> float:
     flat = param.data.reshape(-1)
     orig = flat[flat_index]
-    flat[flat_index] = orig + step
+    flat[flat_index] = orig + FD_STEP
     hi = float(loss_fn().data)
-    flat[flat_index] = orig - step
+    flat[flat_index] = orig - FD_STEP
     lo = float(loss_fn().data)
     flat[flat_index] = orig
-    return (hi - lo) / (2.0 * step)
+    return (hi - lo) / (2.0 * FD_STEP)
 
 
 def check_gradients(
@@ -53,7 +52,6 @@ def check_gradients(
     params: Sequence[Tensor],
     rng: np.random.Generator,
     probes: int = 100,
-    step: float = FD_STEP,
 ) -> float:
     """Max relative error between tape and finite-difference gradients.
 
@@ -69,7 +67,7 @@ def check_gradients(
         pi = int(np.searchsorted(np.cumsum(sizes), pick, side="right"))
         fi = pick - int(np.cumsum(sizes)[pi - 1]) if pi > 0 else pick
         a = float(analytic[pi].reshape(-1)[fi])
-        n = numeric_grad_entry(loss_fn, params[pi], fi, step=step)
+        n = numeric_grad_entry(loss_fn, params[pi], fi)
         rel = abs(a - n) / max(abs(a), abs(n), DENOM_FLOOR)
         worst = max(worst, rel)
     return worst

@@ -63,14 +63,10 @@ KERNELS = ("matmul", "int", "event")
 SITE_U = "u_t"
 SITE_Y = "y_t"
 SITES = (SITE_U, SITE_Y)
+CLAMP_MODES = ("off", "max_to_zero", "max_to_one")
 
 # hook signature: (layer index, site, activations) -> activations
 Hook = Callable[[int, str, np.ndarray], np.ndarray]
-
-
-def default_sgc_layers(n_layers: int) -> frozenset[int]:
-    """First, middle and last layer."""
-    return frozenset({0, n_layers // 2, n_layers - 1})
 
 
 @dataclass(frozen=True)
@@ -83,8 +79,9 @@ class Mamba2Config:
     vocab: int
     mode: str = DENSE
     neuron: NeuronConfig = field(default_factory=NeuronConfig)
-    # the layers distill_run gives a compensation path (no model parameters)
-    sgc_layers: frozenset[int] = frozenset()
+    # whether distill_run trains a compensation path (no model parameters;
+    # it picks the layers, training.compensated_layers)
+    sgc: bool = False
 
     def __post_init__(self):
         if self.n_heads * self.d_head != 2 * self.d_model:
@@ -94,11 +91,6 @@ class Mamba2Config:
             )
         if self.mode not in (DENSE, SPIKING):
             raise ContractError(f"unknown mode {self.mode!r}")
-        # compared, not looked up in range(n_layers): that set would be as
-        # large as a crafted config's layer count
-        if not all(0 <= i < self.n_layers for i in self.sgc_layers):
-            raise ContractError("sgc_layers must be a subset of layer indices")
-        object.__setattr__(self, "sgc_layers", frozenset(self.sgc_layers))
 
     @property
     def d_inner(self) -> int:
@@ -117,17 +109,16 @@ class Mamba2Config:
 def toy_config(mode: str = DENSE, neuron: NeuronConfig | None = None,
                sgc: bool = False) -> Mamba2Config:
     """Desk-scale preset used by the training experiments."""
-    n_layers = 2
     return Mamba2Config(
         d_model=64,
         n_state=16,
         n_heads=2,
         d_head=64,
-        n_layers=n_layers,
+        n_layers=2,
         vocab=259,
         mode=mode,
         neuron=neuron or NeuronConfig(),
-        sgc_layers=default_sgc_layers(n_layers) if sgc else frozenset(),
+        sgc=sgc,
     )
 
 
@@ -300,19 +291,17 @@ def hidden_align_loss(y_spiking: Tensor, y_sgc: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # activation ablation hook
 
-def clamp_channel_hook(y: np.ndarray, mode: str, site: str = SITE_Y) -> np.ndarray:
+def clamp_channel_hook(y: np.ndarray, mode: str) -> np.ndarray:
     """Replace each channel's per-sequence maximum activation with 0 or 1.
 
     ``y`` is (..., T, d); channels are the trailing axis, the maximum is
     taken over the sequence axis, and ties resolve to the first
     occurrence.
     """
-    if site not in SITES:
-        raise ContractError(f"unknown site {site!r}")
+    if mode not in CLAMP_MODES:
+        raise ContractError(f"unknown clamp mode {mode!r}")
     if mode == "off":
         return y
-    if mode not in ("max_to_zero", "max_to_one"):
-        raise ContractError(f"unknown clamp mode {mode!r}")
     value = 0.0 if mode == "max_to_zero" else 1.0
     out = np.array(y, copy=True)
     idx = np.argmax(out, axis=-2)  # first occurrence per channel
@@ -321,10 +310,15 @@ def clamp_channel_hook(y: np.ndarray, mode: str, site: str = SITE_Y) -> np.ndarr
 
 
 def make_clamp_hook(mode: str, site: str) -> Hook:
+    """A hook clamping every layer's activations at ``site``; ``mode`` and
+    ``site`` are checked here, before any forward runs."""
+    if mode not in CLAMP_MODES:
+        raise ContractError(f"unknown clamp mode {mode!r}")
+    if site not in SITES:
+        raise ContractError(f"unknown site {site!r}")
+
     def hook(layer: int, at: str, data: np.ndarray) -> np.ndarray:
-        if at == site:
-            return clamp_channel_hook(data, mode, site=site)
-        return data
+        return clamp_channel_hook(data, mode) if at == site else data
     return hook
 
 
@@ -336,7 +330,7 @@ class BlockAux:
     s_in: np.ndarray | None = None   # integer activations at the input projection
     s_out: np.ndarray | None = None  # integer activations at the output projection
     # (spiking output, compensation output) tape tensors per projection of
-    # a block handed mirrors, as distill_run does at each of cfg.sgc_layers
+    # a block handed mirrors, as distill_run does when cfg.sgc is set
     sgc_pairs: list[tuple] = field(default_factory=list)
 
 
@@ -706,15 +700,14 @@ class LanguageModel:
     def clone(self, mode: str | None = None, neuron: NeuronConfig | None = None,
               sgc: bool | None = None) -> "LanguageModel":
         """Copy of this model in the run precision, optionally switching
-        mode / neuron / SGC layers (the layers :func:`training.distill_run`
+        mode / neuron / the SGC flag (whether :func:`training.distill_run`
         gives a compensation path); the parameters are the same in all."""
         cfg = self.cfg
         new_cfg = replace(
             cfg,
             mode=mode if mode is not None else cfg.mode,
             neuron=neuron if neuron is not None else cfg.neuron,
-            sgc_layers=(default_sgc_layers(cfg.n_layers) if sgc else frozenset())
-            if sgc is not None else cfg.sgc_layers,
+            sgc=sgc if sgc is not None else cfg.sgc,
         )
         return LanguageModel.from_tensors(
             new_cfg, {name: t.data.copy() for name, t in self.named_parameters()})
@@ -761,8 +754,7 @@ class LanguageModel:
     def step(self, token: np.ndarray, state: ModelState, *, kernel: str = "int",
              counter: OpCounter | None = None) -> tuple[np.ndarray, ModelState]:
         """Next-token logits for one token id per batch entry."""
-        token = np.asarray(token)
-        x = self.embedding.data[token]
+        x = tn.embedding_forward(self.embedding.data, np.asarray(token))
         new_blocks = []
         for i, (layer, bst) in enumerate(zip(self.layers, state.blocks)):
             x_in, _ = tn.rmsnorm_forward(x, self.pre_norms[i].data, RMS_EPS)

@@ -27,16 +27,11 @@ class NeuronConfig:
 
     Decay and threshold are fixed at 1: the micro-step expansion is exact
     only then, so neither is a setting.
-
-    ``passthrough`` is a test hook: the neuron becomes the identity with
-    unit gradient, which makes a spiking model arithmetically equal to
-    its dense counterpart.
     """
 
     kind: str = TILIF
     d_max: int = 4
     alpha: float = 1.0
-    passthrough: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,8 +60,6 @@ class SpikeTrain:
 
 def quantize(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
     """Plain-array neuron forward. Ties round half to even."""
-    if cfg.passthrough:
-        return x
     if cfg.kind == LIF:
         return (x - 1.0 >= 0.0).astype(x.dtype)
     r = np.round(x)
@@ -76,8 +69,6 @@ def quantize(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
 
 def surrogate_window(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
     """Rectangular surrogate: alpha inside the (inclusive) active range, else 0."""
-    if cfg.passthrough:
-        return np.ones_like(x)
     d = float(cfg.d_max)
     lo = 0.0 if cfg.kind == ILIF else -d
     return np.where((x >= lo) & (x <= d), cfg.alpha, 0.0).astype(x.dtype)

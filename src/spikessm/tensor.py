@@ -715,11 +715,16 @@ def causal_conv1d(x, kernel, state: np.ndarray | None = None):
 # ---------------------------------------------------------------------------
 # embedding gather
 
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
+def embedding_forward(weight: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``weight`` at ``ids``; an id outside [0, rows) is refused."""
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise ContractError(f"token id out of range [0, {weight.shape[0]})")
-    data = weight.data[ids]
+    return weight[ids]
+
+
+def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
+    ids = np.asarray(ids)
+    data = embedding_forward(weight.data, ids)
 
     def grad_fn(g):
         dw = np.zeros_like(weight.data)

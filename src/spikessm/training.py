@@ -179,6 +179,11 @@ def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
     return out
 
 
+def compensated_layers(n_layers: int) -> frozenset[int]:
+    """The layers a compensation path serves: first, middle and last."""
+    return frozenset({0, n_layers // 2, n_layers - 1})
+
+
 def distill_run(teacher: LanguageModel, student: LanguageModel,
                 lines: list[str], *, steps: int = 2000, batch: int = 8,
                 prompt_len: int = 8, total_len: int = 64,
@@ -186,9 +191,10 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     """Single-stage distillation: KL on teacher pseudo-labels plus the
     hidden alignment losses from the compensation path.
 
-    Each layer of ``student.cfg.sgc_layers`` gets mirrors of its two
-    projections, trained parameters that start as copies of them and are
-    dropped when the run ends: the compensation path is training-only.
+    With ``student.cfg.sgc`` set, each of :func:`compensated_layers`
+    gets mirrors of its two projections, trained parameters that start
+    as copies of them and are dropped when the run ends: the
+    compensation path is training-only.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -204,8 +210,9 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         teacher_logits=_teacher_logits(teacher, seqs, prompt_len))
 
     rng = np.random.default_rng(seed + 1)
+    layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
     mirrors = {i: (parameter(layer.w_in.data.copy()), parameter(layer.w_out.data.copy()))
-               for i, layer in enumerate(student.layers) if i in student.cfg.sgc_layers}
+               for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     opt = AdamW(params)
     cont = seqs.shape[1] - prompt_len

@@ -24,6 +24,15 @@ def rng():
 
 
 @pytest.fixture
+def identity_neuron(monkeypatch):
+    """Make the neuron of every model the identity with unit gradient, so
+    a spiking model computes exactly what its dense counterpart does."""
+    from spikessm import mamba2
+    monkeypatch.setattr(mamba2, "neuron_forward", lambda cfg, x: x)
+    monkeypatch.setattr(mamba2, "quantize", lambda cfg, x: x)
+
+
+@pytest.fixture
 def f64():
     """Run the test body at 64-bit precision (gradient-check mode)."""
     with dtype_scope("float64"):

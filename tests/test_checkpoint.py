@@ -15,7 +15,7 @@ def make_model(rng):
     cfg = Mamba2Config(
         d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=2, vocab=11,
         mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4, alpha=0.5),
-        sgc_layers=frozenset({0, 1}),
+        sgc=True,
     )
     return LanguageModel(cfg, rng)
 
@@ -144,8 +144,10 @@ def test_checkpoint_bad_config_names_offset(tmp_path, text, msg):
 def test_config_keys_and_values_checked(rng):
     d = json.loads(config_to_json(make_model(rng).cfg))
     for key, value in [("extra", 1), ("d_model", "8"), ("d_model", 0),
-                       ("d_model", True), ("sgc_layers", [0.5]), ("mode", 3),
-                       ("conv_width", 4), ("neuron", {**d["neuron"], "beta": 1.0})]:
+                       ("d_model", True), ("mode", 3), ("sgc", 1), ("sgc", "true"),
+                       ("sgc", None), ("sgc_layers", [0, 1]), ("conv_width", 4),
+                       ("neuron", {**d["neuron"], "beta": 1.0}),
+                       ("neuron", {**d["neuron"], "passthrough": False})]:
         with pytest.raises(ContractError):
             config_from_json(json.dumps({**d, key: value}))
     with pytest.raises(ContractError, match="missing"):

@@ -161,12 +161,12 @@ def test_eval_ppl_config_the_tensors_do_not_back(teacher_dir, tmp_path, capsys):
 
 
 def test_eval_ppl_huge_layer_count_fails_fast(teacher_dir, tmp_path):
-    # a set or shape table of 10**12 layers would never finish (or fill
-    # the host's memory), so the run is bounded by a timeout
+    # a shape table of 10**12 layers would never finish (or fill the
+    # host's memory), so the run is bounded by a timeout
     blob = (teacher_dir / "teacher.spkm").read_bytes()
     (n,) = struct.unpack("<I", blob[8:12])
     cfg = json.dumps({**json.loads(blob[12:12 + n]), "n_layers": 10 ** 12,
-                      "sgc_layers": [0, 10 ** 12 - 1]}).encode()
+                      "sgc": True}).encode()
     bad = tmp_path / "deep.spkm"
     bad.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
     cmd = [sys.executable, "-m", "spikessm.cli", "eval-ppl", "--ckpt", str(bad),
@@ -175,6 +175,25 @@ def test_eval_ppl_huge_layer_count_fails_fast(teacher_dir, tmp_path):
     assert proc.returncode == 2
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and f"{10 ** 12} layers" in err[0], err
+
+
+def test_eval_ppl_refuses_a_container_with_the_old_config_keys(teacher_dir, tmp_path,
+                                                               capsys):
+    # the keys a container carried before the compensation setting became
+    # one flag and the neuron lost its test hook
+    blob = (teacher_dir / "teacher.spkm").read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    old = json.loads(blob[12:12 + n])
+    del old["sgc"]
+    old.update(sgc_layers=[], neuron={**old["neuron"], "passthrough": False})
+    cfg = json.dumps(old, sort_keys=True).encode()
+    bad = tmp_path / "old.spkm"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
+    rc = main(["eval-ppl", "--ckpt", str(bad), "--corpus", str(teacher_dir / "corpus.txt"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown ['sgc_layers'], missing ['sgc']" in err[0], err
 
 
 def test_eval_ppl_layer_count_mismatch_is_one_short_line(teacher_dir, tmp_path, capsys):
@@ -346,6 +365,8 @@ def test_rl_requires_method(teacher_dir, tmp_path):
     ["train-teacher", "--corpus-lines", "0"],
     ["distill", "--teacher", "t.spkm", "--corpus-lines", "-2"],
     ["rl", "--method", "kto", "--ckpt", "p.spkm", "--corpus-lines", "0"],
+    ["distill", "--teacher", "t.spkm", "--d-max", "0"],
+    ["energy-report", "--k", "0"],
 ])
 def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     out = tmp_path / "o"

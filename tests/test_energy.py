@@ -8,7 +8,6 @@ from spikessm.energy import (
     PRESETS,
     REFERENCE_ROWS,
     TILIF_V,
-    EnergyConstants,
     Geometry,
     compare_to_reference,
     compute_report,
@@ -55,8 +54,6 @@ def test_input_validation():
     with pytest.raises(ContractError):
         count_ops(PRESETS["130m"], "gelu")
     with pytest.raises(ContractError):
-        EnergyConstants(e_mm=0.0)
-    with pytest.raises(ContractError):
         Geometry(d_model=8, n_state=4, n_heads=3, d_head=8, n_layers=1)
 
 
@@ -98,15 +95,6 @@ def test_ssm_others_reproduced_from_rows_alone():
         assert r.ssm_uj == pytest.approx(ssm, rel=0.01)
         assert r.others_uj == pytest.approx(others, rel=0.01)
         assert r.ssm_uj + r.others_uj == pytest.approx(ssm + others, rel=0.005)
-
-
-def test_ratio_scale_invariant_in_constants():
-    for c in (0.1, 3.0, 42.0):
-        scaled = EnergyConstants(e_mm=4.6 * c, e_em=3.7 * c, e_add=0.9 * c)
-        base = compute_report(PRESETS["130m"], TILIF_V, 0.3498, 0.1215, 4)
-        got = compute_report(PRESETS["130m"], TILIF_V, 0.3498, 0.1215, 4,
-                             constants=scaled)
-        assert got.ratio == pytest.approx(base.ratio, rel=1e-12)
 
 
 def test_total_monotone_in_rates_and_k(rng):

@@ -17,7 +17,7 @@ from spikessm.mamba2 import (
     block_forward,
     block_step,
     clamp_channel_hook,
-    default_sgc_layers,
+    make_clamp_hook,
     hidden_align_loss,
     init_block_params,
     init_block_state,
@@ -50,10 +50,6 @@ def small_config(mode=DENSE, **kw):
 def test_config_invariants():
     with pytest.raises(ContractError):
         Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=4, n_layers=1, vocab=5)
-    with pytest.raises(ContractError):
-        Mamba2Config(d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=1,
-                     vocab=5, sgc_layers=frozenset({3}))
-    assert default_sgc_layers(6) == {0, 3, 5}
     assert small_config(neuron=NeuronConfig(kind=LIF, d_max=1)).micro_steps == 1
     assert small_config(neuron=NeuronConfig(kind=TILIF, d_max=4)).micro_steps == 4
     assert toy_config().n_heads * toy_config().d_head == 2 * toy_config().d_model
@@ -200,6 +196,18 @@ def test_generate_greedy_refuses_bad_lengths(rng):
     with pytest.raises(ContractError, match="max_new must be >= 0"):
         model.generate_greedy(np.array([[1, 2]]), -1)
     assert model.generate_greedy(np.array([[1, 2]]), 0).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("bad", [-1, 11])  # small_config has 11 token ids
+def test_step_refuses_token_ids_outside_the_vocabulary(rng, bad):
+    model = LanguageModel(small_config(), rng)
+    out_of_range = r"token id out of range \[0, 11\)"
+    with pytest.raises(ContractError, match=out_of_range):
+        model.step(np.array([bad]), model.init_state((1,)))
+    with pytest.raises(ContractError, match=out_of_range):
+        model.generate_greedy(np.array([[1, 2, bad]]), 3)
+    with pytest.raises(ContractError, match=out_of_range):
+        model.forward_batch(np.array([[1, 2, bad]]))
 
 
 def _greedy_stepping_after_every_token(model, prompts, max_new, kernel):
@@ -502,6 +510,16 @@ def test_clamp_hook_examples():
     np.testing.assert_array_equal(out, [[1.0], [2.0], [2.0]])
 
 
+def test_make_clamp_hook_checks_mode_and_site_when_built():
+    y = np.array([[1.0, 2.0], [5.0, 3.0]])
+    hook = make_clamp_hook("max_to_zero", "u_t")
+    np.testing.assert_array_equal(hook(0, "u_t", y), [[1.0, 2.0], [0.0, 0.0]])
+    assert hook(0, "y_t", y) is y
+    for mode, site in [("max_to_two", "u_t"), ("max_to_zero", "z_t")]:
+        with pytest.raises(ContractError, match="unknown"):
+            make_clamp_hook(mode, site)
+
+
 def test_zero_weight_model_uniform(rng):
     cfg = small_config()
     model = LanguageModel(cfg, rng)
@@ -546,11 +564,10 @@ def test_single_block_oracle(rng, f64):
     np.testing.assert_allclose(logits.data[0, 0], expect, atol=1e-12)
 
 
-def test_dense_matches_spiking_passthrough(rng, f64):
+def test_dense_matches_spiking_passthrough(rng, f64, identity_neuron):
     cfg = small_config()
     dense = LanguageModel(cfg, rng)
-    spik = dense.clone(mode=SPIKING,
-                       neuron=NeuronConfig(kind=TILIF, d_max=4, passthrough=True))
+    spik = dense.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
     toks = np.array([[1, 4, 2, 9, 0]])
     a, _ = dense.forward_batch(toks)
     b, _ = spik.forward_batch(toks)
@@ -560,14 +577,13 @@ def test_dense_matches_spiking_passthrough(rng, f64):
 def _clone_oracle(model, mode=None, neuron=None, sgc=None):
     """The field-by-field clone ``from_tensors`` replaced: a random
     initialisation of the new config with every value then overwritten.
-    The compensation layers change only the config."""
+    The compensation flag changes only the config."""
     cfg = model.cfg
     new_cfg = replace(
         cfg,
         mode=mode if mode is not None else cfg.mode,
         neuron=neuron if neuron is not None else cfg.neuron,
-        sgc_layers=(default_sgc_layers(cfg.n_layers) if sgc else frozenset())
-        if sgc is not None else cfg.sgc_layers,
+        sgc=sgc if sgc is not None else cfg.sgc,
     )
     other = LanguageModel(new_cfg)
     other.embedding.data = model.embedding.data.copy()
@@ -585,12 +601,12 @@ SPIKE4 = NeuronConfig(kind=TILIF, d_max=4)
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("source, switch", [
-    (dict(sgc_layers=frozenset({1})), dict(sgc=True)),    # on -> on, layers 0, 2 join
-    (dict(), dict(sgc=True)),                             # off -> on
-    (dict(sgc_layers=frozenset({0, 2})), dict(sgc=False)),  # on -> off
-    (dict(sgc_layers=frozenset({1})), dict()),            # unchanged
+    (dict(sgc=True), dict(sgc=True)),     # on -> on
+    (dict(), dict(sgc=True)),             # off -> on
+    (dict(sgc=True), dict(sgc=False)),    # on -> off
+    (dict(sgc=True), dict()),             # unchanged
     (dict(), dict(mode=SPIKING, neuron=SPIKE4)),
-    (dict(mode=SPIKING, neuron=SPIKE4, sgc_layers=frozenset({1})),
+    (dict(mode=SPIKING, neuron=SPIKE4, sgc=True),
      dict(mode=DENSE, neuron=NeuronConfig(kind=LIF, d_max=1))),
 ])
 def test_clone_matches_field_by_field_oracle(precision, source, switch):
@@ -599,7 +615,7 @@ def test_clone_matches_field_by_field_oracle(precision, source, switch):
         model = LanguageModel(cfg, np.random.default_rng(4))
         got, want = model.clone(**switch), _clone_oracle(model, **switch)
     assert got.cfg == want.cfg
-    # with compensation layers or without, the table of every config
+    # with compensation or without, the table of every config
     assert [n for n, _ in got.named_parameters()] == list(param_shapes(cfg)) \
         == list(param_shapes(got.cfg)) == [n for n, _ in want.named_parameters()]
     sources = [t.data for t in model.parameters()]
@@ -611,7 +627,7 @@ def test_clone_matches_field_by_field_oracle(precision, source, switch):
 
 
 def test_clone_and_load_draw_no_initialisation(tmp_path, rng, monkeypatch):
-    model = LanguageModel(small_config(sgc_layers=frozenset({0})), rng)
+    model = LanguageModel(small_config(sgc=True), rng)
     path = tmp_path / "model.spkm"
     checkpoint.save(path, model)
 
@@ -666,8 +682,7 @@ def test_site_stats_aggregation(rng):
 
 
 def test_sgc_pairs_shapes(rng):
-    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
-                       sgc_layers=frozenset({0}))
+    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
     model = LanguageModel(cfg, rng)
     toks = rng.integers(0, cfg.vocab, size=(1, 5))
     mirrors = {0: (parameter(rng.normal(size=model.layers[0].w_in.shape)),

@@ -158,12 +158,3 @@ def test_neuron_backward_uses_surrogate(f64):
     grad = g.backward(loss, wrt=[x])[id(x)]
     np.testing.assert_array_equal(grad, [0.5, 0.5, 0.5, 0.5, 0.0, 0.0])
 
-
-def test_passthrough_hook(f64):
-    cfg = NeuronConfig(kind=TILIF, d_max=4, passthrough=True)
-    x = parameter(np.array([0.123, -9.7]))
-    with Graph() as g:
-        out = neuron_forward(cfg, x)
-        loss = sum_(out)
-    np.testing.assert_array_equal(out.data, x.data)
-    np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [1.0, 1.0])

@@ -31,6 +31,7 @@ from spikessm.training import (
     _padded,
     _response_logprobs,
     _teacher_logits,
+    compensated_layers,
     distill_run,
     eval_ppl,
     generate_pseudo_labels,
@@ -253,15 +254,13 @@ def test_distill_config_shape_mismatch(rng):
         distill_run(teacher, other, synthetic_corpus(20), steps=1)
 
 
-def test_self_distillation_identity_with_passthrough(rng):
-    # spiking student with the identity neuron hook == the teacher, so the
+def test_self_distillation_identity_with_passthrough(rng, identity_neuron):
+    # spiking student with the identity neuron == the teacher, so the
     # starting KL is essentially zero
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(40, seed=0)
     train_teacher(teacher, lines, steps=30, batch=8, seq_len=16, lr=2e-3, seed=1)
-    student = teacher.clone(
-        mode=SPIKING,
-        neuron=NeuronConfig(kind=TILIF, d_max=4, passthrough=True))
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
     res = distill_run(teacher, student, lines, steps=2, batch=4,
                       total_len=16, n_sequences=8, seed=3)
     assert res.initial_kl < 1e-3
@@ -397,7 +396,7 @@ def test_distill_mirrors_are_run_state(rng, monkeypatch):
         assert [(n, t.shape) for n, t in student.named_parameters()] == \
             list(param_shapes(student.cfg).items())
         want = list(start.values()) + [start[f"layers.{i}.{w}"]
-                                       for i in sorted(student.cfg.sgc_layers)
+                                       for i in (0, 1) if sgc
                                        for w in ("w_in", "w_out")]
         assert [a.tobytes() for a in handed[-1]] == [a.tobytes() for a in want]
         return [r["loss_total"] for r in res.metrics]
@@ -405,6 +404,7 @@ def test_distill_mirrors_are_run_state(rng, monkeypatch):
     on, off = run(True), run(False)
     assert len(handed[0]) == len(handed[1]) + 4  # both layers mirrored
     assert on != off
+    assert compensated_layers(2) == {0, 1} and compensated_layers(6) == {0, 3, 5}
 
 
 def test_rl_validates_method(rng):
