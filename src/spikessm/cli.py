@@ -170,6 +170,10 @@ POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
 # rates and scales: zero, negative or non-finite would run a step that
 # trains nothing or turns the weights non-finite
 POSITIVE_FINITE = ("lr", "beta_pref")
+# fire rates: fractions of the possible spikes
+UNIT_INTERVAL = ("fr_in", "fr_out")
+# energy-report settings --paper takes from the reference row instead
+PAPER_FIXES = ("fr_in", "fr_out", "k")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,15 +232,10 @@ def load_params_file(path: str, schema: dict[str, Opt]) -> dict[str, Any]:
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     schema = {**GLOBAL_OPTS, **COMMANDS[command]}
-    resolved = {k: opt.default for k, opt in schema.items()}
-    params_path = getattr(args, "params")
-    if params_path:
-        resolved.update(load_params_file(params_path, schema))
-        resolved["params"] = params_path
-    for key in schema:
-        flag_val = getattr(args, key)
-        if flag_val is not None:
-            resolved[key] = flag_val
+    given = load_params_file(args.params, schema) if args.params else {}
+    flags = {k: getattr(args, k) for k in schema}
+    given.update({k: v for k, v in flags.items() if v is not None})  # flags win
+    resolved = {k: opt.default for k, opt in schema.items()} | given
     # normalize types and enforce choices
     for key, opt in schema.items():
         if resolved[key] is None:
@@ -252,6 +251,14 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     for key in POSITIVE_FINITE:
         if resolved.get(key) is not None and not 0 < resolved[key] < math.inf:
             raise CliError(f"{key} must be positive and finite, got {resolved[key]}")
+    for key in UNIT_INTERVAL:
+        if resolved.get(key) is not None and not 0 <= resolved[key] <= 1:
+            raise CliError(f"{key} must lie in [0, 1], got {resolved[key]}")
+    if resolved.get("paper"):
+        if clash := [k for k in PAPER_FIXES if k in given]:
+            raise CliError(f"--paper takes k and fire rates from its row; drop {', '.join(clash)}")
+        for key in PAPER_FIXES:
+            resolved[key] = None  # not used, so not recorded
     if resolved["seed"] < 0:
         raise CliError(f"seed must be >= 0, got {resolved['seed']}")
     if not resolved["out"]:

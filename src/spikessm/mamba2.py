@@ -413,10 +413,11 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
 
     ``kernel`` picks the spiking projection route: "int" (sparse signed
     accumulation), "event" (binary micro-step train), or "matmul"
-    (dense arithmetic on the quantized activations). The sparse kernels
-    sum in another order than the dense product, so they agree with it
-    to rounding, not bit for bit. A dense model projects densely
-    whatever the kernel, but an unknown name is refused in both modes.
+    (dense arithmetic on the quantized activations), one call over the
+    batch per projection. The sparse kernels sum in another order than
+    the dense product or a single row, so they agree with both to
+    rounding only. A dense model projects densely whatever the kernel,
+    but an unknown name is refused in both modes.
     """
     if kernel not in KERNELS:
         raise ContractError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
@@ -477,16 +478,12 @@ def _project(s_int: np.ndarray, w: np.ndarray, kernel: str,
              neuron: NeuronConfig, counter: OpCounter | None) -> np.ndarray:
     if kernel == "matmul":
         return s_int @ w
-    wt = w.T  # column-per-input-channel view for the sparse kernels
-    flat = s_int.reshape(-1, s_int.shape[-1])
-    rows = []
-    for row in flat:
-        if kernel == "int":
-            rows.append(spike_linear_int(wt, row))
-        else:  # "event"; block_step has checked the name
-            train = expand_spike_train(neuron, row)
-            rows.append(spike_linear_event(wt, train, counter=counter))
-    return np.stack(rows).reshape(s_int.shape[:-1] + (w.shape[1],))
+    cols = s_int.reshape(-1, s_int.shape[-1]).T  # one column per token
+    if kernel == "int":
+        y = spike_linear_int(w.T, cols)
+    else:  # "event"; block_step has checked the name
+        y = spike_linear_event(w.T, expand_spike_train(neuron, cols), counter=counter)
+    return y.T.reshape(s_int.shape[:-1] + (w.shape[1],))
 
 
 def ssm_update(h: np.ndarray, decay: np.ndarray, dt: np.ndarray,

@@ -44,18 +44,15 @@ class NeuronConfig:
 
 @dataclass
 class SpikeTrain:
-    """Binary spikes per micro-step plus a one-bit sign flag per channel."""
+    """Binary spikes per micro-step plus a one-bit sign flag per activation
+    of ``s``, channels first: (channels,) or (channels, n)."""
 
-    spikes: np.ndarray  # (d_max, channels) of {0, 1}
-    sign: np.ndarray    # (channels,) of {+1, -1}
+    spikes: np.ndarray  # (d_max,) + s.shape of {0, 1}
+    sign: np.ndarray    # s.shape of {+1, -1}
 
     @property
     def channels(self) -> int:
         return self.spikes.shape[1]
-
-    @property
-    def spike_count(self) -> int:
-        return int(self.spikes.sum())
 
 
 def quantize(cfg: NeuronConfig, x: np.ndarray) -> np.ndarray:
@@ -88,16 +85,18 @@ def expand_spike_train(cfg: NeuronConfig, s_int: np.ndarray) -> SpikeTrain:
     Micro-step i fires iff |s_int| >= i + 1: the leaky integrate-and-fire
     recurrence with decay 1 and threshold 1, fed |s_int| once at the
     first micro-step. The per-channel spike count then equals |s_int|
-    exactly; the sign is carried separately (sign of zero is +1).
+    exactly; the sign is carried separately (sign of zero is +1). The
+    train keeps the shape of ``s_int`` behind its micro-step axis.
     """
-    s = np.asarray(s_int, dtype=np.float64).reshape(-1)
-    if not np.all(s == np.round(s)):
+    s = np.asarray(s_int, dtype=np.float64)
+    mag = np.abs(s)
+    if not (s == np.round(s)).all():
         raise ContractError("spike-train expansion requires integer activations")
-    if np.any(np.abs(s) > cfg.d_max):
-        raise ContractError(
-            f"activation magnitude exceeds d_max={cfg.d_max}: max |s| = {np.abs(s).max()}"
-        )
-    spikes = (np.abs(s) >= np.arange(1, cfg.d_max + 1)[:, None]).astype(np.uint8)
+    if (mag > cfg.d_max).any():
+        raise ContractError(f"activation magnitude exceeds d_max={cfg.d_max}: "
+                            f"max |s| = {mag.max()}")
+    levels = np.arange(1, cfg.d_max + 1).reshape((-1,) + (1,) * s.ndim)
+    spikes = (mag >= levels).astype(np.uint8)
     return SpikeTrain(spikes=spikes, sign=np.where(s < 0, -1.0, 1.0))
 
 

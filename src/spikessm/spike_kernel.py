@@ -1,13 +1,12 @@
 """Event-driven sparse linear projection and fire-rate accounting.
 
-Both kernels compute the dense matmul on quantized activations: zero
-channels are skipped entirely, and the event kernel accumulates weight
-columns micro-step-major, channel-minor, so the per-row reduction order
-is fixed. That order is not the dense product's, so with floating-point
-weights they agree with it to rounding, not bit for bit; they are exact
-only where every partial sum is representable (integer weights, say).
-Parallelism across output rows is safe because each row's sum is
-order-identical.
+Both kernels compute the dense matmul on quantized activations, one
+column or a batch of columns per call, and skip the channels that fire
+in no column. BLAS orders each gathered product's sums, by the number of
+channels and columns, so with floating-point weights the kernels agree
+with the dense product, and a batch with its columns one by one, to
+rounding; they are exact where every partial sum is representable
+(integer weights, say).
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ class OpCounter:
     """Counts accumulate operations actually performed by the event kernel."""
 
     accumulations: int = 0
-
-    def add(self, n: int) -> None:
-        self.accumulations += n
 
 
 @dataclass(frozen=True)
@@ -54,17 +50,16 @@ class FireStats:
 def spike_linear_int(W: np.ndarray, s_int: np.ndarray) -> np.ndarray:
     """y = sum over firing channels of s_int[i] * W[:, i].
 
-    Equals ``W @ s_int`` in exact arithmetic; channels with s == 0 are
-    never touched.
+    ``s_int`` is one column (in,) or a batch of columns (in, n); the
+    result has the shape of ``W @ s_int``. Equals that product in exact
+    arithmetic; channels that fire in no column are never touched.
     """
     W = np.asarray(W)
     s = np.asarray(s_int)
-    if W.ndim != 2 or s.ndim != 1 or W.shape[1] != s.shape[0]:
+    if W.ndim != 2 or s.ndim not in (1, 2) or W.shape[1] != s.shape[0]:
         raise DimensionError(f"spike_linear_int shapes disagree: {W.shape} vs {s.shape}")
-    idx = np.nonzero(s)[0]
-    if idx.size == 0:
-        return np.zeros(W.shape[0], dtype=W.dtype)
-    return W[:, idx] @ s[idx].astype(W.dtype)
+    idx = np.nonzero(s.reshape(s.shape[0], -1).any(axis=1))[0]
+    return W[:, idx] @ s.take(idx, axis=0).astype(W.dtype)  # take: a faster row gather than s[idx]
 
 
 def spike_linear_event(
@@ -72,23 +67,25 @@ def spike_linear_event(
 ) -> np.ndarray:
     """Accumulate weight columns per binary spike, applying the sign flag.
 
-    One accumulation per (spike, output row); ``counter`` observes how
-    many were performed.
+    The train expands one column (in,) or a batch of columns (in, n);
+    the result has the shape of ``W @`` those columns. Each micro-step
+    gathers the channels that fire in any column and multiplies their
+    signed spikes once. One accumulation per (spike, output row);
+    ``counter`` observes how many were performed.
     """
     W = np.asarray(W)
-    if W.ndim != 2 or train.channels != W.shape[1]:
-        raise DimensionError(
-            f"spike_linear_event: W is {W.shape}, train has {train.channels} channels"
-        )
-    y = np.zeros(W.shape[0], dtype=W.dtype)
-    signed = train.sign.astype(W.dtype)
-    for step in train.spikes:  # micro-step-major
-        idx = np.nonzero(step)[0]  # ascending: channel-minor within the step
-        if idx.size == 0:
-            continue
-        y = y + W[:, idx] @ signed[idx]
-        if counter is not None:
-            counter.add(int(idx.size) * W.shape[0])
+    if W.ndim != 2 or train.spikes.ndim not in (2, 3) or train.channels != W.shape[1]:
+        raise DimensionError(f"spike_linear_event: W is {W.shape}, "
+                             f"train spikes are {train.spikes.shape}")
+    y = np.zeros(W.shape[:1] + train.sign.shape[1:], dtype=W.dtype)
+    signed = train.spikes * train.sign.astype(W.dtype)
+    active = train.spikes.reshape(train.spikes.shape[:2] + (-1,)).any(axis=2)
+    for step, on in zip(signed, active):  # micro-step-major
+        idx = np.nonzero(on)[0]
+        if idx.size:
+            y = y + W[:, idx] @ step.take(idx, axis=0)
+    if counter is not None:
+        counter.accumulations += np.count_nonzero(train.spikes) * W.shape[0]
     return y
 
 
@@ -101,12 +98,9 @@ def fire_stats_from_ints(s_int: np.ndarray, k: int) -> FireStats:
     s = np.asarray(s_int)
     if s.size == 0:
         raise ContractError("fire stats need at least one token and channel")
-    if s.ndim == 1:
-        s = s[None, :]
-    tokens = int(np.prod(s.shape[:-1]))
     return FireStats(
         spike_count=int(np.abs(s).sum()),
         micro_steps=k,
         channels=s.shape[-1],
-        tokens=tokens,
+        tokens=int(np.prod(s.shape[:-1])),
     )

@@ -60,6 +60,34 @@ def test_energy_report_toy_paper_rejected(tmp_path):
                  "--paper", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("k", "8"), ("fr_in", "0.9"), ("fr_out", "0.1")])
+@pytest.mark.parametrize("where", ["flag", "params"])
+def test_energy_report_paper_refuses_the_settings_it_replaces(key, value, where,
+                                                              tmp_path, capsys):
+    argv = ["energy-report", "--config", "130m", "--variant", "tilif", "--paper"]
+    if where == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    else:
+        params = tmp_path / "run.params"
+        params.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv += ["--params", str(params)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"drop {key}" in err
+    assert not out.exists()
+
+
+def test_energy_report_paper_records_only_what_it_used(tmp_path):
+    assert main(["energy-report", "--config", "130m", "--variant", "tilif",
+                 "--paper", "--out", str(tmp_path)]) == 0
+    keys = {ln.partition("=")[0]
+            for ln in (tmp_path / "resolved_config.txt").read_text().splitlines()}
+    assert {"config", "variant", "paper"} <= keys
+    assert not keys & {"k", "fr_in", "fr_out"}
+    assert "k,fr_in,fr_out" in (tmp_path / "energy.csv").read_text()
+
+
 def test_params_file_and_override(tmp_path):
     params = tmp_path / "run.params"
     params.write_text("config=130m\nvariant=lif\npaper=true\n", encoding="utf-8")
@@ -392,6 +420,10 @@ def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
      "beta_pref must be positive and finite"),
     (["rl", "--method", "kto", "--ckpt", "p.spkm", "--beta-pref=-0.1"],
      "beta_pref must be positive and finite"),
+    (["energy-report", "--fr-in", "1.5"], "fr_in must lie in [0, 1]"),
+    (["energy-report", "--fr-in", "nan"], "fr_in must lie in [0, 1]"),
+    (["energy-report", "--fr-out=-0.1"], "fr_out must lie in [0, 1]"),
+    (["energy-report", "--fr-out", "inf"], "fr_out must lie in [0, 1]"),
 ])
 def test_bad_lr_and_seed_rejected(argv, message, tmp_path, capsys):
     out = tmp_path / "o"

@@ -28,7 +28,8 @@ from spikessm.mamba2 import (
     ssm_update,
     toy_config,
 )
-from spikessm.neurons import LIF, NeuronConfig, TILIF, quantize
+from spikessm.neurons import LIF, NeuronConfig, TILIF, expand_spike_train, quantize
+from spikessm.spike_kernel import OpCounter, spike_linear_event, spike_linear_int
 from spikessm.tensor import (
     ContractError,
     Graph,
@@ -303,6 +304,72 @@ def test_step_kernels_agree(rng, f64):
         outs[kernel] = y
     np.testing.assert_array_equal(outs["matmul"], outs["int"])
     np.testing.assert_allclose(outs["event"], outs["int"], atol=1e-12)
+
+
+def project_row_by_row(s_int, w, kernel, neuron, counter):
+    """Oracle of ``mamba2._project``: one sparse-kernel call per batch row."""
+    flat = s_int.reshape(-1, s_int.shape[-1])
+    rows = []
+    for row in flat:
+        if kernel == "int":
+            rows.append(spike_linear_int(w.T, row))
+        else:
+            train = expand_spike_train(neuron, row)
+            rows.append(spike_linear_event(w.T, train, counter=counter))
+    return np.stack(rows).reshape(s_int.shape[:-1] + (w.shape[1],))
+
+
+def _lead(shape, B):
+    return {"()": (), "(B,)": (B,), "(B, T)": (B, 3)}[shape]
+
+
+@pytest.mark.parametrize("kernel", ["int", "event"])
+@pytest.mark.parametrize("B", [1, 5, 32])
+@pytest.mark.parametrize("shape", ["()", "(B,)", "(B, T)"])
+def test_project_matches_row_by_row_and_dense(kernel, B, shape, rng):
+    neuron = NeuronConfig(kind=TILIF, d_max=4)
+    w = (rng.normal(size=(24, 40)) / 24).astype(np.float32)
+    s = quantize(neuron, rng.normal(scale=1.5, size=_lead(shape, B) + (24,))).astype(np.float32)
+    s[..., 5] = 0.0  # a channel that fires in no row
+    got = mamba2._project(s, w, kernel, neuron, None)
+    assert got.shape == s.shape[:-1] + (40,) and got.dtype == np.float32
+    np.testing.assert_allclose(got, project_row_by_row(s, w, kernel, neuron, None),
+                               rtol=0, atol=1e-5)
+    np.testing.assert_allclose(got, s @ w, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("kernel", ["int", "event"])
+@pytest.mark.parametrize("B", [1, 5, 32])
+@pytest.mark.parametrize("shape", ["()", "(B,)", "(B, T)"])
+def test_project_integer_weights_bit_equal_dense(kernel, B, shape, rng, f64):
+    neuron = NeuronConfig(kind=TILIF, d_max=4)
+    w = rng.integers(-8, 9, size=(24, 40)).astype(np.float64)
+    s = quantize(neuron, rng.normal(scale=2.0, size=_lead(shape, B) + (24,)))
+    counter = OpCounter()
+    got = mamba2._project(s, w, kernel, neuron, counter)
+    np.testing.assert_array_equal(got, s @ w)
+    if kernel == "event":  # one accumulation per (spike, output row)
+        assert counter.accumulations == int(np.abs(s).sum()) * 40
+
+
+@pytest.mark.parametrize("kernel", ["int", "event"])
+def test_batched_step_calls_each_kernel_once_per_projection(kernel, rng, monkeypatch):
+    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    model = LanguageModel(cfg, rng)
+    name = {"int": "spike_linear_int", "event": "spike_linear_event"}[kernel]
+    calls = []
+    real = getattr(mamba2, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mamba2, name, counted)
+    model.step(rng.integers(0, cfg.vocab, size=32), model.init_state((32,)), kernel=kernel)
+    assert len(calls) == 2 * cfg.n_layers  # the in and out projection of each layer
+    for arg in calls:
+        s = arg if kernel == "int" else arg.sign
+        assert s.shape[-1] == 32
 
 
 def test_sgc_forward_values(f64):

@@ -128,6 +128,20 @@ def test_expand_closed_form(rng):
     np.testing.assert_array_equal(train.spikes, expected)
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (7, 3, 4)])
+def test_expand_keeps_the_activation_shape(shape, rng):
+    cfg = ti(4)
+    s = rng.integers(-4, 5, size=shape).astype(np.float64)
+    train = expand_spike_train(cfg, s)
+    assert train.spikes.shape == (4,) + shape and train.sign.shape == shape
+    assert train.channels == shape[0]
+    np.testing.assert_array_equal(collapse_spike_train(train), s)
+    # the closed form, column by column
+    for j in range(shape[1]):
+        np.testing.assert_array_equal(train.spikes[:, :, j],
+                                      expand_spike_train(cfg, s[:, j]).spikes)
+
+
 def test_expand_rejects_out_of_range():
     with pytest.raises(ContractError):
         expand_spike_train(ti(4), np.array([5.0]))

@@ -44,6 +44,21 @@ def test_dimension_errors():
         spike_linear_int(W22, np.ones(3))
     with pytest.raises(DimensionError):
         spike_linear_event(W22, expand_spike_train(cfg, np.ones(3)))
+    with pytest.raises(DimensionError):  # a batch of columns is 2-D at most
+        spike_linear_int(W22, np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        spike_linear_int(W22, np.ones((3, 4)))
+    with pytest.raises(DimensionError):
+        spike_linear_event(W22, expand_spike_train(cfg, np.ones((2, 3, 4))))
+
+
+def test_kernels_take_a_batch_of_columns():
+    cfg = NeuronConfig(kind=TILIF, d_max=4)
+    s = np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 0.0]])  # column 2 fires nowhere
+    for y in (spike_linear_int(W22, s), spike_linear_event(W22, expand_spike_train(cfg, s))):
+        np.testing.assert_array_equal(y, [[1.0, 0.0, 0.0], [3.0, -2.0, 0.0]])
+    zeros = np.zeros((2, 3))
+    np.testing.assert_array_equal(spike_linear_int(W22, zeros), zeros)
 
 
 def _neuron_cfg(kind):
@@ -83,8 +98,18 @@ def test_accumulation_count(rng):
     train = expand_spike_train(cfg, s)
     counter = OpCounter()
     spike_linear_event(np.ones((17, 40)), train, counter=counter)
-    assert counter.accumulations == train.spike_count * 17
-    assert train.spike_count == int(np.abs(s).sum())
+    assert counter.accumulations == int(train.spikes.sum()) * 17
+    assert int(train.spikes.sum()) == int(np.abs(s).sum())
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_batched_accumulation_count(n, rng):
+    cfg = NeuronConfig(kind=TILIF, d_max=4)
+    s = quantize(cfg, rng.normal(scale=2.0, size=(40, n)))
+    s[3] = 0.0  # a channel that fires in no column
+    counter = OpCounter()
+    spike_linear_event(np.ones((17, 40)), expand_spike_train(cfg, s), counter=counter)
+    assert counter.accumulations == int(np.abs(s).sum()) * 17
 
 
 def test_zero_input_touches_nothing():
@@ -101,7 +126,7 @@ def measure_fire_rate(trains):
     trains, the micro-step count read from their shape."""
     k, channels = trains[0].spikes.shape
     assert all(t.spikes.shape == (k, channels) for t in trains)
-    count = sum(t.spike_count for t in trains)
+    count = sum(int(t.spikes.sum()) for t in trains)
     return FireStats(spike_count=count, micro_steps=k, channels=channels,
                      tokens=len(trains))
 
