@@ -22,14 +22,16 @@ import numpy as np
 from . import checkpoint, energy
 from .gradcheck import REL_TOL, check_gradients, gradcheck_targets
 from .mamba2 import (
+    CLAMP_MODES,
     DENSE,
+    SITES,
     SPIKING,
     LanguageModel,
     make_clamp_hook,
     toy_config,
 )
 from .neurons import (
-    ILIF,
+    KINDS,
     LIF,
     TILIF,
     NeuronConfig,
@@ -47,6 +49,7 @@ from .tensor import (
 )
 from .training import (
     DISTILL_FIELDS,
+    METHODS,
     TRAIN_FIELDS,
     distill_run,
     eval_ppl,
@@ -103,9 +106,9 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     "energy-report": {
         "config": Opt(str, "130m", tuple(energy.PRESETS)),
         "variant": Opt(str, "ann", energy.VARIANTS),
-        "fr_in": Opt(float, 0.0),
-        "fr_out": Opt(float, 0.0),
-        "k": Opt(int, 1),
+        "fr_in": Opt(float, help="input-projection fire rate"),
+        "fr_out": Opt(float, help="output-projection fire rate"),
+        "k": Opt(int, help="micro-steps per token"),
         "paper": Opt(_bool, False, help="use embedded reference fire rates "
                                         "and compare against golden values"),
     },
@@ -119,7 +122,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     },
     "distill": {
         "teacher": Opt(str, None, help="teacher checkpoint (required)"),
-        "neuron": Opt(str, "tilif", ("lif", "ilif", "tilif")),
+        "neuron": Opt(str, TILIF, KINDS),
         "d_max": Opt(int, 4),
         "sgc": Opt(_bool, True),
         "steps": Opt(int, 2000),
@@ -129,7 +132,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "corpus_lines": Opt(int, 400),
     },
     "rl": {
-        "method": Opt(str, None, ("dpo", "kto"), "preference objective (required)"),
+        "method": Opt(str, None, METHODS, "preference objective (required)"),
         "ckpt": Opt(str, None, help="policy checkpoint (required)"),
         "data": Opt(str, None, help="tab-separated preference records"),
         "steps": Opt(int, 120),
@@ -146,7 +149,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     "activation-hist": {
         "ckpt": Opt(str, None, help="model checkpoint (required)"),
         "layer": Opt(int, 0),
-        "site": Opt(str, "u_t", ("u_t", "y_t")),
+        "site": Opt(str, "u_t", SITES),
         "bins": Opt(int, 32),
         "corpus": Opt(str, None),
         "corpus_lines": Opt(int, 400),
@@ -154,8 +157,8 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     },
     "clamp-ablation": {
         "ckpt": Opt(str, None, help="model checkpoint (required)"),
-        "mode": Opt(str, "max_to_zero", ("max_to_zero", "max_to_one")),
-        "site": Opt(str, "y_t", ("u_t", "y_t")),
+        "mode": Opt(str, "max_to_zero", CLAMP_MODES),
+        "site": Opt(str, "y_t", SITES),
         "corpus": Opt(str, None),
         "corpus_lines": Opt(int, 400),
         "seq_len": Opt(int, 48),
@@ -172,8 +175,10 @@ POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
 POSITIVE_FINITE = ("lr", "beta_pref")
 # fire rates: fractions of the possible spikes
 UNIT_INTERVAL = ("fr_in", "fr_out")
-# energy-report settings --paper takes from the reference row instead
-PAPER_FIXES = ("fr_in", "fr_out", "k")
+# energy-report's spike settings: --paper takes them from the reference
+# row; without it a spiking variant is priced at the values given, and
+# ann at none
+SPIKE_SETTINGS = ("fr_in", "fr_out", "k")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,16 +259,40 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     for key in UNIT_INTERVAL:
         if resolved.get(key) is not None and not 0 <= resolved[key] <= 1:
             raise CliError(f"{key} must lie in [0, 1], got {resolved[key]}")
-    if resolved.get("paper"):
-        if clash := [k for k in PAPER_FIXES if k in given]:
-            raise CliError(f"--paper takes k and fire rates from its row; drop {', '.join(clash)}")
-        for key in PAPER_FIXES:
-            resolved[key] = None  # not used, so not recorded
+    if command == "energy-report":
+        _check_spike_settings(resolved)
+    if resolved.get("neuron") == LIF:
+        if resolved["d_max"] != 1 and "d_max" in given:
+            raise CliError(f"a lif neuron fires at most once; d_max must be 1, "
+                           f"got {resolved['d_max']}")
+        resolved["d_max"] = 1
     if resolved["seed"] < 0:
         raise CliError(f"seed must be >= 0, got {resolved['seed']}")
     if not resolved["out"]:
         raise CliError("--out is required")
     return resolved
+
+
+def _check_spike_settings(resolved: dict[str, Any]) -> None:
+    """CliError unless energy-report is given exactly the spike settings
+    it prices; a lif report's k is 1, given or not."""
+    given = [k for k in SPIKE_SETTINGS if resolved[k] is not None]
+    variant = resolved["variant"]
+    if resolved["paper"]:
+        if given:
+            raise CliError(f"--paper takes k and fire rates from its row; drop {', '.join(given)}")
+        return
+    if variant == energy.ANN:
+        if given:
+            raise CliError(f"variant ann prices no spikes; drop {', '.join(given)}")
+        return
+    if variant == energy.LIF_V:
+        if resolved["k"] not in (None, 1):
+            raise CliError(f"variant lif takes one micro-step; k must be 1, got {resolved['k']}")
+        resolved["k"] = 1
+    if missing := [k for k in SPIKE_SETTINGS if resolved[k] is None]:
+        raise CliError(f"variant {variant} needs {', '.join(missing)}: "
+                       f"without --paper it prices the values given")
 
 
 def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
@@ -297,12 +326,6 @@ def _load_model(path: str) -> LanguageModel:
         return checkpoint.load(path)
 
 
-def neuron_from(resolved: dict[str, Any]) -> NeuronConfig:
-    kind = {"lif": LIF, "ilif": ILIF, "tilif": TILIF}[resolved["neuron"]]
-    d_max = 1 if kind == LIF else resolved["d_max"]
-    return NeuronConfig(kind=kind, d_max=d_max)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -310,10 +333,9 @@ def cmd_verify_equivalence(resolved) -> int:
     rng = np.random.default_rng(resolved["seed"])
     trials = resolved["trials"]
     max_dim = resolved["max_dim"]
-    kinds = [LIF, ILIF, TILIF]
     worst32 = 0.0
     for i in range(trials):
-        kind = kinds[i % 3]
+        kind = KINDS[i % 3]
         d_max = 1 if kind == LIF else int(rng.integers(1, 9))
         cfg = NeuronConfig(kind=kind, d_max=d_max)
         d_in = int(rng.integers(1, max_dim + 1))
@@ -391,10 +413,10 @@ def cmd_energy_report(resolved) -> int:
         errs = energy.compare_to_reference(report)  # ContractError -> exit 2
         print(f"reference comparison: worst cell error "
               f"{max(errs.values()):.3%} (tolerance 0.5%)")
-    else:
-        report = energy.compute_report(
-            energy.PRESETS[cfg_name], variant, fr_in=resolved["fr_in"],
-            fr_out=resolved["fr_out"], k=resolved["k"], config=cfg_name)
+    else:  # an ann report is given no spike settings and takes the defaults
+        given = {k: resolved[k] for k in SPIKE_SETTINGS if resolved[k] is not None}
+        report = energy.compute_report(energy.PRESETS[cfg_name], variant,
+                                       config=cfg_name, **given)
     table = energy.to_table([report])
     print(table, end="")
     with open(os.path.join(outdir, "energy.csv"), "w", encoding="utf-8") as f:
@@ -429,8 +451,8 @@ def cmd_distill(resolved) -> int:
     lines = load_corpus(resolved)
     outdir = resolved["out"]
     _save_corpus(outdir, lines)
-    student = teacher.clone(mode=SPIKING, neuron=neuron_from(resolved),
-                            sgc=resolved["sgc"])
+    neuron = NeuronConfig(kind=resolved["neuron"], d_max=resolved["d_max"])
+    student = teacher.clone(mode=SPIKING, neuron=neuron, sgc=resolved["sgc"])
     result = distill_run(teacher, student, lines, steps=resolved["steps"],
                          batch=resolved["batch"], lr=resolved["lr"],
                          seed=resolved["seed"])

@@ -164,31 +164,27 @@ class EnergyReport:
         return self.in_proj_uj + self.out_proj_uj + self.ssm_uj + self.others_uj
 
 
-def energy_report(rows: list[OpRow], *, config: str = "", variant: str = ANN,
-                  k: int = 1, fr_in: float = 0.0, fr_out: float = 0.0) -> EnergyReport:
-    """Price counted operations and roll them up into report categories."""
-    buckets = {IN_PROJ: 0.0, OUT_PROJ: 0.0, SSM: 0.0, OTHERS: 0.0, NEURON: 0.0}
-    for r in rows:
-        buckets[CATEGORY[r.name]] += r.count * PRICE_PJ[r.kind]
-    return EnergyReport(
-        config=config, variant=variant, k=k, fr_in=fr_in, fr_out=fr_out,
-        in_proj_uj=buckets[IN_PROJ] / PJ_PER_UJ,
-        out_proj_uj=buckets[OUT_PROJ] / PJ_PER_UJ,
-        ssm_uj=buckets[SSM] / PJ_PER_UJ,
-        others_uj=buckets[OTHERS] / PJ_PER_UJ,
-        neuron_uj=buckets[NEURON] / PJ_PER_UJ,
-    )
-
-
 def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
                    fr_out: float = 0.0, k: int = 1, config: str = "") -> EnergyReport:
-    """Count, price, and attach the efficiency ratio against the ANN baseline."""
-    rows = count_ops(geom, variant, fr_in=fr_in, fr_out=fr_out, k=k)
-    report = energy_report(rows, config=config, variant=variant,
-                           k=k, fr_in=fr_in, fr_out=fr_out)
-    base = energy_report(count_ops(geom, ANN), config=config)
+    """Count and price the operations, roll them up into report
+    categories, and attach the efficiency ratio against the ANN baseline."""
+    def priced(rows: list[OpRow]) -> EnergyReport:
+        buckets = {IN_PROJ: 0.0, OUT_PROJ: 0.0, SSM: 0.0, OTHERS: 0.0, NEURON: 0.0}
+        for r in rows:
+            buckets[CATEGORY[r.name]] += r.count * PRICE_PJ[r.kind]
+        return EnergyReport(
+            config=config, variant=variant, k=k, fr_in=fr_in, fr_out=fr_out,
+            in_proj_uj=buckets[IN_PROJ] / PJ_PER_UJ,
+            out_proj_uj=buckets[OUT_PROJ] / PJ_PER_UJ,
+            ssm_uj=buckets[SSM] / PJ_PER_UJ,
+            others_uj=buckets[OTHERS] / PJ_PER_UJ,
+            neuron_uj=buckets[NEURON] / PJ_PER_UJ,
+        )
+
+    report = priced(count_ops(geom, variant, fr_in=fr_in, fr_out=fr_out, k=k))
+    base = priced(count_ops(geom, ANN))  # for ANN the same total: a ratio of exactly 1
     ratio = base.total_uj / report.total_uj if report.total_uj > 0 else None
-    return replace(report, ratio=ratio if variant != ANN else 1.0)
+    return replace(report, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     onehot = np.zeros(targets.shape + (vocab,), dtype=logits.data.dtype)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
     rows = int(np.prod(targets.shape))
-    return -(sum_(log_softmax(logits, axis=-1) * Tensor(onehot)) * (1.0 / rows))
+    return -(sum_(log_softmax(logits) * Tensor(onehot)) * (1.0 / rows))
 
 
 def _batch_mean(x: Tensor) -> Tensor:
@@ -157,7 +157,7 @@ def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int | np.ndarray
     length = np.broadcast_to(np.asarray(T if length is None else length), (B,))
     if not ((1 <= start) & (start <= length) & (length <= T)).all():
         raise ContractError("need 1 <= start <= length <= len(tokens) per row")
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     pos = np.arange(T)
     r, t = np.nonzero((pos >= start[:, None]) & (pos < length[:, None]))
     mask = np.zeros((B, T, logits.shape[-1]), dtype=logits.data.dtype)

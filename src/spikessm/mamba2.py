@@ -52,8 +52,6 @@ from .tensor import (
     transpose2d,
 )
 
-RMS_EPS = 1e-6
-
 DENSE = "dense"
 SPIKING = "spiking"
 
@@ -63,7 +61,7 @@ KERNELS = ("matmul", "int", "event")
 SITE_U = "u_t"
 SITE_Y = "y_t"
 SITES = (SITE_U, SITE_Y)
-CLAMP_MODES = ("off", "max_to_zero", "max_to_one")
+CLAMP_MODES = ("max_to_zero", "max_to_one")
 
 # hook signature: (layer index, site, activations) -> activations
 Hook = Callable[[int, str, np.ndarray], np.ndarray]
@@ -248,7 +246,7 @@ def hidden_align_loss(y_spiking: Tensor, y_sgc: Tensor) -> Tensor:
     One tape node. Its floating-point operations are those of the
     composite ``sum((softmax(a) - softmax(b))**2) * (0.5 / rows)`` and of
     that composite's backward, in their order, so value and gradients are
-    bit-identical to it. A constant input gets no gradient.
+    bit-identical to it.
     """
     if y_spiking.shape != y_sgc.shape:
         raise DimensionError(
@@ -260,29 +258,24 @@ def hidden_align_loss(y_spiking: Tensor, y_sgc: Tensor) -> Tensor:
     d = p - q
     scale = np.asarray(0.5 / rows, dtype=tn.default_dtype())
     data = (d * d).sum() * scale
-    want_p, want_q = tn.needs_grad(y_spiking), tn.needs_grad(y_sgc)
 
     def grad_fn(g):
         # the composite's adjoint of diff: the square's two operand
         # gradients d*g', summed by the engine
         t = np.multiply(d, g * scale)
         t += t
-        dp = dq = buf = None
         # softmax backwards, two buffers in all: p * (t - sum(t*p)) and
         # q * (-t - sum(-t*q)), the latter with -t itself, since
         # -sum(t*q) can differ from it in the sign of a zero
-        if want_p:
-            buf = np.multiply(t, p)
-            inner_p = buf.sum(axis=-1, keepdims=True)
-        if want_q:
-            dq = np.negative(t, out=buf)
-            inner_q = np.multiply(dq, q, out=dq).sum(axis=-1, keepdims=True)
-            np.negative(t, out=dq)
-            dq -= inner_q
-            dq *= q
-        if want_p:
-            dp = np.subtract(t, inner_p, out=t)
-            dp *= p
+        dq = np.multiply(t, p)
+        inner_p = dq.sum(axis=-1, keepdims=True)
+        np.negative(t, out=dq)
+        inner_q = np.multiply(dq, q, out=dq).sum(axis=-1, keepdims=True)
+        np.negative(t, out=dq)
+        dq -= inner_q
+        dq *= q
+        dp = np.subtract(t, inner_p, out=t)
+        dp *= p
         return dp, dq
 
     return tn.custom_op(data, (y_spiking, y_sgc), grad_fn, "hidden_align")
@@ -300,8 +293,6 @@ def clamp_channel_hook(y: np.ndarray, mode: str) -> np.ndarray:
     """
     if mode not in CLAMP_MODES:
         raise ContractError(f"unknown clamp mode {mode!r}")
-    if mode == "off":
-        return y
     value = 0.0 if mode == "max_to_zero" else 1.0
     out = np.array(y, copy=True)
     idx = np.argmax(out, axis=-2)  # first occurrence per channel
@@ -382,7 +373,7 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
     o = ssm_scan(decay, dt, b, x, c) + params.d_skip * x  # (B,T,H,P)
 
     gated = reshape(o, (B, T, d_inner)) * tn.silu(z)
-    y = rmsnorm(gated, params.norm_w, RMS_EPS)
+    y = rmsnorm(gated, params.norm_w)
 
     if hook is not None:
         y = Tensor(hook(layer_idx, SITE_Y, y.data))
@@ -460,7 +451,7 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
     o = o + params.d_skip.data * x
 
     gated = o.reshape(lead + (d_inner,)) * tn.activation_forward("silu", z)
-    y, _ = tn.rmsnorm_forward(gated, params.norm_w.data, RMS_EPS)
+    y, _ = tn.rmsnorm_forward(gated, params.norm_w.data)
 
     if spiking:
         s_out = quantize(cfg.neuron, y)
@@ -638,24 +629,11 @@ def ssm_scan(decay: Tensor, dt: Tensor, b: Tensor, x: Tensor, c: Tensor) -> Tens
 # ---------------------------------------------------------------------------
 # the full language model
 
-@dataclass
-class ModelState:
-    blocks: list[BlockState]
-
-
-@dataclass
-class SiteStats:
-    """Integer-activation tallies for the two projection sites of a run."""
-    fr_in: FireStats
-    fr_out: FireStats
-
-
 class LanguageModel:
     """Embedding -> n_layers blocks with residual -> norm -> tied head."""
 
-    def __init__(self, cfg: Mamba2Config, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: Mamba2Config, rng: np.random.Generator):
         self.cfg = cfg
-        rng = rng or np.random.default_rng(0)
         shape = param_shapes(cfg)
         self.embedding = tn.parameter(rng.normal(0.0, 0.08, shape["embedding"]))
         self.norm_f = tn.parameter(np.ones(shape["norm_f"]))
@@ -720,19 +698,18 @@ class LanguageModel:
         x = embedding(self.embedding, tokens)
         auxes = []
         for i, layer in enumerate(self.layers):
-            x_in = rmsnorm(x, self.pre_norms[i], RMS_EPS)
+            x_in = rmsnorm(x, self.pre_norms[i])
             y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i,
                                    sgc=sgc.get(i) if sgc else None, hook=hook)
             auxes.append(aux)
             x = x + y
-        x = rmsnorm(x, self.norm_f, RMS_EPS)
+        x = rmsnorm(x, self.norm_f)
         logits = matmul(x, transpose2d(self.embedding))
         return logits, auxes
 
-    def site_stats(self, auxes: list[BlockAux]) -> SiteStats | None:
-        """Aggregate fire rates over layers and tokens of one forward pass."""
-        if self.cfg.mode != SPIKING:
-            return None
+    def site_stats(self, auxes: list[BlockAux]) -> tuple[FireStats, FireStats]:
+        """``(fr_in, fr_out)``: the fire rates at the two projection sites
+        of a spiking model, over the layers and tokens of one forward pass."""
         k = self.cfg.micro_steps
         fr_in = fr_out = None
         for aux in auxes:
@@ -740,28 +717,28 @@ class LanguageModel:
             b = fire_stats_from_ints(aux.s_out, k)
             fr_in = a if fr_in is None else fr_in.merged(a)
             fr_out = b if fr_out is None else fr_out.merged(b)
-        return SiteStats(fr_in=fr_in, fr_out=fr_out)
+        return fr_in, fr_out
 
     # -- stepwise forward -----------------------------------------------------
 
-    def init_state(self, batch_shape: tuple[int, ...] = ()) -> ModelState:
-        return ModelState(
-            blocks=[init_block_state(self.cfg, batch_shape) for _ in self.layers])
+    def init_state(self, batch_shape: tuple[int, ...] = ()) -> list[BlockState]:
+        return [init_block_state(self.cfg, batch_shape) for _ in self.layers]
 
-    def step(self, token: np.ndarray, state: ModelState, *, kernel: str = "int",
-             counter: OpCounter | None = None) -> tuple[np.ndarray, ModelState]:
-        """Next-token logits for one token id per batch entry."""
+    def step(self, token: np.ndarray, state: list[BlockState], *, kernel: str = "int",
+             counter: OpCounter | None = None) -> tuple[np.ndarray, list[BlockState]]:
+        """Next-token logits for one token id per batch entry; ``state``
+        holds one :class:`BlockState` per layer."""
         x = tn.embedding_forward(self.embedding.data, np.asarray(token))
         new_blocks = []
-        for i, (layer, bst) in enumerate(zip(self.layers, state.blocks)):
-            x_in, _ = tn.rmsnorm_forward(x, self.pre_norms[i].data, RMS_EPS)
+        for i, (layer, bst) in enumerate(zip(self.layers, state)):
+            x_in, _ = tn.rmsnorm_forward(x, self.pre_norms[i].data)
             y, nst, _ = block_step(layer, bst, x_in, self.cfg, layer_idx=i,
                                    kernel=kernel, counter=counter)
             new_blocks.append(nst)
             x = x + y
-        x, _ = tn.rmsnorm_forward(x, self.norm_f.data, RMS_EPS)
+        x, _ = tn.rmsnorm_forward(x, self.norm_f.data)
         logits = x @ self.embedding.data.T
-        return logits, ModelState(blocks=new_blocks)
+        return logits, new_blocks
 
     def generate_greedy(self, prompts: np.ndarray, max_new: int, *,
                         kernel: str = "matmul") -> np.ndarray:

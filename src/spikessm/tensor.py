@@ -425,13 +425,11 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _make(data, "concat", parts, grad_fn)
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def sum_(x: Tensor, axis=None) -> Tensor:
+    data = x.data.sum(axis=axis)
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
@@ -559,60 +557,58 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> T
 
 
 # ---------------------------------------------------------------------------
-# softmax family
+# softmax family, over the last axis
 
-def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_forward(x: np.ndarray) -> np.ndarray:
     """The tape op's forward on a plain array: ``exp(x - max) / sum``."""
-    e = x - x.max(axis=axis, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _log_normaliser(z: np.ndarray, axis: int) -> np.ndarray:
-    return np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def _log_normaliser(z: np.ndarray) -> np.ndarray:
+    return np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def log_softmax_norm(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """``(m, lse)``: the max of ``x`` and the log-sum-exp of ``x - m`` along
-    ``axis``, both keeping it at length 1. A row's pair depends on that
-    row alone, so a caller may compute it once and slice it."""
-    m = x.max(axis=axis, keepdims=True)
-    return m, _log_normaliser(x - m, axis)
+def log_softmax_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, lse)``: the max of ``x`` and the log-sum-exp of ``x - m`` over
+    the last axis, both keeping it at length 1. A row's pair depends on
+    that row alone, so a caller may compute it once and slice it."""
+    m = x.max(axis=-1, keepdims=True)
+    return m, _log_normaliser(x - m)
 
 
-def log_softmax_forward(x: np.ndarray, axis: int = -1,
+def log_softmax_forward(x: np.ndarray,
                         norm: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The tape op's forward on a plain array: ``(x - m) - lse``, with
     ``norm = (m, lse)`` from :func:`log_softmax_norm` when given."""
     if norm is None:
-        z = x - x.max(axis=axis, keepdims=True)
-        lse = _log_normaliser(z, axis)
+        z = x - x.max(axis=-1, keepdims=True)
+        lse = _log_normaliser(z)
     else:
         m, lse = norm
         z = x - m
     return z - lse
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x) -> Tensor:
     x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    data = softmax_forward(x.data, axis)
+    data = softmax_forward(x.data)
 
     def grad_fn(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - inner),)
 
     return _make(data, "softmax", (x,), grad_fn)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
+def log_softmax(x) -> Tensor:
     x = _as_tensor(x)
-    data = log_softmax_forward(x.data, axis)
+    data = log_softmax_forward(x.data)
 
     def grad_fn(g):
-        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(data) * g.sum(axis=-1, keepdims=True),)
 
     return _make(data, "log_softmax", (x,), grad_fn)
 
@@ -620,24 +616,24 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def rmsnorm_forward(x: np.ndarray, weight: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, np.ndarray]:
+RMS_EPS = 1e-6
+
+
+def rmsnorm_forward(x: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tape op's forward on plain arrays: ``(y, inv)`` with
-    ``inv = 1 / sqrt(mean(x^2, last) + eps)`` and ``y = x * inv * weight``."""
-    if eps < 0:
-        raise ContractError("eps must be >= 0")
+    ``inv = 1 / sqrt(mean(x^2, last) + RMS_EPS)`` and ``y = x * inv * weight``."""
     d = x.shape[-1]
     if weight.shape != (d,):
         raise DimensionError(f"rmsnorm weight shape {weight.shape} != ({d},)")
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + RMS_EPS)
     return x * inv * weight, inv
 
 
-def rmsnorm(x, weight, eps: float) -> Tensor:
-    """``x / sqrt(mean(x^2, last) + eps) * weight`` over the last axis."""
+def rmsnorm(x, weight) -> Tensor:
+    """``x / sqrt(mean(x^2, last) + RMS_EPS) * weight`` over the last axis."""
     x, weight = _as_tensor(x), _as_tensor(weight)
     d = x.shape[-1]
-    data, inv = rmsnorm_forward(x.data, weight.data, eps)
+    data, inv = rmsnorm_forward(x.data, weight.data)
 
     def grad_fn(g):
         gw = g * weight.data

@@ -92,9 +92,13 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
     return rows
 
 
+EVAL_BATCH = 16  # windows per eval_ppl forward
+
+
 def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
-             batch: int = 16, hook: Hook | None = None) -> float:
-    """exp(mean next-token cross entropy) over consecutive corpus windows.
+             hook: Hook | None = None) -> float:
+    """exp(mean next-token cross entropy) over consecutive corpus windows,
+    :data:`EVAL_BATCH` windows a forward.
 
     ``hook`` is passed to every forward (see :func:`mamba2.block_forward`).
     """
@@ -105,8 +109,8 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
         raise ContractError("corpus shorter than one evaluation window")
     windows = stream[: n_win * width].reshape(n_win, width)
     total, count = 0.0, 0
-    for i in range(0, n_win, batch):
-        chunk = windows[i:i + batch]
+    for i in range(0, n_win, EVAL_BATCH):
+        chunk = windows[i:i + EVAL_BATCH]
         logits, _ = model.forward_batch(chunk[:, :-1], hook=hook)
         ce = cross_entropy_loss(logits, chunk[:, 1:]).item()
         total += ce * chunk[:, 1:].size
@@ -118,6 +122,7 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
 # distillation
 
 _NORM_CHUNK = 8  # sequences per teacher-normaliser pass
+TEACHER_BATCH = 32  # sequences per teacher forward in _teacher_logits
 
 
 @dataclass
@@ -167,15 +172,15 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
 
 
 def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
-                    prompt_len: int, batch: int = 32) -> np.ndarray:
+                    prompt_len: int) -> np.ndarray:
     """(n, T - prompt_len, vocab) teacher logits over the continuation,
     copied batch by batch into one array, so no slice keeps a batch's
     full logits alive."""
     n, T = seqs.shape
     out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
-    for i in range(0, n, batch):
-        logits, _ = teacher.forward_batch(seqs[i:i + batch])
-        out[i:i + batch] = logits.data[:, prompt_len - 1:-1, :]
+    for i in range(0, n, TEACHER_BATCH):
+        logits, _ = teacher.forward_batch(seqs[i:i + TEACHER_BATCH])
+        out[i:i + TEACHER_BATCH] = logits.data[:, prompt_len - 1:-1, :]
     return out
 
 
@@ -232,15 +237,15 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
 
-        stats = student.site_stats(auxes)
+        fr_in, fr_out = student.site_stats(auxes)
         l_hidden = (loss.item() - l_kl.item()) if hidden else 0.0
         rows.append({
             "step": step,
             "loss_total": loss.item(),
             "loss_kl": l_kl.item(),
             "loss_hidden": l_hidden,
-            "fr_in": stats.fr_in.rate,
-            "fr_out": stats.fr_out.rate,
+            "fr_in": fr_in.rate,
+            "fr_out": fr_out.rate,
             "lr": cur_lr,
         })
     return DistillResult(student=student, metrics=rows)
@@ -248,6 +253,9 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
 
 # ---------------------------------------------------------------------------
 # preference optimization
+
+METHODS = ("dpo", "kto")
+
 
 @dataclass
 class PreferenceExample:
@@ -310,7 +318,7 @@ def synth_preference_lines(lines: list[str], n: int, seed: int,
                            method: str) -> list[str]:
     """Toy preference data: real corpus continuations are preferred over
     random printable-ASCII noise, drawn one line's worth at a time."""
-    if method not in ("dpo", "kto"):
+    if method not in METHODS:
         raise ContractError(f"unknown preference method {method!r}")
     if not lines:
         raise ContractError("no corpus lines to build preferences from")
@@ -393,17 +401,14 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     """
     if not examples:
         raise ContractError("no preference examples")
-    if method not in ("dpo", "kto"):
+    if method not in METHODS:
         raise ContractError(f"unknown preference method {method!r}")
     if method == "dpo" and not all(e.paired for e in examples):
         raise ContractError("DPO requires paired examples")
+    if method == "kto" and any(e.paired for e in examples):
+        raise ContractError("KTO requires unpaired examples")
     if method == "kto" and batch < 2:
         raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
-    if method == "kto" and any(e.paired for e in examples):
-        examples = [
-            PreferenceExample(prompt=e.prompt, response=e.response_w, label=1)
-            for e in examples
-        ]
     n_resp = 2 if method == "dpo" else 1
     seqs = [[_example_tokens(e.prompt, r) for r in e.responses] for e in examples]
     labels = np.array([e.label for e in examples])

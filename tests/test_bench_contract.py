@@ -44,7 +44,7 @@ def test_tracer_installs_and_uninstalls(bench):
     tracer.install()
     try:
         assert mamba2.block_step is not originals[0]
-        LanguageModel(toy_config()).generate_greedy(np.array([[1, 2, 3]]), 2)
+        LanguageModel(toy_config(), np.random.default_rng(0)).generate_greedy(np.array([[1, 2, 3]]), 2)
     finally:
         tracer.uninstall()
     assert (mamba2.block_step, mamba2.ssm_scan, tn.Graph.backward) == originals

@@ -178,7 +178,8 @@ def with_config(blob: bytes, **changes) -> bytes:
 
 def test_param_shapes_table_matches_model(rng):
     for model in (make_model(rng), LanguageModel(Mamba2Config(
-            d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=3, vocab=11))):
+            d_model=8, n_state=4, n_heads=2, d_head=8, n_layers=3, vocab=11),
+            np.random.default_rng(0))):
         built = [(name, t.shape) for name, t in model.named_parameters()]
         assert built == list(param_shapes(model.cfg).items())
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from spikessm import checkpoint
 from spikessm.cli import COMMANDS, GLOBAL_OPTS, _bool, main
-from spikessm.mamba2 import LanguageModel, toy_config
-from spikessm.training import synthetic_corpus, train_teacher
+from spikessm.mamba2 import CLAMP_MODES, SITES, LanguageModel, toy_config
+from spikessm.neurons import KINDS
+from spikessm.training import METHODS, synthetic_corpus, train_teacher
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,81 @@ def test_energy_report_paper_records_only_what_it_used(tmp_path):
     assert {"config", "variant", "paper"} <= keys
     assert not keys & {"k", "fr_in", "fr_out"}
     assert "k,fr_in,fr_out" in (tmp_path / "energy.csv").read_text()
+
+
+def _argv_or_params(command, settings, where, tmp_path):
+    """``command`` given ``settings`` as flags or in a ``--params`` file."""
+    if where == "flag":
+        return [command] + [t for k, v in settings.items()
+                            for t in (f"--{k.replace('_', '-')}", v)]
+    params = tmp_path / "run.params"
+    params.write_text("".join(f"{k}={v}\n" for k, v in settings.items()), encoding="utf-8")
+    return [command, "--params", str(params)]
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"variant": "tilif"}, "variant tilif needs fr_in, fr_out, k"),
+    ({"variant": "ilif", "fr_in": "0.3", "fr_out": "0.1"}, "variant ilif needs k"),
+    ({"variant": "lif", "fr_out": "0.1"}, "variant lif needs fr_in"),
+    ({"variant": "ann", "fr_in": "0.3", "k": "3"}, "variant ann prices no spikes; drop fr_in, k"),
+    ({"variant": "ann", "fr_out": "0"}, "variant ann prices no spikes; drop fr_out"),
+    ({"variant": "lif", "fr_in": "0.3", "fr_out": "0.1", "k": "4"},
+     "variant lif takes one micro-step; k must be 1, got 4"),
+])
+@pytest.mark.parametrize("where", ["flag", "params"])
+def test_energy_report_needs_exactly_the_settings_it_prices(settings, message, where,
+                                                            tmp_path, capsys):
+    argv = _argv_or_params("energy-report", {"config": "130m", **settings}, where, tmp_path)
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant, extra, recorded", [
+    ("ann", [], set()),
+    ("lif", ["--fr-in", "0.3", "--fr-out", "0.1"], {"fr_in=0.3", "fr_out=0.1", "k=1"}),
+    ("lif", ["--fr-in", "0.3", "--fr-out", "0.1", "--k", "1"],
+     {"fr_in=0.3", "fr_out=0.1", "k=1"}),
+    ("tilif", ["--fr-in", "0.3", "--fr-out", "0.1", "--k", "4"],
+     {"fr_in=0.3", "fr_out=0.1", "k=4"}),
+])
+def test_energy_report_records_what_it_prices(variant, extra, recorded, tmp_path):
+    assert main(["energy-report", "--config", "130m", "--variant", variant, *extra,
+                 "--out", str(tmp_path)]) == 0
+    lines = set((tmp_path / "resolved_config.txt").read_text().splitlines())
+    assert {ln for ln in lines if ln.partition("=")[0] in ("k", "fr_in", "fr_out")} == recorded
+    row = (tmp_path / "energy.csv").read_text().splitlines()[1].split(",")
+    assert row[1:3] == [variant, "4" if variant == "tilif" else "1"]  # ann is priced at k 1
+
+
+@pytest.mark.parametrize("where", ["flag", "params"])
+def test_distill_lif_refuses_a_d_max_other_than_1(where, tmp_path, capsys):
+    argv = _argv_or_params("distill", {"teacher": "t.spkm", "neuron": "lif", "d_max": "3"},
+                           where, tmp_path)
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "d_max must be 1, got 3" in err
+    assert not out.exists()
+
+
+def test_distill_lif_records_the_d_max_it_runs(teacher_dir, tmp_path):
+    out = tmp_path / "o"
+    assert main(["distill", "--teacher", str(teacher_dir / "teacher.spkm"), "--neuron", "lif",
+                 "--steps", "1", "--batch", "2", "--corpus", str(teacher_dir / "corpus.txt"),
+                 "--out", str(out)]) == 0
+    assert "d_max=1" in (out / "resolved_config.txt").read_text().splitlines()
+    assert checkpoint.load(out / "student.spkm").cfg.neuron.d_max == 1
+
+
+def test_choices_are_the_package_tuples():
+    assert COMMANDS["distill"]["neuron"].choices is KINDS
+    assert COMMANDS["rl"]["method"].choices is METHODS
+    assert COMMANDS["clamp-ablation"]["mode"].choices is CLAMP_MODES
+    for command in ("activation-hist", "clamp-ablation"):
+        assert COMMANDS[command]["site"].choices is SITES
 
 
 def test_params_file_and_override(tmp_path):

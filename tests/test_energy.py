@@ -12,7 +12,6 @@ from spikessm.energy import (
     compare_to_reference,
     compute_report,
     count_ops,
-    energy_report,
     reference_report,
     to_csv,
     to_table,

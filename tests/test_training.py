@@ -228,11 +228,12 @@ def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
-def test_teacher_logits_bit_equal_to_concatenate(precision, rng):
+def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
+    monkeypatch.setattr(training, "TEACHER_BATCH", 4)
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
-        got = _teacher_logits(teacher, seqs, 6, batch=4)
+        got = _teacher_logits(teacher, seqs, 6)
         want = teacher_logits_concatenated(teacher, seqs, 6, batch=4)
     assert got.shape == want.shape == (11, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
@@ -325,11 +326,12 @@ def test_single_character_corpus_ppl_approaches_one(rng):
     assert 1.0 < ppl < 1.3
 
 
-def test_eval_ppl_matches_straight_line_oracle(rng):
+def test_eval_ppl_matches_straight_line_oracle(rng, monkeypatch):
     """Independent recomputation of exp(mean next-token cross entropy)."""
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     model = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(25, seed=0)
-    got = eval_ppl(model, lines, seq_len=16, batch=4)
+    got = eval_ppl(model, lines, seq_len=16)
 
     stream = token_stream(lines)
     n = stream.size // 17
@@ -352,13 +354,14 @@ def test_eval_ppl_identity_hook_changes_nothing(rng):
         eval_ppl(model, lines, seq_len=16)
 
 
-def test_eval_ppl_clamp_hook_matches_inline_loop(rng, f64):
+def test_eval_ppl_clamp_hook_matches_inline_loop(rng, f64, monkeypatch):
     """The clamp hook through eval_ppl against a window-by-window loop."""
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     model = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(25, seed=0)
     hook = make_clamp_hook("max_to_zero", "y_t")
-    got = eval_ppl(model, lines, seq_len=16, batch=4, hook=hook)
-    assert got != eval_ppl(model, lines, seq_len=16, batch=4)
+    got = eval_ppl(model, lines, seq_len=16, hook=hook)
+    assert got != eval_ppl(model, lines, seq_len=16)
 
     stream = token_stream(lines)
     n = stream.size // 17
@@ -417,6 +420,14 @@ def test_rl_validates_method(rng):
                method="dpo", steps=1)
 
 
+def test_rl_kto_refuses_paired_examples(rng):
+    model = LanguageModel(tiny_cfg(), rng)
+    paired = [parse_preference_line(line, "dpo")
+              for line in synth_preference_lines(synthetic_corpus(10, seed=0), 4, 0, "dpo")]
+    with pytest.raises(ContractError, match="KTO requires unpaired examples"):
+        rl_run(model, paired, method="kto", steps=1)
+
+
 def test_rl_rejects_empty_examples(rng):
     teacher = LanguageModel(tiny_cfg(), rng)
     with pytest.raises(ContractError, match="no preference examples"):
@@ -437,9 +448,6 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
         logits, _ = model.forward_batch(tokens[None, :])
         return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
 
-    if method == "kto" and any(e.paired for e in examples):
-        examples = [PreferenceExample(prompt=e.prompt, response=e.response_w, label=1)
-                    for e in examples]
     reference = policy.clone()
     rng = np.random.default_rng(seed)
     params = policy.parameters()
