@@ -70,6 +70,11 @@ class CliError(Exception):
     """Input validation failure (exit code 1)."""
 
 
+# the default of an option a command cannot run without: refused when
+# missing or empty, before anything is written
+REQUIRED = object()
+
+
 @dataclass
 class Opt:
     type: Callable
@@ -91,7 +96,7 @@ def _bool(text) -> bool:
 GLOBAL_OPTS = {
     "seed": Opt(int, 0, help="global random seed"),
     "precision": Opt(str, "float32", ("float32", "float64"), "run precision"),
-    "out": Opt(str, None, help="output directory (required)"),
+    "out": Opt(str, REQUIRED, help="output directory"),
     "params": Opt(str, None, help="key=value parameter file"),
 }
 
@@ -121,7 +126,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "corpus_lines": Opt(int, 400, help="synthetic corpus size when no file given"),
     },
     "distill": {
-        "teacher": Opt(str, None, help="teacher checkpoint (required)"),
+        "teacher": Opt(str, REQUIRED, help="teacher checkpoint"),
         "neuron": Opt(str, TILIF, KINDS),
         "d_max": Opt(int, 4),
         "sgc": Opt(_bool, True),
@@ -132,8 +137,8 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "corpus_lines": Opt(int, 400),
     },
     "rl": {
-        "method": Opt(str, None, METHODS, "preference objective (required)"),
-        "ckpt": Opt(str, None, help="policy checkpoint (required)"),
+        "method": Opt(str, REQUIRED, METHODS, "preference objective"),
+        "ckpt": Opt(str, REQUIRED, help="policy checkpoint"),
         "data": Opt(str, None, help="tab-separated preference records"),
         "steps": Opt(int, 120),
         "batch": Opt(int, 4),
@@ -142,12 +147,12 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "corpus_lines": Opt(int, 200, help="synthetic preference set size"),
     },
     "eval-ppl": {
-        "ckpt": Opt(str, None, help="model checkpoint (required)"),
-        "corpus": Opt(str, None, help="UTF-8 text file (required)"),
+        "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
+        "corpus": Opt(str, REQUIRED, help="UTF-8 text file"),
         "seq_len": Opt(int, 48),
     },
     "activation-hist": {
-        "ckpt": Opt(str, None, help="model checkpoint (required)"),
+        "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
         "layer": Opt(int, 0),
         "site": Opt(str, "u_t", SITES),
         "bins": Opt(int, 32),
@@ -156,7 +161,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "seq_len": Opt(int, 48),
     },
     "clamp-ablation": {
-        "ckpt": Opt(str, None, help="model checkpoint (required)"),
+        "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
         "mode": Opt(str, "max_to_zero", CLAMP_MODES),
         "site": Opt(str, "y_t", SITES),
         "corpus": Opt(str, None),
@@ -169,21 +174,16 @@ COMMANDS: dict[str, dict[str, Opt]] = {
 # counts a run cannot do without: zero steps would leave no metrics row,
 # zero trials or probes would pass a check that checked nothing
 POSITIVE = ("steps", "batch", "seq_len", "probes", "trials", "max_dim", "bins",
-            "corpus_lines", "d_max", "k")
+            "corpus_lines", "d_max")
+# a seed and a layer index count from 0
+NON_NEGATIVE = ("seed", "layer")
 # rates and scales: zero, negative or non-finite would run a step that
 # trains nothing or turns the weights non-finite
 POSITIVE_FINITE = ("lr", "beta_pref")
-# fire rates: fractions of the possible spikes
-UNIT_INTERVAL = ("fr_in", "fr_out")
-# energy-report's spike settings: --paper takes them from the reference
-# row; without it a spiking variant is priced at the values given, and
-# ann at none
-SPIKE_SETTINGS = ("fr_in", "fr_out", "k")
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
+    def error(self, message):  # one line, like every other refusal; --help has the usage
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
@@ -194,7 +194,8 @@ def build_parser() -> _Parser:
     for name, opts in COMMANDS.items():
         p = sub.add_parser(name)
         for key, opt in {**GLOBAL_OPTS, **opts}.items():
-            kwargs: dict = {"default": None, "help": opt.help}
+            required = " (required)" if opt.default is REQUIRED else ""
+            kwargs: dict = {"default": None, "help": opt.help + required}
             if opt.type is _bool:
                 kwargs["nargs"] = "?"
                 kwargs["const"] = "true"
@@ -243,6 +244,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     resolved = {k: opt.default for k, opt in schema.items()} | given
     # normalize types and enforce choices
     for key, opt in schema.items():
+        if opt.default is REQUIRED and resolved[key] in (REQUIRED, ""):
+            raise CliError(f"--{key.replace('_', '-')} is required")
         if resolved[key] is None:
             continue
         try:
@@ -253,12 +256,11 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"{key} must be one of {opt.choices}")
         if key in POSITIVE and resolved[key] < 1:
             raise CliError(f"{key} must be >= 1, got {resolved[key]}")
+        if key in NON_NEGATIVE and resolved[key] < 0:
+            raise CliError(f"{key} must be >= 0, got {resolved[key]}")
     for key in POSITIVE_FINITE:
         if resolved.get(key) is not None and not 0 < resolved[key] < math.inf:
             raise CliError(f"{key} must be positive and finite, got {resolved[key]}")
-    for key in UNIT_INTERVAL:
-        if resolved.get(key) is not None and not 0 <= resolved[key] <= 1:
-            raise CliError(f"{key} must lie in [0, 1], got {resolved[key]}")
     if command == "energy-report":
         _check_spike_settings(resolved)
     if resolved.get("neuron") == LIF:
@@ -266,33 +268,24 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"a lif neuron fires at most once; d_max must be 1, "
                            f"got {resolved['d_max']}")
         resolved["d_max"] = 1
-    if resolved["seed"] < 0:
-        raise CliError(f"seed must be >= 0, got {resolved['seed']}")
-    if not resolved["out"]:
-        raise CliError("--out is required")
     return resolved
 
 
 def _check_spike_settings(resolved: dict[str, Any]) -> None:
-    """CliError unless energy-report is given exactly the spike settings
-    it prices; a lif report's k is 1, given or not."""
-    given = [k for k in SPIKE_SETTINGS if resolved[k] is not None]
-    variant = resolved["variant"]
-    if resolved["paper"]:
-        if given:
+    """CliError unless energy-report can price what it is given: under
+    --paper no spike settings and a (config, variant) with a reference
+    row, otherwise the settings ``energy.spike_settings`` takes, which
+    are recorded as it returns them."""
+    try:
+        if not resolved["paper"]:
+            resolved.update(energy.spike_settings(
+                resolved["variant"], *(resolved[k] for k in energy.SPIKE_SETTINGS)))
+        elif given := [k for k in energy.SPIKE_SETTINGS if resolved[k] is not None]:
             raise CliError(f"--paper takes k and fire rates from its row; drop {', '.join(given)}")
-        return
-    if variant == energy.ANN:
-        if given:
-            raise CliError(f"variant ann prices no spikes; drop {', '.join(given)}")
-        return
-    if variant == energy.LIF_V:
-        if resolved["k"] not in (None, 1):
-            raise CliError(f"variant lif takes one micro-step; k must be 1, got {resolved['k']}")
-        resolved["k"] = 1
-    if missing := [k for k in SPIKE_SETTINGS if resolved[k] is None]:
-        raise CliError(f"variant {variant} needs {', '.join(missing)}: "
-                       f"without --paper it prices the values given")
+        else:
+            energy.reference_row(resolved["config"], resolved["variant"])
+    except ContractError as exc:
+        raise CliError(str(exc)) from None
 
 
 def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
@@ -320,8 +313,6 @@ def _save_corpus(outdir: str, lines: list[str]) -> None:
 
 
 def _load_model(path: str) -> LanguageModel:
-    if not path:
-        raise CliError("a checkpoint path is required")
     with reading("checkpoint", path):
         return checkpoint.load(path)
 
@@ -407,16 +398,14 @@ def cmd_energy_report(resolved) -> int:
     variant = resolved["variant"]
     outdir = resolved["out"]
     if resolved["paper"]:
-        if (cfg_name, variant) not in energy.REFERENCE_ROWS:
-            raise CliError(f"no reference row for ({cfg_name}, {variant})")
         report = energy.reference_report(cfg_name, variant)
         errs = energy.compare_to_reference(report)  # ContractError -> exit 2
         print(f"reference comparison: worst cell error "
               f"{max(errs.values()):.3%} (tolerance 0.5%)")
-    else:  # an ann report is given no spike settings and takes the defaults
-        given = {k: resolved[k] for k in SPIKE_SETTINGS if resolved[k] is not None}
-        report = energy.compute_report(energy.PRESETS[cfg_name], variant,
-                                       config=cfg_name, **given)
+    else:  # the settings resolve_options checked; None is not given
+        report = energy.compute_report(
+            energy.PRESETS[cfg_name], variant,
+            *(resolved[k] for k in energy.SPIKE_SETTINGS), config=cfg_name)
     table = energy.to_table([report])
     print(table, end="")
     with open(os.path.join(outdir, "energy.csv"), "w", encoding="utf-8") as f:
@@ -469,8 +458,6 @@ def cmd_distill(resolved) -> int:
 
 
 def cmd_rl(resolved) -> int:
-    if not resolved["method"]:
-        raise CliError("--method is required")
     policy = _load_model(resolved["ckpt"])
     outdir = resolved["out"]
     if resolved["data"]:
@@ -497,8 +484,6 @@ def cmd_rl(resolved) -> int:
 
 def cmd_eval_ppl(resolved) -> int:
     model = _load_model(resolved["ckpt"])
-    if not resolved["corpus"]:
-        raise CliError("--corpus is required")
     lines = load_corpus(resolved)
     ppl = eval_ppl(model, lines, seq_len=resolved["seq_len"])
     with open(os.path.join(resolved["out"], "eval.csv"), "w",
@@ -522,7 +507,7 @@ def _collect_site(model, lines, layer, site, seq_len):
 
 def cmd_activation_hist(resolved) -> int:
     model = _load_model(resolved["ckpt"])
-    if not 0 <= resolved["layer"] < model.cfg.n_layers:
+    if resolved["layer"] >= model.cfg.n_layers:  # >= 0 checked before any write
         raise CliError(f"layer must be in [0, {model.cfg.n_layers})")
     lines = load_corpus(resolved)
     values = _collect_site(model, lines, resolved["layer"], resolved["site"],

@@ -89,17 +89,44 @@ class OpRow:
     count: float  # operations per token, all layers
 
 
-def count_ops(geom: Geometry, variant: str, fr_in: float = 0.0,
-              fr_out: float = 0.0, k: int = 1) -> list[OpRow]:
-    """Per-token operation counts for every block row, times n_layers."""
+# the settings a spiking variant is priced at: the fire rates of the two
+# projections' inputs and the micro-steps per token
+SPIKE_SETTINGS = ("fr_in", "fr_out", "k")
+
+
+def spike_settings(variant: str, fr_in: float | None = None,
+                   fr_out: float | None = None, k: int | None = None) -> dict:
+    """The spike settings ``variant`` is priced at, from those given
+    (``None`` is not given). ann takes none; lif takes both fire rates,
+    and its k is 1, given or not; ilif and tilif take all three. Rates
+    lie in [0, 1] and k is at least 1. ContractError otherwise."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}")
-    if variant != ANN and not (0.0 <= fr_in <= 1.0 and 0.0 <= fr_out <= 1.0):
-        raise ContractError("fire rates must lie in [0, 1]")
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    if variant == LIF_V and k != 1:
-        raise ContractError("LIF uses a single micro-step (k == 1)")
+    given = {name: value for name, value in zip(SPIKE_SETTINGS, (fr_in, fr_out, k))
+             if value is not None}
+    if k is not None and k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    for name in ("fr_in", "fr_out"):
+        if name in given and not 0 <= given[name] <= 1:
+            raise ContractError(f"{name} must lie in [0, 1], got {given[name]}")
+    if variant == ANN:
+        if given:
+            raise ContractError(f"variant ann prices no spikes; drop {', '.join(given)}")
+        return {}
+    if variant == LIF_V:
+        if k not in (None, 1):
+            raise ContractError(f"variant lif takes one micro-step; k must be 1, got {k}")
+        given["k"] = 1
+    if missing := [name for name in SPIKE_SETTINGS if name not in given]:
+        raise ContractError(f"variant {variant} needs {', '.join(missing)}: "
+                            f"a report prices only the values given")
+    return given
+
+
+def count_ops(geom: Geometry, variant: str, fr_in: float | None = None,
+              fr_out: float | None = None, k: int | None = None) -> list[OpRow]:
+    """Per-token operation counts for every block row, times n_layers."""
+    spikes = spike_settings(variant, fr_in, fr_out, k)
 
     D, N, H, P = geom.d_model, geom.n_state, geom.n_heads, geom.d_head
     L = geom.n_layers
@@ -114,7 +141,8 @@ def count_ops(geom: Geometry, variant: str, fr_in: float = 0.0,
     if variant == ANN:
         row("in_proj", MM, in_count)
         row("out_proj", MM, out_count)
-    else:
+    else:  # priced at the rule's settings: a lif's k is 1, given or not
+        fr_in, fr_out, k = (spikes[name] for name in SPIKE_SETTINGS)
         row("in_proj", ADD, k * fr_in * in_count)
         row("out_proj", ADD, k * fr_out * out_count)
 
@@ -164,16 +192,21 @@ class EnergyReport:
         return self.in_proj_uj + self.out_proj_uj + self.ssm_uj + self.others_uj
 
 
-def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
-                   fr_out: float = 0.0, k: int = 1, config: str = "") -> EnergyReport:
+def compute_report(geom: Geometry, variant: str, fr_in: float | None = None,
+                   fr_out: float | None = None, k: int | None = None,
+                   config: str = "") -> EnergyReport:
     """Count and price the operations, roll them up into report
     categories, and attach the efficiency ratio against the ANN baseline."""
+    spikes = spike_settings(variant, fr_in, fr_out, k)
+    # an ann report's spike columns read: never fires, one pass per token
+    record = {"fr_in": 0.0, "fr_out": 0.0, "k": 1} | spikes
+
     def priced(rows: list[OpRow]) -> EnergyReport:
         buckets = {IN_PROJ: 0.0, OUT_PROJ: 0.0, SSM: 0.0, OTHERS: 0.0, NEURON: 0.0}
         for r in rows:
             buckets[CATEGORY[r.name]] += r.count * PRICE_PJ[r.kind]
         return EnergyReport(
-            config=config, variant=variant, k=k, fr_in=fr_in, fr_out=fr_out,
+            config=config, variant=variant, **record,
             in_proj_uj=buckets[IN_PROJ] / PJ_PER_UJ,
             out_proj_uj=buckets[OUT_PROJ] / PJ_PER_UJ,
             ssm_uj=buckets[SSM] / PJ_PER_UJ,
@@ -181,7 +214,7 @@ def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
             neuron_uj=buckets[NEURON] / PJ_PER_UJ,
         )
 
-    report = priced(count_ops(geom, variant, fr_in=fr_in, fr_out=fr_out, k=k))
+    report = priced(count_ops(geom, variant, **spikes))
     base = priced(count_ops(geom, ANN))  # for ANN the same total: a ratio of exactly 1
     ratio = base.total_uj / report.total_uj if report.total_uj > 0 else None
     return replace(report, ratio=ratio)
@@ -189,12 +222,12 @@ def compute_report(geom: Geometry, variant: str, fr_in: float = 0.0,
 
 # ---------------------------------------------------------------------------
 # published reference measurements for the two preset geometries:
-# fire rates per variant plus the expected per-category energies (uJ/token)
+# the spike settings of each spiking variant plus the expected per-category
+# energies (uJ/token)
 
 REFERENCE_ROWS: dict[tuple[str, str], dict[str, float]] = {
-    ("130m", ANN): dict(k=1, fr_in=0.0, fr_out=0.0, in_proj=284.2067,
-                        out_proj=130.2331, ssm=82.7476, others=1.4733,
-                        total=498.6607, ratio=1.0),
+    ("130m", ANN): dict(in_proj=284.2067, out_proj=130.2331, ssm=82.7476,
+                        others=1.4733, total=498.6607, ratio=1.0),
     ("130m", LIF_V): dict(k=1, fr_in=0.3180, fr_out=0.1583, in_proj=17.6826,
                           out_proj=4.0259, ssm=82.7476, others=1.4733,
                           total=105.9294, ratio=4.7075),
@@ -204,9 +237,8 @@ REFERENCE_ROWS: dict[tuple[str, str], dict[str, float]] = {
     ("130m", TILIF_V): dict(k=4, fr_in=0.3498, fr_out=0.1215, in_proj=77.8034,
                             out_proj=12.3835, ssm=82.7476, others=1.4733,
                             total=174.4078, ratio=2.8592),
-    ("1.3b", ANN): dict(k=1, fr_in=0.0, fr_out=0.0, in_proj=3849.1128,
-                        out_proj=1852.2046, ssm=441.3204, others=7.4809,
-                        total=6150.1188, ratio=1.0),
+    ("1.3b", ANN): dict(in_proj=3849.1128, out_proj=1852.2046, ssm=441.3204,
+                        others=7.4809, total=6150.1188, ratio=1.0),
     ("1.3b", LIF_V): dict(k=1, fr_in=0.1605, fr_out=0.1483, in_proj=120.8705,
                           out_proj=53.7421, ssm=441.3204, others=7.4809,
                           total=623.4140, ratio=9.8652),
@@ -221,25 +253,30 @@ REFERENCE_ROWS: dict[tuple[str, str], dict[str, float]] = {
 REFERENCE_TOLERANCE = 0.005  # relative, per cell
 
 
-def reference_report(config: str, variant: str) -> EnergyReport:
-    """Report computed from the reference fire rates of a preset geometry."""
+def reference_row(config: str, variant: str) -> dict[str, float]:
+    """The published row of (config, variant); ContractError if there is none."""
     try:
-        ref = REFERENCE_ROWS[(config, variant)]
+        return REFERENCE_ROWS[(config, variant)]
     except KeyError:
         raise ContractError(f"no reference row for ({config}, {variant})") from None
-    return compute_report(PRESETS[config], variant, fr_in=ref["fr_in"],
-                          fr_out=ref["fr_out"], k=int(ref["k"]), config=config)
+
+
+def reference_report(config: str, variant: str) -> EnergyReport:
+    """Report computed from the reference spike settings of a preset geometry."""
+    ref = reference_row(config, variant)
+    spikes = {name: ref[name] for name in SPIKE_SETTINGS if name in ref}
+    return compute_report(PRESETS[config], variant, **spikes, config=config)
 
 
 def compare_to_reference(report: EnergyReport) -> dict[str, float]:
     """Relative error per published cell; raises if any exceeds tolerance."""
-    ref = REFERENCE_ROWS[(report.config, report.variant)]
+    ref = reference_row(report.config, report.variant)
     got = dict(in_proj=report.in_proj_uj, out_proj=report.out_proj_uj,
                ssm=report.ssm_uj, others=report.others_uj,
                total=report.total_uj, ratio=report.ratio)
     errs = {}
     for cell, expected in ref.items():
-        if cell in ("k", "fr_in", "fr_out"):
+        if cell in SPIKE_SETTINGS:
             continue
         errs[cell] = abs(got[cell] - expected) / abs(expected)
     bad = {c: e for c, e in errs.items() if e > REFERENCE_TOLERANCE}

@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikessm import checkpoint
-from spikessm.cli import COMMANDS, GLOBAL_OPTS, _bool, main
+from spikessm.cli import (
+    COMMANDS,
+    GLOBAL_OPTS,
+    REQUIRED,
+    _bool,
+    build_parser,
+    main,
+    resolve_options,
+)
 from spikessm.mamba2 import CLAMP_MODES, SITES, LanguageModel, toy_config
 from spikessm.neurons import KINDS
 from spikessm.training import METHODS, synthetic_corpus, train_teacher
@@ -56,9 +66,13 @@ def test_energy_report_toy_custom_rates(tmp_path):
     assert rc == 0
 
 
-def test_energy_report_toy_paper_rejected(tmp_path):
+def test_energy_report_toy_paper_rejected(tmp_path, capsys):
+    out = tmp_path / "o"
     assert main(["energy-report", "--config", "toy", "--variant", "ann",
-                 "--paper", "--out", str(tmp_path)]) == 1
+                 "--paper", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "no reference row for (toy, ann)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("k", "8"), ("fr_in", "0.9"), ("fr_out", "0.1")])
@@ -154,6 +168,64 @@ def test_distill_lif_records_the_d_max_it_runs(teacher_dir, tmp_path):
                  "--out", str(out)]) == 0
     assert "d_max=1" in (out / "resolved_config.txt").read_text().splitlines()
     assert checkpoint.load(out / "student.spkm").cfg.neuron.d_max == 1
+
+
+def _required_cases():
+    for command, opts in COMMANDS.items():
+        for key, opt in {**GLOBAL_OPTS, **opts}.items():
+            if opt.default is REQUIRED:
+                for how in ("missing", "empty-flag", "empty-params"):
+                    yield pytest.param(command, key, how, id=f"{command}-{key}-{how}")
+
+
+@pytest.mark.parametrize("command, key, how", list(_required_cases()))
+def test_required_options_refused_before_anything_is_written(command, key, how,
+                                                             tmp_path, capsys):
+    out = tmp_path / "o"
+    given = {k: opt.choices[0] if opt.choices else "x.spkm"
+             for k, opt in COMMANDS[command].items() if opt.default is REQUIRED}
+    given["out"] = str(out)
+    flag = f"--{key.replace('_', '-')}"
+    argv = [command]
+    if how == "empty-params":
+        params = tmp_path / "run.params"
+        params.write_text(f"{key}=\n", encoding="utf-8")
+        argv += ["--params", str(params)]
+    for k, v in given.items():
+        if k != key:
+            argv += [f"--{k.replace('_', '-')}", v]
+        elif how == "empty-flag":
+            argv += [flag, ""]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and flag in err
+    assert not out.exists()
+
+
+def test_help_marks_the_required_options(capsys):
+    assert main(["rl", "--help"]) == 0
+    assert capsys.readouterr().out.count("(required)") == 3  # --out, --method, --ckpt
+
+
+def test_activation_hist_negative_layer_refused_before_anything_is_written(tmp_path,
+                                                                          capsys):
+    out = tmp_path / "o"
+    assert main(["activation-hist", "--ckpt", "m.spkm", "--layer", "-1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "layer must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_readme_command_lines_resolve():
+    # every documented command line parses and resolves; nothing runs or is written
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [ln for ln in section.splitlines() if ln.startswith("spikessm ")]
+    assert len(lines) == 11
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert resolve_options(args.command, args)["out"].startswith("runs/"), line
 
 
 def test_choices_are_the_package_tuples():

@@ -3,6 +3,7 @@ import pytest
 
 from spikessm.energy import (
     ANN,
+    EnergyReport,
     ILIF_V,
     LIF_V,
     PRESETS,
@@ -13,6 +14,7 @@ from spikessm.energy import (
     compute_report,
     count_ops,
     reference_report,
+    spike_settings,
     to_csv,
     to_table,
 )
@@ -134,3 +136,49 @@ def test_compare_to_reference_catches_bad_cells():
     broken = type(r)(**{**r.__dict__, "in_proj_uj": r.in_proj_uj * 1.02})
     with pytest.raises(ContractError):
         compare_to_reference(broken)
+
+
+@pytest.mark.parametrize("variant, missing", [(LIF_V, "fr_in, fr_out:"),
+                                              (ILIF_V, "fr_in, fr_out, k"),
+                                              (TILIF_V, "fr_in, fr_out, k")])
+def test_spiking_variants_without_rates_refused(variant, missing):
+    for fn in (count_ops, compute_report):
+        with pytest.raises(ContractError, match=f"variant {variant} needs {missing}"):
+            fn(PRESETS["130m"], variant)
+
+
+@pytest.mark.parametrize("settings", [{"fr_in": 0.5}, {"fr_out": 0.0}, {"k": 1},
+                                      {"fr_in": 0.5, "k": 3}])
+def test_ann_given_any_setting_refused(settings):
+    for fn in (count_ops, compute_report):
+        with pytest.raises(ContractError, match="variant ann prices no spikes; drop"):
+            fn(PRESETS["130m"], ANN, **settings)
+
+
+def test_spike_settings_rule():
+    assert spike_settings(ANN) == {}
+    assert spike_settings(LIF_V, 0.3, 0.1) == {"fr_in": 0.3, "fr_out": 0.1, "k": 1}
+    assert spike_settings(TILIF_V, 0.3, 0.1, 4) == {"fr_in": 0.3, "fr_out": 0.1, "k": 4}
+    for args, message in [((ILIF_V, 0.3, 0.1), "variant ilif needs k"),
+                          ((LIF_V, 0.3, 0.1, 4), "k must be 1, got 4"),
+                          ((TILIF_V, 1.5, 0.1, 4), "fr_in must lie in [0, 1], got 1.5"),
+                          ((TILIF_V, 0.3, float("nan"), 4), "fr_out must lie in [0, 1]"),
+                          ((ANN, None, None, 0), "k must be >= 1, got 0")]:
+        with pytest.raises(ContractError) as exc:
+            spike_settings(*args)
+        assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("config", ["toy", ""])
+def test_compare_to_reference_without_a_row_refused(config):
+    report = compute_report(PRESETS["toy"], ANN, config=config)
+    with pytest.raises(ContractError, match=f"no reference row for \\({config}, ann\\)"):
+        compare_to_reference(report)
+
+
+def test_ann_report_fields():
+    # the report an ann geometry has always had, field by field
+    assert compute_report(PRESETS["130m"], ANN) == EnergyReport(
+        config="", variant=ANN, k=1, fr_in=0.0, fr_out=0.0,
+        in_proj_uj=284.2066944, out_proj_uj=130.23313919999998, ssm_uj=82.747584,
+        others_uj=1.4733312000000003, neuron_uj=0.0, ratio=1.0)
