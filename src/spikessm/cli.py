@@ -71,7 +71,7 @@ class CliError(Exception):
 
 
 # the default of an option a command cannot run without: refused when
-# missing or empty, before anything is written
+# missing, before anything is written (any option given empty is refused)
 REQUIRED = object()
 
 
@@ -244,7 +244,10 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     resolved = {k: opt.default for k, opt in schema.items()} | given
     # normalize types and enforce choices
     for key, opt in schema.items():
-        if opt.default is REQUIRED and resolved[key] in (REQUIRED, ""):
+        # given empty is not "not given": an empty --corpus would train on synthetic text
+        if resolved[key] == "":
+            raise CliError(f"--{key.replace('_', '-')} is empty; give a value or leave it out")
+        if resolved[key] is REQUIRED:
             raise CliError(f"--{key.replace('_', '-')} is required")
         if resolved[key] is None:
             continue

@@ -5,8 +5,9 @@ matmul, elementwise arithmetic, the five activations, softmax /
 log-softmax, RMS norm, causal depthwise conv, embedding gather,
 reductions, slicing/concat, and the quantizing neuron op registered
 from :mod:`spikessm.neurons`. There is no graph compiler; gradients
-are accumulated by walking the tape in reverse creation order, which
-makes every run bit-reproducible. A ``narrow`` hands the engine its
+are accumulated by walking the tape once in reverse creation order,
+which makes every run bit-reproducible, and the walk frees what each op
+saved as it goes (:meth:`Graph.backward`). A ``narrow`` hands the engine its
 slice and gradient (:class:`SliceGrad`), which it adds into one buffer
 per input instead of a zero-filled full-size array per slice. The
 forwards of the activations, softmax, log-softmax, RMS norm and the
@@ -155,13 +156,14 @@ def pause_recording():
 class Graph:
     """Reverse-mode tape.
 
-    Nodes are appended in creation order; ``backward`` walks them in
-    reverse creation order, single-threaded, so gradient accumulation
+    Nodes are appended in creation order; ``backward`` walks them once,
+    in reverse creation order, single-threaded, so gradient accumulation
     order is deterministic run to run.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
+        self.walked = False
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -182,16 +184,30 @@ class Graph:
         buffer per input that the engine allocated itself; an array a
         ``grad_fn`` returned may alias another gradient, so it is copied
         before any slice is added to it.
+
+        The walk consumes the tape. Each node is popped and gives up its
+        ``grad_fn`` and inputs before the closure runs, so the arrays a
+        closure saved are freed as the walk goes on, ``nodes`` is empty
+        when it ends, and the recorded outputs a caller still holds keep
+        their data but no longer the tape behind them. A second
+        ``backward`` on the same graph is refused.
         """
+        if self.walked:
+            raise ContractError("backward already walked this tape; record a new Graph")
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+        self.walked = True
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         owned: set[int] = set()  # inputs whose gradient buffer the engine allocated
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            grad_fn, inputs = node._grad_fn, node._inputs
+            node._grad_fn, node._inputs = None, ()
             g_out = grads.pop(id(node), None)
-            if g_out is None or node._grad_fn is None:
+            if g_out is None or grad_fn is None:
                 continue
-            for inp, g_in in zip(node._inputs, node._grad_fn(g_out)):
+            for inp, g_in in zip(inputs, grad_fn(g_out)):
                 if g_in is None:
                     continue
                 key = id(inp)
@@ -211,10 +227,8 @@ class Graph:
                 else:
                     grads[key] = prior + g_in
                     owned.add(key)
-        return {
-            id(p): grads.get(id(p), np.zeros_like(p.data))
-            for p in wrt
-        }
+        return {id(p): grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+                for p in wrt}
 
 
 class SliceGrad(NamedTuple):

@@ -552,6 +552,40 @@ def test_non_positive_sizes_rejected(argv, tmp_path, capsys):
     assert not out.exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["train-teacher", "--steps", "1", "--corpus", ""], "--corpus"),
+    (["train-teacher", "--steps", "1", "--params", ""], "--params"),
+    (["distill", "--teacher", "t.spkm", "--corpus", ""], "--corpus"),
+    (["activation-hist", "--ckpt", "m.spkm", "--corpus", ""], "--corpus"),
+    (["clamp-ablation", "--ckpt", "m.spkm", "--corpus", ""], "--corpus"),
+    (["rl", "--method", "dpo", "--ckpt", "p.spkm", "--data", ""], "--data"),
+    (["energy-report", "--params", ""], "--params"),
+    (["distill", "--teacher", "t.spkm", "--sgc", ""], "--sgc"),
+    (["train-teacher", "--steps", ""], "--steps"),
+])
+def test_empty_option_rejected(argv, flag, tmp_path, capsys):
+    """An option given empty is refused, not read as "not given" (an empty
+    --corpus would otherwise train on the synthetic corpus)."""
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and f"{flag} is empty" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("train-teacher", "corpus"),
+                                          ("rl", "data"), ("distill", "lr")])
+def test_empty_option_in_params_file_rejected(command, key, tmp_path, capsys):
+    params = tmp_path / "run.params"
+    params.write_text(f"{key}=\n", encoding="utf-8")
+    required = {"train-teacher": ["--steps", "1"], "distill": ["--teacher", "t.spkm"],
+                "rl": ["--method", "dpo", "--ckpt", "p.spkm"]}[command]
+    out = tmp_path / "o"
+    assert main([command, *required, "--params", str(params), "--out", str(out)]) == 1
+    assert f"--{key} is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["train-teacher", "--lr", "-1"], "lr must be positive and finite"),
     (["train-teacher", "--lr", "0"], "lr must be positive and finite"),

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,18 +13,23 @@ import pytest
 
 from spikessm import tensor
 from spikessm.gradcheck import REL_TOL, check_gradients
+from spikessm.mamba2 import DENSE, SPIKING, LanguageModel, Mamba2Config
+from spikessm.neurons import TILIF, NeuronConfig
+from spikessm.optim import AdamW
 from spikessm.tensor import (
     MMAP_THRESHOLD,
     TRIM_THRESHOLD,
     ContractError,
     DimensionError,
     Graph,
+    SliceGrad,
     Tensor,
     activation,
     activation_forward,
     causal_conv1d,
     causal_conv1d_forward,
     concat,
+    custom_op,
     dtype_scope,
     embedding,
     keep_freed_pages_mapped,
@@ -37,6 +43,14 @@ from spikessm.tensor import (
     sum_,
     tanh,
     transpose2d,
+)
+from spikessm.training import (
+    distill_run,
+    parse_preference_line,
+    rl_run,
+    synth_preference_lines,
+    synthetic_corpus,
+    train_teacher,
 )
 
 
@@ -275,6 +289,133 @@ def test_broadcast_backward(rng, f64):
         return sum_((a * b + a) * probe)
 
     assert check_gradients(loss_fn, [a, b], rng, probes=100) < REL_TOL
+
+
+# ---------------------------------------------------------------------------
+# A tape is walked once: backward frees what the closures saved as it goes
+
+def _probe_op(x):
+    """``x * [0, 1, 2]`` through a custom op whose closure alone holds the
+    factor; returns the op's output and a weak reference to the factor."""
+    factor = np.arange(3.0)
+    out = custom_op(x.data * factor, (x,), lambda g: (g * factor,), "probe")
+    return out, weakref.ref(factor)
+
+
+def test_backward_consumes_the_tape():
+    x = parameter(np.arange(3.0))
+    with Graph() as g:
+        y, factor = _probe_op(x)
+        loss = sum_(tanh(y) + narrow(x, 0, 0, 3) * x)
+    recorded = list(g.nodes)
+    grads = g.backward(loss, wrt=[x])
+    assert recorded and not g.nodes
+    assert all(n._grad_fn is None and n._inputs == () for n in recorded)
+    assert factor() is None  # y is alive, the array its closure saved is not
+    np.testing.assert_allclose(
+        grads[id(x)], (1 - np.tanh(x.data * [0, 1, 2]) ** 2) * [0, 1, 2] + 2 * x.data,
+        rtol=1e-6)
+    with pytest.raises(ContractError, match="already walked"):
+        g.backward(loss, wrt=[x])
+
+
+def test_refused_backward_leaves_the_tape():
+    x = parameter(np.ones(2))
+    with Graph() as g:
+        y = x * 2.0
+        loss = sum_(y)
+    with pytest.raises(ContractError, match="scalar"):
+        g.backward(y, wrt=[x])
+    np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
+
+
+def backward_retaining(graph, loss, wrt):
+    """``Graph.backward`` as it was before the walk consumed the tape: the
+    oracle for the gradient arithmetic and its order."""
+    if loss.data.size != 1:
+        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # inputs whose gradient buffer the engine allocated
+    for node in reversed(graph.nodes):
+        g_out = grads.pop(id(node), None)
+        if g_out is None or node._grad_fn is None:
+            continue
+        for inp, g_in in zip(node._inputs, node._grad_fn(g_out)):
+            if g_in is None:
+                continue
+            key = id(inp)
+            prior = grads.get(key)
+            if type(g_in) is SliceGrad:
+                if prior is None:
+                    prior = np.zeros_like(inp.data)
+                    prior[g_in.index] = g_in.g
+                else:
+                    if key not in owned:
+                        prior = prior.copy()
+                    prior[g_in.index] += g_in.g
+                grads[key] = prior
+                owned.add(key)
+            elif prior is None:
+                grads[key] = g_in
+            else:
+                grads[key] = prior + g_in
+                owned.add(key)
+    return {
+        id(p): grads.get(id(p), np.zeros_like(p.data))
+        for p in wrt
+    }
+
+
+def _tiny_model(mode=DENSE):
+    neuron = NeuronConfig(kind=TILIF, d_max=4) if mode == SPIKING else None
+    cfg = Mamba2Config(d_model=16, n_state=4, n_heads=2, d_head=16, n_layers=2,
+                       vocab=259, mode=mode, neuron=neuron, sgc=mode == SPIKING)
+    return LanguageModel(cfg, np.random.default_rng(11))
+
+
+def _preferences(method):
+    lines = synth_preference_lines(synthetic_corpus(30, seed=0), 6, 4, method)
+    return [parse_preference_line(line, method) for line in lines]
+
+
+# two steps of each training loop, on a fresh copy of a fixed model
+TRAINING_STEPS = {
+    "teacher": lambda: train_teacher(_tiny_model(), synthetic_corpus(30, seed=0),
+                                     steps=2, batch=3, seq_len=12, seed=1),
+    "distill-tilif-sgc": lambda: distill_run(
+        _tiny_model(), _tiny_model(SPIKING), synthetic_corpus(30, seed=0),
+        steps=2, batch=3, prompt_len=4, total_len=14, n_sequences=6, seed=2),
+    "dpo": lambda: rl_run(_tiny_model(SPIKING), _preferences("dpo"), method="dpo",
+                          steps=2, batch=3, lr=1e-3, seed=3),
+    "kto": lambda: rl_run(_tiny_model(SPIKING), _preferences("kto"), method="kto",
+                          steps=2, batch=3, lr=1e-3, seed=4),
+}
+
+
+def _handed_gradients(walk, run, monkeypatch):
+    """The gradient bytes every ``AdamW.step`` of ``run()`` is handed, with
+    ``walk`` as ``Graph.backward``."""
+    handed, step = [], AdamW.step
+
+    def recording_step(opt, grads, lr):
+        handed.append([grads[id(p)].tobytes() for p in opt.params])
+        step(opt, grads, lr)
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "backward", walk)
+        m.setattr(AdamW, "step", recording_step)
+        run()
+    return handed
+
+
+@pytest.mark.parametrize("kind", list(TRAINING_STEPS))
+def test_consuming_walk_bit_identical_to_retaining_oracle(kind, monkeypatch):
+    """float32, where accumulation order shows: twin runs from the same
+    inputs hand AdamW the same gradient bytes at every step."""
+    run = TRAINING_STEPS[kind]
+    want = _handed_gradients(backward_retaining, run, monkeypatch)
+    got = _handed_gradients(Graph.backward, run, monkeypatch)
+    assert len(got) == 2 and got == want
 
 
 # ---------------------------------------------------------------------------

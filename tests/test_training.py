@@ -1,3 +1,7 @@
+import sys
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -410,6 +414,59 @@ def test_distill_mirrors_are_run_state(rng, monkeypatch):
     assert compensated_layers(2) == {0, 1} and compensated_layers(6) == {0, 3, 5}
 
 
+def _closure_arrays(obj, found, seen):
+    """Append to ``found`` every array ``obj`` holds through closure cells,
+    nested functions and containers, but not through tensors."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+    elif isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            _closure_arrays(cell.cell_contents, found, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _closure_arrays(item, found, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _closure_arrays(item, found, seen)
+
+
+def test_distill_step_frees_its_tape_before_the_update(rng, monkeypatch):
+    """Over a compensated distill run, every array a step's closures saved
+    is dead when that step's AdamW.step runs, but those the loop itself
+    still names (the token window): loss, logits and auxes no longer hold
+    the tape, so the next forward is not built next to it."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                            sgc=True)
+    saved, seen_at_update = [], []
+    backward, step = Graph.backward, AdamW.step
+
+    def recording_backward(g, loss, wrt):
+        found, visited = [], set()
+        for node in g.nodes:
+            _closure_arrays(node._grad_fn, found, visited)
+        saved[:] = [weakref.ref(a) for a in found]
+        del found
+        return backward(g, loss, wrt)
+
+    def checking_step(opt, grads, lr):
+        named = [v for v in sys._getframe(1).f_locals.values() if isinstance(v, np.ndarray)]
+        live = [a for a in (r() for r in saved) if a is not None]
+        seen_at_update.append((len(saved), sum(all(a is not v for v in named) for a in live)))
+        del live
+        step(opt, grads, lr)
+
+    monkeypatch.setattr(Graph, "backward", recording_backward)
+    monkeypatch.setattr(AdamW, "step", checking_step)
+    distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=2, batch=3,
+                prompt_len=4, total_len=14, n_sequences=6, seed=3)
+    assert len(seen_at_update) == 2
+    assert all(n_saved > 0 and n_live == 0 for n_saved, n_live in seen_at_update)
+
+
 def test_rl_validates_method(rng):
     teacher = LanguageModel(tiny_cfg(), rng)
     with pytest.raises(ContractError):
@@ -575,10 +632,10 @@ def rl_run_row_views(policy, examples, *, steps, batch, lr=5e-6, beta_pref=0.1,
             for extra in losses[1:]:
                 loss = loss + extra
             loss = loss * (1.0 / batch)
+        nodes = len(g.nodes)  # backward consumes the tape
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
-        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr,
-                     "nodes": len(g.nodes)})
+        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr, "nodes": nodes})
     return rows
 
 
