@@ -50,13 +50,17 @@ from .tensor import (
 from .training import (
     DISTILL_FIELDS,
     METHODS,
+    SEQ_LEN,
     TRAIN_FIELDS,
+    check_rl_batch,
     distill_run,
     eval_ppl,
     load_preference_file,
+    require_window,
     rl_run,
     synth_preference_lines,
     synthetic_corpus,
+    token_stream,
     train_teacher,
     write_metrics_csv,
 )
@@ -120,7 +124,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     "train-teacher": {
         "steps": Opt(int, 1200),
         "batch": Opt(int, 16),
-        "seq_len": Opt(int, 48),
+        "seq_len": Opt(int, SEQ_LEN),
         "lr": Opt(float, 3e-3),
         "corpus": Opt(str, None, help="UTF-8 text file, one document per line"),
         "corpus_lines": Opt(int, 400, help="synthetic corpus size when no file given"),
@@ -149,7 +153,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
     "eval-ppl": {
         "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
         "corpus": Opt(str, REQUIRED, help="UTF-8 text file"),
-        "seq_len": Opt(int, 48),
+        "seq_len": Opt(int, SEQ_LEN),
     },
     "activation-hist": {
         "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
@@ -158,7 +162,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "bins": Opt(int, 32),
         "corpus": Opt(str, None),
         "corpus_lines": Opt(int, 400),
-        "seq_len": Opt(int, 48),
+        "seq_len": Opt(int, SEQ_LEN),
     },
     "clamp-ablation": {
         "ckpt": Opt(str, REQUIRED, help="model checkpoint"),
@@ -166,7 +170,7 @@ COMMANDS: dict[str, dict[str, Opt]] = {
         "site": Opt(str, "y_t", SITES),
         "corpus": Opt(str, None),
         "corpus_lines": Opt(int, 400),
-        "seq_len": Opt(int, 48),
+        "seq_len": Opt(int, SEQ_LEN),
     },
 }
 
@@ -266,6 +270,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"{key} must be positive and finite, got {resolved[key]}")
     if command == "energy-report":
         _check_spike_settings(resolved)
+    if command == "rl":
+        with refused():
+            check_rl_batch(resolved["method"], resolved["batch"])
     if resolved.get("neuron") == LIF:
         if resolved["d_max"] != 1 and "d_max" in given:
             raise CliError(f"a lif neuron fires at most once; d_max must be 1, "
@@ -274,12 +281,22 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
+@contextmanager
+def refused():
+    """A ContractError from a rule the package owns, raised on what the
+    user gave, is a CliError: input, not a program fault."""
+    try:
+        yield
+    except ContractError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _check_spike_settings(resolved: dict[str, Any]) -> None:
     """CliError unless energy-report can price what it is given: under
     --paper no spike settings and a (config, variant) with a reference
     row, otherwise the settings ``energy.spike_settings`` takes, which
     are recorded as it returns them."""
-    try:
+    with refused():
         if not resolved["paper"]:
             resolved.update(energy.spike_settings(
                 resolved["variant"], *(resolved[k] for k in energy.SPIKE_SETTINGS)))
@@ -287,8 +304,6 @@ def _check_spike_settings(resolved: dict[str, Any]) -> None:
             raise CliError(f"--paper takes k and fire rates from its row; drop {', '.join(given)}")
         else:
             energy.reference_row(resolved["config"], resolved["variant"])
-    except ContractError as exc:
-        raise CliError(str(exc)) from None
 
 
 def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
@@ -299,15 +314,22 @@ def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_corpus(resolved: dict[str, Any]) -> list[str]:
+def load_corpus(resolved: dict[str, Any], *, sampled: bool = False) -> list[str]:
+    """The command's corpus lines, refused before any step if they hold no
+    window of its ``seq_len`` (``distill`` scores at :data:`SEQ_LEN`):
+    a ``sampled`` one where it trains on them, else a consecutive one."""
     path = resolved.get("corpus")
     if path:
         with reading("corpus file", path), open(path, "r", encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f if ln.strip()]
         if not lines:
             raise CliError(f"corpus file is empty: {path}")
-        return lines
-    return synthetic_corpus(resolved["corpus_lines"], seed=resolved["seed"])
+    else:
+        lines = synthetic_corpus(resolved["corpus_lines"], seed=resolved["seed"])
+    with refused():
+        require_window(token_stream(lines), resolved.get("seq_len", SEQ_LEN) + 1,
+                       sampled=sampled)
+    return lines
 
 
 def _save_corpus(outdir: str, lines: list[str]) -> None:
@@ -419,7 +441,7 @@ def cmd_energy_report(resolved) -> int:
 
 
 def cmd_train_teacher(resolved) -> int:
-    lines = load_corpus(resolved)
+    lines = load_corpus(resolved, sampled=True)
     outdir = resolved["out"]
     _save_corpus(outdir, lines)
     rng = np.random.default_rng(resolved["seed"])

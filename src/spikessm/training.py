@@ -61,10 +61,21 @@ def token_stream(lines: list[str]) -> np.ndarray:
     return np.concatenate([tokenize(line) for line in lines])
 
 
+def require_window(stream: np.ndarray, width: int, *, sampled: bool = False) -> None:
+    """ContractError unless ``stream`` holds one window of ``width`` tokens,
+    the one length rule for every corpus a run cuts windows from. A
+    ``sampled`` window's start is drawn from ``[0, stream.size - width)``,
+    so it needs one token more than a consecutive one."""
+    need = width + 1 if sampled else width
+    if stream.size < need:
+        kind = "training" if sampled else "evaluation"
+        raise ContractError(f"corpus shorter than one {kind} window: "
+                            f"{stream.size} tokens, {need} needed")
+
+
 def sample_windows(stream: np.ndarray, batch: int, width: int,
                    rng: np.random.Generator) -> np.ndarray:
-    if stream.size <= width:
-        raise ContractError("corpus shorter than one training window")
+    require_window(stream, width, sampled=True)
     starts = rng.integers(0, stream.size - width, size=batch)
     return np.stack([stream[s:s + width] for s in starts])
 
@@ -72,8 +83,11 @@ def sample_windows(stream: np.ndarray, batch: int, width: int,
 # ---------------------------------------------------------------------------
 # teacher pretraining
 
+SEQ_LEN = 48  # tokens a window predicts where a run sets no length
+
+
 def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
-                  batch: int = 16, seq_len: int = 48, lr: float = 3e-3,
+                  batch: int = 16, seq_len: int = SEQ_LEN, lr: float = 3e-3,
                   seed: int = 0) -> list[dict]:
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
@@ -92,10 +106,13 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
     return rows
 
 
-EVAL_BATCH = 16  # windows per eval_ppl forward
+# rows per no-tape batched pass: eval_ppl's windows, the teacher's
+# pseudo-label scoring and its normaliser, so the distillation set-up
+# holds no larger forward beside the run's teacher logits
+EVAL_BATCH = 16
 
 
-def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
+def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
              hook: Hook | None = None) -> float:
     """exp(mean next-token cross entropy) over consecutive corpus windows,
     :data:`EVAL_BATCH` windows a forward.
@@ -104,9 +121,8 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
     """
     stream = token_stream(lines)
     width = seq_len + 1
+    require_window(stream, width)
     n_win = stream.size // width
-    if n_win == 0:
-        raise ContractError("corpus shorter than one evaluation window")
     windows = stream[: n_win * width].reshape(n_win, width)
     total, count = 0.0, 0
     for i in range(0, n_win, EVAL_BATCH):
@@ -121,16 +137,14 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = 48,
 # ---------------------------------------------------------------------------
 # distillation
 
-_NORM_CHUNK = 8  # sequences per teacher-normaliser pass
-TEACHER_BATCH = 32  # sequences per teacher forward in _teacher_logits
-
-
 @dataclass
 class DistillBatch:
     """Teacher-forced pseudo-label sequences plus the teacher's logits
     over the continuation region, and per position the max and
     log-normaliser of those logits (:func:`tensor.log_softmax_norm`),
-    computed once here rather than on every step that samples them."""
+    computed once here rather than on every step that samples them, and
+    :data:`EVAL_BATCH` sequences at a time, so the pass holds no second
+    logits-sized array."""
 
     sequences: np.ndarray       # (B, T) ids: prompt followed by continuation
     prompt_len: int
@@ -139,9 +153,8 @@ class DistillBatch:
     teacher_lse: np.ndarray = field(init=False)  # (B, T - prompt_len, 1)
 
     def __post_init__(self):
-        # a few sequences at a time: no second logits-sized array is held
-        parts = [log_softmax_norm(self.teacher_logits[i:i + _NORM_CHUNK])
-                 for i in range(0, self.teacher_logits.shape[0], _NORM_CHUNK)]
+        parts = [log_softmax_norm(self.teacher_logits[i:i + EVAL_BATCH])
+                 for i in range(0, self.teacher_logits.shape[0], EVAL_BATCH)]
         self.teacher_max = np.concatenate([m for m, _ in parts])
         self.teacher_lse = np.concatenate([lse for _, lse in parts])
 
@@ -174,13 +187,16 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
 def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
                     prompt_len: int) -> np.ndarray:
     """(n, T - prompt_len, vocab) teacher logits over the continuation,
-    copied batch by batch into one array, so no slice keeps a batch's
-    full logits alive."""
+    from no-tape forwards of :data:`EVAL_BATCH` sequences copied into one
+    array, so no slice keeps a batch's full logits alive. The set-up's
+    peak is this output plus one such forward; every row's logits are
+    the same bytes at any row batch."""
     n, T = seqs.shape
     out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
-    for i in range(0, n, TEACHER_BATCH):
-        logits, _ = teacher.forward_batch(seqs[i:i + TEACHER_BATCH])
-        out[i:i + TEACHER_BATCH] = logits.data[:, prompt_len - 1:-1, :]
+    for i in range(0, n, EVAL_BATCH):
+        logits = teacher.forward_batch(seqs[i:i + EVAL_BATCH])[0].data
+        out[i:i + EVAL_BATCH] = logits[:, prompt_len - 1:-1, :]
+        del logits  # not held while the next batch's forward runs
     return out
 
 
@@ -386,6 +402,13 @@ def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
     return beta_pref * max(0.0, float(np.mean(ratio)))
 
 
+def check_rl_batch(method: str, batch: int) -> None:
+    """ContractError unless ``batch`` rows can run ``method``: KTO's
+    ``z_ref`` pairs each row's prompt with another row's response."""
+    if method == "kto" and batch < 2:
+        raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
+
+
 def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
            method: str, steps: int = 120, batch: int = 4, lr: float = 5e-6,
            beta_pref: float = 0.1, seed: int = 0) -> list[dict]:
@@ -407,8 +430,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
         raise ContractError("DPO requires paired examples")
     if method == "kto" and any(e.paired for e in examples):
         raise ContractError("KTO requires unpaired examples")
-    if method == "kto" and batch < 2:
-        raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
+    check_rl_batch(method, batch)
     n_resp = 2 if method == "dpo" else 1
     seqs = [[_example_tokens(e.prompt, r) for r in e.responses] for e in examples]
     labels = np.array([e.label for e in examples])

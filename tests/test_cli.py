@@ -396,10 +396,54 @@ def test_activation_hist_short_corpus(teacher_dir, tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["activation-hist", "--ckpt", str(teacher_dir / "teacher.spkm"),
                "--corpus", str(corpus), "--out", str(out)])
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err.strip()
-    assert err == "contract failure: corpus shorter than one evaluation window"
+    assert err == "error: corpus shorter than one evaluation window: 10 tokens, 49 needed"
     assert not (out / "activation_hist.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("train-teacher", ["--steps", "3"], "training window: 12 tokens, 50 needed"),
+    ("train-teacher", ["--steps", "3", "--seq-len", "11"], "training window: 12 tokens, 13 needed"),
+    ("distill", ["--steps", "3"], "evaluation window: 12 tokens, 49 needed"),
+    ("eval-ppl", [], "evaluation window: 12 tokens, 49 needed"),
+    ("eval-ppl", ["--seq-len", "12"], "evaluation window: 12 tokens, 13 needed"),
+    ("clamp-ablation", [], "evaluation window: 12 tokens, 49 needed"),
+])
+def test_short_corpus_refused_before_any_output(command, extra, message, teacher_dir,
+                                                tmp_path, capsys):
+    """A corpus too short for one window of the command's seq_len is the
+    user's input: exit 1 with one line before corpus.txt, a step or any
+    output; only the resolved configuration is written."""
+    corpus = tmp_path / "ten.txt"
+    corpus.write_text("abcdefghij\n", encoding="utf-8")  # 12 tokens with BOS/EOS
+    out = tmp_path / "o"
+    argv = [command, "--corpus", str(corpus), "--out", str(out), *extra]
+    if command != "train-teacher":
+        argv += ["--teacher" if command == "distill" else "--ckpt",
+                 str(teacher_dir / "teacher.spkm")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: corpus shorter than one {message}"]
+    assert os.listdir(out) == ["resolved_config.txt"]
+
+
+def test_short_synthetic_corpus_refused_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["train-teacher", "--corpus-lines", "1", "--steps", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "training window" in err[0]
+    assert os.listdir(out) == ["resolved_config.txt"]
+
+
+def test_corpus_of_exactly_one_window_runs(teacher_dir, tmp_path):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("abcdefghijk\n", encoding="utf-8")  # 13 tokens
+    assert main(["eval-ppl", "--ckpt", str(teacher_dir / "teacher.spkm"), "--seq-len", "12",
+                 "--corpus", str(corpus), "--out", str(tmp_path / "e")]) == 0
+    assert main(["train-teacher", "--steps", "2", "--batch", "2", "--seq-len", "11",
+                 "--corpus", str(corpus), "--out", str(tmp_path / "t")]) == 0
 
 
 def test_clamp_ablation(teacher_dir, tmp_path):
@@ -514,9 +558,27 @@ def test_rl_kto_loss_moves_and_reruns_identically(teacher_dir, tmp_path, capsys)
 
     capsys.readouterr()
     rc, _ = run("one", "--batch", "1")
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "batch >= 2" in err[0]
+
+
+@pytest.mark.parametrize("where", ["flag", "params"])
+def test_rl_kto_batch_1_refused_before_anything_is_written(where, teacher_dir, tmp_path,
+                                                          capsys):
+    out = tmp_path / "o"
+    argv = ["rl", "--method", "kto", "--ckpt", str(teacher_dir / "teacher.spkm"),
+            "--out", str(out)]
+    if where == "flag":
+        argv += ["--batch", "1"]
+    else:
+        params = tmp_path / "run.params"
+        params.write_text("batch=1\n", encoding="utf-8")
+        argv += ["--params", str(params)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: KTO needs batch >= 2 to pair prompts with other responses"]
+    assert not out.exists()
 
 
 def test_rl_requires_method(teacher_dir, tmp_path):

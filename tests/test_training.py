@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -29,6 +30,8 @@ from spikessm.tensor import (
     softplus,
 )
 from spikessm.training import (
+    EVAL_BATCH,
+    DistillBatch,
     DistillResult,
     PreferenceExample,
     _example_tokens,
@@ -41,6 +44,7 @@ from spikessm.training import (
     generate_pseudo_labels,
     load_preference_file,
     parse_preference_line,
+    require_window,
     rl_run,
     sample_windows,
     synth_preference_lines,
@@ -185,6 +189,20 @@ def test_sample_windows_shape(rng):
         sample_windows(np.arange(4), batch=1, width=9, rng=rng)
 
 
+def test_window_rule_at_its_edges(rng):
+    """A consecutive window of width w needs w tokens; a sampled one draws
+    its start from [0, size - w), so it needs w + 1."""
+    require_window(np.arange(9), 9)
+    with pytest.raises(ContractError, match="evaluation window: 8 tokens, 9 needed"):
+        require_window(np.arange(8), 9)
+    require_window(np.arange(10), 9, sampled=True)
+    with pytest.raises(ContractError, match="training window: 9 tokens, 10 needed"):
+        require_window(np.arange(9), 9, sampled=True)
+    np.testing.assert_array_equal(sample_windows(np.arange(10), 2, 9, rng),
+                                  [np.arange(9)] * 2)
+    assert eval_ppl(LanguageModel(tiny_cfg(), rng), ["a" * 7], seq_len=8) > 1.0  # 9 tokens
+
+
 def test_teacher_training_reduces_loss(rng):
     model = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(60, seed=0)
@@ -233,7 +251,7 @@ def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
-    monkeypatch.setattr(training, "TEACHER_BATCH", 4)
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
@@ -242,6 +260,52 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
     assert got.shape == want.shape == (11, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypatch):
+    """Every row's teacher logits, and so its normaliser, are the same
+    bytes at any row batch: the set-up's batch size moves no output."""
+    with dtype_scope(precision):
+        teacher = LanguageModel(tiny_cfg(), rng)
+        seqs = rng.integers(0, 259, size=(37, 20))
+        got = {}
+        for rows in (1, 5, EVAL_BATCH, seqs.shape[0]):
+            monkeypatch.setattr(training, "EVAL_BATCH", rows)
+            data = DistillBatch(sequences=seqs, prompt_len=6,
+                                teacher_logits=_teacher_logits(teacher, seqs, 6))
+            got[rows] = (data.teacher_logits.tobytes(), data.teacher_max.tobytes(),
+                         data.teacher_lse.tobytes())
+    assert data.teacher_logits.dtype == np.dtype(precision)
+    assert len(set(got.values())) == 1
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above those live when ``fn`` starts)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_teacher_scoring_holds_one_eval_batch_forward(rng):
+    """Scoring the teacher peaks at its output plus one EVAL_BATCH-row
+    forward, however many sequences it scores: the excess over the
+    output is the same for one batch as for four."""
+    teacher = LanguageModel(toy_config(), rng)
+    seqs = rng.integers(0, 259, size=(4 * EVAL_BATCH, 64))
+    _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
+    excess = {}
+    for n in (EVAL_BATCH, 4 * EVAL_BATCH):
+        out, peak = _traced_peak(lambda: _teacher_logits(teacher, seqs[:n], 8))
+        excess[n] = peak - out.nbytes
+        del out
+    slack = 16 << 10  # small Python objects; one batch's logits is over 1 MB
+    assert excess[4 * EVAL_BATCH] <= forward + slack
+    assert abs(excess[4 * EVAL_BATCH] - excess[EVAL_BATCH]) <= slack
 
 
 def test_distill_requires_spiking_student(rng):
