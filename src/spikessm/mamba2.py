@@ -16,7 +16,9 @@ only the scan has its own form there, the recurrent state update, since
 at one token the tape's per-op overhead would outweigh the chunked
 scan. Their agreement is a tested invariant. Parameters are immutable
 during forward, so concurrent forwards over independent sequences are
-safe; training updates are single-threaded.
+safe, also while another thread records a tape: each thread has its own
+stack of open tapes (:mod:`spikessm.tensor`). Training updates are
+single-threaded, and the default precision is process-wide.
 
 ``LanguageModel(cfg, rng)`` draws a fresh initialisation. Every other
 model is built from a name -> array table by

@@ -34,14 +34,20 @@ process up to a 64 MiB trim threshold; peak RSS moves by -0.6% to
 changes.
 
 Tape construction and backward are single-threaded per model instance.
-Tensors are treated as immutable once created (the optimizer swaps the
-buffer of leaf parameters between steps), so forward-only inference
-over independent sequences may run in parallel threads.
+The stack of open tapes is per thread: a :class:`Graph` records only the
+ops of the thread that opened it, and ``pause_recording`` pauses only
+that thread's tape. Tensors are treated as immutable once created (the
+optimizer swaps the buffer of leaf parameters between steps), so
+forward-only inference over independent sequences may run in parallel
+threads, also while another thread records a tape. The default
+precision (``set_default_dtype``, ``dtype_scope``) stays process-wide:
+a ``dtype_scope`` in one thread changes the precision of every thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 import warnings
 from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
@@ -136,21 +142,31 @@ def dtype_scope(name: str):
 # ---------------------------------------------------------------------------
 # tape
 
-_GRAPH_STACK: list["Graph | None"] = []
+class _GraphStack(threading.local):
+    """The open tapes of the calling thread, innermost last; ``None`` marks
+    a :func:`pause_recording`."""
+
+    def __init__(self) -> None:
+        self.graphs: list["Graph | None"] = []
+
+
+_GRAPH_STACK = _GraphStack()
 
 
 def active_graph() -> "Graph | None":
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
+    graphs = _GRAPH_STACK.graphs
+    return graphs[-1] if graphs else None
 
 
 @contextmanager
 def pause_recording():
-    """Run forward computations without recording them on the active tape."""
-    _GRAPH_STACK.append(None)
+    """Run forward computations without recording them on the calling
+    thread's active tape."""
+    _GRAPH_STACK.graphs.append(None)
     try:
         yield
     finally:
-        _GRAPH_STACK.pop()
+        _GRAPH_STACK.graphs.pop()
 
 
 class Graph:
@@ -166,11 +182,11 @@ class Graph:
         self.walked = False
 
     def __enter__(self) -> "Graph":
-        _GRAPH_STACK.append(self)
+        _GRAPH_STACK.graphs.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _GRAPH_STACK.pop()
+        _GRAPH_STACK.graphs.pop()
 
     def backward(self, loss: "Tensor", wrt: Sequence["Tensor"]) -> dict[int, np.ndarray]:
         """Gradients of a scalar loss for every tensor in ``wrt``.

@@ -127,8 +127,9 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
     total, count = 0.0, 0
     for i in range(0, n_win, EVAL_BATCH):
         chunk = windows[i:i + EVAL_BATCH]
-        logits, _ = model.forward_batch(chunk[:, :-1], hook=hook)
+        logits = model.forward_batch(chunk[:, :-1], hook=hook)[0]
         ce = cross_entropy_loss(logits, chunk[:, 1:]).item()
+        del logits  # not held while the next batch's forward runs
         total += ce * chunk[:, 1:].size
         count += chunk[:, 1:].size
     return float(np.exp(total / count))
@@ -176,26 +177,34 @@ class DistillResult:
 def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
                            n_sequences: int = 192, prompt_len: int = 8,
                            total_len: int = 64, seed: int = 0) -> np.ndarray:
-    """Greedy teacher continuations of corpus prompts; fixed total length."""
+    """Greedy teacher continuations of corpus prompts; fixed total length.
+
+    A greedy continuation is a function of its prompt, so only the
+    distinct prompts are decoded and each sampled row gets its prompt's
+    continuation."""
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
     prompts = sample_windows(stream, n_sequences, prompt_len, rng)
-    return teacher.generate_greedy(prompts, max_new=total_len - prompt_len,
-                                   kernel="matmul")
+    distinct, rows = np.unique(prompts, axis=0, return_inverse=True)
+    return teacher.generate_greedy(distinct, max_new=total_len - prompt_len,
+                                   kernel="matmul")[rows]
 
 
 def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
                     prompt_len: int) -> np.ndarray:
     """(n, T - prompt_len, vocab) teacher logits over the continuation,
-    from no-tape forwards of :data:`EVAL_BATCH` sequences copied into one
-    array, so no slice keeps a batch's full logits alive. The set-up's
-    peak is this output plus one such forward; every row's logits are
-    the same bytes at any row batch."""
+    from no-tape forwards of :data:`EVAL_BATCH` distinct sequences, each
+    row's logits copied into one array at every row that repeats it, so
+    no slice keeps a batch's full logits alive. The set-up's peak is
+    this output plus one such forward; every row's logits are the same
+    bytes at any row batch."""
     n, T = seqs.shape
+    first, rows = np.unique(seqs, axis=0, return_index=True, return_inverse=True)[1:]
     out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
-    for i in range(0, n, EVAL_BATCH):
-        logits = teacher.forward_batch(seqs[i:i + EVAL_BATCH])[0].data
-        out[i:i + EVAL_BATCH] = logits[:, prompt_len - 1:-1, :]
+    for i in range(0, first.size, EVAL_BATCH):
+        logits = teacher.forward_batch(seqs[first[i:i + EVAL_BATCH]])[0].data
+        for r in np.flatnonzero((rows >= i) & (rows < i + EVAL_BATCH)):
+            out[r] = logits[rows[r] - i, prompt_len - 1:-1]  # a view: no temporary
         del logits  # not held while the next batch's forward runs
     return out
 

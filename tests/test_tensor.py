@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -37,6 +38,7 @@ from spikessm.tensor import (
     matmul,
     narrow,
     parameter,
+    pause_recording,
     reshape,
     rmsnorm,
     softmax,
@@ -326,6 +328,70 @@ def test_refused_backward_leaves_the_tape():
         loss = sum_(y)
     with pytest.raises(ContractError, match="scalar"):
         g.backward(y, wrt=[x])
+    np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
+
+
+def _run_in_thread(fn, *args):
+    """``fn(*args)`` run in a second thread; its result, or its exception
+    raised here."""
+    box = {}
+
+    def run():
+        try:
+            box["out"] = fn(*args)
+        except BaseException as exc:  # re-raised in the calling thread
+            box["err"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "err" in box:
+        raise box["err"]
+    return box["out"]
+
+
+def test_a_tape_records_only_its_own_threads_ops():
+    """A no-tape forward in a second thread, run while this thread holds an
+    open tape, records nothing on it and returns constants."""
+    model = _tiny_model()
+    tokens = np.random.default_rng(3).integers(0, 259, size=(2, 9))
+    x = parameter(np.ones(2))
+    with Graph() as g:
+        y = x * 2.0
+        logits, _ = _run_in_thread(model.forward_batch, tokens)
+        assert g.nodes == [y]
+        loss = sum_(y)
+    assert logits._grad_fn is None and logits._inputs == ()
+    np.testing.assert_array_equal(logits.data, model.forward_batch(tokens)[0].data)
+    np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
+
+
+def test_pause_recording_pauses_only_its_own_thread():
+    """A second thread's ``pause_recording`` leaves this thread's open tape
+    recording, and neither thread's stack sees the other's entries."""
+    paused, release = threading.Event(), threading.Event()
+
+    def pauser():
+        with pause_recording():
+            paused.set()
+            release.wait(timeout=120)
+
+    x = parameter(np.ones(2))
+    with Graph() as g:
+        worker = threading.Thread(target=pauser)
+        worker.start()
+        try:
+            assert paused.wait(timeout=120)
+            y = x * 2.0
+            assert tensor.active_graph() is g
+            assert _run_in_thread(tensor.active_graph) is None
+        finally:
+            release.set()
+            worker.join(timeout=120)
+        assert not worker.is_alive()
+        loss = sum_(y)
+    assert g.nodes == [y, loss]
     np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
 
 

@@ -14,7 +14,7 @@ from spikessm.mamba2 import (
     param_shapes,
     toy_config,
 )
-from spikessm.losses import dpo_loss, kto_loss, sequence_logprob
+from spikessm.losses import cross_entropy_loss, dpo_loss, kto_loss, sequence_logprob
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.optim import AdamW, lr_schedule
 from spikessm import training
@@ -31,6 +31,7 @@ from spikessm.tensor import (
 )
 from spikessm.training import (
     EVAL_BATCH,
+    SEQ_LEN,
     DistillBatch,
     DistillResult,
     PreferenceExample,
@@ -53,7 +54,7 @@ from spikessm.training import (
     train_teacher,
     write_metrics_csv,
 )
-from spikessm.tokenizer import BOS, EOS
+from spikessm.tokenizer import BOS, EOS, tokenize
 
 
 def tiny_cfg(mode="dense", **kw):
@@ -239,6 +240,96 @@ def test_pseudo_labels_deterministic_shape(rng):
     np.testing.assert_array_equal(seqs, again)
 
 
+def pseudo_labels_every_row(teacher, lines, *, n_sequences, prompt_len,
+                            total_len, seed):
+    """``generate_pseudo_labels`` before it decoded distinct prompts once:
+    every sampled row is decoded."""
+    stream = token_stream(lines)
+    rng = np.random.default_rng(seed)
+    prompts = sample_windows(stream, n_sequences, prompt_len, rng)
+    return teacher.generate_greedy(prompts, max_new=total_len - prompt_len,
+                                   kernel="matmul")
+
+
+def teacher_logits_every_row(teacher, seqs, prompt_len):
+    """``_teacher_logits`` before it scored distinct sequences once: every
+    row is run forward, EVAL_BATCH rows at a time."""
+    n, T = seqs.shape
+    out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
+    for i in range(0, n, EVAL_BATCH):
+        logits = teacher.forward_batch(seqs[i:i + EVAL_BATCH])[0].data
+        out[i:i + EVAL_BATCH] = logits[:, prompt_len - 1:-1, :]
+        del logits
+    return out
+
+
+@pytest.mark.parametrize("seed", [20301, 20302, 20303, 20304, 20305])
+def test_pseudo_labels_equal_every_row_oracle(seed):
+    """The toy teacher's pseudo-labels of the distillation set-up (192
+    prompts, a third of them repeats on the templated corpus) are the
+    bytes of decoding every row, though the decode runs fewer rows."""
+    lines = synthetic_corpus(400, seed)
+    teacher = LanguageModel(toy_config(), np.random.default_rng(seed))
+    kw = dict(n_sequences=192, prompt_len=8, total_len=64, seed=seed)
+    got = generate_pseudo_labels(teacher, lines, **kw)
+    want = pseudo_labels_every_row(teacher, lines, **kw)
+    assert np.unique(want[:, :8], axis=0).shape[0] < 192
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_small_pseudo_labels_equal_every_row_oracle(rng, n):
+    teacher = LanguageModel(tiny_cfg(), rng)
+    lines = synthetic_corpus(30, seed=0)
+    kw = dict(n_sequences=n, prompt_len=4, total_len=16, seed=3)
+    got = generate_pseudo_labels(teacher, lines, **kw)
+    assert got.tobytes() == pseudo_labels_every_row(teacher, lines, **kw).tobytes()
+
+
+def _with_repeats(rng, n_distinct, copies, width):
+    """``n_distinct`` random sequences, each ``copies`` times, shuffled."""
+    base = rng.integers(0, 259, size=(n_distinct, width))
+    return base[rng.permutation(np.repeat(np.arange(n_distinct), copies))]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_teacher_logits_with_repeats_equal_every_row_oracle(precision, rng):
+    with dtype_scope(precision):
+        teacher = LanguageModel(tiny_cfg(), rng)
+        seqs = np.concatenate([_with_repeats(rng, 13, 3, 20), rng.integers(0, 259, (4, 20))])
+        got = _teacher_logits(teacher, seqs, 6)
+        want = teacher_logits_every_row(teacher, seqs, 6)
+    assert got.shape == want.shape == (43, 14, 259)
+    assert got.dtype == want.dtype == np.dtype(precision)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
+    """The decode and the scoring forwards see each distinct prompt or
+    sequence once."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    lines = synthetic_corpus(30, seed=0)
+    seen = {"decode": 0, "score": 0}
+    decode, score = LanguageModel.generate_greedy, LanguageModel.forward_batch
+
+    def counted_decode(self, prompts, *args, **kwargs):
+        seen["decode"] += len(prompts)
+        return decode(self, prompts, *args, **kwargs)
+
+    def counted_score(self, tokens, *args, **kwargs):
+        seen["score"] += len(tokens)
+        return score(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(LanguageModel, "generate_greedy", counted_decode)
+    monkeypatch.setattr(LanguageModel, "forward_batch", counted_score)
+    seqs = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
+                                  total_len=12, seed=5)
+    distinct = np.unique(seqs[:, :4], axis=0).shape[0]
+    assert distinct < 40 and seen["decode"] == distinct
+    _teacher_logits(teacher, seqs, 4)
+    assert seen["score"] == np.unique(seqs, axis=0).shape[0] == distinct
+
+
 def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
     """``_teacher_logits`` as first written: per-batch slices, then one
     concatenate."""
@@ -306,6 +397,45 @@ def test_teacher_scoring_holds_one_eval_batch_forward(rng):
     slack = 16 << 10  # small Python objects; one batch's logits is over 1 MB
     assert excess[4 * EVAL_BATCH] <= forward + slack
     assert abs(excess[4 * EVAL_BATCH] - excess[EVAL_BATCH]) <= slack
+
+
+def test_teacher_scoring_with_repeats_holds_one_eval_batch_forward(rng):
+    """Rows that repeat a sequence get its logits copied straight from the
+    forward's batch, so scoring repeats still peaks at the output plus one
+    EVAL_BATCH-row forward. Six copies of each of two batches' sequences
+    make the 192 rows of the distillation set-up; a fancy-indexed copy of
+    one batch's repeats would outgrow the forward."""
+    teacher = LanguageModel(toy_config(), rng)
+    seqs = _with_repeats(rng, 2 * EVAL_BATCH, 6, 64)
+    _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
+    out, peak = _traced_peak(lambda: _teacher_logits(teacher, seqs, 8))
+    assert peak - out.nbytes <= forward + (16 << 10)
+
+
+def test_eval_ppl_holds_one_eval_batch_forward(rng):
+    """eval_ppl drops each batch's logits before the next forward: its
+    peak above the token stream is the same for one batch of windows as
+    for four, within 16 KiB, and the result is the straight loop's."""
+    model = LanguageModel(toy_config(), rng)
+    width = SEQ_LEN + 1
+    lines = synthetic_corpus(400, seed=0)
+    stream = token_stream(lines)
+    excess = {}
+    for n_win in (EVAL_BATCH, 4 * EVAL_BATCH):
+        # the fewest lines whose stream makes exactly n_win windows
+        ends = np.cumsum([tokenize(line).size for line in lines])
+        k = int(np.searchsorted(ends, n_win * width)) + 1
+        assert token_stream(lines[:k]).size // width == n_win
+        ppl, peak = _traced_peak(lambda: eval_ppl(model, lines[:k]))
+        excess[n_win] = peak - token_stream(lines[:k]).nbytes
+        total = 0.0
+        windows = stream[:n_win * width].reshape(n_win, width)
+        for i in range(0, n_win, EVAL_BATCH):
+            chunk = windows[i:i + EVAL_BATCH]
+            logits, _ = model.forward_batch(chunk[:, :-1])
+            total += cross_entropy_loss(logits, chunk[:, 1:]).item() * chunk[:, 1:].size
+        assert ppl == float(np.exp(total / (n_win * SEQ_LEN)))
+    assert abs(excess[4 * EVAL_BATCH] - excess[EVAL_BATCH]) <= 16 << 10
 
 
 def test_distill_requires_spiking_student(rng):
