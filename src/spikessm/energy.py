@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .tensor import ContractError
+from .tensor import CONV_WIDTH, ContractError
 
 ANN = "ann"
 LIF_V = "lif"
@@ -35,7 +35,8 @@ PRICE_PJ = {MM: 4.6, EM: 3.7, ADD: 0.9}
 
 @dataclass(frozen=True)
 class Geometry:
-    """The block dimensions the operation counts depend on."""
+    """The block dimensions the operation counts depend on, and the one
+    rule they obey; :class:`mamba2.Mamba2Config` extends it."""
 
     d_model: int
     n_state: int
@@ -45,7 +46,19 @@ class Geometry:
 
     def __post_init__(self):
         if self.n_heads * self.d_head != 2 * self.d_model:
-            raise ContractError("geometry must satisfy n_heads*d_head == 2*d_model")
+            raise ContractError(
+                f"n_heads*d_head must equal 2*d_model "
+                f"({self.n_heads}*{self.d_head} != 2*{self.d_model})"
+            )
+
+    @property
+    def d_inner(self) -> int:
+        return self.n_heads * self.d_head
+
+    @property
+    def d_proj(self) -> int:
+        # gate + conv input + B + C + dt
+        return 2 * self.d_inner + 2 * self.n_state + self.n_heads
 
 
 PRESETS: dict[str, Geometry] = {
@@ -130,8 +143,8 @@ def count_ops(geom: Geometry, variant: str, fr_in: float | None = None,
 
     D, N, H, P = geom.d_model, geom.n_state, geom.n_heads, geom.d_head
     L = geom.n_layers
-    in_count = (4 * D + 2 * N + H) * D
-    out_count = D * 2 * D
+    in_count = geom.d_proj * D
+    out_count = geom.d_inner * D
 
     rows: list[OpRow] = []
 
@@ -148,7 +161,7 @@ def count_ops(geom: Geometry, variant: str, fr_in: float | None = None,
 
     row("dtB", MM, H * P * N)
     row("C*h", MM, H * P * N)
-    row("conv1d", MM, (2 * D + 2 * N) * 4)
+    row("conv1d", MM, (geom.d_inner + 2 * N) * CONV_WIDTH)
 
     row("act", EM, 3 * 2 * D)
     row("xD", EM, H * P)

@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tn
+from .energy import Geometry
 from .neurons import NeuronConfig, expand_spike_train, neuron_forward, quantize
 from .spike_kernel import FireStats, OpCounter, fire_stats_from_ints, spike_linear_event, spike_linear_int
 from .tensor import (
@@ -70,12 +71,7 @@ Hook = Callable[[int, str, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class Mamba2Config:
-    d_model: int
-    n_state: int
-    n_heads: int
-    d_head: int
-    n_layers: int
+class Mamba2Config(Geometry):
     vocab: int
     mode: str = DENSE
     neuron: NeuronConfig = field(default_factory=NeuronConfig)
@@ -84,22 +80,9 @@ class Mamba2Config:
     sgc: bool = False
 
     def __post_init__(self):
-        if self.n_heads * self.d_head != 2 * self.d_model:
-            raise ContractError(
-                f"n_heads*d_head must equal 2*d_model "
-                f"({self.n_heads}*{self.d_head} != 2*{self.d_model})"
-            )
+        super().__post_init__()
         if self.mode not in (DENSE, SPIKING):
             raise ContractError(f"unknown mode {self.mode!r}")
-
-    @property
-    def d_inner(self) -> int:
-        return self.n_heads * self.d_head
-
-    @property
-    def d_proj(self) -> int:
-        # gate + conv input + B + C + dt
-        return 2 * self.d_inner + 2 * self.n_state + self.n_heads
 
     @property
     def micro_steps(self) -> int:

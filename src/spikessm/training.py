@@ -140,18 +140,17 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
 
 @dataclass
 class DistillBatch:
-    """Teacher-forced pseudo-label sequences plus the teacher's logits
-    over the continuation region, and per position the max and
-    log-normaliser of those logits (:func:`tensor.log_softmax_norm`),
-    computed once here rather than on every step that samples them, and
-    :data:`EVAL_BATCH` sequences at a time, so the pass holds no second
-    logits-sized array."""
+    """The distinct pseudo-label sequences, each sampled row's index into
+    them, and the teacher's logits over each sequence's continuation with,
+    per position, their max and log-normaliser (:func:`tensor.log_softmax_norm`),
+    computed once here, :data:`EVAL_BATCH` sequences at a time, so the
+    pass holds no second logits-sized array. A step gathers at ``rows[idx]``."""
 
-    sequences: np.ndarray       # (B, T) ids: prompt followed by continuation
-    prompt_len: int
-    teacher_logits: np.ndarray  # (B, T - prompt_len, vocab), continuation-aligned
-    teacher_max: np.ndarray = field(init=False)  # (B, T - prompt_len, 1)
-    teacher_lse: np.ndarray = field(init=False)  # (B, T - prompt_len, 1)
+    sequences: np.ndarray       # (m, T) distinct ids: prompt followed by continuation
+    rows: np.ndarray            # (n,) each sampled row's index into sequences
+    teacher_logits: np.ndarray  # (m, T - prompt_len, vocab), continuation-aligned
+    teacher_max: np.ndarray = field(init=False)  # (m, T - prompt_len, 1)
+    teacher_lse: np.ndarray = field(init=False)  # (m, T - prompt_len, 1)
 
     def __post_init__(self):
         parts = [log_softmax_norm(self.teacher_logits[i:i + EVAL_BATCH])
@@ -176,35 +175,39 @@ class DistillResult:
 
 def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
                            n_sequences: int = 192, prompt_len: int = 8,
-                           total_len: int = 64, seed: int = 0) -> np.ndarray:
-    """Greedy teacher continuations of corpus prompts; fixed total length.
+                           total_len: int = 64,
+                           seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy teacher continuations of ``n_sequences`` sampled corpus
+    prompts; fixed total length.
 
     A greedy continuation is a function of its prompt, so only the
-    distinct prompts are decoded and each sampled row gets its prompt's
-    continuation."""
+    distinct prompts are decoded. Returns ``(sequences, rows)``: the
+    (m, total_len) continuations of the m distinct prompts in
+    ``np.unique`` order, and the (n_sequences,) index of each sampled
+    row's sequence. This is the distillation set-up's one dedupe."""
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
     prompts = sample_windows(stream, n_sequences, prompt_len, rng)
     distinct, rows = np.unique(prompts, axis=0, return_inverse=True)
     return teacher.generate_greedy(distinct, max_new=total_len - prompt_len,
-                                   kernel="matmul")[rows]
+                                   kernel="matmul"), rows
 
 
-def _teacher_logits(teacher: LanguageModel, seqs: np.ndarray,
+def _teacher_logits(teacher: LanguageModel, labels: tuple[np.ndarray, np.ndarray],
                     prompt_len: int) -> np.ndarray:
-    """(n, T - prompt_len, vocab) teacher logits over the continuation,
-    from no-tape forwards of :data:`EVAL_BATCH` distinct sequences, each
-    row's logits copied into one array at every row that repeats it, so
-    no slice keeps a batch's full logits alive. The set-up's peak is
-    this output plus one such forward; every row's logits are the same
-    bytes at any row batch."""
-    n, T = seqs.shape
-    first, rows = np.unique(seqs, axis=0, return_index=True, return_inverse=True)[1:]
-    out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
-    for i in range(0, first.size, EVAL_BATCH):
-        logits = teacher.forward_batch(seqs[first[i:i + EVAL_BATCH]])[0].data
-        for r in np.flatnonzero((rows >= i) & (rows < i + EVAL_BATCH)):
-            out[r] = logits[rows[r] - i, prompt_len - 1:-1]  # a view: no temporary
+    """(m, T - prompt_len, vocab) teacher logits over the continuation of
+    each of the m distinct sequences of ``labels``
+    (:func:`generate_pseudo_labels`' pair), from no-tape forwards of
+    :data:`EVAL_BATCH` sequences, each batch's slice copied into one
+    array, so no slice keeps a batch's full logits alive. The set-up's
+    peak is this output plus one such forward; every row's logits are
+    the same bytes at any row batch."""
+    seqs, _ = labels
+    m, T = seqs.shape
+    out = np.empty((m, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
+    for i in range(0, m, EVAL_BATCH):
+        logits = teacher.forward_batch(seqs[i:i + EVAL_BATCH])[0].data
+        out[i:i + EVAL_BATCH] = logits[:, prompt_len - 1:-1]
         del logits  # not held while the next batch's forward runs
     return out
 
@@ -232,12 +235,10 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
             student.cfg.d_model, student.cfg.n_layers, student.cfg.vocab):
         raise ContractError("teacher/student configuration shapes disagree")
 
-    seqs = generate_pseudo_labels(
+    labels = generate_pseudo_labels(
         teacher, lines, n_sequences=n_sequences, prompt_len=prompt_len,
         total_len=total_len, seed=seed)
-    data = DistillBatch(
-        sequences=seqs, prompt_len=prompt_len,
-        teacher_logits=_teacher_logits(teacher, seqs, prompt_len))
+    data = DistillBatch(*labels, teacher_logits=_teacher_logits(teacher, labels, prompt_len))
 
     rng = np.random.default_rng(seed + 1)
     layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
@@ -245,17 +246,17 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     opt = AdamW(params)
-    cont = seqs.shape[1] - prompt_len
-    rows = []
+    cont = data.sequences.shape[1] - prompt_len
+    metrics = []
     for step in range(steps):
-        idx = rng.integers(0, seqs.shape[0], size=batch)
-        window = data.sequences[idx]
+        idx = rng.integers(0, data.rows.size, size=batch)
+        pick = data.rows[idx]
         cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
-            logits, auxes = student.forward_batch(window, sgc=mirrors)
+            logits, auxes = student.forward_batch(data.sequences[pick], sgc=mirrors)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
-            l_kl = kl_distill_loss(data.teacher_logits[idx], s_cont,
-                                   (data.teacher_max[idx], data.teacher_lse[idx]))
+            l_kl = kl_distill_loss(data.teacher_logits[pick], s_cont,
+                                   (data.teacher_max[pick], data.teacher_lse[pick]))
             hidden = [hidden_align_loss(spk, sgc)
                       for aux in auxes for spk, sgc in aux.sgc_pairs]
             loss = total_distill_loss(l_kl, hidden)
@@ -264,7 +265,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
 
         fr_in, fr_out = student.site_stats(auxes)
         l_hidden = (loss.item() - l_kl.item()) if hidden else 0.0
-        rows.append({
+        metrics.append({
             "step": step,
             "loss_total": loss.item(),
             "loss_kl": l_kl.item(),
@@ -273,7 +274,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
             "fr_out": fr_out.rate,
             "lr": cur_lr,
         })
-    return DistillResult(student=student, metrics=rows)
+    return DistillResult(student=student, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -707,16 +707,24 @@ def test_corpus_lines_sets_synthetic_corpus_size(tmp_path):
 
 
 def test_same_seed_byte_identical_across_blas_threads(tmp_path):
-    def run(threads):
-        out = tmp_path / f"threads{threads}"
+    """``train-teacher``, then ``distill`` from its teacher, under 1 and 2
+    BLAS threads."""
+    def run(threads, command, *args):
+        out = tmp_path / f"{command}{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        cmd = [sys.executable, "-m", "spikessm.cli", "train-teacher", "--steps", "20",
-               "--seed", "3", "--out", str(out)]
+        cmd = [sys.executable, "-m", "spikessm.cli", command, *args, "--seed", "3",
+               "--out", str(out)]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        return (out / "teacher.spkm").read_bytes(), (out / "metrics.csv").read_bytes()
+        return out
 
-    assert run("1") == run("2")
+    teacher = [run(t, "train-teacher", "--steps", "20") for t in ("1", "2")]
+    distill = [run(t, "distill", "--teacher", str(teacher[0] / "teacher.spkm"),
+                   "--steps", "10") for t in ("1", "2")]
+    for outs, files in ((teacher, ("teacher.spkm", "metrics.csv")),
+                        (distill, ("student.spkm", "metrics.csv", "eval.csv"))):
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from spikessm.energy import (
     to_csv,
     to_table,
 )
+from spikessm.mamba2 import toy_config
 from spikessm.tensor import ContractError
 
 
@@ -28,6 +29,10 @@ def row_count(rows, name, kind=None):
 def test_preset_geometries_consistent():
     for geom in PRESETS.values():
         assert geom.n_heads * geom.d_head == 2 * geom.d_model
+    # a model config is a geometry: the toy model counts as the toy preset
+    for variant, spikes in ((ANN, {}), (TILIF_V, dict(fr_in=0.3, fr_out=0.1, k=4))):
+        assert (count_ops(toy_config(), variant, **spikes)
+                == count_ops(PRESETS["toy"], variant, **spikes))
 
 
 def test_ann_in_proj_count_130m():

@@ -99,7 +99,7 @@ def test_fused_losses_bitwise_equal_composites(dtype, shape):
 
 def test_distill_batch_normalisers_equal_per_batch_ones(rng):
     logits = (rng.normal(size=(19, 5, 13)) * 4).astype(np.float32)
-    data = training.DistillBatch(sequences=np.zeros((19, 9), np.int64), prompt_len=4,
+    data = training.DistillBatch(sequences=np.zeros((19, 9), np.int64), rows=np.arange(19),
                                  teacher_logits=logits)
     idx = rng.integers(0, 19, size=8)
     m, lse = log_softmax_norm(logits[idx])

@@ -232,18 +232,20 @@ def test_training_deterministic(tmp_path):
 def test_pseudo_labels_deterministic_shape(rng):
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
-    seqs = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
-                                  total_len=12, seed=5)
-    assert seqs.shape == (6, 12)
+    seqs, rows = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
+                                        total_len=12, seed=5)
+    assert rows.shape == (6,) and seqs.shape == (rows.max() + 1, 12)
+    assert seqs[rows].shape == (6, 12)
     again = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
                                    total_len=12, seed=5)
-    np.testing.assert_array_equal(seqs, again)
+    np.testing.assert_array_equal(seqs, again[0])
+    np.testing.assert_array_equal(rows, again[1])
 
 
 def pseudo_labels_every_row(teacher, lines, *, n_sequences, prompt_len,
                             total_len, seed):
     """``generate_pseudo_labels`` before it decoded distinct prompts once:
-    every sampled row is decoded."""
+    every sampled row is decoded, in sampled order."""
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
     prompts = sample_windows(stream, n_sequences, prompt_len, rng)
@@ -253,7 +255,7 @@ def pseudo_labels_every_row(teacher, lines, *, n_sequences, prompt_len,
 
 def teacher_logits_every_row(teacher, seqs, prompt_len):
     """``_teacher_logits`` before it scored distinct sequences once: every
-    row is run forward, EVAL_BATCH rows at a time."""
+    row of an (n, T) batch is run forward, EVAL_BATCH rows at a time."""
     n, T = seqs.shape
     out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
     for i in range(0, n, EVAL_BATCH):
@@ -266,14 +268,16 @@ def teacher_logits_every_row(teacher, seqs, prompt_len):
 @pytest.mark.parametrize("seed", [20301, 20302, 20303, 20304, 20305])
 def test_pseudo_labels_equal_every_row_oracle(seed):
     """The toy teacher's pseudo-labels of the distillation set-up (192
-    prompts, a third of them repeats on the templated corpus) are the
-    bytes of decoding every row, though the decode runs fewer rows."""
+    prompts, a third of them repeats on the templated corpus), gathered
+    through the row map, are the bytes of decoding every row, though the
+    decode runs only the distinct prompts."""
     lines = synthetic_corpus(400, seed)
     teacher = LanguageModel(toy_config(), np.random.default_rng(seed))
     kw = dict(n_sequences=192, prompt_len=8, total_len=64, seed=seed)
-    got = generate_pseudo_labels(teacher, lines, **kw)
+    seqs, rows = generate_pseudo_labels(teacher, lines, **kw)
     want = pseudo_labels_every_row(teacher, lines, **kw)
-    assert np.unique(want[:, :8], axis=0).shape[0] < 192
+    assert seqs.shape[0] == np.unique(want[:, :8], axis=0).shape[0] < 192
+    got = seqs[rows]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -282,8 +286,9 @@ def test_small_pseudo_labels_equal_every_row_oracle(rng, n):
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
     kw = dict(n_sequences=n, prompt_len=4, total_len=16, seed=3)
-    got = generate_pseudo_labels(teacher, lines, **kw)
-    assert got.tobytes() == pseudo_labels_every_row(teacher, lines, **kw).tobytes()
+    seqs, rows = generate_pseudo_labels(teacher, lines, **kw)
+    assert rows.shape == (n,)
+    assert seqs[rows].tobytes() == pseudo_labels_every_row(teacher, lines, **kw).tobytes()
 
 
 def _with_repeats(rng, n_distinct, copies, width):
@@ -294,14 +299,17 @@ def _with_repeats(rng, n_distinct, copies, width):
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_teacher_logits_with_repeats_equal_every_row_oracle(precision, rng):
+    """The logits of the distinct sequences, gathered through the row map,
+    are the bytes of scoring every row of a batch with repeats."""
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = np.concatenate([_with_repeats(rng, 13, 3, 20), rng.integers(0, 259, (4, 20))])
-        got = _teacher_logits(teacher, seqs, 6)
+        distinct, rows = np.unique(seqs, axis=0, return_inverse=True)
+        got = _teacher_logits(teacher, (distinct, rows), 6)
         want = teacher_logits_every_row(teacher, seqs, 6)
-    assert got.shape == want.shape == (43, 14, 259)
+    assert got.shape == (17, 14, 259) and want.shape == (43, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
-    assert got.tobytes() == want.tobytes()
+    assert got[rows].tobytes() == want.tobytes()
 
 
 def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
@@ -322,12 +330,13 @@ def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
 
     monkeypatch.setattr(LanguageModel, "generate_greedy", counted_decode)
     monkeypatch.setattr(LanguageModel, "forward_batch", counted_score)
-    seqs = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
-                                  total_len=12, seed=5)
-    distinct = np.unique(seqs[:, :4], axis=0).shape[0]
-    assert distinct < 40 and seen["decode"] == distinct
-    _teacher_logits(teacher, seqs, 4)
-    assert seen["score"] == np.unique(seqs, axis=0).shape[0] == distinct
+    labels = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
+                                    total_len=12, seed=5)
+    seqs, rows = labels
+    distinct = np.unique(seqs[rows][:, :4], axis=0).shape[0]
+    assert distinct < 40 and seen["decode"] == distinct == seqs.shape[0]
+    _teacher_logits(teacher, labels, 4)
+    assert seen["score"] == np.unique(seqs[rows], axis=0).shape[0] == distinct
 
 
 def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
@@ -346,7 +355,7 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
-        got = _teacher_logits(teacher, seqs, 6)
+        got = _teacher_logits(teacher, (seqs, np.arange(11)), 6)
         want = teacher_logits_concatenated(teacher, seqs, 6, batch=4)
     assert got.shape == want.shape == (11, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
@@ -363,8 +372,8 @@ def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypat
         got = {}
         for rows in (1, 5, EVAL_BATCH, seqs.shape[0]):
             monkeypatch.setattr(training, "EVAL_BATCH", rows)
-            data = DistillBatch(sequences=seqs, prompt_len=6,
-                                teacher_logits=_teacher_logits(teacher, seqs, 6))
+            labels = (seqs, np.arange(seqs.shape[0]))
+            data = DistillBatch(*labels, teacher_logits=_teacher_logits(teacher, labels, 6))
             got[rows] = (data.teacher_logits.tobytes(), data.teacher_max.tobytes(),
                          data.teacher_lse.tobytes())
     assert data.teacher_logits.dtype == np.dtype(precision)
@@ -391,7 +400,8 @@ def test_teacher_scoring_holds_one_eval_batch_forward(rng):
     _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
     excess = {}
     for n in (EVAL_BATCH, 4 * EVAL_BATCH):
-        out, peak = _traced_peak(lambda: _teacher_logits(teacher, seqs[:n], 8))
+        labels = (seqs[:n], np.arange(n))
+        out, peak = _traced_peak(lambda: _teacher_logits(teacher, labels, 8))
         excess[n] = peak - out.nbytes
         del out
     slack = 16 << 10  # small Python objects; one batch's logits is over 1 MB
@@ -400,15 +410,16 @@ def test_teacher_scoring_holds_one_eval_batch_forward(rng):
 
 
 def test_teacher_scoring_with_repeats_holds_one_eval_batch_forward(rng):
-    """Rows that repeat a sequence get its logits copied straight from the
-    forward's batch, so scoring repeats still peaks at the output plus one
-    EVAL_BATCH-row forward. Six copies of each of two batches' sequences
-    make the 192 rows of the distillation set-up; a fancy-indexed copy of
-    one batch's repeats would outgrow the forward."""
+    """Six copies of each of two batches' sequences make the 192 rows of
+    the distillation set-up. Scoring them holds the logits of the 32
+    distinct sequences, not of the 192 rows, and still peaks at that
+    output plus one EVAL_BATCH-row forward."""
     teacher = LanguageModel(toy_config(), rng)
     seqs = _with_repeats(rng, 2 * EVAL_BATCH, 6, 64)
+    labels = np.unique(seqs, axis=0, return_inverse=True)
     _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
-    out, peak = _traced_peak(lambda: _teacher_logits(teacher, seqs, 8))
+    out, peak = _traced_peak(lambda: _teacher_logits(teacher, labels, 8))
+    assert out.shape[0] == 2 * EVAL_BATCH
     assert peak - out.nbytes <= forward + (16 << 10)
 
 
@@ -436,6 +447,40 @@ def test_eval_ppl_holds_one_eval_batch_forward(rng):
             total += cross_entropy_loss(logits, chunk[:, 1:]).item() * chunk[:, 1:].size
         assert ppl == float(np.exp(total / (n_win * SEQ_LEN)))
     assert abs(excess[4 * EVAL_BATCH] - excess[EVAL_BATCH]) <= 16 << 10
+
+
+def test_distill_step_equals_every_row_targets(rng, monkeypatch):
+    """Gathering the distinct rows' targets through the row map feeds each
+    step the bytes that every-row targets would: the same metrics and the
+    same trained student, while the run holds fewer rows of logits."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    lines = synthetic_corpus(30, seed=0)
+    held = []
+    score = training._teacher_logits
+
+    def scored(*args):
+        out = score(*args)
+        held.append(out.shape[0])
+        return out
+
+    def run():
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                sgc=True)
+        res = distill_run(teacher, student, lines, steps=6, batch=8, prompt_len=4,
+                          total_len=12, n_sequences=40, seed=5)
+        return res.metrics, [t.data.tobytes() for t in student.parameters()]
+
+    monkeypatch.setattr(training, "_teacher_logits", scored)
+    distinct = run()
+    generate = training.generate_pseudo_labels
+
+    def every_row(*args, **kwargs):
+        seqs, rows = generate(*args, **kwargs)
+        return seqs[rows], np.arange(rows.size)
+
+    monkeypatch.setattr(training, "generate_pseudo_labels", every_row)
+    assert run() == distinct
+    assert held[0] < held[1] == 40
 
 
 def test_distill_requires_spiking_student(rng):
