@@ -8,7 +8,8 @@ scaled by measured fire rates and the micro-step count k.
 
 The category split (which rows roll up into the SSM column versus the
 Others column) was calibrated so the model reproduces the published
-reference totals for both preset geometries; see ``CATEGORY``.
+reference totals for both preset geometries; ``count_ops`` states each
+row's category where it counts the row.
 """
 
 from __future__ import annotations
@@ -73,33 +74,13 @@ SSM = "ssm"
 OTHERS = "others"
 NEURON = "neuron"
 
-# row name -> report category; calibrated against the published totals
-CATEGORY: dict[str, str] = {
-    "in_proj": IN_PROJ,
-    "out_proj": OUT_PROJ,
-    "dtB": SSM,
-    "C*h": SSM,
-    "xD": SSM,
-    "xdB": SSM,
-    "Adt": SSM,
-    "Ah": SSM,
-    "dt+bias": SSM,
-    "Ah+xdB": SSM,
-    "y+Dx": SSM,
-    "conv1d": OTHERS,
-    "act": OTHERS,
-    "norm": OTHERS,
-    "y*act(z)": OTHERS,
-    "neuron1": NEURON,
-    "neuron2": NEURON,
-}
-
 
 @dataclass(frozen=True)
 class OpRow:
     name: str
     kind: str   # mm / em / add
     count: float  # operations per token, all layers
+    category: str  # the report column it is priced into
 
 
 # the settings a spiking variant is priced at: the fire rates of the two
@@ -148,40 +129,40 @@ def count_ops(geom: Geometry, variant: str, fr_in: float | None = None,
 
     rows: list[OpRow] = []
 
-    def row(name, kind, count):
-        rows.append(OpRow(name, kind, count * L))
+    def row(category, name, kind, count):
+        rows.append(OpRow(name, kind, count * L, category))
 
     if variant == ANN:
-        row("in_proj", MM, in_count)
-        row("out_proj", MM, out_count)
+        row(IN_PROJ, "in_proj", MM, in_count)
+        row(OUT_PROJ, "out_proj", MM, out_count)
     else:  # priced at the rule's settings: a lif's k is 1, given or not
         fr_in, fr_out, k = (spikes[name] for name in SPIKE_SETTINGS)
-        row("in_proj", ADD, k * fr_in * in_count)
-        row("out_proj", ADD, k * fr_out * out_count)
+        row(IN_PROJ, "in_proj", ADD, k * fr_in * in_count)
+        row(OUT_PROJ, "out_proj", ADD, k * fr_out * out_count)
 
-    row("dtB", MM, H * P * N)
-    row("C*h", MM, H * P * N)
-    row("conv1d", MM, (geom.d_inner + 2 * N) * CONV_WIDTH)
+    row(SSM, "dtB", MM, H * P * N)
+    row(SSM, "C*h", MM, H * P * N)
+    row(OTHERS, "conv1d", MM, (geom.d_inner + 2 * N) * CONV_WIDTH)
 
-    row("act", EM, 3 * 2 * D)
-    row("xD", EM, H * P)
-    row("xdB", EM, H * P * N)
-    row("Adt", EM, H)
-    row("Ah", EM, H * P * N)
-    row("norm", EM, 2 * D)
-    row("y*act(z)", EM, 2 * D)
+    row(OTHERS, "act", EM, 3 * 2 * D)
+    row(SSM, "xD", EM, H * P)
+    row(SSM, "xdB", EM, H * P * N)
+    row(SSM, "Adt", EM, H)
+    row(SSM, "Ah", EM, H * P * N)
+    row(OTHERS, "norm", EM, 2 * D)
+    row(OTHERS, "y*act(z)", EM, 2 * D)
 
-    row("dt+bias", ADD, H)
-    row("Ah+xdB", ADD, H * P * N)
-    row("y+Dx", ADD, H * P)
+    row(SSM, "dt+bias", ADD, H)
+    row(SSM, "Ah+xdB", ADD, H * P * N)
+    row(SSM, "y+Dx", ADD, H * P)
 
     if variant != ANN:
         # membrane update + compare at both neuron sites, per micro-step;
         # reported separately and excluded from the total
-        row("neuron1", EM, k * 2 * D)
-        row("neuron1", ADD, k * 2 * D)
-        row("neuron2", EM, k * 4 * D)
-        row("neuron2", ADD, k * 4 * D)
+        row(NEURON, "neuron1", EM, k * 2 * D)
+        row(NEURON, "neuron1", ADD, k * 2 * D)
+        row(NEURON, "neuron2", EM, k * 4 * D)
+        row(NEURON, "neuron2", ADD, k * 4 * D)
     return rows
 
 
@@ -217,7 +198,7 @@ def compute_report(geom: Geometry, variant: str, fr_in: float | None = None,
     def priced(rows: list[OpRow]) -> EnergyReport:
         buckets = {IN_PROJ: 0.0, OUT_PROJ: 0.0, SSM: 0.0, OTHERS: 0.0, NEURON: 0.0}
         for r in rows:
-            buckets[CATEGORY[r.name]] += r.count * PRICE_PJ[r.kind]
+            buckets[r.category] += r.count * PRICE_PJ[r.kind]
         return EnergyReport(
             config=config, variant=variant, **record,
             in_proj_uj=buckets[IN_PROJ] / PJ_PER_UJ,

@@ -27,16 +27,15 @@ from .tensor import (
 np_log_softmax = log_softmax_forward  # the name callers outside the package import
 
 
-def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor,
-                    teacher_norm: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor) -> Tensor:
     """Mean per-position KL(teacher || student), computed in log space.
 
-    One tape node over the student logits. ``teacher_norm`` is the
-    teacher's ``(max, log-normaliser)`` from :func:`tensor.log_softmax_norm`,
-    for a caller that keeps it per sequence; without it the pair is
-    computed here. The floating-point operations are those of the
-    composite ``const - sum(p_t * log_softmax(s)) / rows``, in its order,
-    so value and gradient are bit-identical to it.
+    One tape node over the student logits. The teacher rows are
+    normalised here, each position over its own vocabulary row, so a
+    gathered batch normalises as its rows would alone. The floating-point
+    operations are those of the composite
+    ``const - sum(p_t * log_softmax(s)) / rows``, in its order, so value
+    and gradient are bit-identical to it.
     """
     teacher_logits = np.asarray(teacher_logits)
     if teacher_logits.shape != student_logits.shape:
@@ -45,7 +44,7 @@ def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor,
             f"{teacher_logits.shape} vs {student_logits.shape}"
         )
     rows = int(np.prod(teacher_logits.shape[:-1]))
-    t_logp = log_softmax_forward(teacher_logits, norm=teacher_norm)
+    t_logp = log_softmax_forward(teacher_logits)
     t_p = np.exp(t_logp)
     # -H(teacher) over this batch, independent of the student
     const = float(np.multiply(t_p, t_logp, out=t_logp).sum()) / rows

@@ -31,13 +31,13 @@ against the config (:func:`param_shapes`) and draws nothing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as tn
-from .energy import Geometry
+from .energy import PRESETS, Geometry
 from .neurons import NeuronConfig, expand_spike_train, neuron_forward, quantize
 from .spike_kernel import FireStats, OpCounter, fire_stats_from_ints, spike_linear_event, spike_linear_int
 from .tensor import (
@@ -91,13 +91,10 @@ class Mamba2Config(Geometry):
 
 def toy_config(mode: str = DENSE, neuron: NeuronConfig | None = None,
                sgc: bool = False) -> Mamba2Config:
-    """Desk-scale preset used by the training experiments."""
+    """Desk-scale preset used by the training experiments: the geometry
+    of ``energy.PRESETS["toy"]``."""
     return Mamba2Config(
-        d_model=64,
-        n_state=16,
-        n_heads=2,
-        d_head=64,
-        n_layers=2,
+        **asdict(PRESETS["toy"]),
         vocab=259,
         mode=mode,
         neuron=neuron or NeuronConfig(),

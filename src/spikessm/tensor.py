@@ -597,29 +597,11 @@ def softmax_forward(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _log_normaliser(z: np.ndarray) -> np.ndarray:
-    return np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def log_softmax_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(m, lse)``: the max of ``x`` and the log-sum-exp of ``x - m`` over
-    the last axis, both keeping it at length 1. A row's pair depends on
-    that row alone, so a caller may compute it once and slice it."""
-    m = x.max(axis=-1, keepdims=True)
-    return m, _log_normaliser(x - m)
-
-
-def log_softmax_forward(x: np.ndarray,
-                        norm: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The tape op's forward on a plain array: ``(x - m) - lse``, with
-    ``norm = (m, lse)`` from :func:`log_softmax_norm` when given."""
-    if norm is None:
-        z = x - x.max(axis=-1, keepdims=True)
-        lse = _log_normaliser(z)
-    else:
-        m, lse = norm
-        z = x - m
-    return z - lse
+def log_softmax_forward(x: np.ndarray) -> np.ndarray:
+    """The tape op's forward on a plain array: ``(x - m) - lse`` over the
+    last axis, with ``m`` its max and ``lse`` the log-sum-exp of ``x - m``."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax(x) -> Tensor:

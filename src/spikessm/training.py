@@ -27,7 +27,6 @@ from .tensor import (
     Graph,
     Tensor,
     default_dtype,
-    log_softmax_norm,
     narrow,
     parameter,
     pause_recording,
@@ -106,9 +105,9 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
     return rows
 
 
-# rows per no-tape batched pass: eval_ppl's windows, the teacher's
-# pseudo-label scoring and its normaliser, so the distillation set-up
-# holds no larger forward beside the run's teacher logits
+# rows per no-tape batched pass: eval_ppl's windows and the teacher's
+# pseudo-label scoring, so the distillation set-up holds no larger
+# forward beside the run's teacher logits
 EVAL_BATCH = 16
 
 
@@ -137,27 +136,6 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
 
 # ---------------------------------------------------------------------------
 # distillation
-
-@dataclass
-class DistillBatch:
-    """The distinct pseudo-label sequences, each sampled row's index into
-    them, and the teacher's logits over each sequence's continuation with,
-    per position, their max and log-normaliser (:func:`tensor.log_softmax_norm`),
-    computed once here, :data:`EVAL_BATCH` sequences at a time, so the
-    pass holds no second logits-sized array. A step gathers at ``rows[idx]``."""
-
-    sequences: np.ndarray       # (m, T) distinct ids: prompt followed by continuation
-    rows: np.ndarray            # (n,) each sampled row's index into sequences
-    teacher_logits: np.ndarray  # (m, T - prompt_len, vocab), continuation-aligned
-    teacher_max: np.ndarray = field(init=False)  # (m, T - prompt_len, 1)
-    teacher_lse: np.ndarray = field(init=False)  # (m, T - prompt_len, 1)
-
-    def __post_init__(self):
-        parts = [log_softmax_norm(self.teacher_logits[i:i + EVAL_BATCH])
-                 for i in range(0, self.teacher_logits.shape[0], EVAL_BATCH)]
-        self.teacher_max = np.concatenate([m for m, _ in parts])
-        self.teacher_lse = np.concatenate([lse for _, lse in parts])
-
 
 @dataclass
 class DistillResult:
@@ -201,7 +179,8 @@ def _teacher_logits(teacher: LanguageModel, labels: tuple[np.ndarray, np.ndarray
     :data:`EVAL_BATCH` sequences, each batch's slice copied into one
     array, so no slice keeps a batch's full logits alive. The set-up's
     peak is this output plus one such forward; every row's logits are
-    the same bytes at any row batch."""
+    the same bytes at any row batch. They are held unnormalised:
+    :func:`losses.kl_distill_loss` normalises the rows a step gathers."""
     seqs, _ = labels
     m, T = seqs.shape
     out = np.empty((m, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
@@ -224,6 +203,9 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     """Single-stage distillation: KL on teacher pseudo-labels plus the
     hidden alignment losses from the compensation path.
 
+    Each step draws ``batch`` of the sampled rows and gathers their
+    distinct sequences and teacher logits at ``rows[idx]``.
+
     With ``student.cfg.sgc`` set, each of :func:`compensated_layers`
     gets mirrors of its two projections, trained parameters that start
     as copies of them and are dropped when the run ends: the
@@ -238,7 +220,8 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     labels = generate_pseudo_labels(
         teacher, lines, n_sequences=n_sequences, prompt_len=prompt_len,
         total_len=total_len, seed=seed)
-    data = DistillBatch(*labels, teacher_logits=_teacher_logits(teacher, labels, prompt_len))
+    sequences, rows = labels
+    teacher_logits = _teacher_logits(teacher, labels, prompt_len)
 
     rng = np.random.default_rng(seed + 1)
     layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
@@ -246,17 +229,16 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     opt = AdamW(params)
-    cont = data.sequences.shape[1] - prompt_len
+    cont = sequences.shape[1] - prompt_len
     metrics = []
     for step in range(steps):
-        idx = rng.integers(0, data.rows.size, size=batch)
-        pick = data.rows[idx]
+        idx = rng.integers(0, rows.size, size=batch)
+        pick = rows[idx]
         cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
-            logits, auxes = student.forward_batch(data.sequences[pick], sgc=mirrors)
+            logits, auxes = student.forward_batch(sequences[pick], sgc=mirrors)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
-            l_kl = kl_distill_loss(data.teacher_logits[pick], s_cont,
-                                   (data.teacher_max[pick], data.teacher_lse[pick]))
+            l_kl = kl_distill_loss(teacher_logits[pick], s_cont)
             hidden = [hidden_align_loss(spk, sgc)
                       for aux in auxes for spk, sgc in aux.sgc_pairs]
             loss = total_distill_loss(l_kl, hidden)

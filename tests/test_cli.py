@@ -707,10 +707,10 @@ def test_corpus_lines_sets_synthetic_corpus_size(tmp_path):
 
 
 def test_same_seed_byte_identical_across_blas_threads(tmp_path):
-    """``train-teacher``, then ``distill`` from its teacher, under 1 and 2
-    BLAS threads."""
+    """``train-teacher``, then ``distill`` from its teacher, then ``rl``
+    by DPO and by KTO from its student, under 1 and 2 BLAS threads."""
     def run(threads, command, *args):
-        out = tmp_path / f"{command}{threads}"
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         cmd = [sys.executable, "-m", "spikessm.cli", command, *args, "--seed", "3",
                "--out", str(out)]
@@ -721,8 +721,12 @@ def test_same_seed_byte_identical_across_blas_threads(tmp_path):
     teacher = [run(t, "train-teacher", "--steps", "20") for t in ("1", "2")]
     distill = [run(t, "distill", "--teacher", str(teacher[0] / "teacher.spkm"),
                    "--steps", "10") for t in ("1", "2")]
+    rl = [[run(t, "rl", "--method", method, "--ckpt", str(distill[0] / "student.spkm"),
+               "--steps", "5") for t in ("1", "2")] for method in ("dpo", "kto")]
     for outs, files in ((teacher, ("teacher.spkm", "metrics.csv")),
-                        (distill, ("student.spkm", "metrics.csv", "eval.csv"))):
+                        (distill, ("student.spkm", "metrics.csv", "eval.csv")),
+                        *((outs, ("aligned.spkm", "metrics.csv", "preferences.tsv"))
+                          for outs in rl)):
         for f in files:
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 

@@ -6,9 +6,12 @@ from spikessm.energy import (
     EnergyReport,
     ILIF_V,
     LIF_V,
+    PJ_PER_UJ,
     PRESETS,
+    PRICE_PJ,
     REFERENCE_ROWS,
     TILIF_V,
+    VARIANTS,
     Geometry,
     compare_to_reference,
     compute_report,
@@ -33,6 +36,44 @@ def test_preset_geometries_consistent():
     for variant, spikes in ((ANN, {}), (TILIF_V, dict(fr_in=0.3, fr_out=0.1, k=4))):
         assert (count_ops(toy_config(), variant, **spikes)
                 == count_ops(PRESETS["toy"], variant, **spikes))
+
+
+# row name -> report column: the oracle for the category count_ops
+# states for each row
+CATEGORY_BY_NAME = {
+    "in_proj": "in_proj",
+    "out_proj": "out_proj",
+    "dtB": "ssm",
+    "C*h": "ssm",
+    "xD": "ssm",
+    "xdB": "ssm",
+    "Adt": "ssm",
+    "Ah": "ssm",
+    "dt+bias": "ssm",
+    "Ah+xdB": "ssm",
+    "y+Dx": "ssm",
+    "conv1d": "others",
+    "act": "others",
+    "norm": "others",
+    "y*act(z)": "others",
+    "neuron1": "neuron",
+    "neuron2": "neuron",
+}
+
+
+@pytest.mark.parametrize("config", sorted(PRESETS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_categories_price_as_the_name_table(config, variant):
+    spikes = {} if variant == ANN else spike_settings(
+        variant, 0.3, 0.12, None if variant == LIF_V else 4)
+    rows = count_ops(PRESETS[config], variant, **spikes)
+    assert [r.category for r in rows] == [CATEGORY_BY_NAME[r.name] for r in rows]
+    want = dict.fromkeys(("in_proj", "out_proj", "ssm", "others", "neuron"), 0.0)
+    for r in rows:
+        want[CATEGORY_BY_NAME[r.name]] += r.count * PRICE_PJ[r.kind]
+    report = compute_report(PRESETS[config], variant, **spikes)
+    for bucket, pj in want.items():
+        assert getattr(report, f"{bucket}_uj") == pj / PJ_PER_UJ
 
 
 def test_ann_in_proj_count_130m():

@@ -21,9 +21,11 @@ from spikessm.tensor import (
     DimensionError,
     Graph,
     Tensor,
+    custom_op,
+    default_dtype,
     dtype_scope,
     log_softmax,
-    log_softmax_norm,
+    log_softmax_forward,
     narrow,
     parameter,
     reshape,
@@ -35,7 +37,7 @@ from spikessm.tensor import (
 # ---------------------------------------------------------------------------
 # the fused distillation losses against their composite forms
 
-def kl_distill_composite(teacher_logits, student_logits, teacher_norm=None):
+def kl_distill_composite(teacher_logits, student_logits):
     """Oracle: the KL as generic tape ops, the teacher normalised per call."""
     rows = int(np.prod(teacher_logits.shape[:-1]))
     z = teacher_logits - teacher_logits.max(axis=-1, keepdims=True)
@@ -44,6 +46,37 @@ def kl_distill_composite(teacher_logits, student_logits, teacher_norm=None):
     const = float((t_p * t_logp).sum()) / rows
     cross = sum_(Tensor(t_p) * log_softmax(student_logits)) * (1.0 / rows)
     return const - cross
+
+
+def kl_distill_cached_norm(teacher_logits, idx, student_logits):
+    """Oracle: the KL of the rows ``idx`` of ``teacher_logits`` from a
+    cache of every row's max and log-normaliser, computed once over all
+    rows, EVAL_BATCH rows at a time, and read back at the gathered rows."""
+    maxes, lses = [], []
+    for i in range(0, teacher_logits.shape[0], training.EVAL_BATCH):
+        chunk = teacher_logits[i:i + training.EVAL_BATCH]
+        m = chunk.max(axis=-1, keepdims=True)
+        maxes.append(m)
+        lses.append(np.log(np.exp(chunk - m).sum(axis=-1, keepdims=True)))
+    t = teacher_logits[idx]
+    rows = int(np.prod(t.shape[:-1]))
+    t_logp = (t - np.concatenate(maxes)[idx]) - np.concatenate(lses)[idx]
+    t_p = np.exp(t_logp)
+    const = float(np.multiply(t_p, t_logp, out=t_logp).sum()) / rows
+    t_p = t_p.astype(default_dtype(), copy=False)
+    s_logp = log_softmax_forward(student_logits.data)
+    scale = np.asarray(1.0 / rows, dtype=default_dtype())
+    cross = (t_p * s_logp).sum() * scale
+    data = np.asarray(const, dtype=default_dtype()) - cross
+
+    def grad_fn(g):
+        dx = np.multiply(t_p, (-g) * scale)
+        e = np.exp(s_logp)
+        e *= dx.sum(axis=-1, keepdims=True)
+        dx -= e
+        return (dx,)
+
+    return custom_op(data, (student_logits,), grad_fn, "kl_distill")
 
 
 def hidden_align_composite(y_spiking, y_sgc):
@@ -87,24 +120,30 @@ def test_fused_losses_bitwise_equal_composites(dtype, shape):
                 want, _ = value_and_grads(hidden_align_composite, (a, b), trainable)
                 for x, y in zip(fused, want):
                     assert_bits_equal(x, y)
-            norm = log_softmax_norm(t)
-            for kl in (lambda s: training.kl_distill_loss(t, s),
-                       lambda s: training.kl_distill_loss(t, s, norm)):
-                fused, _ = value_and_grads(kl, (a,), (True,))
-                want, _ = value_and_grads(
-                    lambda s: kl_distill_composite(t, s), (a,), (True,))
-                for x, y in zip(fused, want):
-                    assert_bits_equal(x, y)
+            fused, _ = value_and_grads(
+                lambda s: training.kl_distill_loss(t, s), (a,), (True,))
+            want, _ = value_and_grads(
+                lambda s: kl_distill_composite(t, s), (a,), (True,))
+            for x, y in zip(fused, want):
+                assert_bits_equal(x, y)
 
 
-def test_distill_batch_normalisers_equal_per_batch_ones(rng):
-    logits = (rng.normal(size=(19, 5, 13)) * 4).astype(np.float32)
-    data = training.DistillBatch(sequences=np.zeros((19, 9), np.int64), rows=np.arange(19),
-                                 teacher_logits=logits)
-    idx = rng.integers(0, 19, size=8)
-    m, lse = log_softmax_norm(logits[idx])
-    assert_bits_equal(data.teacher_max[idx], m)
-    assert_bits_equal(data.teacher_lse[idx], lse)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_kl_of_gathered_rows_equals_cached_normaliser_oracle(dtype):
+    """Normalising the gathered teacher rows in the loss gives the bits a
+    per-row cache of (max, log-normaliser) gave, value and gradient."""
+    rng = np.random.default_rng(23)
+    idx = np.array([3, 3, 0, 36, 17, 3, 36, 20])  # repeats, across EVAL_BATCH chunks
+    with dtype_scope(dtype):
+        for scale in (1.0, 300.0):
+            t = (rng.normal(size=(37, 56, 259)) * scale).astype(dtype)
+            a = (rng.normal(size=(idx.size, 56, 259)) * scale).astype(dtype)
+            got, _ = value_and_grads(
+                lambda s: training.kl_distill_loss(t[idx], s), (a,), (True,))
+            want, _ = value_and_grads(
+                lambda s: kl_distill_cached_norm(t, idx, s), (a,), (True,))
+            for x, y in zip(got, want):
+                assert_bits_equal(x, y)
 
 
 def test_distill_run_equals_run_on_composite_losses(monkeypatch):

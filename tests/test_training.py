@@ -32,7 +32,6 @@ from spikessm.tensor import (
 from spikessm.training import (
     EVAL_BATCH,
     SEQ_LEN,
-    DistillBatch,
     DistillResult,
     PreferenceExample,
     _example_tokens,
@@ -364,19 +363,17 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypatch):
-    """Every row's teacher logits, and so its normaliser, are the same
-    bytes at any row batch: the set-up's batch size moves no output."""
+    """Every row's teacher logits are the same bytes at any row batch:
+    the set-up's batch size moves no output."""
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(37, 20))
         got = {}
         for rows in (1, 5, EVAL_BATCH, seqs.shape[0]):
             monkeypatch.setattr(training, "EVAL_BATCH", rows)
-            labels = (seqs, np.arange(seqs.shape[0]))
-            data = DistillBatch(*labels, teacher_logits=_teacher_logits(teacher, labels, 6))
-            got[rows] = (data.teacher_logits.tobytes(), data.teacher_max.tobytes(),
-                         data.teacher_lse.tobytes())
-    assert data.teacher_logits.dtype == np.dtype(precision)
+            logits = _teacher_logits(teacher, (seqs, np.arange(seqs.shape[0])), 6)
+            got[rows] = logits.tobytes()
+    assert logits.dtype == np.dtype(precision)
     assert len(set(got.values())) == 1
 
 
