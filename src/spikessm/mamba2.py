@@ -673,10 +673,17 @@ class LanguageModel:
 
     def forward_batch(self, tokens: np.ndarray, *, sgc: dict[int, tuple] | None = None,
                       hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
-        """``sgc`` maps a layer to its block's mirrors (see block_forward)."""
+        """(B, T, vocab) logits: :meth:`head` of :meth:`trunk`."""
+        x, auxes = self.trunk(tokens, sgc=sgc, hook=hook)
+        return self.head(x), auxes
+
+    def trunk(self, tokens: np.ndarray, *, sgc: dict[int, tuple] | None = None,
+              hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
+        """(B, T, d_model) final normalised hidden states of a (B, T) token
+        batch; ``sgc`` maps a layer to its block's mirrors (see block_forward)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
-            raise DimensionError("forward_batch expects (batch, time) token ids")
+            raise DimensionError("a batched forward expects (batch, time) token ids")
         x = embedding(self.embedding, tokens)
         auxes = []
         for i, layer in enumerate(self.layers):
@@ -685,9 +692,13 @@ class LanguageModel:
                                    sgc=sgc.get(i) if sgc else None, hook=hook)
             auxes.append(aux)
             x = x + y
-        x = rmsnorm(x, self.norm_f)
-        logits = matmul(x, transpose2d(self.embedding))
-        return logits, auxes
+        return rmsnorm(x, self.norm_f), auxes
+
+    def head(self, x) -> Tensor:
+        """Logits of final hidden states ``x`` through the tied embedding.
+        Each (T, d_model) row is one product, so a row's logits are the
+        same bytes in any batch of full rows."""
+        return matmul(x, transpose2d(self.embedding))
 
     def site_stats(self, auxes: list[BlockAux]) -> tuple[FireStats, FireStats]:
         """``(fr_in, fr_out)``: the fire rates at the two projection sites

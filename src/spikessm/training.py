@@ -105,9 +105,9 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
     return rows
 
 
-# rows per no-tape batched pass: eval_ppl's windows and the teacher's
-# pseudo-label scoring, so the distillation set-up holds no larger
-# forward beside the run's teacher logits
+# rows per no-tape batched pass: eval_ppl's windows and the teacher
+# trunk over the pseudo-labels, so the distillation set-up holds no
+# larger forward beside the run's distillation targets
 EVAL_BATCH = 16
 
 
@@ -163,6 +163,13 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
     (m, total_len) continuations of the m distinct prompts in
     ``np.unique`` order, and the (n_sequences,) index of each sampled
     row's sequence. This is the distillation set-up's one dedupe."""
+    if n_sequences < 1:
+        raise ContractError(f"n_sequences must be >= 1, got {n_sequences}")
+    if prompt_len < 1:
+        raise ContractError(f"prompt_len must be >= 1, got {prompt_len}")
+    if total_len <= prompt_len:
+        raise ContractError(f"total_len must exceed prompt_len {prompt_len}, "
+                            f"got {total_len}")
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
     prompts = sample_windows(stream, n_sequences, prompt_len, rng)
@@ -173,21 +180,23 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
 
 def _teacher_logits(teacher: LanguageModel, labels: tuple[np.ndarray, np.ndarray],
                     prompt_len: int) -> np.ndarray:
-    """(m, T - prompt_len, vocab) teacher logits over the continuation of
-    each of the m distinct sequences of ``labels``
-    (:func:`generate_pseudo_labels`' pair), from no-tape forwards of
-    :data:`EVAL_BATCH` sequences, each batch's slice copied into one
-    array, so no slice keeps a batch's full logits alive. The set-up's
-    peak is this output plus one such forward; every row's logits are
-    the same bytes at any row batch. They are held unnormalised:
-    :func:`losses.kl_distill_loss` normalises the rows a step gathers."""
+    """The distillation targets: the (m, T, d_model) final normalised
+    hidden states of the m distinct sequences of ``labels``
+    (:func:`generate_pseudo_labels`' pair), from no-tape trunk passes of
+    :data:`EVAL_BATCH` sequences, each copied into one array. The set-up's
+    peak is this output plus one such pass; every row is the same bytes
+    at any row batch.
+
+    The targets are held at model width, not vocabulary width: each
+    :func:`distill_run` step applies ``teacher.head`` to the rows it
+    gathers. They keep all T positions, so ``prompt_len`` goes unused:
+    the head's product over full rows is the one ``forward_batch``
+    computes, and over the continuation alone it gives other bits."""
     seqs, _ = labels
     m, T = seqs.shape
-    out = np.empty((m, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
+    out = np.empty((m, T, teacher.cfg.d_model), teacher.embedding.data.dtype)
     for i in range(0, m, EVAL_BATCH):
-        logits = teacher.forward_batch(seqs[i:i + EVAL_BATCH])[0].data
-        out[i:i + EVAL_BATCH] = logits[:, prompt_len - 1:-1]
-        del logits  # not held while the next batch's forward runs
+        out[i:i + EVAL_BATCH] = teacher.trunk(seqs[i:i + EVAL_BATCH])[0].data
     return out
 
 
@@ -203,8 +212,12 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     """Single-stage distillation: KL on teacher pseudo-labels plus the
     hidden alignment losses from the compensation path.
 
-    Each step draws ``batch`` of the sampled rows and gathers their
-    distinct sequences and teacher logits at ``rows[idx]``.
+    Each step draws ``batch`` of the sampled rows, gathers their
+    distinct sequences and :func:`_teacher_logits` targets at
+    ``rows[idx]``, and applies the teacher head to the gathered full
+    rows, outside the tape: the teacher logits are the bytes a teacher
+    ``forward_batch`` would give, and the set-up holds d_model, not
+    vocab, floats a position.
 
     With ``student.cfg.sgc`` set, each of :func:`compensated_layers`
     gets mirrors of its two projections, trained parameters that start
@@ -216,12 +229,16 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     if (teacher.cfg.d_model, teacher.cfg.n_layers, teacher.cfg.vocab) != (
             student.cfg.d_model, student.cfg.n_layers, student.cfg.vocab):
         raise ContractError("teacher/student configuration shapes disagree")
+    if steps < 1:
+        raise ContractError(f"steps must be >= 1, got {steps}")
+    if batch < 1:
+        raise ContractError(f"batch must be >= 1, got {batch}")
 
     labels = generate_pseudo_labels(
         teacher, lines, n_sequences=n_sequences, prompt_len=prompt_len,
         total_len=total_len, seed=seed)
     sequences, rows = labels
-    teacher_logits = _teacher_logits(teacher, labels, prompt_len)
+    targets = _teacher_logits(teacher, labels, prompt_len)
 
     rng = np.random.default_rng(seed + 1)
     layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
@@ -235,10 +252,11 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         idx = rng.integers(0, rows.size, size=batch)
         pick = rows[idx]
         cur_lr = lr_schedule(step, steps, lr)
+        t_logits = teacher.head(targets[pick]).data  # before the tape opens
         with Graph() as g:
             logits, auxes = student.forward_batch(sequences[pick], sgc=mirrors)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
-            l_kl = kl_distill_loss(teacher_logits[pick], s_cont)
+            l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
             hidden = [hidden_align_loss(spk, sgc)
                       for aux in auxes for spk, sgc in aux.sgc_pairs]
             loss = total_distill_loss(l_kl, hidden)
@@ -395,8 +413,11 @@ def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
 
 
 def check_rl_batch(method: str, batch: int) -> None:
-    """ContractError unless ``batch`` rows can run ``method``: KTO's
-    ``z_ref`` pairs each row's prompt with another row's response."""
+    """ContractError unless ``batch`` rows can run ``method``: every step
+    needs a row, and KTO's ``z_ref`` pairs each row's prompt with another
+    row's response."""
+    if batch < 1:
+        raise ContractError(f"batch must be >= 1, got {batch}")
     if method == "kto" and batch < 2:
         raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
 

@@ -296,28 +296,67 @@ def _with_repeats(rng, n_distinct, copies, width):
     return base[rng.permutation(np.repeat(np.arange(n_distinct), copies))]
 
 
+def continuation_logits(teacher, targets, prompt_len):
+    """The teacher logits a distillation step derives from gathered
+    targets: the head over the full rows, then the continuation."""
+    return teacher.head(targets).data[:, prompt_len - 1:-1]
+
+
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_teacher_logits_with_repeats_equal_every_row_oracle(precision, rng):
-    """The logits of the distinct sequences, gathered through the row map,
-    are the bytes of scoring every row of a batch with repeats."""
+    """The targets of the distinct sequences, gathered through the row map
+    and put through the teacher head, are the bytes of scoring every row
+    of a batch with repeats."""
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = np.concatenate([_with_repeats(rng, 13, 3, 20), rng.integers(0, 259, (4, 20))])
         distinct, rows = np.unique(seqs, axis=0, return_inverse=True)
-        got = _teacher_logits(teacher, (distinct, rows), 6)
+        targets = _teacher_logits(teacher, (distinct, rows), 6)
+        got = continuation_logits(teacher, targets[rows], 6)
         want = teacher_logits_every_row(teacher, seqs, 6)
-    assert got.shape == (17, 14, 259) and want.shape == (43, 14, 259)
+    assert targets.shape == (17, 20, 16) and want.shape == (43, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
-    assert got[rows].tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("count", [1, 4, 8])
+def test_gathered_targets_equal_every_row_oracle(precision, count, rng):
+    """Any gather of full target rows, repeats included, gives the oracle's
+    logits for those rows: the head's bytes do not depend on how many
+    rows it runs on."""
+    with dtype_scope(precision):
+        teacher = LanguageModel(tiny_cfg(), rng)
+        seqs = rng.integers(0, 259, size=(2 * EVAL_BATCH + 3, 20))
+        targets = _teacher_logits(teacher, (seqs, np.arange(seqs.shape[0])), 6)
+        want = teacher_logits_every_row(teacher, seqs, 6)
+        for _ in range(3):
+            pick = rng.integers(0, seqs.shape[0], size=count)
+            got = continuation_logits(teacher, targets[pick], 6)
+            assert got.dtype == want.dtype == np.dtype(precision)
+            assert got.tobytes() == want[pick].tobytes()
+
+
+def test_targets_are_held_at_model_width(rng):
+    """The set-up holds d_model floats a position of each distinct
+    sequence, all T positions, not vocab floats a continuation position:
+    on the tiny config 16, not 259."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    seqs = rng.integers(0, 259, size=(9, 20))
+    targets = _teacher_logits(teacher, (seqs, np.arange(9)), 6)
+    cfg = teacher.cfg
+    assert cfg.vocab > 10 * cfg.d_model
+    assert targets.shape == (9, 20, cfg.d_model)
+    assert targets.nbytes == 9 * 20 * cfg.d_model * targets.itemsize
 
 
 def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
-    """The decode and the scoring forwards see each distinct prompt or
+    """The decode and the scoring trunk passes see each distinct prompt or
     sequence once."""
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
     seen = {"decode": 0, "score": 0}
-    decode, score = LanguageModel.generate_greedy, LanguageModel.forward_batch
+    decode, score = LanguageModel.generate_greedy, LanguageModel.trunk
 
     def counted_decode(self, prompts, *args, **kwargs):
         seen["decode"] += len(prompts)
@@ -328,7 +367,7 @@ def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
         return score(self, tokens, *args, **kwargs)
 
     monkeypatch.setattr(LanguageModel, "generate_greedy", counted_decode)
-    monkeypatch.setattr(LanguageModel, "forward_batch", counted_score)
+    monkeypatch.setattr(LanguageModel, "trunk", counted_score)
     labels = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
                                     total_len=12, seed=5)
     seqs, rows = labels
@@ -354,7 +393,8 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
-        got = _teacher_logits(teacher, (seqs, np.arange(11)), 6)
+        targets = _teacher_logits(teacher, (seqs, np.arange(11)), 6)
+        got = continuation_logits(teacher, targets, 6)
         want = teacher_logits_concatenated(teacher, seqs, 6, batch=4)
     assert got.shape == want.shape == (11, 14, 259)
     assert got.dtype == want.dtype == np.dtype(precision)
@@ -478,6 +518,69 @@ def test_distill_step_equals_every_row_targets(rng, monkeypatch):
     monkeypatch.setattr(training, "generate_pseudo_labels", every_row)
     assert run() == distinct
     assert held[0] < held[1] == 40
+
+
+@pytest.mark.parametrize("kw, value", [
+    (dict(n_sequences=0), "n_sequences must be >= 1, got 0"),
+    (dict(prompt_len=0), "prompt_len must be >= 1, got 0"),
+    (dict(total_len=4), "total_len must exceed prompt_len 4, got 4"),
+    (dict(total_len=3), "total_len must exceed prompt_len 4, got 3"),
+])
+def test_pseudo_labels_refuse_impossible_sizes(rng, monkeypatch, kw, value):
+    """Each impossible size is refused by name before the teacher decodes."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    monkeypatch.setattr(LanguageModel, "generate_greedy",
+                        lambda *a, **k: pytest.fail("the teacher decoded"))
+    sizes = dict(n_sequences=6, prompt_len=4, total_len=12) | kw
+    with pytest.raises(ContractError, match=value):
+        generate_pseudo_labels(teacher, synthetic_corpus(30, seed=0), seed=5, **sizes)
+
+
+@pytest.mark.parametrize("kw, value", [
+    (dict(steps=0), "steps must be >= 1, got 0"),
+    (dict(batch=0), "batch must be >= 1, got 0"),
+    (dict(total_len=8), "total_len must exceed prompt_len 8, got 8"),
+])
+def test_distill_refuses_impossible_sizes(rng, monkeypatch, kw, value):
+    """Each impossible size is refused by name before any teacher work."""
+    teacher = LanguageModel(tiny_cfg(), rng)
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    for name in ("generate_greedy", "trunk"):
+        monkeypatch.setattr(LanguageModel, name,
+                            lambda *a, **k: pytest.fail("the teacher ran"))
+    sizes = dict(steps=2, batch=4, total_len=16, n_sequences=8) | kw
+    with pytest.raises(ContractError, match=value):
+        distill_run(teacher, student, synthetic_corpus(30, seed=0), seed=3, **sizes)
+
+
+def test_distill_step_kl_sees_forward_batch_logits(rng, monkeypatch):
+    """Each step's KL gets, as its teacher side, the bytes of scoring the
+    step's own token rows with ``forward_batch``. The rows are 64 tokens
+    long, as in the distillation workload, where a head run on the
+    continuation alone gives other bits (OpenBLAS, float32)."""
+    teacher = LanguageModel(toy_config(), rng)
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    seen, kl = [], training.kl_distill_loss
+    forward = LanguageModel.forward_batch
+
+    def recorded_forward(self, tokens, **kwargs):
+        if self is student:
+            seen.append([tokens.copy()])
+        return forward(self, tokens, **kwargs)
+
+    def recorded_kl(t_logits, s_logits):
+        seen[-1].append(np.array(t_logits))
+        return kl(t_logits, s_logits)
+
+    monkeypatch.setattr(LanguageModel, "forward_batch", recorded_forward)
+    monkeypatch.setattr(training, "kl_distill_loss", recorded_kl)
+    distill_run(teacher, student, synthetic_corpus(40, seed=0), steps=3, batch=8,
+                prompt_len=8, total_len=64, n_sequences=24, seed=3)
+    monkeypatch.setattr(LanguageModel, "forward_batch", forward)
+    assert len(seen) == 3
+    for tokens, t_logits in seen:
+        want = teacher_logits_every_row(teacher, tokens, 8)
+        assert t_logits.dtype == want.dtype and t_logits.tobytes() == want.tobytes()
 
 
 def test_distill_requires_spiking_student(rng):
@@ -960,6 +1063,14 @@ def test_rl_kto_needs_two_rows(rng):
     model = LanguageModel(tiny_cfg(), rng)
     with pytest.raises(ContractError, match="batch >= 2"):
         rl_run(model, _preference_examples("kto"), method="kto", steps=1, batch=1)
+
+
+@pytest.mark.parametrize("method", ["dpo", "kto"])
+@pytest.mark.parametrize("batch", [0, -1])
+def test_rl_refuses_a_batch_without_rows(rng, method, batch):
+    model = LanguageModel(tiny_cfg(), rng)
+    with pytest.raises(ContractError, match=f"batch must be >= 1, got {batch}"):
+        rl_run(model, _preference_examples(method), method=method, steps=1, batch=batch)
 
 
 def test_rl_first_dpo_loss_is_ln2(rng, f64):
