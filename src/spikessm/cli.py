@@ -3,8 +3,8 @@
 Every command resolves its parameters from built-in defaults, then an
 optional ``key=value`` parameter file (``--params``), then explicit
 flags; the resolved set is written next to the outputs so runs are
-reproducible. Exit codes: 0 success, 1 input validation failure,
-2 contract or oracle failure.
+reproducible. Exit codes: 0 success, 1 input validation failure or an
+output that cannot be written, 2 contract or oracle failure.
 """
 
 from __future__ import annotations
@@ -45,24 +45,23 @@ from .tensor import (
     DimensionError,
     NumericError,
     dtype_scope,
-    set_default_dtype,
 )
 from .training import (
     DISTILL_FIELDS,
     METHODS,
     SEQ_LEN,
     TRAIN_FIELDS,
+    PreferenceExample,
     check_rl_batch,
     distill_run,
     eval_ppl,
-    load_preference_file,
+    parse_preference_line,
     require_window,
     rl_run,
     synth_preference_lines,
     synthetic_corpus,
     token_stream,
     train_teacher,
-    write_metrics_csv,
 )
 
 EXIT_OK = 0
@@ -223,20 +222,47 @@ def reading(what: str, path: str):
         raise CliError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
+def read_lines(what: str, path: str) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, without their line ends;
+    the one reader of every text file a command takes."""
+    with reading(what, path), open(path, "r", encoding="utf-8") as f:
+        return [line.rstrip("\n") for line in f]
+
+
+@contextmanager
+def writing(path: str):
+    """Turn a failure to create ``--out`` or write the output ``path`` into
+    a one-line :class:`CliError` naming the path that failed."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
+def write_output(outdir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``outdir/name`` as UTF-8 with ``\\n`` line ends, making
+    ``outdir`` if missing: the one writer of every text output. Returns the path."""
+    path = os.path.join(outdir, name)
+    with writing(path):
+        os.makedirs(outdir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    return path
+
+
 def load_params_file(path: str, schema: dict[str, Opt]) -> dict[str, Any]:
     values: dict[str, Any] = {}
-    with reading("parameter file", path), open(path, "r", encoding="utf-8") as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{ln}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in schema:
-                raise CliError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = val.strip()
+    for ln, raw in enumerate(read_lines("parameter file", path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{ln}: expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in schema:
+            raise CliError(f"{path}:{ln}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -307,11 +333,9 @@ def _check_spike_settings(resolved: dict[str, Any]) -> None:
 
 
 def write_resolved(outdir: str, command: str, resolved: dict[str, Any]) -> None:
-    os.makedirs(outdir, exist_ok=True)
     lines = [f"command={command}"]
     lines += [f"{k}={resolved[k]}" for k in sorted(resolved) if resolved[k] is not None]
-    with open(os.path.join(outdir, "resolved_config.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_output(outdir, "resolved_config.txt", "\n".join(lines) + "\n")
 
 
 def load_corpus(resolved: dict[str, Any], *, sampled: bool = False) -> list[str]:
@@ -320,8 +344,7 @@ def load_corpus(resolved: dict[str, Any], *, sampled: bool = False) -> list[str]
     a ``sampled`` one where it trains on them, else a consecutive one."""
     path = resolved.get("corpus")
     if path:
-        with reading("corpus file", path), open(path, "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        lines = [ln for ln in read_lines("corpus file", path) if ln.strip()]
         if not lines:
             raise CliError(f"corpus file is empty: {path}")
     else:
@@ -332,14 +355,45 @@ def load_corpus(resolved: dict[str, Any], *, sampled: bool = False) -> list[str]
     return lines
 
 
-def _save_corpus(outdir: str, lines: list[str]) -> None:
-    with open(os.path.join(outdir, "corpus.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+def preference_records(lines: list[str], method: str, path: str) -> list[PreferenceExample]:
+    """The ``method`` records of the non-blank ``lines`` of the preference
+    file ``path``; a malformed record, or none, is a one-line CliError."""
+    examples = []
+    for ln, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                examples.append(parse_preference_line(line, method))
+            except ContractError as exc:
+                raise CliError(f"{path}:{ln}: {exc}") from None
+    if not examples:
+        raise CliError(f"{path}: no preference records")
+    return examples
 
 
 def _load_model(path: str) -> LanguageModel:
     with reading("checkpoint", path):
         return checkpoint.load(path)
+
+
+def _save_model(outdir: str, name: str, model: LanguageModel) -> None:
+    path = os.path.join(outdir, name)
+    with writing(path):
+        checkpoint.save(path, model)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: ``header``, then one line per row; a float cell is written
+    to 6 decimals, any other cell as its text."""
+    return "".join(",".join(f"{c:.6f}" if isinstance(c, float) else str(c) for c in row)
+                   + "\n" for row in [header, *rows])
+
+
+def _write_metrics(outdir: str, rows: list[dict], fields: list[str]) -> None:
+    write_output(outdir, "metrics.csv", csv_text(fields, ([r[k] for k in fields] for r in rows)))
+
+
+def _write_eval(outdir: str, **metrics: float) -> None:
+    write_output(outdir, "eval.csv", csv_text(("metric", "value"), metrics.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +441,10 @@ def cmd_verify_equivalence(resolved) -> int:
         if not np.array_equal(collapse_spike_train(expand_spike_train(cfg, s)), s):
             print(f"FAIL exhaustive round-trip at d_max={d_max}")
             return EXIT_CONTRACT
-    outdir = resolved["out"]
-    with open(os.path.join(outdir, "verify.csv"), "w", encoding="utf-8") as f:
-        f.write("check,trials,worst_abs_err_float32,status\n")
-        f.write(f"equivalence_triangle,{trials},{worst32:.3e},pass\n")
-        f.write("round_trip_exhaustive,8,0,pass\n")
+    write_output(resolved["out"], "verify.csv", csv_text(
+        ("check", "trials", "worst_abs_err_float32", "status"),
+        [("equivalence_triangle", trials, f"{worst32:.3e}", "pass"),
+         ("round_trip_exhaustive", 8, 0, "pass")]))
     print(f"equivalence verified over {trials} instances "
           f"(worst float32 error {worst32:.2e})")
     return EXIT_OK
@@ -410,18 +463,16 @@ def cmd_gradcheck(resolved) -> int:
             print(f"{'pass' if ok else 'FAIL'}  {name:<16} max rel err {err:.3e}")
             if not ok:
                 status = EXIT_CONTRACT
-    with open(os.path.join(resolved["out"], "gradcheck.csv"), "w",
-              encoding="utf-8") as f:
-        f.write("target,max_rel_err,tolerance,status\n")
-        for name, err, ok in rows:
-            f.write(f"{name},{err:.6e},{REL_TOL:.0e},{'pass' if ok else 'fail'}\n")
+    write_output(resolved["out"], "gradcheck.csv", csv_text(
+        ("target", "max_rel_err", "tolerance", "status"),
+        [(name, f"{err:.6e}", f"{REL_TOL:.0e}", "pass" if ok else "fail")
+         for name, err, ok in rows]))
     return status
 
 
 def cmd_energy_report(resolved) -> int:
     cfg_name = resolved["config"]
     variant = resolved["variant"]
-    outdir = resolved["out"]
     if resolved["paper"]:
         report = energy.reference_report(cfg_name, variant)
         errs = energy.compare_to_reference(report)  # ContractError -> exit 2
@@ -433,27 +484,24 @@ def cmd_energy_report(resolved) -> int:
             *(resolved[k] for k in energy.SPIKE_SETTINGS), config=cfg_name)
     table = energy.to_table([report])
     print(table, end="")
-    with open(os.path.join(outdir, "energy.csv"), "w", encoding="utf-8") as f:
-        f.write(energy.to_csv([report]))
-    with open(os.path.join(outdir, "energy.txt"), "w", encoding="utf-8") as f:
-        f.write(table)
+    write_output(resolved["out"], "energy.csv", energy.to_csv([report]))
+    write_output(resolved["out"], "energy.txt", table)
     return EXIT_OK
 
 
 def cmd_train_teacher(resolved) -> int:
     lines = load_corpus(resolved, sampled=True)
     outdir = resolved["out"]
-    _save_corpus(outdir, lines)
+    write_output(outdir, "corpus.txt", "\n".join(lines) + "\n")
     rng = np.random.default_rng(resolved["seed"])
     model = LanguageModel(toy_config(mode=DENSE), rng)
     rows = train_teacher(model, lines, steps=resolved["steps"],
                          batch=resolved["batch"], seq_len=resolved["seq_len"],
                          lr=resolved["lr"], seed=resolved["seed"])
-    write_metrics_csv(os.path.join(outdir, "metrics.csv"), rows, TRAIN_FIELDS)
-    checkpoint.save(os.path.join(outdir, "teacher.spkm"), model)
+    _write_metrics(outdir, rows, TRAIN_FIELDS)
+    _save_model(outdir, "teacher.spkm", model)
     ppl = eval_ppl(model, lines, seq_len=resolved["seq_len"])
-    with open(os.path.join(outdir, "eval.csv"), "w", encoding="utf-8") as f:
-        f.write("metric,value\nppl,%.6f\n" % ppl)
+    _write_eval(outdir, ppl=ppl)
     print(f"teacher trained: final loss {rows[-1]['loss']:.4f}, ppl {ppl:.4f}")
     return EXIT_OK
 
@@ -464,19 +512,16 @@ def cmd_distill(resolved) -> int:
         raise CliError("the teacher checkpoint must be a dense-mode model")
     lines = load_corpus(resolved)
     outdir = resolved["out"]
-    _save_corpus(outdir, lines)
+    write_output(outdir, "corpus.txt", "\n".join(lines) + "\n")
     neuron = NeuronConfig(kind=resolved["neuron"], d_max=resolved["d_max"])
     student = teacher.clone(mode=SPIKING, neuron=neuron, sgc=resolved["sgc"])
     result = distill_run(teacher, student, lines, steps=resolved["steps"],
                          batch=resolved["batch"], lr=resolved["lr"],
                          seed=resolved["seed"])
-    write_metrics_csv(os.path.join(outdir, "metrics.csv"), result.metrics,
-                      DISTILL_FIELDS)
-    checkpoint.save(os.path.join(outdir, "student.spkm"), student)
+    _write_metrics(outdir, result.metrics, DISTILL_FIELDS)
+    _save_model(outdir, "student.spkm", student)
     ppl = eval_ppl(student, lines)
-    with open(os.path.join(outdir, "eval.csv"), "w", encoding="utf-8") as f:
-        f.write("metric,value\nppl,%.6f\ninitial_kl,%.6f\nfinal_kl,%.6f\n"
-                % (ppl, result.initial_kl, result.final_kl))
+    _write_eval(outdir, ppl=ppl, initial_kl=result.initial_kl, final_kl=result.final_kl)
     print(f"distilled: kl {result.initial_kl:.4f} -> {result.final_kl:.4f}, "
           f"student ppl {ppl:.4f}")
     return EXIT_OK
@@ -485,23 +530,21 @@ def cmd_distill(resolved) -> int:
 def cmd_rl(resolved) -> int:
     policy = _load_model(resolved["ckpt"])
     outdir = resolved["out"]
-    if resolved["data"]:
-        with reading("preference file", resolved["data"]):
-            examples = load_preference_file(resolved["data"], resolved["method"])
+    path = resolved["data"]
+    if path:
+        pref_lines = read_lines("preference file", path)
     else:
         lines = synthetic_corpus(200, seed=resolved["seed"])
         pref_lines = synth_preference_lines(lines, resolved["corpus_lines"],
                                             resolved["seed"], resolved["method"])
-        path = os.path.join(outdir, "preferences.tsv")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(pref_lines) + "\n")
-        examples = load_preference_file(path, resolved["method"])
+        path = write_output(outdir, "preferences.tsv", "\n".join(pref_lines) + "\n")
+    examples = preference_records(pref_lines, resolved["method"], path)
     rows = rl_run(policy, examples, method=resolved["method"],
                   steps=resolved["steps"], batch=resolved["batch"],
                   lr=resolved["lr"], beta_pref=resolved["beta_pref"],
                   seed=resolved["seed"])
-    write_metrics_csv(os.path.join(outdir, "metrics.csv"), rows, TRAIN_FIELDS)
-    checkpoint.save(os.path.join(outdir, "aligned.spkm"), policy)
+    _write_metrics(outdir, rows, TRAIN_FIELDS)
+    _save_model(outdir, "aligned.spkm", policy)
     print(f"{resolved['method']} finished: loss {rows[0]['loss']:.4f} -> "
           f"{rows[-1]['loss']:.4f}")
     return EXIT_OK
@@ -511,9 +554,7 @@ def cmd_eval_ppl(resolved) -> int:
     model = _load_model(resolved["ckpt"])
     lines = load_corpus(resolved)
     ppl = eval_ppl(model, lines, seq_len=resolved["seq_len"])
-    with open(os.path.join(resolved["out"], "eval.csv"), "w",
-              encoding="utf-8") as f:
-        f.write("metric,value\nppl,%.6f\n" % ppl)
+    _write_eval(resolved["out"], ppl=ppl)
     print(f"ppl {ppl:.6f}")
     return EXIT_OK
 
@@ -541,11 +582,9 @@ def cmd_activation_hist(resolved) -> int:
     if lo == hi:
         hi = lo + 1.0
     counts, edges = np.histogram(values, bins=resolved["bins"], range=(lo, hi))
-    path = os.path.join(resolved["out"], "activation_hist.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("value_lo,value_hi,count\n")
-        for i, c in enumerate(counts):
-            f.write(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(c)}\n")
+    path = write_output(resolved["out"], "activation_hist.csv", csv_text(
+        ("value_lo", "value_hi", "count"),
+        [(f"{a:.6f}", f"{b:.6f}", int(c)) for a, b, c in zip(edges, edges[1:], counts)]))
     print(f"histogram over {values.size} activations written to {path}")
     return EXIT_OK
 
@@ -556,11 +595,9 @@ def cmd_clamp_ablation(resolved) -> int:
     base = eval_ppl(model, lines, seq_len=resolved["seq_len"])
     clamped = eval_ppl(model, lines, seq_len=resolved["seq_len"],
                        hook=make_clamp_hook(resolved["mode"], resolved["site"]))
-    path = os.path.join(resolved["out"], "clamp_ablation.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("mode,site,ppl_off,ppl_clamped,delta\n")
-        f.write(f"{resolved['mode']},{resolved['site']},{base:.6f},"
-                f"{clamped:.6f},{clamped - base:.6f}\n")
+    write_output(resolved["out"], "clamp_ablation.csv", csv_text(
+        ("mode", "site", "ppl_off", "ppl_clamped", "delta"),
+        [(resolved["mode"], resolved["site"], base, clamped, clamped - base)]))
     print(f"clamp {resolved['mode']} at {resolved['site']}: "
           f"ppl {base:.4f} -> {clamped:.4f}")
     return EXIT_OK
@@ -586,17 +623,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         resolved = resolve_options(args.command, args)
-        set_default_dtype(resolved["precision"])
         write_resolved(resolved["out"], args.command, resolved)
-        return HANDLERS[args.command](resolved)
+        with dtype_scope(resolved["precision"]):
+            return HANDLERS[args.command](resolved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ContractError, DimensionError, NumericError) as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    finally:
-        set_default_dtype("float32")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ distillation onto a spiking student, and preference optimization.
 
 Everything is deterministic under a fixed seed: data sampling uses one
 generator, the loops are single-threaded, and metrics rows are plain
-dicts ready for CSV emission.
+dicts; the CLI owns every file a run reads or writes.
 """
 
 from __future__ import annotations
@@ -285,31 +285,22 @@ METHODS = ("dpo", "kto")
 
 @dataclass
 class PreferenceExample:
-    """One alignment record; paired mode carries both responses."""
+    """One alignment record: ``responses`` holds one response (KTO, with
+    its ``label``), or the preferred then the dispreferred one (DPO)."""
 
     prompt: str
-    response: str | None = None
+    responses: tuple[str, ...]
     label: int = 1
-    response_w: str | None = None
-    response_l: str | None = None
 
     def __post_init__(self):
-        paired = self.response_w is not None or self.response_l is not None
-        if paired and (self.response_w is None or self.response_l is None):
-            raise ContractError("paired examples need both responses")
-        if not paired and self.response is None:
-            raise ContractError("unpaired examples need a response")
+        if len(self.responses) not in (1, 2):
+            raise ContractError(f"an example holds 1 or 2 responses, got {len(self.responses)}")
         if self.label not in (1, -1):
             raise ContractError("label must be +1 or -1")
 
     @property
     def paired(self) -> bool:
-        return self.response_w is not None
-
-    @property
-    def responses(self) -> tuple[str, ...]:
-        """The preferred then the dispreferred response, or the one response."""
-        return (self.response_w, self.response_l) if self.paired else (self.response,)
+        return len(self.responses) == 2
 
 
 def parse_preference_line(line: str, method: str) -> PreferenceExample:
@@ -319,25 +310,12 @@ def parse_preference_line(line: str, method: str) -> PreferenceExample:
     if len(parts) != 3:
         raise ContractError(f"expected 3 tab-separated fields, got {len(parts)}")
     if method == "dpo":
-        return PreferenceExample(prompt=parts[0], response_w=parts[1],
-                                 response_l=parts[2])
+        return PreferenceExample(parts[0], (parts[1], parts[2]))
     if method == "kto":
         if parts[2] not in ("+1", "-1", "1"):
             raise ContractError(f"bad KTO label {parts[2]!r}")
-        return PreferenceExample(prompt=parts[0], response=parts[1],
-                                 label=1 if parts[2] in ("+1", "1") else -1)
+        return PreferenceExample(parts[0], (parts[1],), 1 if parts[2] in ("+1", "1") else -1)
     raise ContractError(f"unknown preference method {method!r}")
-
-
-def load_preference_file(path, method: str) -> list[PreferenceExample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(parse_preference_line(line, method))
-    if not out:
-        raise ContractError(f"{path}: no preference records")
-    return out
 
 
 def synth_preference_lines(lines: list[str], n: int, seed: int,
@@ -480,22 +458,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     return rows
 
 
-# ---------------------------------------------------------------------------
-# metrics emission
-
-def format_metric(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def write_metrics_csv(path, rows: list[dict], fields: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(fields) + "\n")
-        for row in rows:
-            f.write(",".join(format_metric(row[k]) for k in fields) + "\n")
-
-
+# the keys of a metrics row, in the order a metrics file lists them
 DISTILL_FIELDS = ["step", "loss_total", "loss_kl", "loss_hidden",
                   "fr_in", "fr_out", "lr"]
 TRAIN_FIELDS = ["step", "loss", "lr"]

@@ -19,13 +19,17 @@ from spikessm.cli import (
     COMMANDS,
     GLOBAL_OPTS,
     REQUIRED,
+    CliError,
     _bool,
     build_parser,
     main,
+    preference_records,
+    read_lines,
     resolve_options,
 )
 from spikessm.mamba2 import CLAMP_MODES, SITES, LanguageModel, toy_config
 from spikessm.neurons import KINDS
+from spikessm.tensor import default_dtype, dtype_scope
 from spikessm.training import METHODS, synthetic_corpus, train_teacher
 
 
@@ -170,6 +174,13 @@ def test_distill_lif_records_the_d_max_it_runs(teacher_dir, tmp_path):
     assert checkpoint.load(out / "student.spkm").cfg.neuron.d_max == 1
 
 
+def _required(command):
+    """A value for each of ``command``'s required options; none is read
+    before ``--out`` is made."""
+    return {k: opt.choices[0] if opt.choices else "x.spkm"
+            for k, opt in COMMANDS[command].items() if opt.default is REQUIRED}
+
+
 def _required_cases():
     for command, opts in COMMANDS.items():
         for key, opt in {**GLOBAL_OPTS, **opts}.items():
@@ -182,9 +193,7 @@ def _required_cases():
 def test_required_options_refused_before_anything_is_written(command, key, how,
                                                              tmp_path, capsys):
     out = tmp_path / "o"
-    given = {k: opt.choices[0] if opt.choices else "x.spkm"
-             for k, opt in COMMANDS[command].items() if opt.default is REQUIRED}
-    given["out"] = str(out)
+    given = {**_required(command), "out": str(out)}
     flag = f"--{key.replace('_', '-')}"
     argv = [command]
     if how == "empty-params":
@@ -200,6 +209,41 @@ def test_required_options_refused_before_anything_is_written(command, key, how,
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_is_a_file_exits_1_and_writes_nothing(command, under, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "o" if under else blocker
+    argv = [command] + [t for k, v in _required(command).items()
+                        for t in (f"--{k.replace('_', '-')}", v)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    reason = "Not a directory" if under else "File exists"
+    assert err == [f"error: cannot write {out}: {reason}"]
+    assert os.listdir(tmp_path) == ["file"] and blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["energy-report"], "energy.csv"),
+    (["train-teacher", "--steps", "1", "--batch", "2", "--seq-len", "8",
+      "--corpus-lines", "7"], "teacher.spkm"),
+])
+def test_output_name_that_is_a_directory_exits_1(argv, name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: cannot write {tmp_path / name}: Is a directory"]
+
+
+def test_main_restores_the_callers_precision(tmp_path):
+    with dtype_scope("float64"):
+        for precision in ("float32", "float64"):
+            assert main(["energy-report", "--precision", precision,
+                         "--out", str(tmp_path / precision)]) == 0
+            assert default_dtype() == np.float64
 
 
 def test_help_marks_the_required_options(capsys):
@@ -581,6 +625,22 @@ def test_rl_kto_batch_1_refused_before_anything_is_written(where, teacher_dir, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, text, where, reason", [
+    ("dpo", "p\tgood\tbad\n\np\tgood\n", ":3", "expected 3 tab-separated fields, got 2"),
+    ("kto", "p\tr\t+1\np\tr\tmaybe\n", ":2", "bad KTO label 'maybe'"),
+    ("kto", "p\tgood\tbad\n", ":1", "bad KTO label 'bad'"),  # a DPO record
+    ("dpo", "\n \n", "", "no preference records"),
+], ids=["dpo-fields", "kto-label", "dpo-record-as-kto", "no-records"])
+def test_rl_bad_preference_record_exits_1_at_its_line(method, text, where, reason,
+                                                      teacher_dir, tmp_path, capsys):
+    data = tmp_path / "prefs.tsv"
+    data.write_text(text, encoding="utf-8")
+    assert main(["rl", "--method", method, "--ckpt", str(teacher_dir / "teacher.spkm"),
+                 "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {data}{where}: {reason}"]
+
+
 def test_rl_requires_method(teacher_dir, tmp_path):
     rc = main(["rl", "--ckpt", str(teacher_dir / "teacher.spkm"),
                "--out", str(tmp_path)])
@@ -708,7 +768,8 @@ def test_corpus_lines_sets_synthetic_corpus_size(tmp_path):
 
 def test_same_seed_byte_identical_across_blas_threads(tmp_path):
     """``train-teacher``, then ``distill`` from its teacher, then ``rl``
-    by DPO and by KTO from its student, under 1 and 2 BLAS threads."""
+    by DPO and by KTO, ``eval-ppl`` and ``activation-hist`` from its
+    student, under 1 and 2 BLAS threads."""
     def run(threads, command, *args):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
@@ -721,12 +782,17 @@ def test_same_seed_byte_identical_across_blas_threads(tmp_path):
     teacher = [run(t, "train-teacher", "--steps", "20") for t in ("1", "2")]
     distill = [run(t, "distill", "--teacher", str(teacher[0] / "teacher.spkm"),
                    "--steps", "10") for t in ("1", "2")]
-    rl = [[run(t, "rl", "--method", method, "--ckpt", str(distill[0] / "student.spkm"),
-               "--steps", "5") for t in ("1", "2")] for method in ("dpo", "kto")]
+    ckpt = ("--ckpt", str(distill[0] / "student.spkm"))
+    corpus = ("--corpus", str(distill[0] / "corpus.txt"))
+    rl = [[run(t, "rl", "--method", method, *ckpt, "--steps", "5")
+           for t in ("1", "2")] for method in ("dpo", "kto")]
+    ppl = [run(t, "eval-ppl", *ckpt, *corpus) for t in ("1", "2")]
+    hist = [run(t, "activation-hist", *ckpt, *corpus) for t in ("1", "2")]
     for outs, files in ((teacher, ("teacher.spkm", "metrics.csv")),
                         (distill, ("student.spkm", "metrics.csv", "eval.csv")),
                         *((outs, ("aligned.spkm", "metrics.csv", "preferences.tsv"))
-                          for outs in rl)):
+                          for outs in rl),
+                        (ppl, ("eval.csv",)), (hist, ("activation_hist.csv",))):
         for f in files:
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), f
 
@@ -798,3 +864,26 @@ def test_fuzz_params_file_exits_cleanly(blob):
             f.write(blob)
         rc, err = _run_main(["energy-report", "--params", path])
     assert rc in (0, 1, 2) and "Traceback" not in err
+
+
+PREF_FIELD = st.text(st.characters(exclude_characters="\t\n\r"), max_size=4)
+PREF_RECORDS = st.lists(
+    st.one_of(st.tuples(PREF_FIELD, PREF_FIELD,  # mostly well-formed, to reach a record
+                        st.one_of(st.sampled_from(["+1", "-1", "1"]), PREF_FIELD)),
+              st.lists(st.text(max_size=4), max_size=4)).map("\t".join),
+    max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blob=st.one_of(st.binary(max_size=64), PREF_RECORDS), method=st.sampled_from(METHODS))
+def test_fuzz_preference_file_gives_records_or_one_line(blob, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prefs.tsv")
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            examples = preference_records(read_lines("preference file", path), method, path)
+        except CliError as exc:
+            assert len(f"error: {exc}".splitlines()) == 1
+        else:
+            assert examples and all(e.paired == (method == "dpo") for e in examples)

@@ -18,7 +18,7 @@ from spikessm.losses import cross_entropy_loss, dpo_loss, kto_loss, sequence_log
 from spikessm.neurons import NeuronConfig, TILIF
 from spikessm.optim import AdamW, lr_schedule
 from spikessm import training
-from spikessm.cli import main
+from spikessm.cli import _write_metrics, main, preference_records, read_lines
 from spikessm.tensor import (
     ContractError,
     Graph,
@@ -42,7 +42,6 @@ from spikessm.training import (
     distill_run,
     eval_ppl,
     generate_pseudo_labels,
-    load_preference_file,
     parse_preference_line,
     require_window,
     rl_run,
@@ -51,7 +50,6 @@ from spikessm.training import (
     synthetic_corpus,
     token_stream,
     train_teacher,
-    write_metrics_csv,
 )
 from spikessm.tokenizer import BOS, EOS, tokenize
 
@@ -222,10 +220,10 @@ def test_training_deterministic(tmp_path):
 
     a, b = run(), run()
     assert a == b
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_metrics_csv(pa, a, ["step", "loss", "lr"])
-    write_metrics_csv(pb, b, ["step", "loss", "lr"])
-    assert pa.read_bytes() == pb.read_bytes()
+    _write_metrics(tmp_path / "a", a, ["step", "loss", "lr"])
+    _write_metrics(tmp_path / "b", b, ["step", "loss", "lr"])
+    assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
+        (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
 def test_pseudo_labels_deterministic_shape(rng):
@@ -627,24 +625,26 @@ def test_distill_metrics_fields(rng):
 
 def test_preference_parsing():
     ex = parse_preference_line("p\tgood\tbad", "dpo")
-    assert ex.paired and ex.response_w == "good"
+    assert ex.paired and ex.responses == ("good", "bad")
     ex = parse_preference_line("p\tresp\t-1", "kto")
-    assert not ex.paired and ex.label == -1
+    assert not ex.paired and ex.responses == ("resp",) and ex.label == -1
     with pytest.raises(ContractError):
         parse_preference_line("only\ttwo", "dpo")
     with pytest.raises(ContractError):
         parse_preference_line("p\tr\tmaybe", "kto")
     with pytest.raises(ContractError):
-        PreferenceExample(prompt="p", response_w="w")  # missing pair half
+        PreferenceExample(prompt="p", responses=())
     with pytest.raises(ContractError):
-        PreferenceExample(prompt="p", response="r", label=0)
+        PreferenceExample(prompt="p", responses=("a", "b", "c"))
+    with pytest.raises(ContractError):
+        PreferenceExample(prompt="p", responses=("r",), label=0)
 
 
 def test_preference_file_round_trip(tmp_path):
     lines = synth_preference_lines(synthetic_corpus(20, seed=0), 10, 0, "dpo")
     path = tmp_path / "prefs.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    examples = load_preference_file(path, "dpo")
+    examples = preference_records(read_lines("preference file", str(path)), "dpo", str(path))
     assert len(examples) == 10
     assert all(e.paired for e in examples)
 
@@ -809,10 +809,10 @@ def test_distill_step_frees_its_tape_before_the_update(rng, monkeypatch):
 def test_rl_validates_method(rng):
     teacher = LanguageModel(tiny_cfg(), rng)
     with pytest.raises(ContractError):
-        rl_run(teacher, [PreferenceExample(prompt="p", response="r")],
+        rl_run(teacher, [PreferenceExample(prompt="p", responses=("r",))],
                method="ppo", steps=1)
     with pytest.raises(ContractError):
-        rl_run(teacher, [PreferenceExample(prompt="p", response="r")],
+        rl_run(teacher, [PreferenceExample(prompt="p", responses=("r",))],
                method="dpo", steps=1)
 
 
@@ -857,8 +857,8 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
             for i in idx:
                 ex = examples[i]
                 if method == "dpo":
-                    tw, sw = _example_tokens(ex.prompt, ex.response_w)
-                    tl, sl = _example_tokens(ex.prompt, ex.response_l)
+                    tw, sw = _example_tokens(ex.prompt, ex.responses[0])
+                    tl, sl = _example_tokens(ex.prompt, ex.responses[1])
                     with pause_recording():
                         ref_w = response_logprob(reference, tw, sw).item()
                         ref_l = response_logprob(reference, tl, sl).item()
@@ -866,7 +866,7 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                     lp_l = response_logprob(policy, tl, sl)
                     losses.append(dpo_loss((lp_w, lp_l), (ref_w, ref_l), beta_pref))
                 else:
-                    toks, start = _example_tokens(ex.prompt, ex.response)
+                    toks, start = _example_tokens(ex.prompt, ex.responses[0])
                     with pause_recording():
                         refs.append(response_logprob(reference, toks, start).item())
                     lps.append(response_logprob(policy, toks, start))
@@ -882,7 +882,7 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                     if idx[(j + 1) % batch] == i:
                         continue
                     nxt = examples[idx[(j + 1) % batch]]
-                    toks, start = _example_tokens(examples[i].prompt, nxt.response)
+                    toks, start = _example_tokens(examples[i].prompt, nxt.responses[0])
                     with pause_recording():
                         ratios.append(response_logprob(policy, toks, start).item()
                                       - response_logprob(reference, toks, start).item())
@@ -901,7 +901,8 @@ def _preference_examples(method):
     lines = synth_preference_lines(synthetic_corpus(30, seed=0), 6, 4, method)
     examples = [parse_preference_line(line, method) for line in lines]
     if method == "dpo":
-        examples[1].response_l += "tail"
+        good, bad = examples[1].responses
+        examples[1].responses = (good, bad + "tail")
     else:
         assert {e.label for e in examples} == {1, -1}
     return examples
@@ -916,7 +917,7 @@ def test_rl_batched_equals_per_example_loop(rng, f64, method):
     draws = np.random.default_rng(seed)
     idx = [draws.integers(0, len(examples), size=batch) for _ in range(steps)]
     assert any(len(set(i.tolist())) < batch for i in idx)  # an index repeats
-    lengths = {e.response_l if method == "dpo" else e.response for e in examples}
+    lengths = {e.responses[-1] for e in examples}
     assert len({len(r) for r in lengths}) > 1
 
     a, b = model.clone(), model.clone()
@@ -1039,10 +1040,10 @@ def test_kto_z_ref_skips_an_examples_own_pair(rng, f64, monkeypatch):
     for t in reference.parameters():
         t.data = t.data + rng.normal(0.0, 0.05, t.data.shape)
     examples = _preference_examples("kto")
-    seqs = [[_example_tokens(e.prompt, e.response)] for e in examples]
+    seqs = [[_example_tokens(e.prompt, e.responses[0])] for e in examples]
 
     def ratio(i, k):
-        ids, start = _example_tokens(examples[i].prompt, examples[k].response)
+        ids, start = _example_tokens(examples[i].prompt, examples[k].responses[0])
         tokens, starts, lengths = _padded([(ids, start)])
         return (_response_logprobs(policy, tokens, starts, lengths).item()
                 - _response_logprobs(reference, tokens, starts, lengths).item())
