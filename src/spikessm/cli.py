@@ -484,7 +484,8 @@ def cmd_energy_report(resolved) -> int:
             *(resolved[k] for k in energy.SPIKE_SETTINGS), config=cfg_name)
     table = energy.to_table([report])
     print(table, end="")
-    write_output(resolved["out"], "energy.csv", energy.to_csv([report]))
+    write_output(resolved["out"], "energy.csv",
+                 csv_text(energy.CSV_FIELDS, [energy.report_cells(report, "")]))
     write_output(resolved["out"], "energy.txt", table)
     return EXIT_OK
 

@@ -282,11 +282,12 @@ def compare_to_reference(report: EnergyReport) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # emission
 
-CSV_HEADER = ("config,variant,k,fr_in,fr_out,in_proj_uj,out_proj_uj,"
-              "ssm_uj,others_uj,neuron_uj,total_uj,ratio")
+# the columns of energy.csv, one per cell of report_cells
+CSV_FIELDS = ("config", "variant", "k", "fr_in", "fr_out", "in_proj_uj", "out_proj_uj",
+              "ssm_uj", "others_uj", "neuron_uj", "total_uj", "ratio")
 
 
-def _cells(r: EnergyReport, no_ratio: str) -> list[str]:
+def report_cells(r: EnergyReport, no_ratio: str) -> list[str]:
     """The 12 cells of one report row; ``no_ratio`` stands in for a missing ratio."""
     values = (r.fr_in, r.fr_out, r.in_proj_uj, r.out_proj_uj, r.ssm_uj,
               r.others_uj, r.neuron_uj, r.total_uj)
@@ -294,14 +295,10 @@ def _cells(r: EnergyReport, no_ratio: str) -> list[str]:
     return [r.config, r.variant, str(r.k), *(f"{v:.4f}" for v in values), ratio]
 
 
-def to_csv(reports: list[EnergyReport]) -> str:
-    return CSV_HEADER + "\n" + "".join(",".join(_cells(r, "")) + "\n" for r in reports)
-
-
 def to_table(reports: list[EnergyReport]) -> str:
     cols = ["config", "variant", "k", "fr_in", "fr_out", "in_proj", "out_proj",
             "ssm", "others", "neuron", "total", "ratio"]
-    rows = [cols] + [_cells(r, "-") for r in reports]
+    rows = [cols] + [report_cells(r, "-") for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(cols))]
     return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"
                    for row in rows)

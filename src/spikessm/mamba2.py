@@ -3,10 +3,12 @@
 Per token, the block projects the residual stream into gate / state /
 readout pieces, runs a short causal conv and a per-head decaying state
 update, then projects back. The spiking variant quantizes the inputs of
-both projections with a neuron from :mod:`spikessm.neurons`; a smooth
-compensation branch (a mirror of the projection, fed by ``d_max*tanh(x)``
-and handed in by the training loop) gives a distillation loss a fully
-differentiable route.
+both projections with a neuron from :mod:`spikessm.neurons`. While a
+tape records, a block forward also hands back each projection's
+(input, output) pair, from which :func:`training.distill_run` builds the
+smooth compensation branch (a mirror of the projection, fed by
+``d_max*tanh(x)``) that gives a distillation loss a fully differentiable
+route; the block itself has no training-only branch.
 
 Two forward paths implement identical math: a batched path on the
 gradient tape for training and evaluation, and a stepwise plain-numpy
@@ -39,7 +41,7 @@ import numpy as np
 from . import tensor as tn
 from .energy import PRESETS, Geometry
 from .neurons import NeuronConfig, expand_spike_train, neuron_forward, quantize
-from .spike_kernel import FireStats, OpCounter, fire_stats_from_ints, spike_linear_event, spike_linear_int
+from .spike_kernel import FireStats, fire_stats_from_ints, spike_linear_event, spike_linear_int
 from .tensor import (
     ContractError,
     DimensionError,
@@ -302,22 +304,23 @@ def make_clamp_hook(mode: str, site: str) -> Hook:
 class BlockAux:
     s_in: np.ndarray | None = None   # integer activations at the input projection
     s_out: np.ndarray | None = None  # integer activations at the output projection
-    # (spiking output, compensation output) tape tensors per projection of
-    # a block handed mirrors, as distill_run does when cfg.sgc is set
-    sgc_pairs: list[tuple] = field(default_factory=list)
+    # (input, output) tape tensors of the input then the output
+    # projection, recorded only while a tape is open
+    projections: list[tuple[Tensor, Tensor]] | None = None
 
 
 def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
-                  layer_idx: int = 0, sgc: tuple[Tensor, Tensor] | None = None,
-                  hook: Hook | None = None) -> tuple[Tensor, BlockAux]:
+                  layer_idx: int = 0, hook: Hook | None = None) -> tuple[Tensor, BlockAux]:
     """Full-sequence block forward; ``u`` is (B, T, d_model).
 
-    ``sgc``, mirrors of ``w_in`` and ``w_out``, adds each projection's
-    compensation path. ``hook`` may transform activations at the two
-    neuron sites; it cuts the gradient flow, so it is only legal outside
-    a tape.
+    Under a tape, ``aux.projections`` holds ``(u, u2)`` and ``(y, y_out)``,
+    each projection's input and output, for a training loop to align
+    against; off the tape it is None. ``hook`` may transform activations
+    at the two neuron sites; it cuts the gradient flow, so it is only
+    legal outside a tape.
     """
-    if hook is not None and active_graph() is not None:
+    taped = active_graph() is not None
+    if hook is not None and taped:
         raise ContractError("activation hooks are evaluation-only")
     B, T, D = u.shape
     H, P, N = cfg.n_heads, cfg.d_head, cfg.n_state
@@ -334,9 +337,6 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
         u2 = matmul(s_in, params.w_in)
     else:
         u2 = matmul(u, params.w_in)
-
-    if sgc is not None:
-        aux.sgc_pairs.append((u2, sgc_forward(u, sgc[0], cfg.neuron.d_max)))
 
     # u2 = [z | x | B | C | dt]; one conv runs over the contiguous x|B|C
     z = narrow(u2, -1, 0, d_inner)
@@ -367,9 +367,8 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
     else:
         y_out = matmul(y, params.w_out)
 
-    if sgc is not None:
-        aux.sgc_pairs.append((y_out, sgc_forward(y, sgc[1], cfg.neuron.d_max)))
-
+    if taped:
+        aux.projections = [(u, u2), (y, y_out)]
     if not np.isfinite(y_out.data).all():
         raise NumericError(f"non-finite block output at layer {layer_idx}")
     return y_out, aux
@@ -380,7 +379,6 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
 
 def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
                cfg: Mamba2Config, *, layer_idx: int = 0, kernel: str = "int",
-               counter: OpCounter | None = None,
                ) -> tuple[np.ndarray, BlockState, BlockAux]:
     """One recurrent step; ``u_t`` is (..., d_model), plain arrays throughout.
 
@@ -407,7 +405,7 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
     if spiking:
         s_in = quantize(cfg.neuron, u_t)
         aux.s_in = s_in
-        u2 = _project(s_in, params.w_in.data, kernel, cfg.neuron, counter)
+        u2 = _project(s_in, params.w_in.data, kernel, cfg.neuron)
     else:
         u2 = u_t @ params.w_in.data
 
@@ -438,7 +436,7 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
     if spiking:
         s_out = quantize(cfg.neuron, y)
         aux.s_out = s_out
-        y_out = _project(s_out, params.w_out.data, kernel, cfg.neuron, counter)
+        y_out = _project(s_out, params.w_out.data, kernel, cfg.neuron)
     else:
         y_out = y @ params.w_out.data
 
@@ -448,14 +446,14 @@ def block_step(params: BlockParams, state: BlockState, u_t: np.ndarray,
 
 
 def _project(s_int: np.ndarray, w: np.ndarray, kernel: str,
-             neuron: NeuronConfig, counter: OpCounter | None) -> np.ndarray:
+             neuron: NeuronConfig) -> np.ndarray:
     if kernel == "matmul":
         return s_int @ w
     cols = s_int.reshape(-1, s_int.shape[-1]).T  # one column per token
     if kernel == "int":
         y = spike_linear_int(w.T, cols)
     else:  # "event"; block_step has checked the name
-        y = spike_linear_event(w.T, expand_spike_train(neuron, cols), counter=counter)
+        y = spike_linear_event(w.T, expand_spike_train(neuron, cols))
     return y.T.reshape(s_int.shape[:-1] + (w.shape[1],))
 
 
@@ -671,16 +669,16 @@ class LanguageModel:
 
     # -- batched (teacher-forced) forward ------------------------------------
 
-    def forward_batch(self, tokens: np.ndarray, *, sgc: dict[int, tuple] | None = None,
+    def forward_batch(self, tokens: np.ndarray, *,
                       hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, vocab) logits: :meth:`head` of :meth:`trunk`."""
-        x, auxes = self.trunk(tokens, sgc=sgc, hook=hook)
+        x, auxes = self.trunk(tokens, hook=hook)
         return self.head(x), auxes
 
-    def trunk(self, tokens: np.ndarray, *, sgc: dict[int, tuple] | None = None,
+    def trunk(self, tokens: np.ndarray, *,
               hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, d_model) final normalised hidden states of a (B, T) token
-        batch; ``sgc`` maps a layer to its block's mirrors (see block_forward)."""
+        batch, and each block's :class:`BlockAux`."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise DimensionError("a batched forward expects (batch, time) token ids")
@@ -688,8 +686,7 @@ class LanguageModel:
         auxes = []
         for i, layer in enumerate(self.layers):
             x_in = rmsnorm(x, self.pre_norms[i])
-            y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i,
-                                   sgc=sgc.get(i) if sgc else None, hook=hook)
+            y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i, hook=hook)
             auxes.append(aux)
             x = x + y
         return rmsnorm(x, self.norm_f), auxes
@@ -717,16 +714,15 @@ class LanguageModel:
     def init_state(self, batch_shape: tuple[int, ...] = ()) -> list[BlockState]:
         return [init_block_state(self.cfg, batch_shape) for _ in self.layers]
 
-    def step(self, token: np.ndarray, state: list[BlockState], *, kernel: str = "int",
-             counter: OpCounter | None = None) -> tuple[np.ndarray, list[BlockState]]:
+    def step(self, token: np.ndarray, state: list[BlockState], *,
+             kernel: str = "int") -> tuple[np.ndarray, list[BlockState]]:
         """Next-token logits for one token id per batch entry; ``state``
         holds one :class:`BlockState` per layer."""
         x = tn.embedding_forward(self.embedding.data, np.asarray(token))
         new_blocks = []
         for i, (layer, bst) in enumerate(zip(self.layers, state)):
             x_in, _ = tn.rmsnorm_forward(x, self.pre_norms[i].data)
-            y, nst, _ = block_step(layer, bst, x_in, self.cfg, layer_idx=i,
-                                   kernel=kernel, counter=counter)
+            y, nst, _ = block_step(layer, bst, x_in, self.cfg, layer_idx=i, kernel=kernel)
             new_blocks.append(nst)
             x = x + y
         x, _ = tn.rmsnorm_forward(x, self.norm_f.data)

@@ -35,9 +35,9 @@ changes.
 
 Tape construction and backward are single-threaded per model instance.
 The stack of open tapes is per thread: a :class:`Graph` records only the
-ops of the thread that opened it, and ``pause_recording`` pauses only
-that thread's tape. Tensors are treated as immutable once created (the
-optimizer swaps the buffer of leaf parameters between steps), so
+ops of the thread that opened it, and a forward with no tape open in its
+thread records nothing. Tensors are treated as immutable once created
+(the optimizer swaps the buffer of leaf parameters between steps), so
 forward-only inference over independent sequences may run in parallel
 threads, also while another thread records a tape. The default
 precision (``set_default_dtype``, ``dtype_scope``) stays process-wide:
@@ -143,11 +143,10 @@ def dtype_scope(name: str):
 # tape
 
 class _GraphStack(threading.local):
-    """The open tapes of the calling thread, innermost last; ``None`` marks
-    a :func:`pause_recording`."""
+    """The open tapes of the calling thread, innermost last."""
 
     def __init__(self) -> None:
-        self.graphs: list["Graph | None"] = []
+        self.graphs: list["Graph"] = []
 
 
 _GRAPH_STACK = _GraphStack()
@@ -156,17 +155,6 @@ _GRAPH_STACK = _GraphStack()
 def active_graph() -> "Graph | None":
     graphs = _GRAPH_STACK.graphs
     return graphs[-1] if graphs else None
-
-
-@contextmanager
-def pause_recording():
-    """Run forward computations without recording them on the calling
-    thread's active tape."""
-    _GRAPH_STACK.graphs.append(None)
-    try:
-        yield
-    finally:
-        _GRAPH_STACK.graphs.pop()
 
 
 class Graph:

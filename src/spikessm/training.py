@@ -20,7 +20,7 @@ from .losses import (
     sequence_logprob,
     total_distill_loss,
 )
-from .mamba2 import SPIKING, Hook, LanguageModel, hidden_align_loss
+from .mamba2 import SPIKING, Hook, LanguageModel, hidden_align_loss, sgc_forward
 from .optim import AdamW, lr_schedule
 from .tensor import (
     ContractError,
@@ -29,7 +29,6 @@ from .tensor import (
     default_dtype,
     narrow,
     parameter,
-    pause_recording,
 )
 from .tokenizer import EOS, tokenize
 
@@ -97,7 +96,7 @@ def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
         window = sample_windows(stream, batch, seq_len + 1, rng)
         cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
-            logits, _ = model.forward_batch(window[:, :-1])
+            logits = model.forward_batch(window[:, :-1])[0]
             loss = cross_entropy_loss(logits, window[:, 1:])
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
@@ -222,7 +221,9 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     With ``student.cfg.sgc`` set, each of :func:`compensated_layers`
     gets mirrors of its two projections, trained parameters that start
     as copies of them and are dropped when the run ends: the
-    compensation path is training-only.
+    compensation path is training-only. The run builds it from the
+    (input, output) pairs the taped forward records, one alignment term
+    per projection, in layer order, the input projection first.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -244,6 +245,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
     mirrors = {i: (parameter(layer.w_in.data.copy()), parameter(layer.w_out.data.copy()))
                for i, layer in enumerate(student.layers) if i in layers}
+    d_max = student.cfg.neuron.d_max
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     opt = AdamW(params)
     cont = sequences.shape[1] - prompt_len
@@ -254,16 +256,18 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         cur_lr = lr_schedule(step, steps, lr)
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
         with Graph() as g:
-            logits, auxes = student.forward_batch(sequences[pick], sgc=mirrors)
+            logits, auxes = student.forward_batch(sequences[pick])
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            hidden = [hidden_align_loss(spk, sgc)
-                      for aux in auxes for spk, sgc in aux.sgc_pairs]
+            hidden = [hidden_align_loss(out, sgc_forward(inp, w, d_max))
+                      for i, ws in mirrors.items()
+                      for (inp, out), w in zip(auxes[i].projections, ws)]
             loss = total_distill_loss(l_kl, hidden)
+        fr_in, fr_out = student.site_stats(auxes)
+        del auxes  # its recorded projections go with the tape
         grads = g.backward(loss, wrt=params)
         opt.step(grads, cur_lr)
 
-        fr_in, fr_out = student.site_stats(auxes)
         l_hidden = (loss.item() - l_kl.item()) if hidden else 0.0
         metrics.append({
             "step": step,
@@ -384,9 +388,8 @@ def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
     if not pairs:
         return 0.0
     tokens, starts, lengths = _padded(pairs)
-    with pause_recording():
-        ratio = (_response_logprobs(policy, tokens, starts, lengths).data
-                 - _response_logprobs(reference, tokens, starts, lengths).data)
+    ratio = (_response_logprobs(policy, tokens, starts, lengths).data
+             - _response_logprobs(reference, tokens, starts, lengths).data)
     return beta_pref * max(0.0, float(np.mean(ratio)))
 
 
@@ -438,9 +441,8 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
         new = [j for j, i in enumerate(idx) if i not in idx[:j] and np.isnan(ref_lp[i, 0])]
         if new:
             picks = [k * batch + j for k in range(n_resp) for j in new]
-            with pause_recording():  # the reference policy is frozen
-                lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
-                                            lengths[picks]).data
+            lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
+                                        lengths[picks]).data
             ref_lp[idx[new]] = lp_ref.reshape(n_resp, len(new)).T
         ref = ref_lp[idx]
         if method == "kto":

@@ -3,6 +3,7 @@ import pytest
 
 from spikessm.energy import (
     ANN,
+    CSV_FIELDS,
     EnergyReport,
     ILIF_V,
     LIF_V,
@@ -17,10 +18,11 @@ from spikessm.energy import (
     compute_report,
     count_ops,
     reference_report,
+    report_cells,
     spike_settings,
-    to_csv,
     to_table,
 )
+from spikessm.cli import csv_text
 from spikessm.mamba2 import toy_config
 from spikessm.tensor import ContractError
 
@@ -168,9 +170,10 @@ def test_neuron_overhead_reported_not_totaled():
 
 def test_csv_and_table_emission():
     reports = [reference_report("130m", ANN), reference_report("130m", TILIF_V)]
-    csv = to_csv(reports)
+    csv = csv_text(CSV_FIELDS, [report_cells(r, "") for r in reports])
     lines = csv.strip().split("\n")
-    assert lines[0].startswith("config,variant,k,fr_in,fr_out,in_proj_uj")
+    assert lines[0] == ("config,variant,k,fr_in,fr_out,in_proj_uj,out_proj_uj,"
+                        "ssm_uj,others_uj,neuron_uj,total_uj,ratio")
     assert len(lines) == 3
     assert lines[1].startswith("130m,ann,1,")
     table = to_table(reports)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,14 @@ from spikessm.mamba2 import (
     ssm_update,
     toy_config,
 )
-from spikessm.neurons import LIF, NeuronConfig, TILIF, expand_spike_train, quantize
+from spikessm.neurons import (
+    LIF,
+    NeuronConfig,
+    TILIF,
+    collapse_spike_train,
+    expand_spike_train,
+    quantize,
+)
 from spikessm.spike_kernel import OpCounter, spike_linear_event, spike_linear_int
 from spikessm.tensor import (
     RMS_EPS,
@@ -306,7 +314,7 @@ def test_step_kernels_agree(rng, f64):
     np.testing.assert_allclose(outs["event"], outs["int"], atol=1e-12)
 
 
-def project_row_by_row(s_int, w, kernel, neuron, counter):
+def project_row_by_row(s_int, w, kernel, neuron):
     """Oracle of ``mamba2._project``: one sparse-kernel call per batch row."""
     flat = s_int.reshape(-1, s_int.shape[-1])
     rows = []
@@ -315,7 +323,7 @@ def project_row_by_row(s_int, w, kernel, neuron, counter):
             rows.append(spike_linear_int(w.T, row))
         else:
             train = expand_spike_train(neuron, row)
-            rows.append(spike_linear_event(w.T, train, counter=counter))
+            rows.append(spike_linear_event(w.T, train))
     return np.stack(rows).reshape(s_int.shape[:-1] + (w.shape[1],))
 
 
@@ -331,9 +339,9 @@ def test_project_matches_row_by_row_and_dense(kernel, B, shape, rng):
     w = (rng.normal(size=(24, 40)) / 24).astype(np.float32)
     s = quantize(neuron, rng.normal(scale=1.5, size=_lead(shape, B) + (24,))).astype(np.float32)
     s[..., 5] = 0.0  # a channel that fires in no row
-    got = mamba2._project(s, w, kernel, neuron, None)
+    got = mamba2._project(s, w, kernel, neuron)
     assert got.shape == s.shape[:-1] + (40,) and got.dtype == np.float32
-    np.testing.assert_allclose(got, project_row_by_row(s, w, kernel, neuron, None),
+    np.testing.assert_allclose(got, project_row_by_row(s, w, kernel, neuron),
                                rtol=0, atol=1e-5)
     np.testing.assert_allclose(got, s @ w, rtol=0, atol=1e-5)
 
@@ -341,15 +349,30 @@ def test_project_matches_row_by_row_and_dense(kernel, B, shape, rng):
 @pytest.mark.parametrize("kernel", ["int", "event"])
 @pytest.mark.parametrize("B", [1, 5, 32])
 @pytest.mark.parametrize("shape", ["()", "(B,)", "(B, T)"])
-def test_project_integer_weights_bit_equal_dense(kernel, B, shape, rng, f64):
+def test_project_integer_weights_bit_equal_dense(kernel, B, shape, rng, f64, monkeypatch):
+    """Sparse projections equal the dense product in integer arithmetic,
+    and the event route performs one accumulation per (spike, output
+    row): counted, as the benchmark's event audit counts them, through a
+    counter wrapped around the module's ``spike_linear_event``."""
     neuron = NeuronConfig(kind=TILIF, d_max=4)
     w = rng.integers(-8, 9, size=(24, 40)).astype(np.float64)
     s = quantize(neuron, rng.normal(scale=2.0, size=_lead(shape, B) + (24,)))
-    counter = OpCounter()
-    got = mamba2._project(s, w, kernel, neuron, counter)
+    real, calls = mamba2.spike_linear_event, []
+
+    def counted(W, train):
+        counter = OpCounter()
+        y = real(W, train, counter=counter)
+        spikes = int(np.abs(collapse_spike_train(train)).sum())
+        calls.append((counter.accumulations, spikes * W.shape[0]))
+        return y
+
+    monkeypatch.setattr(mamba2, "spike_linear_event", counted)
+    got = mamba2._project(s, w, kernel, neuron)
     np.testing.assert_array_equal(got, s @ w)
-    if kernel == "event":  # one accumulation per (spike, output row)
-        assert counter.accumulations == int(np.abs(s).sum()) * 40
+    if kernel == "event":  # one call over every row
+        assert calls == [(int(np.abs(s).sum()) * 40,) * 2]
+    else:
+        assert calls == []
 
 
 @pytest.mark.parametrize("kernel", ["int", "event"])
@@ -747,17 +770,79 @@ def test_site_stats_aggregation(rng):
     assert fr_in.spike_count == manual
 
 
-def test_sgc_pairs_shapes(rng):
-    cfg = small_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
+@pytest.mark.parametrize("mode", [DENSE, SPIKING])
+def test_projection_pairs_recorded_under_a_tape(mode, rng, monkeypatch):
+    """Under a tape a block records its two projections as the (input,
+    output) tensors it computed: ``(u, u2)`` and ``(y, y_out)``, the
+    spiking inputs taken before the neuron. Off the tape the field is
+    None, and recording changes no output."""
+    cfg = small_config(mode=mode, neuron=NeuronConfig(kind=TILIF, d_max=4))
+    params = init_block_params(cfg, rng)
+    u = Tensor(rng.normal(size=(2, 5, cfg.d_model)))
+    neuron_inputs, products = [], {}
+    real_neuron, real_matmul = mamba2.neuron_forward, mamba2.matmul
+
+    def neuron(ncfg, x):
+        neuron_inputs.append(x)
+        return real_neuron(ncfg, x)
+
+    def product(a, b):
+        products[id(b)] = (a, real_matmul(a, b))
+        return products[id(b)][1]
+
+    monkeypatch.setattr(mamba2, "neuron_forward", neuron)
+    monkeypatch.setattr(mamba2, "matmul", product)
+    with Graph():
+        y_out, aux = block_forward(params, u, cfg)
+    (u_in, u2), (y, y_proj) = aux.projections
+    assert u_in is u and y_proj is y_out
+    assert u2 is products[id(params.w_in)][1] and y_out is products[id(params.w_out)][1]
+    if mode == SPIKING:
+        assert len(neuron_inputs) == 2 and neuron_inputs[0] is u and neuron_inputs[1] is y
+    else:
+        assert products[id(params.w_in)][0] is u and products[id(params.w_out)][0] is y
+    assert u2.shape == (2, 5, cfg.d_proj) and y.shape == (2, 5, cfg.d_inner)
+    assert y_out.shape == u.shape
+
+    free_out, free_aux = block_forward(params, u, cfg)
+    assert free_aux.projections is None
+    assert free_out.data.tobytes() == y_out.data.tobytes()
     model = LanguageModel(cfg, rng)
     toks = rng.integers(0, cfg.vocab, size=(1, 5))
-    mirrors = {0: (parameter(rng.normal(size=model.layers[0].w_in.shape)),
-                   parameter(rng.normal(size=model.layers[0].w_out.shape)))}
+    with Graph():
+        logits, auxes = model.forward_batch(toks)
+    assert all(len(a.projections) == 2 for a in auxes)
     base, plain = model.forward_batch(toks)
-    logits, auxes = model.forward_batch(toks, sgc=mirrors)
-    assert len(auxes[0].sgc_pairs) == 2  # input and output projections
-    assert len(auxes[1].sgc_pairs) == 0
-    assert plain[0].sgc_pairs == []
-    for spk, sgc in auxes[0].sgc_pairs:
-        assert spk.shape == sgc.shape
-    np.testing.assert_array_equal(logits.data, base.data)  # the logits never read them
+    assert all(a.projections is None for a in plain)
+    assert logits.data.tobytes() == base.data.tobytes()
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above those live when ``fn`` starts)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", [DENSE, SPIKING])
+def test_no_tape_forward_holds_no_layer_but_its_activations(mode, rng):
+    """A no-tape ``forward_batch`` (16x48 tokens) keeps nothing of a
+    finished layer but its integer activations: a dense toy model peaks
+    at the same bytes at 2, 4 and 8 layers, and a spiking one grows per
+    layer by exactly that layer's ``s_in`` + ``s_out``, within 64 KiB."""
+    neuron = NeuronConfig(kind=TILIF, d_max=4)
+    toks = rng.integers(0, 259, size=(16, 48))
+    peaks, kept = {}, {}
+    for n_layers in (2, 4, 8):
+        model = LanguageModel(replace(toy_config(mode, neuron), n_layers=n_layers), rng)
+        (_, auxes), peaks[n_layers] = _traced_peak(lambda: model.forward_batch(toks))
+        kept[n_layers] = sum(a.s_in.nbytes + a.s_out.nbytes for a in auxes
+                             if mode == SPIKING)
+        del auxes
+    for n_layers in (4, 8):
+        grown = peaks[n_layers] - peaks[2]
+        assert abs(grown - (kept[n_layers] - kept[2])) <= 64 << 10, (n_layers, grown)

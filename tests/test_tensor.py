@@ -38,7 +38,6 @@ from spikessm.tensor import (
     matmul,
     narrow,
     parameter,
-    pause_recording,
     reshape,
     rmsnorm,
     softmax,
@@ -364,34 +363,6 @@ def test_a_tape_records_only_its_own_threads_ops():
         loss = sum_(y)
     assert logits._grad_fn is None and logits._inputs == ()
     np.testing.assert_array_equal(logits.data, model.forward_batch(tokens)[0].data)
-    np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
-
-
-def test_pause_recording_pauses_only_its_own_thread():
-    """A second thread's ``pause_recording`` leaves this thread's open tape
-    recording, and neither thread's stack sees the other's entries."""
-    paused, release = threading.Event(), threading.Event()
-
-    def pauser():
-        with pause_recording():
-            paused.set()
-            release.wait(timeout=120)
-
-    x = parameter(np.ones(2))
-    with Graph() as g:
-        worker = threading.Thread(target=pauser)
-        worker.start()
-        try:
-            assert paused.wait(timeout=120)
-            y = x * 2.0
-            assert tensor.active_graph() is g
-            assert _run_in_thread(tensor.active_graph) is None
-        finally:
-            release.set()
-            worker.join(timeout=120)
-        assert not worker.is_alive()
-        loss = sum_(y)
-    assert g.nodes == [y, loss]
     np.testing.assert_array_equal(g.backward(loss, wrt=[x])[id(x)], [2.0, 2.0])
 
 

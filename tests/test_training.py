@@ -2,20 +2,32 @@ import sys
 import tracemalloc
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spikessm import tensor as tn
 from spikessm.mamba2 import (
     SPIKING,
     LanguageModel,
     Mamba2Config,
+    hidden_align_loss,
     make_clamp_hook,
     param_shapes,
+    sgc_forward,
+    ssm_scan,
     toy_config,
 )
-from spikessm.losses import cross_entropy_loss, dpo_loss, kto_loss, sequence_logprob
-from spikessm.neurons import NeuronConfig, TILIF
+from spikessm.losses import (
+    cross_entropy_loss,
+    dpo_loss,
+    kl_distill_loss,
+    kto_loss,
+    sequence_logprob,
+    total_distill_loss,
+)
+from spikessm.neurons import NeuronConfig, TILIF, neuron_forward
 from spikessm.optim import AdamW, lr_schedule
 from spikessm import training
 from spikessm.cli import _write_metrics, main, preference_records, read_lines
@@ -25,7 +37,7 @@ from spikessm.tensor import (
     Tensor,
     dtype_scope,
     narrow,
-    pause_recording,
+    parameter,
     reshape,
     softplus,
 )
@@ -753,6 +765,125 @@ def test_distill_mirrors_are_run_state(rng, monkeypatch):
     assert compensated_layers(2) == {0, 1} and compensated_layers(6) == {0, 3, 5}
 
 
+# ---------------------------------------------------------------------------
+# distillation: the compensation branch built inside the block as the oracle
+
+def block_forward_compensated(params, u, cfg, mirrors):
+    """The spiking block with the compensation branch inside it: each
+    mirror runs on the projection's input right after the projection.
+    Returns the block output and the (spiking output, compensation
+    output) pair of each projection of a block given mirrors."""
+    B, T, _ = u.shape
+    H, P, N, d_inner = cfg.n_heads, cfg.d_head, cfg.n_state, cfg.d_inner
+    pairs = []
+    u2 = tn.matmul(neuron_forward(cfg.neuron, u), params.w_in)
+    if mirrors is not None:
+        pairs.append((u2, sgc_forward(u, mirrors[0], cfg.neuron.d_max)))
+    z = narrow(u2, -1, 0, d_inner)
+    xbc_raw = narrow(u2, -1, d_inner, d_inner + 2 * N)
+    dt_raw = narrow(u2, -1, 2 * d_inner + 2 * N, H)
+    kern = tn.concat([params.conv_x, params.conv_b, params.conv_c], axis=0)
+    xbc = tn.silu(tn.causal_conv1d(xbc_raw, kern)[0])
+    x = reshape(narrow(xbc, -1, 0, d_inner), (B, T, H, P))
+    b = narrow(xbc, -1, d_inner, N)
+    c = narrow(xbc, -1, d_inner + N, N)
+    dt = tn.softplus(dt_raw + params.dt_bias)
+    decay = tn.exp(-(dt * tn.exp(params.a_log)))
+    o = ssm_scan(decay, dt, b, x, c) + params.d_skip * x
+    y = tn.rmsnorm(reshape(o, (B, T, d_inner)) * tn.silu(z), params.norm_w)
+    y_out = tn.matmul(neuron_forward(cfg.neuron, y), params.w_out)
+    if mirrors is not None:
+        pairs.append((y_out, sgc_forward(y, mirrors[1], cfg.neuron.d_max)))
+    return y_out, pairs
+
+
+def distill_step_compensated(student, mirrors, tokens, t_cont, prompt_len):
+    """One distillation step's loss terms (KL against the teacher's
+    continuation logits ``t_cont``, each alignment term, total) and the
+    gradients of the student's parameters then the mirrors', with the
+    model's trunk and head run around :func:`block_forward_compensated`."""
+    params = student.parameters() + [w for pair in mirrors.values() for w in pair]
+    with Graph() as g:
+        x = tn.embedding(student.embedding, tokens)
+        pairs = []
+        for i, layer in enumerate(student.layers):
+            y, found = block_forward_compensated(
+                layer, tn.rmsnorm(x, student.pre_norms[i]), student.cfg, mirrors.get(i))
+            pairs += found
+            x = x + y
+        logits = student.head(tn.rmsnorm(x, student.norm_f))
+        s_cont = narrow(logits, 1, prompt_len - 1, tokens.shape[1] - prompt_len)
+        l_kl = kl_distill_loss(t_cont, s_cont)
+        hidden = [hidden_align_loss(spk, sgc) for spk, sgc in pairs]
+        loss = total_distill_loss(l_kl, hidden)
+    grads = g.backward(loss, wrt=params)
+    return [t.data.tobytes() for t in (l_kl, *hidden, loss)], \
+        [grads[id(p)].tobytes() for p in params]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, monkeypatch):
+    """``distill_run`` builds the compensation branch from the projections
+    the taped forward records. Each step's KL, alignment terms (in layer
+    order, input projection first), total loss and every gradient of the
+    student and of the mirrors are the bytes of the branch built inside
+    the block: on the toy student, and at 3 layers, where all three are
+    compensated."""
+    prompt_len, seen = 4, []
+    with dtype_scope(precision):
+        teacher = LanguageModel(replace(toy_config(), n_layers=n_layers), rng)
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                sgc=True)
+        forward, kl, align, total = (LanguageModel.forward_batch, training.kl_distill_loss,
+                                     training.hidden_align_loss, training.total_distill_loss)
+        backward = Graph.backward
+
+        def recorded(fn):
+            def run(*args):
+                out = fn(*args)
+                seen[-1]["losses"].append(out.data.tobytes())
+                return out
+            return run
+
+        def recorded_forward(self, tokens, **kwargs):
+            seen.append({"tokens": tokens.copy(), "losses": []})
+            return forward(self, tokens, **kwargs)
+
+        def recorded_kl(t_cont, s_cont):
+            seen[-1]["t_cont"] = np.array(t_cont)
+            return recorded(kl)(t_cont, s_cont)
+
+        def recorded_backward(g, loss, wrt):
+            seen[-1]["params"] = [p.data.copy() for p in wrt]
+            grads = backward(g, loss, wrt)
+            seen[-1]["grads"] = [grads[id(p)].tobytes() for p in wrt]
+            return grads
+
+        with monkeypatch.context() as m:
+            m.setattr(LanguageModel, "forward_batch", recorded_forward)
+            m.setattr(training, "kl_distill_loss", recorded_kl)
+            m.setattr(training, "hidden_align_loss", recorded(align))
+            m.setattr(training, "total_distill_loss", recorded(total))
+            m.setattr(Graph, "backward", recorded_backward)
+            distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=3, batch=4,
+                        prompt_len=prompt_len, total_len=16, n_sequences=8, seed=3)
+
+        layers = sorted(compensated_layers(n_layers))
+        assert len(layers) == n_layers and len(seen) == 3
+        names = list(param_shapes(student.cfg))
+        for step in seen:
+            assert len(step["losses"]) == 2 + 2 * n_layers
+            arrays = step["params"]
+            model = LanguageModel.from_tensors(student.cfg, dict(zip(names, arrays)))
+            rest = [parameter(a) for a in arrays[len(names):]]
+            mirrors = {i: (rest[2 * k], rest[2 * k + 1]) for k, i in enumerate(layers)}
+            losses, grads = distill_step_compensated(
+                model, mirrors, step["tokens"], step["t_cont"], prompt_len)
+            assert losses == step["losses"]
+            assert grads == step["grads"]
+
+
 def _closure_arrays(obj, found, seen):
     """Append to ``found`` every array ``obj`` holds through closure cells,
     nested functions and containers, but not through tensors."""
@@ -859,16 +990,14 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                 if method == "dpo":
                     tw, sw = _example_tokens(ex.prompt, ex.responses[0])
                     tl, sl = _example_tokens(ex.prompt, ex.responses[1])
-                    with pause_recording():
-                        ref_w = response_logprob(reference, tw, sw).item()
-                        ref_l = response_logprob(reference, tl, sl).item()
+                    ref_w = response_logprob(reference, tw, sw).item()
+                    ref_l = response_logprob(reference, tl, sl).item()
                     lp_w = response_logprob(policy, tw, sw)
                     lp_l = response_logprob(policy, tl, sl)
                     losses.append(dpo_loss((lp_w, lp_l), (ref_w, ref_l), beta_pref))
                 else:
                     toks, start = _example_tokens(ex.prompt, ex.responses[0])
-                    with pause_recording():
-                        refs.append(response_logprob(reference, toks, start).item())
+                    refs.append(response_logprob(reference, toks, start).item())
                     lps.append(response_logprob(policy, toks, start))
                     labels.append(ex.label)
             if method == "dpo":
@@ -883,9 +1012,8 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
                         continue
                     nxt = examples[idx[(j + 1) % batch]]
                     toks, start = _example_tokens(examples[i].prompt, nxt.responses[0])
-                    with pause_recording():
-                        ratios.append(response_logprob(policy, toks, start).item()
-                                      - response_logprob(reference, toks, start).item())
+                    ratios.append(response_logprob(policy, toks, start).item()
+                                  - response_logprob(reference, toks, start).item())
                 z_ref = beta_pref * max(0.0, sum(ratios) / len(ratios)) if ratios else 0.0
                 loss = kto_loss(lps, refs, labels, beta_pref, z_ref=z_ref)
         grads = g.backward(loss, wrt=params)
@@ -955,9 +1083,8 @@ def rl_run_row_views(policy, examples, *, steps, batch, lr=5e-6, beta_pref=0.1,
         miss = [i for i in dict.fromkeys(idx) if i not in ref_lp]
         if miss:
             picks = [order.index((i, k)) for k in range(2) for i in miss]
-            with pause_recording():
-                lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
-                                            lengths[picks]).data
+            lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
+                                        lengths[picks]).data
             for j, i in enumerate(miss):
                 ref_lp[i] = (float(lp_ref[j]), float(lp_ref[len(miss) + j]))
         with Graph() as g:
