@@ -47,10 +47,8 @@ from .tensor import (
     dtype_scope,
 )
 from .training import (
-    DISTILL_FIELDS,
     METHODS,
     SEQ_LEN,
-    TRAIN_FIELDS,
     PreferenceExample,
     check_rl_batch,
     distill_run,
@@ -388,8 +386,9 @@ def csv_text(header, rows) -> str:
                    + "\n" for row in [header, *rows])
 
 
-def _write_metrics(outdir: str, rows: list[dict], fields: list[str]) -> None:
-    write_output(outdir, "metrics.csv", csv_text(fields, ([r[k] for k in fields] for r in rows)))
+def _write_metrics(outdir: str, rows: list[dict]) -> None:
+    """``metrics.csv``: one column per key of the rows, which all list them in one order."""
+    write_output(outdir, "metrics.csv", csv_text(list(rows[0]), (r.values() for r in rows)))
 
 
 def _write_eval(outdir: str, **metrics: float) -> None:
@@ -499,7 +498,7 @@ def cmd_train_teacher(resolved) -> int:
     rows = train_teacher(model, lines, steps=resolved["steps"],
                          batch=resolved["batch"], seq_len=resolved["seq_len"],
                          lr=resolved["lr"], seed=resolved["seed"])
-    _write_metrics(outdir, rows, TRAIN_FIELDS)
+    _write_metrics(outdir, rows)
     _save_model(outdir, "teacher.spkm", model)
     ppl = eval_ppl(model, lines, seq_len=resolved["seq_len"])
     _write_eval(outdir, ppl=ppl)
@@ -519,7 +518,7 @@ def cmd_distill(resolved) -> int:
     result = distill_run(teacher, student, lines, steps=resolved["steps"],
                          batch=resolved["batch"], lr=resolved["lr"],
                          seed=resolved["seed"])
-    _write_metrics(outdir, result.metrics, DISTILL_FIELDS)
+    _write_metrics(outdir, result.metrics)
     _save_model(outdir, "student.spkm", student)
     ppl = eval_ppl(student, lines)
     _write_eval(outdir, ppl=ppl, initial_kl=result.initial_kl, final_kl=result.final_kl)
@@ -544,7 +543,7 @@ def cmd_rl(resolved) -> int:
                   steps=resolved["steps"], batch=resolved["batch"],
                   lr=resolved["lr"], beta_pref=resolved["beta_pref"],
                   seed=resolved["seed"])
-    _write_metrics(outdir, rows, TRAIN_FIELDS)
+    _write_metrics(outdir, rows)
     _save_model(outdir, "aligned.spkm", policy)
     print(f"{resolved['method']} finished: loss {rows[0]['loss']:.4f} -> "
           f"{rows[-1]['loss']:.4f}")

@@ -1,14 +1,17 @@
-"""Toy-scale training loops: teacher pretraining, single-stage
-distillation onto a spiking student, and preference optimization.
+"""Toy-scale training: teacher pretraining, single-stage distillation
+onto a spiking student, and preference optimization, each a set-up and
+one step of the shared loop :func:`optimise`.
 
 Everything is deterministic under a fixed seed: data sampling uses one
-generator, the loops are single-threaded, and metrics rows are plain
-dicts; the CLI owns every file a run reads or writes.
+generator, the loop is single-threaded, and a metrics row is a plain dict
+whose keys are its file's columns; the CLI owns every file a run reads or
+writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -71,11 +74,39 @@ def require_window(stream: np.ndarray, width: int, *, sampled: bool = False) -> 
                             f"{stream.size} tokens, {need} needed")
 
 
+def require_positive(**sizes: int) -> None:
+    """ContractError naming the first of ``sizes`` below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
+
+
 def sample_windows(stream: np.ndarray, batch: int, width: int,
                    rng: np.random.Generator) -> np.ndarray:
     require_window(stream, width, sampled=True)
     starts = rng.integers(0, stream.size - width, size=batch)
     return np.stack([stream[s:s + width] for s in starts])
+
+
+# ---------------------------------------------------------------------------
+# the optimisation loop
+
+def optimise(params: list[Tensor], steps: int, lr: float,
+             record_step: Callable[[int], tuple[Graph, Tensor, dict]]) -> list[dict]:
+    """``steps`` AdamW steps over ``params``, the optimizer built through
+    this module's name; returns the metrics rows ``{"step": step, **row,
+    "lr": rate}`` at each step's :func:`optim.lr_schedule` rate.
+    ``record_step(step)`` records one step and returns ``(graph, loss,
+    row)``; as a plain function, what it names but does not return is
+    freed before the walk."""
+    opt = AdamW(params)
+    rows = []
+    for step in range(steps):
+        cur_lr = lr_schedule(step, steps, lr)
+        graph, loss, row = record_step(step)
+        opt.step(graph.backward(loss, wrt=params), cur_lr)
+        rows.append({"step": step, **row, "lr": cur_lr})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +118,18 @@ SEQ_LEN = 48  # tokens a window predicts where a run sets no length
 def train_teacher(model: LanguageModel, lines: list[str], *, steps: int = 1200,
                   batch: int = 16, seq_len: int = SEQ_LEN, lr: float = 3e-3,
                   seed: int = 0) -> list[dict]:
+    require_positive(steps=steps, batch=batch, seq_len=seq_len)
     stream = token_stream(lines)
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.parameters())
-    params = model.parameters()
-    rows = []
-    for step in range(steps):
+
+    def record_step(step):
         window = sample_windows(stream, batch, seq_len + 1, rng)
-        cur_lr = lr_schedule(step, steps, lr)
         with Graph() as g:
             logits = model.forward_batch(window[:, :-1])[0]
             loss = cross_entropy_loss(logits, window[:, 1:])
-        grads = g.backward(loss, wrt=params)
-        opt.step(grads, cur_lr)
-        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr})
-    return rows
+        return g, loss, {"loss": loss.item()}
+
+    return optimise(model.parameters(), steps, lr, record_step)
 
 
 # rows per no-tape batched pass: eval_ppl's windows and the teacher
@@ -117,6 +145,7 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
 
     ``hook`` is passed to every forward (see :func:`mamba2.block_forward`).
     """
+    require_positive(seq_len=seq_len)
     stream = token_stream(lines)
     width = seq_len + 1
     require_window(stream, width)
@@ -162,10 +191,7 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
     (m, total_len) continuations of the m distinct prompts in
     ``np.unique`` order, and the (n_sequences,) index of each sampled
     row's sequence. This is the distillation set-up's one dedupe."""
-    if n_sequences < 1:
-        raise ContractError(f"n_sequences must be >= 1, got {n_sequences}")
-    if prompt_len < 1:
-        raise ContractError(f"prompt_len must be >= 1, got {prompt_len}")
+    require_positive(n_sequences=n_sequences, prompt_len=prompt_len)
     if total_len <= prompt_len:
         raise ContractError(f"total_len must exceed prompt_len {prompt_len}, "
                             f"got {total_len}")
@@ -212,8 +238,8 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     hidden alignment losses from the compensation path.
 
     Each step draws ``batch`` of the sampled rows, gathers their
-    distinct sequences and :func:`_teacher_logits` targets at
-    ``rows[idx]``, and applies the teacher head to the gathered full
+    distinct sequences and :func:`_teacher_logits` targets through
+    ``rows``, and applies the teacher head to the gathered full
     rows, outside the tape: the teacher logits are the bytes a teacher
     ``forward_batch`` would give, and the set-up holds d_model, not
     vocab, floats a position.
@@ -230,10 +256,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     if (teacher.cfg.d_model, teacher.cfg.n_layers, teacher.cfg.vocab) != (
             student.cfg.d_model, student.cfg.n_layers, student.cfg.vocab):
         raise ContractError("teacher/student configuration shapes disagree")
-    if steps < 1:
-        raise ContractError(f"steps must be >= 1, got {steps}")
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
+    require_positive(steps=steps, batch=batch)
 
     labels = generate_pseudo_labels(
         teacher, lines, n_sequences=n_sequences, prompt_len=prompt_len,
@@ -245,40 +268,26 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     layers = compensated_layers(student.cfg.n_layers) if student.cfg.sgc else ()
     mirrors = {i: (parameter(layer.w_in.data.copy()), parameter(layer.w_out.data.copy()))
                for i, layer in enumerate(student.layers) if i in layers}
-    d_max = student.cfg.neuron.d_max
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
-    opt = AdamW(params)
     cont = sequences.shape[1] - prompt_len
-    metrics = []
-    for step in range(steps):
-        idx = rng.integers(0, rows.size, size=batch)
-        pick = rows[idx]
-        cur_lr = lr_schedule(step, steps, lr)
+
+    def record_step(step):
+        pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
         with Graph() as g:
             logits, auxes = student.forward_batch(sequences[pick])
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            hidden = [hidden_align_loss(out, sgc_forward(inp, w, d_max))
+            hidden = [hidden_align_loss(out, sgc_forward(inp, w, student.cfg.neuron.d_max))
                       for i, ws in mirrors.items()
                       for (inp, out), w in zip(auxes[i].projections, ws)]
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
-        del auxes  # its recorded projections go with the tape
-        grads = g.backward(loss, wrt=params)
-        opt.step(grads, cur_lr)
+        return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
+                         "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
+                         "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-        l_hidden = (loss.item() - l_kl.item()) if hidden else 0.0
-        metrics.append({
-            "step": step,
-            "loss_total": loss.item(),
-            "loss_kl": l_kl.item(),
-            "loss_hidden": l_hidden,
-            "fr_in": fr_in.rate,
-            "fr_out": fr_out.rate,
-            "lr": cur_lr,
-        })
-    return DistillResult(student=student, metrics=metrics)
+    return DistillResult(student=student, metrics=optimise(params, steps, lr, record_step))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +406,7 @@ def check_rl_batch(method: str, batch: int) -> None:
     """ContractError unless ``batch`` rows can run ``method``: every step
     needs a row, and KTO's ``z_ref`` pairs each row's prompt with another
     row's response."""
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
+    require_positive(batch=batch)
     if method == "kto" and batch < 2:
         raise ContractError("KTO needs batch >= 2 to pair prompts with other responses")
 
@@ -424,6 +432,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
         raise ContractError("DPO requires paired examples")
     if method == "kto" and any(e.paired for e in examples):
         raise ContractError("KTO requires unpaired examples")
+    require_positive(steps=steps)
     check_rl_batch(method, batch)
     n_resp = 2 if method == "dpo" else 1
     seqs = [[_example_tokens(e.prompt, r) for r in e.responses] for e in examples]
@@ -431,12 +440,9 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     ref_lp = np.full((len(examples), n_resp), np.nan, dtype=default_dtype())  # nan: unscored
     reference = policy.clone()
     rng = np.random.default_rng(seed)
-    params = policy.parameters()
-    opt = AdamW(params)
-    rows = []
-    for step in range(steps):
+
+    def record_step(step):
         idx = rng.integers(0, len(examples), size=batch)
-        cur_lr = lr_schedule(step, steps, lr)
         tokens, starts, lengths = _padded([seqs[i][k] for k in range(n_resp) for i in idx])
         new = [j for j, i in enumerate(idx) if i not in idx[:j] and np.isnan(ref_lp[i, 0])]
         if new:
@@ -454,13 +460,6 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
                                 (ref[:, 0], ref[:, 1]), beta_pref)
             else:
                 loss = kto_loss(lp, ref[:, 0], labels[idx], beta_pref, z_ref)
-        grads = g.backward(loss, wrt=params)
-        opt.step(grads, cur_lr)
-        rows.append({"step": step, "loss": loss.item(), "lr": cur_lr})
-    return rows
+        return g, loss, {"loss": loss.item()}
 
-
-# the keys of a metrics row, in the order a metrics file lists them
-DISTILL_FIELDS = ["step", "loss_total", "loss_kl", "loss_hidden",
-                  "fr_in", "fr_out", "lr"]
-TRAIN_FIELDS = ["step", "loss", "lr"]
+    return optimise(policy.parameters(), steps, lr, record_step)

@@ -232,8 +232,8 @@ def test_training_deterministic(tmp_path):
 
     a, b = run(), run()
     assert a == b
-    _write_metrics(tmp_path / "a", a, ["step", "loss", "lr"])
-    _write_metrics(tmp_path / "b", b, ["step", "loss", "lr"])
+    _write_metrics(tmp_path / "a", a)
+    _write_metrics(tmp_path / "b", b)
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
 
@@ -563,6 +563,73 @@ def test_distill_refuses_impossible_sizes(rng, monkeypatch, kw, value):
         distill_run(teacher, student, synthetic_corpus(30, seed=0), seed=3, **sizes)
 
 
+def _refusal_case(fn, **sizes):
+    def call(model):
+        if fn is rl_run:
+            return rl_run(model, _preference_examples("dpo"), method="dpo", **sizes)
+        return fn(model, synthetic_corpus(30, seed=0), **sizes)
+    return call
+
+
+@pytest.mark.parametrize("call, value", [
+    (_refusal_case(train_teacher, steps=0), "steps must be >= 1, got 0"),
+    (_refusal_case(train_teacher, batch=0), "batch must be >= 1, got 0"),
+    (_refusal_case(train_teacher, seq_len=0), "seq_len must be >= 1, got 0"),
+    (_refusal_case(train_teacher, steps=-2, batch=0), "steps must be >= 1, got -2"),
+    (_refusal_case(eval_ppl, seq_len=0), "seq_len must be >= 1, got 0"),
+    (_refusal_case(rl_run, steps=0), "steps must be >= 1, got 0"),
+], ids=["teacher-steps", "teacher-batch", "teacher-seq_len", "teacher-first",
+        "eval_ppl-seq_len", "rl-steps"])
+def test_loops_refuse_sizes_below_one(rng, monkeypatch, call, value):
+    """Each size below 1 is refused by name before any forward runs."""
+    model = LanguageModel(tiny_cfg(), rng)
+    monkeypatch.setattr(LanguageModel, "forward_batch",
+                        lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(ContractError, match=value):
+        call(model)
+
+
+def test_optimise_walks_each_recorded_step_once(monkeypatch):
+    """The shared loop on the quadratic sum(p*p): one AdamW, built before
+    step 0, and each update handed the step's gradient 2p at
+    ``lr_schedule(step, steps, lr)``; ``record_step`` called with 0..n-1
+    in order; each row keyed ``step``, the step's own keys, then ``lr``;
+    each tape walked exactly once."""
+    p = parameter(np.array([3.0, -2.0]))
+    built, rates, calls, tapes = [], [], [], []
+
+    class RecordingAdamW(AdamW):
+        def __init__(self, params):
+            built.append((list(params), len(calls)))
+            super().__init__(params)
+
+        def step(self, grads, lr):
+            assert np.array_equal(grads[id(p)], 2 * p.data)
+            rates.append(lr)
+            super().step(grads, lr)
+
+    def record_step(step):
+        calls.append(step)
+        with Graph() as g:
+            loss = tn.sum_(tn.mul(p, p))
+        tapes.append((g, loss))
+        return g, loss, {"loss": loss.item(), "norm": float(np.abs(p.data).sum())}
+
+    monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+    steps, lr = 7, 0.1
+    rows = training.optimise([p], steps, lr, record_step)
+    assert len(built) == 1 and built[0][0] == [p] and built[0][1] == 0
+    assert calls == list(range(steps))
+    assert rates == [lr_schedule(step, steps, lr) for step in range(steps)]
+    assert [list(row) for row in rows] == [["step", "loss", "norm", "lr"]] * steps
+    assert [(row["step"], row["lr"]) for row in rows] == list(zip(calls, rates))
+    assert rows[-1]["loss"] < rows[0]["loss"]
+    for g, loss in tapes:
+        assert g.nodes == []
+        with pytest.raises(ContractError, match="already walked"):
+            g.backward(loss, wrt=[p])
+
+
 def test_distill_step_kl_sees_forward_batch_logits(rng, monkeypatch):
     """Each step's KL gets, as its teacher side, the bytes of scoring the
     step's own token rows with ``forward_batch``. The rows are 64 tokens
@@ -628,8 +695,8 @@ def test_distill_metrics_fields(rng):
     res = distill_run(teacher, student, lines, steps=3, batch=4,
                       total_len=16, n_sequences=8, seed=3)
     row = res.metrics[0]
-    assert set(row) == {"step", "loss_total", "loss_kl", "loss_hidden",
-                        "fr_in", "fr_out", "lr"}
+    assert list(row) == ["step", "loss_total", "loss_kl", "loss_hidden",
+                         "fr_in", "fr_out", "lr"]
     assert row["loss_total"] == pytest.approx(
         row["loss_kl"] + row["loss_hidden"], abs=1e-5)
     assert 0.0 <= row["fr_in"] <= 1.0
