@@ -20,7 +20,14 @@ scan. Their agreement is a tested invariant. Parameters are immutable
 during forward, so concurrent forwards over independent sequences are
 safe, also while another thread records a tape: each thread has its own
 stack of open tapes (:mod:`spikessm.tensor`). Training updates are
-single-threaded, and the default precision is process-wide.
+single-threaded, and the default precision is process-wide. A float32
+greedy decode of ``2 * SPLIT_ROWS`` rows or more runs on two cores by
+forking: a child decodes half the rows
+(:meth:`LanguageModel.generate_greedy`). It is a process, not a thread,
+because each step's Python work holds the interpreter lock, so two
+threads would take turns. The tokens are the bytes of one process. A
+float64 decode, a process running other Python threads, and a host
+where BLAS already takes every CPU do not split.
 
 ``LanguageModel(cfg, rng)`` draws a fresh initialisation. Every other
 model is built from a name -> array table by
@@ -33,6 +40,10 @@ against the config (:func:`param_shapes`) and draws nothing:
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
@@ -731,15 +742,35 @@ class LanguageModel:
 
     def generate_greedy(self, prompts: np.ndarray, max_new: int, *,
                         kernel: str = "matmul") -> np.ndarray:
-        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new)."""
+        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new).
+
+        A float32 batch of at least ``2 * SPLIT_ROWS`` rows is decoded in
+        two processes where ``os.fork`` exists, no other Python thread
+        runs, and this process may use twice as many CPUs as BLAS runs
+        threads (one BLAS thread and two CPUs, say): a forked child takes
+        the second half of the rows while this process decodes the first.
+        Each step's Python work holds the interpreter lock, so threads
+        would take turns; processes do not. The tokens are the bytes of
+        one process (see ``SPLIT_ROWS``); float64 and every other batch
+        run in this process. An exception from either half is raised
+        here with its type and message, and no child outlives the call."""
         prompts = np.atleast_2d(np.asarray(prompts))
         B, T0 = prompts.shape
         if T0 == 0:
             raise ContractError("generate_greedy needs a prompt of at least one token")
         if max_new < 0:
             raise ContractError(f"generate_greedy max_new must be >= 0, got {max_new}")
-        state = self.init_state((B,))
-        for t in range(T0):
+        if not _splits(B, self.embedding.data.dtype):
+            return self._decode(prompts, max_new, kernel)
+        half = B // 2
+        return np.concatenate(_in_two_processes(
+            lambda: self._decode(prompts[:half], max_new, kernel),
+            lambda: self._decode(prompts[half:], max_new, kernel)))
+
+    def _decode(self, prompts: np.ndarray, max_new: int, kernel: str) -> np.ndarray:
+        """:meth:`generate_greedy` of checked prompts in this process."""
+        state = self.init_state((prompts.shape[0],))
+        for t in range(prompts.shape[1]):
             logits, state = self.step(prompts[:, t], state, kernel=kernel)
         out = [prompts]
         for i in range(max_new):
@@ -748,3 +779,87 @@ class LanguageModel:
             cur = logits.argmax(axis=-1)
             out.append(cur[:, None])
         return np.concatenate(out, axis=1)
+
+
+# Rows each process takes when generate_greedy splits a batch. A fork and
+# its copy-on-write faults cost a fixed 20-30 ms: at one BLAS thread the
+# split read 1.16x one process at 16 rows, 1.09x at 32, 0.77x at 48 and
+# 0.65-0.70x from 64. Below 54 rows the in-projection's (M, 64) @ (64, 290)
+# product takes OpenBLAS's small-matrix sgemm path, whose rows differ in the
+# last bits from a large batch's; at float32, every split of 108..259 rows
+# gave the one-process logits and states, at 1 and 2 BLAS threads. Float64
+# never splits: its dgemm rows changed at 100, 108, 112 and 136 rows.
+SPLIT_ROWS = 56
+
+# OpenBLAS reads its thread count from the first of these that is set,
+# once, when numpy loads it; unset, it takes every CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _in_two_processes(here: Callable[[], object],
+                      there: Callable[[], object]) -> tuple[object, object]:
+    """``(here(), there())``, with ``there`` run in a forked child.
+
+    The child pickles its result, or its exception, into a pipe and
+    leaves through ``os._exit``: it never unwinds into the caller's stack
+    or flushes the buffers it inherited. The pipe is read to EOF before
+    the child is reaped, since a result can outgrow the pipe's buffer. If
+    ``here`` raises or is interrupted, the child is killed; either way it
+    is reaped before this returns or raises."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, there())
+            except Exception as exc:
+                result = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = here()
+            report = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not report:
+        raise RuntimeError(f"child process {pid} exited without a result")
+    ok, theirs = pickle.loads(report)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _splits(rows: int, dtype: np.dtype) -> bool:
+    """Whether :meth:`LanguageModel.generate_greedy` decodes ``rows`` rows
+    of ``dtype`` parameters in two processes.
+
+    Each process needs CPUs for all its BLAS threads: where BLAS already
+    takes every CPU, a split read 2.2-2.8x one process. ``fork`` copies
+    only the calling thread, so a process running other Python threads
+    never forks."""
+    return (tn.default_dtype() == np.float32 and dtype == np.float32
+            and rows >= 2 * SPLIT_ROWS and hasattr(os, "fork")
+            and threading.active_count() == 1
+            and _usable_cpus() >= 2 * _blas_threads())

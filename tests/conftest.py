@@ -37,3 +37,22 @@ def f64():
     """Run the test body at 64-bit precision (gradient-check mode)."""
     with dtype_scope("float64"):
         yield
+
+
+def _has_child() -> bool:
+    """Whether this process has a child, running or exited but unreaped
+    (one exited child is reaped, so the next test does not see it)."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """A test reaps every child process it starts (``subprocess.run``
+    does)."""
+    yield
+    if hasattr(os, "waitid") and _has_child():
+        pytest.fail("the test left a child process of the test process")

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -41,12 +44,14 @@ from spikessm.tensor import (
     RMS_EPS,
     ContractError,
     Graph,
+    NumericError,
     Tensor,
     custom_op,
     dtype_scope,
     parameter,
     sum_,
 )
+from spikessm.training import sample_windows, synthetic_corpus, token_stream
 
 
 def small_config(mode=DENSE, **kw):
@@ -846,3 +851,131 @@ def test_no_tape_forward_holds_no_layer_but_its_activations(mode, rng):
     for n_layers in (4, 8):
         grown = peaks[n_layers] - peaks[2]
         assert abs(grown - (kept[n_layers] - kept[2])) <= 64 << 10, (n_layers, grown)
+
+
+# ---------------------------------------------------------------------------
+# greedy decode split across two processes
+
+NEW = 16  # new tokens per decoded row
+
+
+def _toy_teacher_prompts(rows, seed=3, prompt_len=8):
+    teacher = LanguageModel(toy_config(), np.random.default_rng(seed))
+    stream = token_stream(synthetic_corpus(200, seed))
+    return teacher, sample_windows(stream, rows, prompt_len, np.random.default_rng(seed + 1))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A host where a large float32 decode splits (two CPUs, one BLAS
+    thread), and the pids of the children ``os.fork`` made in the test."""
+    for var in mamba2.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.mark.parametrize("rows", [2 * mamba2.SPLIT_ROWS - 1, 2 * mamba2.SPLIT_ROWS,
+                                  121, 136, 192])
+def test_split_decode_equals_one_process_bytes(rows, forks):
+    teacher, prompts = _toy_teacher_prompts(rows)
+    got = teacher.generate_greedy(prompts, NEW)
+    assert len(forks) == (rows >= 2 * mamba2.SPLIT_ROWS)
+    want = teacher._decode(prompts, NEW, "matmul")
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_float64_decode_takes_one_process(monkeypatch, forks):
+    def fork():
+        pytest.fail("generate_greedy forked")
+
+    with dtype_scope("float64"):
+        teacher, prompts = _toy_teacher_prompts(136)
+        want = teacher._decode(prompts, NEW, "matmul")
+        monkeypatch.setattr(os, "fork", fork)
+        got = teacher.generate_greedy(prompts, NEW)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork",
+                                   "another thread"])
+def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, forks):
+    teacher, prompts = _toy_teacher_prompts(136)
+    want = teacher.generate_greedy(prompts, NEW)
+    assert len(forks) == 1
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    if block == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif block == "blas on every cpu":
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    elif block == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        worker.start()
+    try:
+        got = teacher.generate_greedy(prompts, NEW)
+    finally:
+        stop.set()
+        if worker.is_alive():
+            worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(forks) == 1 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("half", ["child", "parent", "both"])
+def test_a_failing_half_raises_as_one_process_and_leaves_no_child(
+        half, monkeypatch, tmp_path, forks):
+    """The error of the decode in one process, from whichever half holds
+    the failing row; the child is reaped, and text this process buffered
+    for its stdout before the call is written once."""
+    rows = 136
+    teacher, prompts = _toy_teacher_prompts(rows)
+    mark = min(set(range(teacher.cfg.vocab)) - set(teacher._decode(prompts, NEW, "matmul").flat))
+    marked = {"child": [rows - 1], "parent": [0], "both": [0, rows - 1]}[half]
+    prompts[marked, 3] = mark
+    step = LanguageModel.step
+
+    def failing_step(self, token, state, **kw):
+        if np.any(token == mark):
+            raise NumericError(f"non-finite logits after token {mark}")
+        return step(self, token, state, **kw)
+
+    monkeypatch.setattr(LanguageModel, "step", failing_step)
+    with pytest.raises(NumericError) as one_process:
+        teacher._decode(prompts, NEW, "matmul")
+    out = open(tmp_path / "stdout.txt", "w")
+    monkeypatch.setattr(sys, "stdout", out)
+    print("written before the decode")
+    with pytest.raises(NumericError) as split:
+        teacher.generate_greedy(prompts, NEW)
+    out.close()
+    assert len(forks) == 1
+    assert str(split.value) == str(one_process.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "stdout.txt").read_text() == "written before the decode\n"
+
+
+def test_child_error_of_another_type_keeps_its_type(forks):
+    """An out-of-vocabulary id in the child's rows: the ContractError the
+    step raises in one process."""
+    teacher, prompts = _toy_teacher_prompts(136)
+    prompts[-1, 2] = teacher.cfg.vocab
+    with pytest.raises(ContractError) as one_process:
+        teacher._decode(prompts, NEW, "matmul")
+    with pytest.raises(ContractError) as split:
+        teacher.generate_greedy(prompts, NEW)
+    assert len(forks) == 1 and str(split.value) == str(one_process.value)
