@@ -3,17 +3,22 @@ pinned by digest in ``tests/golden.json``.
 
 The chain trains a teacher, distills three students from it (TI-LIF with
 compensation, ``--neuron lif``, ``--neuron ilif --sgc false``), aligns the
-first by DPO and by KTO, scores it, and runs the commands that need no
-checkpoint. Every output file, stdout, stderr and the exit code of each
-command is compared with the committed digests, after the temporary
-directory is replaced by ``<TMP>``. A mismatch names the command and the
-file and locates the first difference: the row and column of a CSV, the
-tensor and element block of a ``.spkm`` (the file holds digests, not
-weights), the line of anything else.
+first by DPO and by KTO, scores it, clamps it in two (mode, site) pairs,
+and runs the commands that need no checkpoint, among them ``energy-report``
+at every published row and at given settings for each variant. Every
+output file, stdout, stderr and the exit code of each command is compared
+with the committed digests, after the temporary directory is replaced by
+``<TMP>``. A mismatch names the command and the file and locates the
+first difference: the row and column of a CSV, the tensor and element
+block of a ``.spkm`` (the file holds digests, not weights), the line of
+anything else.
 
 A change that alters an output on purpose regenerates the file:
 
     python tests/test_golden.py --write
+
+which prints every file whose digest moved, located, before it writes:
+that list is the change's declared test-data edit.
 
 The digests pin one numpy and BLAS build; another may round float32
 differently, so the file records the versions it was made under and a
@@ -38,6 +43,7 @@ if __name__ == "__main__":  # the --write run imports the package from this chec
     sys.path.insert(0, str(SRC))
 
 from spikessm.checkpoint import load_raw, save
+from spikessm.energy import REFERENCE_ROWS
 from spikessm.mamba2 import LanguageModel, toy_config
 
 GOLDEN = TESTS / "golden.json"
@@ -47,11 +53,26 @@ BLOCK = 256  # elements of a .spkm tensor per digest
 TEACHER = ("--teacher", "{tmp}/train-teacher/teacher.spkm", "--steps", "10")
 STUDENT = "{tmp}/distill/student.spkm"
 SCORED = ("--ckpt", STUDENT, "--corpus", "{tmp}/distill/corpus.txt")
+# energy-report at every published (preset, variant) row, then each variant
+# at spike settings it is given; ann takes none
+ENERGY = {
+    **{f"energy-report-{config}-{variant}-paper":
+       ("energy-report", "--config", config, "--variant", variant, "--paper", "true")
+       for config, variant in REFERENCE_ROWS if (config, variant) != ("130m", "tilif")},
+    "energy-report-ann": ("energy-report", "--variant", "ann"),
+    "energy-report-lif": ("energy-report", "--variant", "lif",
+                          "--fr-in", "0.25", "--fr-out", "0.125"),
+    "energy-report-ilif": ("energy-report", "--config", "1.3b", "--variant", "ilif",
+                           "--fr-in", "0.3", "--fr-out", "0.05", "--k", "4"),
+    "energy-report-tilif": ("energy-report", "--config", "toy", "--variant", "tilif",
+                            "--fr-in", "0.193", "--fr-out", "0.082", "--k", "3"),
+}
 # each stage's commands read only what earlier stages wrote
 CHAIN = (
     {"train-teacher": ("train-teacher", "--steps", "20"),
      "energy-report": ("energy-report", "--config", "130m", "--variant", "tilif",
                        "--paper", "true"),
+     **ENERGY,
      "gradcheck": ("gradcheck", "--probes", "30"),
      "verify-equivalence": ("verify-equivalence", "--trials", "300")},
     {"distill": ("distill", *TEACHER),
@@ -61,7 +82,9 @@ CHAIN = (
      "rl-kto": ("rl", "--method", "kto", "--ckpt", STUDENT, "--steps", "5"),
      "eval-ppl": ("eval-ppl", *SCORED),
      "activation-hist": ("activation-hist", *SCORED),
-     "clamp-ablation": ("clamp-ablation", *SCORED)},
+     "clamp-ablation": ("clamp-ablation", *SCORED),
+     "clamp-ablation-max_to_one-u_t": ("clamp-ablation", *SCORED, "--mode", "max_to_one",
+                                       "--site", "u_t")},
 )
 
 
@@ -225,7 +248,10 @@ def test_a_mismatch_names_the_command_and_file_and_locates_it(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: python {sys.argv[0]} --write")
-    text = json.dumps({"build": build(), "commands": run_chain()}, indent=1)
+    got = run_chain()
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"] if GOLDEN.exists() else {}
+    print("\n".join(mismatches(old, got)) or "no output moved")
+    text = json.dumps({"build": build(), "commands": got}, indent=1)
     # one line per list of digests or cells (no JSON string holds a raw newline)
     text = re.sub(r"\[[^\[\]{}]*\]", lambda m: re.sub(r"\n *", "", m.group()), text)
     GOLDEN.write_text(text + "\n", encoding="utf-8")
