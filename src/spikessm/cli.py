@@ -584,7 +584,7 @@ def cmd_activation_hist(resolved) -> int:
     counts, edges = np.histogram(values, bins=resolved["bins"], range=(lo, hi))
     path = write_output(resolved["out"], "activation_hist.csv", csv_text(
         ("value_lo", "value_hi", "count"),
-        [(f"{a:.6f}", f"{b:.6f}", int(c)) for a, b, c in zip(edges, edges[1:], counts)]))
+        zip(edges.tolist(), edges[1:].tolist(), counts.tolist())))
     print(f"histogram over {values.size} activations written to {path}")
     return EXIT_OK
 

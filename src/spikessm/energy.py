@@ -296,8 +296,7 @@ def report_cells(r: EnergyReport, no_ratio: str) -> list[str]:
 
 
 def to_table(reports: list[EnergyReport]) -> str:
-    cols = ["config", "variant", "k", "fr_in", "fr_out", "in_proj", "out_proj",
-            "ssm", "others", "neuron", "total", "ratio"]
+    cols = [name.removesuffix("_uj") for name in CSV_FIELDS]
     rows = [cols] + [report_cells(r, "-") for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(cols))]
     return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"

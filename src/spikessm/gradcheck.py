@@ -3,7 +3,8 @@
 Every differentiable path in the package is checked the same way:
 compute analytic gradients on the tape, then probe random entries with
 a symmetric difference quotient at 64-bit precision. ``gradcheck_targets``
-is the registry of those paths that ``spikessm gradcheck`` audits.
+is the registry of those paths that ``spikessm gradcheck`` audits: the op
+kinds the training runs record, but the neurons, whose backward is a surrogate.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import dpo_loss, kl_distill_loss, kto_loss, sequence_logprob
+from .losses import cross_entropy_loss, dpo_loss, kl_distill_loss, kto_loss, sequence_logprob
 from .mamba2 import (
+    LanguageModel,
     Mamba2Config,
     block_forward,
     hidden_align_loss,
     init_block_params,
     sgc_forward,
 )
-from .tensor import Graph, Tensor, activation, parameter, rmsnorm, softmax, sum_
+from .tensor import Graph, Tensor, activation, parameter, rmsnorm, sum_
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -85,7 +87,6 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
 
     x = parameter(rng.normal(size=(4, 6)))
     probe = Tensor(rng.normal(size=(4, 6)))
-    targets.append(("op:softmax", lambda: sum_(softmax(x) * probe), [x]))
     w = parameter(rng.normal(size=6) + 1.0)
     targets.append(("op:rmsnorm", lambda: sum_(rmsnorm(x, w) * probe), [x, w]))
 
@@ -130,4 +131,9 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
         return sum_(y * bp)
 
     targets.append(("dense_block", block_loss, [u] + [p for _, p in params.named()]))
+
+    lm = LanguageModel(cfg, rng)  # the embedding gather and the tied head
+    ids = rng.integers(0, cfg.vocab, size=(2, 5))
+    targets.append(("lm_head", lambda: cross_entropy_loss(
+        lm.forward_batch(ids[:, :-1])[0], ids[:, 1:]), lm.parameters()))
     return targets

@@ -67,6 +67,7 @@ from .tensor import (
     rmsnorm,
     transpose2d,
 )
+from .tokenizer import VOCAB
 
 DENSE = "dense"
 SPIKING = "spiking"
@@ -105,10 +106,10 @@ class Mamba2Config(Geometry):
 def toy_config(mode: str = DENSE, neuron: NeuronConfig | None = None,
                sgc: bool = False) -> Mamba2Config:
     """Desk-scale preset used by the training experiments: the geometry
-    of ``energy.PRESETS["toy"]``."""
+    of ``energy.PRESETS["toy"]`` over the byte vocabulary of :mod:`tokenizer`."""
     return Mamba2Config(
         **asdict(PRESETS["toy"]),
-        vocab=259,
+        vocab=VOCAB,
         mode=mode,
         neuron=neuron or NeuronConfig(),
         sgc=sgc,
@@ -200,6 +201,8 @@ def init_block_params(cfg: Mamba2Config, rng: np.random.Generator,
     decay rates are log-spaced so heads cover fast and slow memory; the
     step bias puts the initial softplus step in roughly [0.001, 0.1].
     Every layer draws from one table; ``layer_idx`` changes nothing.
+    Every seed's model depends on the draw order, which is not the table's:
+    the step bias first, then the two projections and the three convs.
     """
     shape = block_param_shapes(cfg)
     H, w = cfg.n_heads, tn.CONV_WIDTH

@@ -1,20 +1,21 @@
 """Dense tensors and a tape-based reverse-mode gradient engine.
 
-The op vocabulary is fixed to what the models in this package need:
-matmul, elementwise arithmetic, the five activations, softmax /
-log-softmax, RMS norm, causal depthwise conv, embedding gather,
-reductions, slicing/concat, and the quantizing neuron op registered
-from :mod:`spikessm.neurons`. There is no graph compiler; gradients
+The op vocabulary is fixed to what the runs of this package record:
+matmul, elementwise arithmetic, the five activations, log-softmax, RMS
+norm, causal depthwise conv, embedding gather, reductions,
+slicing/concat, and the quantizing neuron op registered from
+:mod:`spikessm.neurons`. There is no graph compiler; gradients
 are accumulated by walking the tape once in reverse creation order,
 which makes every run bit-reproducible, and the walk frees what each op
 saved as it goes (:meth:`Graph.backward`). A ``narrow`` hands the engine its
 slice and gradient (:class:`SliceGrad`), which it adds into one buffer
 per input instead of a zero-filled full-size array per slice. The
-forwards of the activations, softmax, log-softmax, RMS norm and the
-conv are also exposed on plain arrays (``activation_forward``,
-``softmax_forward``, ``log_softmax_forward``, ``rmsnorm_forward``,
-``causal_conv1d_forward``) for off-tape callers and fused ops; the tape
-ops run those same functions.
+forwards of the activations, log-softmax, RMS norm and the conv are
+also exposed on plain arrays (``activation_forward``,
+``log_softmax_forward``, ``rmsnorm_forward``, ``causal_conv1d_forward``)
+for off-tape callers and fused ops; the tape ops run those same
+functions. ``softmax_forward`` has no tape op: the fused alignment loss
+is its caller.
 
 The hot forwards are lean for the no-tape passes of evaluation and
 inference: the sigmoid selects its half by multiplying with the sign
@@ -291,9 +292,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data) -> Tensor:
@@ -578,7 +576,7 @@ def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> T
 # softmax family, over the last axis
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """The tape op's forward on a plain array: ``exp(x - max) / sum``."""
+    """``exp(x - max) / sum`` on a plain array; no tape op records it."""
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
@@ -590,17 +588,6 @@ def log_softmax_forward(x: np.ndarray) -> np.ndarray:
     last axis, with ``m`` its max and ``lse`` the log-sum-exp of ``x - m``."""
     z = x - x.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def softmax(x) -> Tensor:
-    x = _as_tensor(x)
-    data = softmax_forward(x.data)
-
-    def grad_fn(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - inner),)
-
-    return _make(data, "softmax", (x,), grad_fn)
 
 
 def log_softmax(x) -> Tensor:

@@ -27,7 +27,8 @@ from spikessm.losses import (
     sequence_logprob,
     total_distill_loss,
 )
-from spikessm.neurons import NeuronConfig, TILIF, neuron_forward
+from spikessm.gradcheck import gradcheck_targets
+from spikessm.neurons import ILIF, KINDS, LIF, NeuronConfig, TILIF, neuron_forward
 from spikessm.optim import AdamW, lr_schedule
 from spikessm import training
 from spikessm.cli import _write_metrics, main, preference_records, read_lines
@@ -43,6 +44,7 @@ from spikessm.tensor import (
 )
 from spikessm.training import (
     EVAL_BATCH,
+    METHODS,
     SEQ_LEN,
     DistillResult,
     PreferenceExample,
@@ -628,6 +630,43 @@ def test_optimise_walks_each_recorded_step_once(monkeypatch):
         assert g.nodes == []
         with pytest.raises(ContractError, match="already walked"):
             g.backward(loss, wrt=[p])
+
+
+def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch):
+    """The targets of ``spikessm gradcheck`` record the op kinds that one
+    step of each training loop records, and no others, but the neurons:
+    their backward is a rectangular surrogate, not the quantizer's
+    derivative, so no finite difference audits it."""
+    kinds = set()
+    backward = Graph.backward
+
+    def recorded_backward(self, loss, wrt):
+        kinds.update(node._op for node in self.nodes)
+        return backward(self, loss, wrt)
+
+    monkeypatch.setattr(Graph, "backward", recorded_backward)
+    lines = synthetic_corpus(30, seed=0)
+    teacher = LanguageModel(tiny_cfg(), rng)
+    train_teacher(teacher, lines, steps=1, batch=2, seq_len=16, seed=1)
+    for neuron, d_max, sgc in ((TILIF, 4, True), (ILIF, 4, False), (LIF, 1, False)):
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=neuron, d_max=d_max),
+                                sgc=sgc)
+        distill_run(teacher, student, lines, steps=1, batch=2, total_len=16,
+                    n_sequences=4, seed=3)
+    for method in METHODS:
+        examples = [parse_preference_line(line, method)
+                    for line in synth_preference_lines(lines, 4, 1, method)]
+        rl_run(student, examples, method=method, steps=1, batch=2, seed=2)
+    run_kinds = kinds - {f"neuron_{kind}" for kind in KINDS}
+    assert len(kinds - run_kinds) == 3
+
+    audited = set()
+    with dtype_scope("float64"):
+        for _, loss_fn, _ in gradcheck_targets(np.random.default_rng(0)):
+            with Graph() as g:
+                loss_fn()
+            audited.update(node._op for node in g.nodes)
+    assert audited == run_kinds
 
 
 def test_distill_step_kl_sees_forward_batch_logits(rng, monkeypatch):
