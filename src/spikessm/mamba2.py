@@ -20,14 +20,16 @@ scan. Their agreement is a tested invariant. Parameters are immutable
 during forward, so concurrent forwards over independent sequences are
 safe, also while another thread records a tape: each thread has its own
 stack of open tapes (:mod:`spikessm.tensor`). Training updates are
-single-threaded, and the default precision is process-wide. A float32
-greedy decode of ``2 * SPLIT_ROWS`` rows or more runs on two cores by
-forking: a child decodes half the rows
-(:meth:`LanguageModel.generate_greedy`). It is a process, not a thread,
-because each step's Python work holds the interpreter lock, so two
-threads would take turns. The tokens are the bytes of one process. A
-float64 decode, a process running other Python threads, and a host
-where BLAS already takes every CPU do not split.
+single-threaded, and the default precision is process-wide. The
+distillation set-up's float32 teacher pass (greedy decode, then trunk
+passes) over ``2 * SPLIT_ROWS`` distinct prompts or more runs on two
+cores by forking: a child decodes and scores half the rows
+(:func:`_in_two_processes`, under the rule of :func:`_splits`). It is a
+process, not a thread, because each step's Python work holds the
+interpreter lock, so two threads would take turns. The sequences and
+targets are the bytes of one process. A float64 pass, a process running
+other Python threads, and a host where BLAS already takes every CPU do
+not split.
 
 ``LanguageModel(cfg, rng)`` draws a fresh initialisation. Every other
 model is built from a name -> array table by
@@ -745,35 +747,15 @@ class LanguageModel:
 
     def generate_greedy(self, prompts: np.ndarray, max_new: int, *,
                         kernel: str = "matmul") -> np.ndarray:
-        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new).
-
-        A float32 batch of at least ``2 * SPLIT_ROWS`` rows is decoded in
-        two processes where ``os.fork`` exists, no other Python thread
-        runs, and this process may use twice as many CPUs as BLAS runs
-        threads (one BLAS thread and two CPUs, say): a forked child takes
-        the second half of the rows while this process decodes the first.
-        Each step's Python work holds the interpreter lock, so threads
-        would take turns; processes do not. The tokens are the bytes of
-        one process (see ``SPLIT_ROWS``); float64 and every other batch
-        run in this process. An exception from either half is raised
-        here with its type and message, and no child outlives the call."""
+        """Greedy continuation of a (B, T0) prompt batch; returns (B, T0+max_new)."""
         prompts = np.atleast_2d(np.asarray(prompts))
         B, T0 = prompts.shape
         if T0 == 0:
             raise ContractError("generate_greedy needs a prompt of at least one token")
         if max_new < 0:
             raise ContractError(f"generate_greedy max_new must be >= 0, got {max_new}")
-        if not _splits(B, self.embedding.data.dtype):
-            return self._decode(prompts, max_new, kernel)
-        half = B // 2
-        return np.concatenate(_in_two_processes(
-            lambda: self._decode(prompts[:half], max_new, kernel),
-            lambda: self._decode(prompts[half:], max_new, kernel)))
-
-    def _decode(self, prompts: np.ndarray, max_new: int, kernel: str) -> np.ndarray:
-        """:meth:`generate_greedy` of checked prompts in this process."""
-        state = self.init_state((prompts.shape[0],))
-        for t in range(prompts.shape[1]):
+        state = self.init_state((B,))
+        for t in range(T0):
             logits, state = self.step(prompts[:, t], state, kernel=kernel)
         out = [prompts]
         for i in range(max_new):
@@ -784,14 +766,17 @@ class LanguageModel:
         return np.concatenate(out, axis=1)
 
 
-# Rows each process takes when generate_greedy splits a batch. A fork and
-# its copy-on-write faults cost a fixed 20-30 ms: at one BLAS thread the
-# split read 1.16x one process at 16 rows, 1.09x at 32, 0.77x at 48 and
-# 0.65-0.70x from 64. Below 54 rows the in-projection's (M, 64) @ (64, 290)
-# product takes OpenBLAS's small-matrix sgemm path, whose rows differ in the
-# last bits from a large batch's; at float32, every split of 108..259 rows
-# gave the one-process logits and states, at 1 and 2 BLAS threads. Float64
-# never splits: its dgemm rows changed at 100, 108, 112 and 136 rows.
+# Rows each process takes when the distillation set-up's teacher pass
+# splits (training.teacher_pass). A fork and its copy-on-write faults cost
+# a fixed 20-30 ms: at one BLAS thread a split greedy decode read 1.16x one
+# process at 16 rows, 1.09x at 32, 0.77x at 48 and 0.65-0.70x from 64; the
+# trunk passes after it only add work to each half. Below 54 rows the
+# in-projection's (M, 64) @ (64, 290) product takes OpenBLAS's small-matrix
+# sgemm path, whose rows differ in the last bits from a large batch's; at
+# float32, every split of 108..259 rows gave the one-process logits and
+# states, at 1 and 2 BLAS threads. The trunk's rows are the same bytes at
+# any row batch. Float64 never splits: its dgemm rows changed at 100, 108,
+# 112 and 136 rows.
 SPLIT_ROWS = 56
 
 # OpenBLAS reads its thread count from the first of these that is set,
@@ -822,9 +807,16 @@ def _in_two_processes(here: Callable[[], object],
     or flushes the buffers it inherited. The pipe is read to EOF before
     the child is reaped, since a result can outgrow the pipe's buffer. If
     ``here`` raises or is interrupted, the child is killed; either way it
-    is reaped before this returns or raises."""
+    is reaped before this returns or raises. If the fork fails (``EAGAIN``
+    at the process limit, say), both run here, ``here`` first: the same
+    results at one process's speed."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return here(), there()
     if pid == 0:
         try:
             os.close(read_fd)
@@ -855,8 +847,9 @@ def _in_two_processes(here: Callable[[], object],
 
 
 def _splits(rows: int, dtype: np.dtype) -> bool:
-    """Whether :meth:`LanguageModel.generate_greedy` decodes ``rows`` rows
-    of ``dtype`` parameters in two processes.
+    """Whether the distillation set-up's teacher pass
+    (``training.teacher_pass``) over ``rows`` distinct prompts of a
+    ``dtype`` teacher runs in two processes.
 
     Each process needs CPUs for all its BLAS threads: where BLAS already
     takes every CPU, a split read 2.2-2.8x one process. ``fork`` copies

@@ -10,6 +10,8 @@ writes.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,7 +25,15 @@ from .losses import (
     sequence_logprob,
     total_distill_loss,
 )
-from .mamba2 import SPIKING, Hook, LanguageModel, hidden_align_loss, sgc_forward
+from .mamba2 import (
+    SPIKING,
+    Hook,
+    LanguageModel,
+    _in_two_processes,
+    _splits,
+    hidden_align_loss,
+    sgc_forward,
+)
 from .optim import AdamW, lr_schedule
 from .tensor import (
     ContractError,
@@ -181,16 +191,19 @@ class DistillResult:
 
 def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
                            n_sequences: int = 192, prompt_len: int = 8,
-                           total_len: int = 64,
-                           seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                           total_len: int = 64, seed: int = 0
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy teacher continuations of ``n_sequences`` sampled corpus
-    prompts; fixed total length.
+    prompts, fixed total length, and the teacher's distillation targets
+    over them.
 
     A greedy continuation is a function of its prompt, so only the
-    distinct prompts are decoded. Returns ``(sequences, rows)``: the
-    (m, total_len) continuations of the m distinct prompts in
-    ``np.unique`` order, and the (n_sequences,) index of each sampled
-    row's sequence. This is the distillation set-up's one dedupe."""
+    distinct prompts are decoded and scored (:func:`teacher_pass`).
+    Returns ``(sequences, rows, targets)``: the (m, total_len)
+    continuations of the m distinct prompts in ``np.unique`` order, the
+    (n_sequences,) index of each sampled row's sequence, and the
+    sequences' :func:`teacher_targets`. This is the distillation set-up's
+    one dedupe."""
     require_positive(n_sequences=n_sequences, prompt_len=prompt_len)
     if total_len <= prompt_len:
         raise ContractError(f"total_len must exceed prompt_len {prompt_len}, "
@@ -199,30 +212,68 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
     rng = np.random.default_rng(seed)
     prompts = sample_windows(stream, n_sequences, prompt_len, rng)
     distinct, rows = np.unique(prompts, axis=0, return_inverse=True)
-    return teacher.generate_greedy(distinct, max_new=total_len - prompt_len,
-                                   kernel="matmul"), rows
+    sequences, targets = teacher_pass(teacher, distinct, total_len - prompt_len)
+    return sequences, rows, targets
 
 
-def _teacher_logits(teacher: LanguageModel, labels: tuple[np.ndarray, np.ndarray],
-                    prompt_len: int) -> np.ndarray:
-    """The distillation targets: the (m, T, d_model) final normalised
-    hidden states of the m distinct sequences of ``labels``
-    (:func:`generate_pseudo_labels`' pair), from no-tape trunk passes of
-    :data:`EVAL_BATCH` sequences, each copied into one array. The set-up's
-    peak is this output plus one such pass; every row is the same bytes
-    at any row batch.
+def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
+                 max_new: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sequences, targets)``: the (m, T) greedy continuations of m
+    prompts by the ``matmul`` kernel, and their :func:`teacher_targets`.
+
+    Where ``mamba2._splits`` holds for m rows, a forked child decodes and
+    scores rows ``m // 2`` on while this process does the first half
+    (``mamba2._in_two_processes``). Both write their targets into one
+    shared mapping, so only the child's tokens travel back. The bytes
+    are one process's: each half decodes at least ``SPLIT_ROWS`` rows,
+    and a trunk row is the same bytes in any row batch. An error in
+    either half is raised with its type and message."""
+    m, T0 = prompts.shape
+    dtype = teacher.embedding.data.dtype
+    if not _splits(m, dtype):
+        seqs = teacher.generate_greedy(prompts, max_new, kernel="matmul")
+        return seqs, teacher_targets(teacher, seqs)
+    shape = (m, T0 + max_new, teacher.cfg.d_model)
+    out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+
+    def label(lo: int, hi: int) -> np.ndarray:
+        seqs = teacher.generate_greedy(prompts[lo:hi], max_new, kernel="matmul")
+        teacher_targets(teacher, seqs, out[lo:hi])
+        return seqs
+
+    half = m // 2
+    return np.concatenate(_in_two_processes(lambda: label(0, half),
+                                            lambda: label(half, m))), out
+
+
+def teacher_targets(teacher: LanguageModel, sequences: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The distillation targets of (m, T) ``sequences``: the teacher's
+    (m, T, d_model) final normalised hidden states, from no-tape trunk
+    passes of :data:`EVAL_BATCH` sequences, each copied into ``out`` (a
+    new array if none is given). The peak is this output plus one such
+    pass; every row is the same bytes at any row batch.
 
     The targets are held at model width, not vocabulary width: each
     :func:`distill_run` step applies ``teacher.head`` to the rows it
-    gathers. They keep all T positions, so ``prompt_len`` goes unused:
-    the head's product over full rows is the one ``forward_batch``
-    computes, and over the continuation alone it gives other bits."""
-    seqs, _ = labels
-    m, T = seqs.shape
-    out = np.empty((m, T, teacher.cfg.d_model), teacher.embedding.data.dtype)
+    gathers. They keep all T positions: the head's product over full
+    rows is the one ``forward_batch`` computes, and over the continuation
+    alone it gives other bits."""
+    m, T = sequences.shape
+    if out is None:
+        out = np.empty((m, T, teacher.cfg.d_model), teacher.embedding.data.dtype)
     for i in range(0, m, EVAL_BATCH):
-        out[i:i + EVAL_BATCH] = teacher.trunk(seqs[i:i + EVAL_BATCH])[0].data
+        out[i:i + EVAL_BATCH] = teacher.trunk(sequences[i:i + EVAL_BATCH])[0].data
     return out
+
+
+def _teacher_logits(teacher: LanguageModel,
+                    labels: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    prompt_len: int) -> np.ndarray:
+    """The targets of ``labels`` (:func:`generate_pseudo_labels`' triple).
+    The benchmark in ``perfbench/`` calls and patches this name;
+    ``teacher`` and ``prompt_len`` go unused."""
+    return labels[2]
 
 
 def compensated_layers(n_layers: int) -> frozenset[int]:
@@ -238,7 +289,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     hidden alignment losses from the compensation path.
 
     Each step draws ``batch`` of the sampled rows, gathers their
-    distinct sequences and :func:`_teacher_logits` targets through
+    distinct sequences and :func:`teacher_targets` through
     ``rows``, and applies the teacher head to the gathered full
     rows, outside the tape: the teacher logits are the bytes a teacher
     ``forward_batch`` would give, and the set-up holds d_model, not
@@ -261,7 +312,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     labels = generate_pseudo_labels(
         teacher, lines, n_sequences=n_sequences, prompt_len=prompt_len,
         total_len=total_len, seed=seed)
-    sequences, rows = labels
+    sequences, rows, _ = labels
     targets = _teacher_logits(teacher, labels, prompt_len)
 
     rng = np.random.default_rng(seed + 1)

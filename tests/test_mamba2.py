@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import sys
@@ -51,7 +52,14 @@ from spikessm.tensor import (
     parameter,
     sum_,
 )
-from spikessm.training import sample_windows, synthetic_corpus, token_stream
+from spikessm.training import (
+    EVAL_BATCH,
+    distill_run,
+    sample_windows,
+    synthetic_corpus,
+    teacher_pass,
+    token_stream,
+)
 
 
 def small_config(mode=DENSE, **kw):
@@ -854,21 +862,53 @@ def test_no_tape_forward_holds_no_layer_but_its_activations(mode, rng):
 
 
 # ---------------------------------------------------------------------------
-# greedy decode split across two processes
+# the distillation set-up's teacher pass split across two processes
 
 NEW = 16  # new tokens per decoded row
 
 
 def _toy_teacher_prompts(rows, seed=3, prompt_len=8):
+    """The toy teacher and ``rows`` distinct corpus prompts."""
     teacher = LanguageModel(toy_config(), np.random.default_rng(seed))
     stream = token_stream(synthetic_corpus(200, seed))
-    return teacher, sample_windows(stream, rows, prompt_len, np.random.default_rng(seed + 1))
+    windows = sample_windows(stream, 4 * rows, prompt_len, np.random.default_rng(seed + 1))
+    prompts = np.unique(windows, axis=0)[:rows]
+    assert prompts.shape[0] == rows
+    return teacher, prompts
+
+
+def _one_process_pass(teacher, prompts):
+    """The teacher pass in one process, as it ran before it split: the
+    greedy loop of ``generate_greedy``, then the trunk over EVAL_BATCH
+    rows at a time into one array."""
+    state = teacher.init_state((prompts.shape[0],))
+    for t in range(prompts.shape[1]):
+        logits, state = teacher.step(prompts[:, t], state, kernel="matmul")
+    out = [prompts]
+    for i in range(NEW):
+        if i:
+            logits, state = teacher.step(cur, state, kernel="matmul")
+        cur = logits.argmax(axis=-1)
+        out.append(cur[:, None])
+    seqs = np.concatenate(out, axis=1)
+    m, T = seqs.shape
+    targets = np.empty((m, T, teacher.cfg.d_model), teacher.embedding.data.dtype)
+    for i in range(0, m, EVAL_BATCH):
+        targets[i:i + EVAL_BATCH] = teacher.trunk(seqs[i:i + EVAL_BATCH])[0].data
+    return seqs, targets
+
+
+def _same_bytes(got, want):
+    """Sequences and targets of equal shape, dtype and bytes."""
+    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want, strict=True))
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """A host where a large float32 decode splits (two CPUs, one BLAS
-    thread), and the pids of the children ``os.fork`` made in the test."""
+    """A host where a large float32 teacher pass splits (two CPUs, one
+    BLAS thread), and the pids of the children ``os.fork`` made in the
+    test."""
     for var in mamba2.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -890,29 +930,29 @@ def forks(monkeypatch):
                                   121, 136, 192])
 def test_split_decode_equals_one_process_bytes(rows, forks):
     teacher, prompts = _toy_teacher_prompts(rows)
-    got = teacher.generate_greedy(prompts, NEW)
+    got = teacher_pass(teacher, prompts, NEW)
     assert len(forks) == (rows >= 2 * mamba2.SPLIT_ROWS)
-    want = teacher._decode(prompts, NEW, "matmul")
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _same_bytes(got, _one_process_pass(teacher, prompts))
 
 
 def test_float64_decode_takes_one_process(monkeypatch, forks):
     def fork():
-        pytest.fail("generate_greedy forked")
+        pytest.fail("the teacher pass forked")
 
     with dtype_scope("float64"):
         teacher, prompts = _toy_teacher_prompts(136)
-        want = teacher._decode(prompts, NEW, "matmul")
+        want = _one_process_pass(teacher, prompts)
         monkeypatch.setattr(os, "fork", fork)
-        got = teacher.generate_greedy(prompts, NEW)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = teacher_pass(teacher, prompts, NEW)
+    assert got[1].dtype == np.float64 and _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork",
                                    "another thread"])
 def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, forks):
     teacher, prompts = _toy_teacher_prompts(136)
-    want = teacher.generate_greedy(prompts, NEW)
+    want = _one_process_pass(teacher, prompts)
+    assert _same_bytes(teacher_pass(teacher, prompts, NEW), want)
     assert len(forks) == 1
     stop = threading.Event()
     worker = threading.Thread(target=stop.wait)
@@ -926,24 +966,46 @@ def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, fork
     else:
         worker.start()
     try:
-        got = teacher.generate_greedy(prompts, NEW)
+        got = teacher_pass(teacher, prompts, NEW)
     finally:
         stop.set()
         if worker.is_alive():
             worker.join(timeout=10)
     assert not worker.is_alive()
-    assert len(forks) == 1 and got.tobytes() == want.tobytes()
+    assert len(forks) == 1 and _same_bytes(got, want)
+
+
+def _open_fds():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no per-process descriptor table to list")
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_a_failed_fork_runs_both_halves_here(monkeypatch, forks):
+    """``os.fork`` raising ``EAGAIN``: the pass runs both halves in this
+    process, gives the one-process bytes and closes both pipe ends."""
+    teacher, prompts = _toy_teacher_prompts(136)
+    want = _one_process_pass(teacher, prompts)
+
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = _open_fds()
+    got = teacher_pass(teacher, prompts, NEW)
+    assert _open_fds() == fds
+    assert _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("half", ["child", "parent", "both"])
 def test_a_failing_half_raises_as_one_process_and_leaves_no_child(
         half, monkeypatch, tmp_path, forks):
-    """The error of the decode in one process, from whichever half holds
+    """The error of the pass in one process, from whichever half holds
     the failing row; the child is reaped, and text this process buffered
     for its stdout before the call is written once."""
     rows = 136
     teacher, prompts = _toy_teacher_prompts(rows)
-    mark = min(set(range(teacher.cfg.vocab)) - set(teacher._decode(prompts, NEW, "matmul").flat))
+    mark = min(set(range(teacher.cfg.vocab)) - set(_one_process_pass(teacher, prompts)[0].flat))
     marked = {"child": [rows - 1], "parent": [0], "both": [0, rows - 1]}[half]
     prompts[marked, 3] = mark
     step = LanguageModel.step
@@ -955,18 +1017,18 @@ def test_a_failing_half_raises_as_one_process_and_leaves_no_child(
 
     monkeypatch.setattr(LanguageModel, "step", failing_step)
     with pytest.raises(NumericError) as one_process:
-        teacher._decode(prompts, NEW, "matmul")
+        _one_process_pass(teacher, prompts)
     out = open(tmp_path / "stdout.txt", "w")
     monkeypatch.setattr(sys, "stdout", out)
-    print("written before the decode")
+    print("written before the pass")
     with pytest.raises(NumericError) as split:
-        teacher.generate_greedy(prompts, NEW)
+        teacher_pass(teacher, prompts, NEW)
     out.close()
     assert len(forks) == 1
     assert str(split.value) == str(one_process.value)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert (tmp_path / "stdout.txt").read_text() == "written before the decode\n"
+    assert (tmp_path / "stdout.txt").read_text() == "written before the pass\n"
 
 
 def test_child_error_of_another_type_keeps_its_type(forks):
@@ -975,7 +1037,31 @@ def test_child_error_of_another_type_keeps_its_type(forks):
     teacher, prompts = _toy_teacher_prompts(136)
     prompts[-1, 2] = teacher.cfg.vocab
     with pytest.raises(ContractError) as one_process:
-        teacher._decode(prompts, NEW, "matmul")
+        _one_process_pass(teacher, prompts)
     with pytest.raises(ContractError) as split:
-        teacher.generate_greedy(prompts, NEW)
+        teacher_pass(teacher, prompts, NEW)
     assert len(forks) == 1 and str(split.value) == str(one_process.value)
+
+
+def test_distill_run_is_the_same_run_split_or_not(monkeypatch, forks):
+    """``distill_run`` on a split host forks once and leaves no child; on
+    a one-CPU host it forks nothing. Both give the same metrics rows and
+    the same student parameter bytes."""
+    lines = synthetic_corpus(200, 3)
+    teacher = LanguageModel(toy_config(), np.random.default_rng(3))
+
+    def run():
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                sgc=True)
+        res = distill_run(teacher, student, lines, steps=2, batch=4, prompt_len=8,
+                          total_len=8 + NEW, n_sequences=192, seed=3)
+        return res.metrics, [t.data.tobytes() for t in student.parameters()]
+
+    split = run()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run() == split
+    assert len(forks) == 1

@@ -51,7 +51,6 @@ from spikessm.training import (
     _example_tokens,
     _padded,
     _response_logprobs,
-    _teacher_logits,
     compensated_layers,
     distill_run,
     eval_ppl,
@@ -62,6 +61,7 @@ from spikessm.training import (
     sample_windows,
     synth_preference_lines,
     synthetic_corpus,
+    teacher_targets,
     token_stream,
     train_teacher,
 )
@@ -243,14 +243,16 @@ def test_training_deterministic(tmp_path):
 def test_pseudo_labels_deterministic_shape(rng):
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
-    seqs, rows = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
-                                        total_len=12, seed=5)
+    seqs, rows, targets = generate_pseudo_labels(teacher, lines, n_sequences=6,
+                                                 prompt_len=4, total_len=12, seed=5)
     assert rows.shape == (6,) and seqs.shape == (rows.max() + 1, 12)
     assert seqs[rows].shape == (6, 12)
+    assert targets.shape == (seqs.shape[0], 12, teacher.cfg.d_model)
     again = generate_pseudo_labels(teacher, lines, n_sequences=6, prompt_len=4,
                                    total_len=12, seed=5)
     np.testing.assert_array_equal(seqs, again[0])
     np.testing.assert_array_equal(rows, again[1])
+    assert targets.tobytes() == again[2].tobytes() == teacher_targets(teacher, seqs).tobytes()
 
 
 def pseudo_labels_every_row(teacher, lines, *, n_sequences, prompt_len,
@@ -265,7 +267,7 @@ def pseudo_labels_every_row(teacher, lines, *, n_sequences, prompt_len,
 
 
 def teacher_logits_every_row(teacher, seqs, prompt_len):
-    """``_teacher_logits`` before it scored distinct sequences once: every
+    """The teacher scoring before it scored distinct sequences once: every
     row of an (n, T) batch is run forward, EVAL_BATCH rows at a time."""
     n, T = seqs.shape
     out = np.empty((n, T - prompt_len, teacher.cfg.vocab), teacher.embedding.data.dtype)
@@ -285,7 +287,7 @@ def test_pseudo_labels_equal_every_row_oracle(seed):
     lines = synthetic_corpus(400, seed)
     teacher = LanguageModel(toy_config(), np.random.default_rng(seed))
     kw = dict(n_sequences=192, prompt_len=8, total_len=64, seed=seed)
-    seqs, rows = generate_pseudo_labels(teacher, lines, **kw)
+    seqs, rows, _ = generate_pseudo_labels(teacher, lines, **kw)
     want = pseudo_labels_every_row(teacher, lines, **kw)
     assert seqs.shape[0] == np.unique(want[:, :8], axis=0).shape[0] < 192
     got = seqs[rows]
@@ -297,7 +299,7 @@ def test_small_pseudo_labels_equal_every_row_oracle(rng, n):
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
     kw = dict(n_sequences=n, prompt_len=4, total_len=16, seed=3)
-    seqs, rows = generate_pseudo_labels(teacher, lines, **kw)
+    seqs, rows, _ = generate_pseudo_labels(teacher, lines, **kw)
     assert rows.shape == (n,)
     assert seqs[rows].tobytes() == pseudo_labels_every_row(teacher, lines, **kw).tobytes()
 
@@ -323,7 +325,7 @@ def test_teacher_logits_with_repeats_equal_every_row_oracle(precision, rng):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = np.concatenate([_with_repeats(rng, 13, 3, 20), rng.integers(0, 259, (4, 20))])
         distinct, rows = np.unique(seqs, axis=0, return_inverse=True)
-        targets = _teacher_logits(teacher, (distinct, rows), 6)
+        targets = teacher_targets(teacher, distinct)
         got = continuation_logits(teacher, targets[rows], 6)
         want = teacher_logits_every_row(teacher, seqs, 6)
     assert targets.shape == (17, 20, 16) and want.shape == (43, 14, 259)
@@ -340,7 +342,7 @@ def test_gathered_targets_equal_every_row_oracle(precision, count, rng):
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(2 * EVAL_BATCH + 3, 20))
-        targets = _teacher_logits(teacher, (seqs, np.arange(seqs.shape[0])), 6)
+        targets = teacher_targets(teacher, seqs)
         want = teacher_logits_every_row(teacher, seqs, 6)
         for _ in range(3):
             pick = rng.integers(0, seqs.shape[0], size=count)
@@ -355,7 +357,7 @@ def test_targets_are_held_at_model_width(rng):
     on the tiny config 16, not 259."""
     teacher = LanguageModel(tiny_cfg(), rng)
     seqs = rng.integers(0, 259, size=(9, 20))
-    targets = _teacher_logits(teacher, (seqs, np.arange(9)), 6)
+    targets = teacher_targets(teacher, seqs)
     cfg = teacher.cfg
     assert cfg.vocab > 10 * cfg.d_model
     assert targets.shape == (9, 20, cfg.d_model)
@@ -363,34 +365,33 @@ def test_targets_are_held_at_model_width(rng):
 
 
 def test_teacher_work_runs_once_per_distinct_row(rng, monkeypatch):
-    """The decode and the scoring trunk passes see each distinct prompt or
-    sequence once."""
+    """The decode's recurrent steps and the scoring trunk passes see each
+    distinct prompt or sequence once: total_len - 1 steps a row."""
     teacher = LanguageModel(tiny_cfg(), rng)
     lines = synthetic_corpus(30, seed=0)
     seen = {"decode": 0, "score": 0}
-    decode, score = LanguageModel.generate_greedy, LanguageModel.trunk
+    decode, score = LanguageModel.step, LanguageModel.trunk
 
-    def counted_decode(self, prompts, *args, **kwargs):
-        seen["decode"] += len(prompts)
-        return decode(self, prompts, *args, **kwargs)
+    def counted_decode(self, token, *args, **kwargs):
+        seen["decode"] += len(token)
+        return decode(self, token, *args, **kwargs)
 
     def counted_score(self, tokens, *args, **kwargs):
         seen["score"] += len(tokens)
         return score(self, tokens, *args, **kwargs)
 
-    monkeypatch.setattr(LanguageModel, "generate_greedy", counted_decode)
+    monkeypatch.setattr(LanguageModel, "step", counted_decode)
     monkeypatch.setattr(LanguageModel, "trunk", counted_score)
-    labels = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
-                                    total_len=12, seed=5)
-    seqs, rows = labels
+    seqs, rows, _ = generate_pseudo_labels(teacher, lines, n_sequences=40, prompt_len=4,
+                                           total_len=12, seed=5)
     distinct = np.unique(seqs[rows][:, :4], axis=0).shape[0]
-    assert distinct < 40 and seen["decode"] == distinct == seqs.shape[0]
-    _teacher_logits(teacher, labels, 4)
+    assert distinct < 40 and seqs.shape[0] == distinct
+    assert seen["decode"] == distinct * (12 - 1)
     assert seen["score"] == np.unique(seqs[rows], axis=0).shape[0] == distinct
 
 
 def teacher_logits_concatenated(teacher, seqs, prompt_len, batch=32):
-    """``_teacher_logits`` as first written: per-batch slices, then one
+    """The teacher scoring as first written: per-batch slices, then one
     concatenate."""
     outs = []
     for i in range(0, seqs.shape[0], batch):
@@ -405,7 +406,7 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(11, 20))  # a ragged last batch of 3
-        targets = _teacher_logits(teacher, (seqs, np.arange(11)), 6)
+        targets = teacher_targets(teacher, seqs)
         got = continuation_logits(teacher, targets, 6)
         want = teacher_logits_concatenated(teacher, seqs, 6, batch=4)
     assert got.shape == want.shape == (11, 14, 259)
@@ -423,7 +424,7 @@ def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypat
         got = {}
         for rows in (1, 5, EVAL_BATCH, seqs.shape[0]):
             monkeypatch.setattr(training, "EVAL_BATCH", rows)
-            logits = _teacher_logits(teacher, (seqs, np.arange(seqs.shape[0])), 6)
+            logits = teacher_targets(teacher, seqs)
             got[rows] = logits.tobytes()
     assert logits.dtype == np.dtype(precision)
     assert len(set(got.values())) == 1
@@ -449,8 +450,7 @@ def test_teacher_scoring_holds_one_eval_batch_forward(rng):
     _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
     excess = {}
     for n in (EVAL_BATCH, 4 * EVAL_BATCH):
-        labels = (seqs[:n], np.arange(n))
-        out, peak = _traced_peak(lambda: _teacher_logits(teacher, labels, 8))
+        out, peak = _traced_peak(lambda: teacher_targets(teacher, seqs[:n]))
         excess[n] = peak - out.nbytes
         del out
     slack = 16 << 10  # small Python objects; one batch's logits is over 1 MB
@@ -465,9 +465,9 @@ def test_teacher_scoring_with_repeats_holds_one_eval_batch_forward(rng):
     output plus one EVAL_BATCH-row forward."""
     teacher = LanguageModel(toy_config(), rng)
     seqs = _with_repeats(rng, 2 * EVAL_BATCH, 6, 64)
-    labels = np.unique(seqs, axis=0, return_inverse=True)
+    distinct = np.unique(seqs, axis=0)
     _, forward = _traced_peak(lambda: teacher.forward_batch(seqs[:EVAL_BATCH]))
-    out, peak = _traced_peak(lambda: _teacher_logits(teacher, labels, 8))
+    out, peak = _traced_peak(lambda: teacher_targets(teacher, distinct))
     assert out.shape[0] == 2 * EVAL_BATCH
     assert peak - out.nbytes <= forward + (16 << 10)
 
@@ -524,8 +524,8 @@ def test_distill_step_equals_every_row_targets(rng, monkeypatch):
     generate = training.generate_pseudo_labels
 
     def every_row(*args, **kwargs):
-        seqs, rows = generate(*args, **kwargs)
-        return seqs[rows], np.arange(rows.size)
+        seqs, rows, _ = generate(*args, **kwargs)
+        return seqs[rows], np.arange(rows.size), teacher_targets(teacher, seqs[rows])
 
     monkeypatch.setattr(training, "generate_pseudo_labels", every_row)
     assert run() == distinct
@@ -539,10 +539,12 @@ def test_distill_step_equals_every_row_targets(rng, monkeypatch):
     (dict(total_len=3), "total_len must exceed prompt_len 4, got 3"),
 ])
 def test_pseudo_labels_refuse_impossible_sizes(rng, monkeypatch, kw, value):
-    """Each impossible size is refused by name before the teacher decodes."""
+    """Each impossible size is refused by name before the teacher decodes
+    or scores."""
     teacher = LanguageModel(tiny_cfg(), rng)
-    monkeypatch.setattr(LanguageModel, "generate_greedy",
-                        lambda *a, **k: pytest.fail("the teacher decoded"))
+    for name in ("step", "trunk"):
+        monkeypatch.setattr(LanguageModel, name,
+                            lambda *a, **k: pytest.fail("the teacher ran"))
     sizes = dict(n_sequences=6, prompt_len=4, total_len=12) | kw
     with pytest.raises(ContractError, match=value):
         generate_pseudo_labels(teacher, synthetic_corpus(30, seed=0), seed=5, **sizes)
@@ -557,7 +559,7 @@ def test_distill_refuses_impossible_sizes(rng, monkeypatch, kw, value):
     """Each impossible size is refused by name before any teacher work."""
     teacher = LanguageModel(tiny_cfg(), rng)
     student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4))
-    for name in ("generate_greedy", "trunk"):
+    for name in ("step", "trunk"):
         monkeypatch.setattr(LanguageModel, name,
                             lambda *a, **k: pytest.fail("the teacher ran"))
     sizes = dict(steps=2, batch=4, total_len=16, n_sequences=8) | kw
