@@ -629,6 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # sizes too large for this host, as a bad input
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ContractError, DimensionError, NumericError) as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +33,6 @@ from .mamba2 import (
     SPIKING,
     Hook,
     LanguageModel,
-    _in_two_processes,
-    _splits,
     hidden_align_loss,
     sgc_forward,
 )
@@ -219,31 +221,27 @@ def generate_pseudo_labels(teacher: LanguageModel, lines: list[str], *,
 def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
                  max_new: int) -> tuple[np.ndarray, np.ndarray]:
     """``(sequences, targets)``: the (m, T) greedy continuations of m
-    prompts by the ``matmul`` kernel, and their :func:`teacher_targets`.
-
-    Where ``mamba2._splits`` holds for m rows, a forked child decodes and
-    scores rows ``m // 2`` on while this process does the first half
-    (``mamba2._in_two_processes``). Both write their targets into one
-    shared mapping, so only the child's tokens travel back. The bytes
-    are one process's: each half decodes at least ``SPLIT_ROWS`` rows,
-    and a trunk row is the same bytes in any row batch. An error in
-    either half is raised with its type and message."""
+    prompts by the ``matmul`` kernel, and their :func:`teacher_targets`,
+    both in anonymous shared mappings. ``label(lo, hi)`` writes rows
+    ``[lo, hi)`` of each; where :func:`_splits` holds, a forked child
+    labels rows ``m // 2`` on (:func:`_in_two_processes`). The bytes are
+    one process's: each half decodes at least ``SPLIT_ROWS`` rows, and a
+    trunk row is the same bytes in any row batch. An error in either half
+    is raised with its type and message."""
     m, T0 = prompts.shape
     dtype = teacher.embedding.data.dtype
-    if not _splits(m, dtype):
-        seqs = teacher.generate_greedy(prompts, max_new, kernel="matmul")
-        return seqs, teacher_targets(teacher, seqs)
-    shape = (m, T0 + max_new, teacher.cfg.d_model)
-    out = np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+    seqs = _shared((m, T0 + max_new), np.int64)
+    out = _shared((m, T0 + max_new, teacher.cfg.d_model), dtype)
 
-    def label(lo: int, hi: int) -> np.ndarray:
-        seqs = teacher.generate_greedy(prompts[lo:hi], max_new, kernel="matmul")
-        teacher_targets(teacher, seqs, out[lo:hi])
-        return seqs
+    def label(lo: int, hi: int) -> None:
+        seqs[lo:hi] = teacher.generate_greedy(prompts[lo:hi], max_new, kernel="matmul")
+        teacher_targets(teacher, seqs[lo:hi], out[lo:hi])
 
-    half = m // 2
-    return np.concatenate(_in_two_processes(lambda: label(0, half),
-                                            lambda: label(half, m))), out
+    if _splits(m, dtype):
+        _in_two_processes(lambda: label(0, m // 2), lambda: label(m // 2, m))
+    else:
+        label(0, m)
+    return seqs, out
 
 
 def teacher_targets(teacher: LanguageModel, sequences: np.ndarray,
@@ -265,6 +263,107 @@ def teacher_targets(teacher: LanguageModel, sequences: np.ndarray,
     for i in range(0, m, EVAL_BATCH):
         out[i:i + EVAL_BATCH] = teacher.trunk(sequences[i:i + EVAL_BATCH])[0].data
     return out
+
+
+# Rows each process takes when the distillation set-up's teacher pass
+# splits (teacher_pass). A fork and its copy-on-write faults cost
+# a fixed 20-30 ms: at one BLAS thread a split greedy decode read 1.16x one
+# process at 16 rows, 1.09x at 32, 0.77x at 48 and 0.65-0.70x from 64; the
+# trunk passes after it only add work to each half. Below 54 rows the
+# in-projection's (M, 64) @ (64, 290) product takes OpenBLAS's small-matrix
+# sgemm path, whose rows differ in the last bits from a large batch's; at
+# float32, every split of 108..259 rows gave the one-process logits and
+# states, at 1 and 2 BLAS threads. The trunk's rows are the same bytes at
+# any row batch. Float64 never splits: its dgemm rows changed at 100, 108,
+# 112 and 136 rows.
+SPLIT_ROWS = 56
+
+# OpenBLAS reads its thread count from the first of these that is set,
+# once, when numpy loads it; unset, it takes every CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _shared(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, shared with forked children."""
+    n, itemsize = math.prod(shape), np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, max(n * itemsize, 1)), dtype, n).reshape(shape)
+
+
+def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> None:
+    """Run ``here()``, and ``there()`` in a forked child; both leave
+    their results in shared memory. The child pickles only its exception
+    into a pipe and leaves through ``os._exit``: it never unwinds into the
+    caller's stack or flushes the buffers it inherited. A child that ends
+    otherwise than by returning or reporting (killed, or a non-zero exit)
+    raises ``RuntimeError``: its rows would be zeros. If ``here`` raises
+    or is interrupted, the child is killed; either way it is reaped before
+    this returns or raises. If the fork fails (``EAGAIN`` at the process
+    limit, say), both run here, ``here`` first: the same results at one
+    process's speed."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        here()
+        there()
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                there()
+                status = 0
+            except Exception as exc:  # pickled before a byte is written
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            here()
+            report = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if report:
+        raise pickle.loads(report)
+    if status:
+        raise RuntimeError(f"child process {pid} exited without a result")
+
+
+def _splits(rows: int, dtype: np.dtype) -> bool:
+    """Whether the distillation set-up's teacher pass
+    (:func:`teacher_pass`) over ``rows`` distinct prompts of a
+    ``dtype`` teacher runs in two processes.
+
+    Each process needs CPUs for all its BLAS threads: where BLAS already
+    takes every CPU, a split read 2.2-2.8x one process. ``fork`` copies
+    only the calling thread, so a process running other Python threads
+    never forks."""
+    return (default_dtype() == np.float32 and dtype == np.float32
+            and rows >= 2 * SPLIT_ROWS and hasattr(os, "fork")
+            and threading.active_count() == 1
+            and _usable_cpus() >= 2 * _blas_threads())
 
 
 def _teacher_logits(teacher: LanguageModel,

@@ -1,5 +1,5 @@
-"""Golden bytes: what the CLI writes at seed 3 and one BLAS thread,
-pinned by digest in ``tests/golden.json``.
+"""Golden bytes: what the CLI writes at seed 3, pinned by digest in
+``tests/golden.json``, the same at one and at two BLAS threads.
 
 The chain trains a teacher, distills three students from it (TI-LIF with
 compensation, ``--neuron lif``, ``--neuron ilif --sgc false``), aligns the
@@ -11,14 +11,18 @@ with the committed digests, after the temporary directory is replaced by
 ``<TMP>``. A mismatch names the command and the file and locates the
 first difference: the row and column of a CSV, the tensor and element
 block of a ``.spkm`` (the file holds digests, not weights), the line of
-anything else.
+anything else. The chain runs once at each BLAS thread count. The
+teacher pass splits only where the CPUs cover two processes' BLAS
+threads, so on a two-CPU host ``distill`` pins its two-process pass at
+one thread and its one-process pass at two, against the same digests.
 
 A change that alters an output on purpose regenerates the file:
 
     python tests/test_golden.py --write
 
-which prints every file whose digest moved, located, before it writes:
-that list is the change's declared test-data edit.
+which runs the chain at one BLAS thread and prints every file whose
+digest moved, located, before it writes: that list is the change's
+declared test-data edit.
 
 The digests pin one numpy and BLAS build; another may round float32
 differently, so the file records the versions it was made under and a
@@ -114,12 +118,12 @@ def describe(path: Path, data: bytes) -> dict:
     return entry
 
 
-def run_command(tmp: Path, name: str, argv: tuple[str, ...]) -> dict:
-    """Run one CLI command at seed 3 into ``tmp/name``; its exit code and
-    the description of stdout, stderr and every file it wrote, with
-    ``tmp`` replaced by the token."""
+def run_command(tmp: Path, name: str, argv: tuple[str, ...], threads: str) -> dict:
+    """Run one CLI command at seed 3 and ``threads`` BLAS threads into
+    ``tmp/name``; its exit code and the description of stdout, stderr and
+    every file it wrote, with ``tmp`` replaced by the token."""
     out = tmp / name
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     cmd = [sys.executable, "-m", "spikessm.cli", *(a.format(tmp=tmp) for a in argv),
            "--seed", "3", "--out", str(out)]
@@ -134,13 +138,13 @@ def run_command(tmp: Path, name: str, argv: tuple[str, ...]) -> dict:
                       for f, data in files.items()}}
 
 
-def run_chain() -> dict:
-    """Every command of :data:`CHAIN` in one temporary directory, two at
-    a time within a stage."""
+def run_chain(threads: str = "1") -> dict:
+    """Every command of :data:`CHAIN` at ``threads`` BLAS threads in one
+    temporary directory, two at a time within a stage."""
     got = {}
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
         for stage in CHAIN:
-            runs = {name: pool.submit(run_command, Path(tmp), name, argv)
+            runs = {name: pool.submit(run_command, Path(tmp), name, argv, threads)
                     for name, argv in stage.items()}
             got.update((name, run.result()) for name, run in runs.items())
     return got
@@ -210,13 +214,22 @@ def mismatches(want: dict, got: dict) -> list[str]:
     return sorted(out)
 
 
-def test_cli_outputs_match_golden_bytes():
+def check_chain(threads: str) -> None:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    diffs = mismatches(golden["commands"], run_chain())
+    diffs = mismatches(golden["commands"], run_chain(threads))
     assert not diffs, (
-        f"golden bytes differ (made under {golden['build']}, running under {build()}); "
+        f"golden bytes differ at {threads} BLAS threads (made under {golden['build']}, "
+        f"running under {build()}); "
         f"regenerate with `python tests/test_golden.py --write` only for a change "
         f"meant to alter these outputs:\n" + "\n".join(diffs))
+
+
+def test_cli_outputs_match_golden_bytes():
+    check_chain("1")
+
+
+def test_cli_outputs_match_golden_bytes_at_two_blas_threads():
+    check_chain("2")
 
 
 def test_a_mismatch_names_the_command_and_file_and_locates_it(tmp_path):
