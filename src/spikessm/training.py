@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -305,50 +304,36 @@ def _shared(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 
 def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> None:
     """Run ``here()``, and ``there()`` in a forked child; both leave
-    their results in shared memory. The child pickles only its exception
-    into a pipe and leaves through ``os._exit``: it never unwinds into the
-    caller's stack or flushes the buffers it inherited. A child that ends
-    otherwise than by returning or reporting (killed, or a non-zero exit)
-    raises ``RuntimeError``: its rows would be zeros. If ``here`` raises
-    or is interrupted, the child is killed; either way it is reaped before
-    this returns or raises. If the fork fails (``EAGAIN`` at the process
-    limit, say), both run here, ``here`` first: the same results at one
-    process's speed."""
-    read_fd, write_fd = os.pipe()
+    their results in shared memory. The child leaves through ``os._exit``:
+    it never unwinds into the caller's stack or flushes the buffers it
+    inherited. Both halves are deterministic, so a child that does not
+    exit 0 (it raised, was killed, or never forked) is not asked why:
+    ``there()`` runs again here, after ``here()``, and gives the same
+    results or raises its own error. If ``here`` raises or is
+    interrupted, before or while the child is awaited, the child is killed
+    and reaped before the error propagates."""
+    fork = getattr(os, "fork", None)
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        here()
-        there()
-        return
+        pid = fork() if fork else None
+    except OSError:  # EAGAIN at the process limit, say
+        pid = None
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            try:
-                there()
-                status = 0
-            except Exception as exc:  # pickled before a byte is written
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+            there()
+            status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
     try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            here()
-            report = pipe.read()
+        here()
+        status = os.waitpid(pid, 0)[1] if pid else 1
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if report:
-        raise pickle.loads(report)
     if status:
-        raise RuntimeError(f"child process {pid} exited without a result")
+        there()
 
 
 def _splits(rows: int, dtype: np.dtype) -> bool:
@@ -361,8 +346,7 @@ def _splits(rows: int, dtype: np.dtype) -> bool:
     only the calling thread, so a process running other Python threads
     never forks."""
     return (default_dtype() == np.float32 and dtype == np.float32
-            and rows >= 2 * SPLIT_ROWS and hasattr(os, "fork")
-            and threading.active_count() == 1
+            and rows >= 2 * SPLIT_ROWS and threading.active_count() == 1
             and _usable_cpus() >= 2 * _blas_threads())
 
 

@@ -566,22 +566,6 @@ def test_distill_saves_the_teacher_tensor_names(teacher_dir, tmp_path, capsys):
         "2 unexpected ['layers.0.w_sgc_in', 'layers.0.w_sgc_out']" in err[0], err
 
 
-def test_rerun_byte_identical_outputs(tmp_path):
-    """Same seed, same command: byte-identical CSV outputs."""
-    def run(tag):
-        out = tmp_path / tag
-        cmd = [sys.executable, "-m", "spikessm.cli", "train-teacher",
-               "--steps", "8", "--batch", "4", "--seq-len", "16",
-               "--corpus-lines", "40", "--seed", "5", "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return ((out / "metrics.csv").read_bytes(),
-                (out / "teacher.spkm").read_bytes(),
-                (out / "corpus.txt").read_bytes())
-
-    assert run("a") == run("b")
-
-
 def test_rl_cli_smoke(teacher_dir, tmp_path):
     rc = main(["rl", "--method", "kto", "--ckpt",
                str(teacher_dir / "teacher.spkm"), "--steps", "3",

@@ -49,6 +49,7 @@ if __name__ == "__main__":  # the --write run imports the package from this chec
 from spikessm.checkpoint import load_raw, save
 from spikessm.energy import REFERENCE_ROWS
 from spikessm.mamba2 import LanguageModel, toy_config
+from spikessm.training import _usable_cpus
 
 GOLDEN = TESTS / "golden.json"
 TOKEN = b"<TMP>"
@@ -140,9 +141,12 @@ def run_command(tmp: Path, name: str, argv: tuple[str, ...], threads: str) -> di
 
 def run_chain(threads: str = "1") -> dict:
     """Every command of :data:`CHAIN` at ``threads`` BLAS threads in one
-    temporary directory, two at a time within a stage."""
+    temporary directory, ``max(1, usable CPUs // threads)`` at a time
+    within a stage, so the commands' BLAS threads do not outnumber the
+    CPUs."""
     got = {}
-    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
+    workers = max(1, _usable_cpus() // int(threads))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
         for stage in CHAIN:
             runs = {name: pool.submit(run_command, Path(tmp), name, argv, threads)
                     for name, argv in stage.items()}

@@ -1,7 +1,9 @@
 import errno
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import types
 import weakref
@@ -1411,6 +1413,33 @@ def test_split_decode_equals_one_process_bytes(rows, forks):
     assert _same_bytes(got, _one_process_pass(teacher, prompts))
 
 
+@pytest.mark.parametrize("env, threads", [
+    ({"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "5"}, 3),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "5"}, 2),
+    ({"OMP_NUM_THREADS": "5"}, 5),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "5"}, 5),
+    ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "5"}, 5),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2,1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": " 2 ", "OMP_NUM_THREADS": "5"}, 2),
+    ({}, 4),
+], ids=["openblas first", "goto before omp", "omp", "empty skipped", "zero skipped",
+        "word skipped", "negative skipped", "list skipped", "spaces read", "unset"])
+def test_blas_threads_is_the_first_positive_count_set(env, threads, monkeypatch):
+    """The count the split rule reads: the first of OPENBLAS, GOTO and OMP
+    holding a positive integer, else the usable CPUs (four here). ``2,1``,
+    which OpenBLAS reads as 2, is skipped: the rule then takes BLAS to use
+    every CPU, and the pass does not split."""
+    for var in training.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert training._blas_threads() == threads
+
+
 def test_float64_decode_takes_one_process(monkeypatch, forks):
     def fork():
         pytest.fail("the teacher pass forked")
@@ -1423,15 +1452,22 @@ def test_float64_decode_takes_one_process(monkeypatch, forks):
     assert got[1].dtype == np.float64 and _same_bytes(got, want)
 
 
-@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork",
+@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
                                    "another thread"])
 def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, forks):
+    """The pass where it does not split, where ``os.fork`` is missing, and
+    where it raises ``EAGAIN`` (both halves run here): the one-process
+    bytes, and no fork after the first pass's."""
     teacher, prompts = _toy_teacher_prompts(136)
     want = _one_process_pass(teacher, prompts)
     assert _same_bytes(teacher_pass(teacher, prompts, NEW), want)
     assert len(forks) == 1
     stop = threading.Event()
     worker = threading.Thread(target=stop.wait)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
     if block == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -1439,6 +1475,8 @@ def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, fork
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     elif block == "no fork":
         monkeypatch.delattr(os, "fork")
+    elif block == "fork fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
     else:
         worker.start()
     try:
@@ -1449,28 +1487,6 @@ def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, fork
             worker.join(timeout=10)
     assert not worker.is_alive()
     assert len(forks) == 1 and _same_bytes(got, want)
-
-
-def _open_fds():
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("no per-process descriptor table to list")
-    return sorted(os.listdir("/proc/self/fd"))
-
-
-def test_a_failed_fork_runs_both_halves_here(monkeypatch, forks):
-    """``os.fork`` raising ``EAGAIN``: the pass runs both halves in this
-    process, gives the one-process bytes and closes both pipe ends."""
-    teacher, prompts = _toy_teacher_prompts(136)
-    want = _one_process_pass(teacher, prompts)
-
-    def fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", fork)
-    fds = _open_fds()
-    got = teacher_pass(teacher, prompts, NEW)
-    assert _open_fds() == fds
-    assert _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("half", ["child", "parent", "both"])
@@ -1507,26 +1523,67 @@ def test_a_failing_half_raises_as_one_process_and_leaves_no_child(
     assert (tmp_path / "stdout.txt").read_text() == "written before the pass\n"
 
 
-def test_a_child_that_exits_without_a_report_raises_and_leaves_no_child(monkeypatch, forks):
-    """The child's half leaving through ``os._exit(3)``, with nothing in
-    its pipe: a RuntimeError, not rows of zeros, and the child reaped."""
-    rows = 136
-    teacher, prompts = _toy_teacher_prompts(rows)
-    mark = min(set(range(teacher.cfg.vocab)) - set(_one_process_pass(teacher, prompts)[0].flat))
-    prompts[rows - 1, 3] = mark
-    step, parent = LanguageModel.step, os.getpid()
+@pytest.mark.parametrize("end", ["exit 3", "sigkill"])
+def test_a_child_that_does_not_finish_runs_its_half_again_here(end, monkeypatch, forks):
+    """The child ending at its first step, through ``os._exit(3)`` or
+    ``SIGKILL``: this process labels the child's half again, the pass
+    gives the one-process bytes, and the child is reaped."""
+    teacher, prompts = _toy_teacher_prompts(136)
+    want = _one_process_pass(teacher, prompts)
+    step, wait, parent, statuses = LanguageModel.step, os.waitpid, os.getpid(), []
 
-    def exiting_step(self, token, state, **kw):
-        if np.any(token == mark):
-            if os.getpid() == parent:
-                pytest.fail("the marked row ran in this process")
-            os._exit(3)
+    def ending_step(self, token, state, **kw):
+        if os.getpid() != parent:
+            if end == "exit 3":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
         return step(self, token, state, **kw)
 
-    monkeypatch.setattr(LanguageModel, "step", exiting_step)
-    with pytest.raises(RuntimeError, match="exited without a result"):
-        teacher_pass(teacher, prompts, NEW)
-    assert len(forks) == 1
+    def waitpid(pid, options):
+        statuses.append(wait(pid, options)[1])
+        return pid, statuses[-1]
+
+    monkeypatch.setattr(LanguageModel, "step", ending_step)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    got = teacher_pass(teacher, prompts, NEW)
+    assert len(forks) == 1 and _same_bytes(got, want)
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == \
+        [3 if end == "exit 3" else -signal.SIGKILL]
+    with pytest.raises(ChildProcessError):
+        wait(-1, os.WNOHANG)
+
+
+def test_an_interrupt_while_the_child_is_awaited_kills_and_reaps_it(monkeypatch, forks):
+    """A signal handler raising while this process waits for the child,
+    which sleeps once at its first step: the error propagates at once,
+    and the child is killed and reaped."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no interval timer to raise in a signal handler")
+    teacher, prompts = _toy_teacher_prompts(136)
+    step, parent, slept, interrupted_in = LanguageModel.step, os.getpid(), [], []
+
+    def sleeping_step(self, token, state, **kw):
+        if os.getpid() != parent and not slept:
+            slept.append(True)
+            time.sleep(20)
+        return step(self, token, state, **kw)
+
+    def interrupt(signum, frame):
+        interrupted_in.append(frame.f_code.co_name)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(LanguageModel, "step", sleeping_step)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        with pytest.raises(KeyboardInterrupt):
+            teacher_pass(teacher, prompts, NEW)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15
+    assert interrupted_in == ["_in_two_processes"] and len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
