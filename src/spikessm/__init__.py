@@ -17,7 +17,6 @@ from .tensor import (
     default_dtype,
     dtype_scope,
     parameter,
-    set_default_dtype,
 )
 from .neurons import (
     ILIF,
@@ -83,7 +82,6 @@ __all__ = [
     "hidden_align_loss",
     "neuron_forward",
     "parameter",
-    "set_default_dtype",
     "sgc_forward",
     "spike_linear_event",
     "spike_linear_int",

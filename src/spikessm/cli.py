@@ -484,7 +484,7 @@ def cmd_energy_report(resolved) -> int:
     table = energy.to_table([report])
     print(table, end="")
     write_output(resolved["out"], "energy.csv",
-                 csv_text(energy.CSV_FIELDS, [energy.report_cells(report, "")]))
+                 csv_text(energy.CSV_FIELDS, [energy.report_cells(report)]))
     write_output(resolved["out"], "energy.txt", table)
     return EXIT_OK
 

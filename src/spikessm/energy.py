@@ -14,7 +14,7 @@ row's category where it counts the row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .tensor import CONV_WIDTH, ContractError
 
@@ -46,6 +46,9 @@ class Geometry:
     n_layers: int
 
     def __post_init__(self):
+        for f in fields(Geometry):
+            if getattr(self, f.name) < 1:
+                raise ContractError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.n_heads * self.d_head != 2 * self.d_model:
             raise ContractError(
                 f"n_heads*d_head must equal 2*d_model "
@@ -178,7 +181,7 @@ class EnergyReport:
     ssm_uj: float
     others_uj: float
     neuron_uj: float
-    ratio: float | None = None  # ANN total / this total, when a baseline exists
+    ratio: float  # ANN total / this total; every geometry prices a positive total
 
     @property
     def total_uj(self) -> float:
@@ -206,12 +209,12 @@ def compute_report(geom: Geometry, variant: str, fr_in: float | None = None,
             ssm_uj=buckets[SSM] / PJ_PER_UJ,
             others_uj=buckets[OTHERS] / PJ_PER_UJ,
             neuron_uj=buckets[NEURON] / PJ_PER_UJ,
+            ratio=1.0,  # this total against itself; the report's is set below
         )
 
     report = priced(count_ops(geom, variant, **spikes))
     base = priced(count_ops(geom, ANN))  # for ANN the same total: a ratio of exactly 1
-    ratio = base.total_uj / report.total_uj if report.total_uj > 0 else None
-    return replace(report, ratio=ratio)
+    return replace(report, ratio=base.total_uj / report.total_uj)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +290,16 @@ CSV_FIELDS = ("config", "variant", "k", "fr_in", "fr_out", "in_proj_uj", "out_pr
               "ssm_uj", "others_uj", "neuron_uj", "total_uj", "ratio")
 
 
-def report_cells(r: EnergyReport, no_ratio: str) -> list[str]:
-    """The 12 cells of one report row; ``no_ratio`` stands in for a missing ratio."""
+def report_cells(r: EnergyReport) -> list[str]:
+    """The 12 cells of one report row."""
     values = (r.fr_in, r.fr_out, r.in_proj_uj, r.out_proj_uj, r.ssm_uj,
-              r.others_uj, r.neuron_uj, r.total_uj)
-    ratio = no_ratio if r.ratio is None else f"{r.ratio:.4f}"
-    return [r.config, r.variant, str(r.k), *(f"{v:.4f}" for v in values), ratio]
+              r.others_uj, r.neuron_uj, r.total_uj, r.ratio)
+    return [r.config, r.variant, str(r.k), *(f"{v:.4f}" for v in values)]
 
 
 def to_table(reports: list[EnergyReport]) -> str:
     cols = [name.removesuffix("_uj") for name in CSV_FIELDS]
-    rows = [cols] + [report_cells(r, "-") for r in reports]
+    rows = [cols] + [report_cells(r) for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(cols))]
     return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"
                    for row in rows)

@@ -139,26 +139,24 @@ def kto_loss(policy_logprobs: Tensor | list[Tensor], ref_logprobs,
 
 
 def sequence_logprob(logits: Tensor, tokens: np.ndarray, start: int | np.ndarray,
-                     length: int | np.ndarray | None = None) -> Tensor:
-    """Per-row sum of log p(tokens[t] | tokens[:t]) for start <= t < length.
+                     length: int | np.ndarray) -> Tensor:
+    """(B,) per-row sums of log p(tokens[t] | tokens[:t]) for start <= t < length.
 
-    ``logits`` is (B, T, V) over (B, T) ``tokens`` and gives a (B,) tensor;
-    ``start`` and ``length`` (default T) are one int or one per row.
-    Positions from ``length`` on are padding and contribute nothing. A
-    (T, V) / (T,) pair is a single row and gives a scalar.
+    ``logits`` is (B, T, V) over (B, T) ``tokens``; ``start`` and
+    ``length`` are one int or one per row. Positions from ``length`` on
+    are padding and contribute nothing.
     """
     tokens = np.asarray(tokens)
-    if logits.shape[:-1] != tokens.shape or tokens.ndim not in (1, 2):
-        raise DimensionError("logits/token length mismatch")
-    rows = tokens.reshape(-1, tokens.shape[-1])
-    B, T = rows.shape
+    if tokens.ndim != 2 or logits.shape[:-1] != tokens.shape:
+        raise DimensionError("sequence_logprob needs (B, T, V) logits over (B, T) tokens")
+    B, T = tokens.shape
     start = np.broadcast_to(np.asarray(start), (B,))
-    length = np.broadcast_to(np.asarray(T if length is None else length), (B,))
+    length = np.broadcast_to(np.asarray(length), (B,))
     if not ((1 <= start) & (start <= length) & (length <= T)).all():
         raise ContractError("need 1 <= start <= length <= len(tokens) per row")
     logp = log_softmax(logits)
     pos = np.arange(T)
     r, t = np.nonzero((pos >= start[:, None]) & (pos < length[:, None]))
-    mask = np.zeros((B, T, logits.shape[-1]), dtype=logits.data.dtype)
-    mask[r, t - 1, rows[r, t]] = 1.0  # position t-1 predicts token t
-    return sum_(logp * Tensor(mask.reshape(logits.shape)), axis=(-2, -1))
+    mask = np.zeros(logits.shape, dtype=logits.data.dtype)
+    mask[r, t - 1, tokens[r, t]] = 1.0  # position t-1 predicts token t
+    return sum_(logp * Tensor(mask), axis=(-2, -1))

@@ -655,20 +655,14 @@ class LanguageModel:
         model.pre_norms = [p[f"layers.{i}.pre_norm"] for i in range(cfg.n_layers)]
         return model
 
-    def clone(self, mode: str | None = None, neuron: NeuronConfig | None = None,
-              sgc: bool | None = None) -> "LanguageModel":
-        """Copy of this model in the run precision, optionally switching
-        mode / neuron / the SGC flag (whether :func:`training.distill_run`
-        gives a compensation path); the parameters are the same in all."""
-        cfg = self.cfg
-        new_cfg = replace(
-            cfg,
-            mode=mode if mode is not None else cfg.mode,
-            neuron=neuron if neuron is not None else cfg.neuron,
-            sgc=sgc if sgc is not None else cfg.sgc,
-        )
+    def clone(self, **changes) -> "LanguageModel":
+        """Copy of this model in the run precision under its config with
+        ``changes``, such as ``mode``, ``neuron`` or ``sgc``; a change the
+        parameters cannot serve (a layer count, vocabulary or width) is a
+        ContractError."""
         return LanguageModel.from_tensors(
-            new_cfg, {name: t.data.copy() for name, t in self.named_parameters()})
+            replace(self.cfg, **changes),
+            {name: t.data.copy() for name, t in self.named_parameters()})
 
     # -- batched (teacher-forced) forward ------------------------------------
 

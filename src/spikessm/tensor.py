@@ -41,8 +41,8 @@ thread records nothing. Tensors are treated as immutable once created
 (the optimizer swaps the buffer of leaf parameters between steps), so
 forward-only inference over independent sequences may run in parallel
 threads, also while another thread records a tape. The default
-precision (``set_default_dtype``, ``dtype_scope``) stays process-wide:
-a ``dtype_scope`` in one thread changes the precision of every thread.
+precision, which ``dtype_scope`` switches, stays process-wide: a
+``dtype_scope`` in one thread changes the precision of every thread.
 """
 
 from __future__ import annotations
@@ -117,13 +117,6 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
 
 
-def set_default_dtype(name: str) -> None:
-    if name not in _DTYPES:
-        raise ContractError(f"unknown dtype {name!r}; expected float32 or float64")
-    global _default_dtype
-    _default_dtype = _DTYPES[name]
-
-
 def default_dtype() -> np.dtype:
     return np.dtype(_default_dtype)
 
@@ -131,9 +124,10 @@ def default_dtype() -> np.dtype:
 @contextmanager
 def dtype_scope(name: str):
     """Temporarily switch the default precision (used by gradient-check mode)."""
+    if name not in _DTYPES:
+        raise ContractError(f"unknown dtype {name!r}; expected float32 or float64")
     global _default_dtype
-    prev = _default_dtype
-    set_default_dtype(name)
+    prev, _default_dtype = _default_dtype, _DTYPES[name]
     try:
         yield
     finally:
@@ -279,11 +273,12 @@ class Tensor:
 
     __radd__ = __add__
 
+    # a - b is a + (-b) bit for bit: negation is exact
     def __sub__(self, other):
-        return sub(self, other)
+        return add(self, -_as_tensor(other))
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return add(other, -self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -308,14 +303,18 @@ def needs_grad(x: Tensor) -> bool:
     return x.trainable or x._grad_fn is not None
 
 
-def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
+def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> Tensor:
+    """Output ``data`` of op ``op`` on ``inputs``, recorded on this thread's
+    open tape if there is one: every op is made here (the engine's, the
+    fused losses, the state scan and the neurons). ``grad_fn(g_out)``
+    returns one gradient per input, in order (``None`` for a constant)."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.trainable = False
     out._op = op
     g = active_graph()
     if g is not None:
-        out._inputs = inputs
+        out._inputs = tuple(inputs)
         out._grad_fn = grad_fn
         g.nodes.append(out)
     else:
@@ -345,17 +344,7 @@ def add(a, b) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make(data, "add", (a, b), grad_fn)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(data, "sub", (a, b), grad_fn)
+    return custom_op(data, (a, b), grad_fn, "add")
 
 
 def mul(a, b) -> Tensor:
@@ -366,7 +355,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * b.data, a.shape) if needs_grad(a) else None,
                 _unbroadcast(g * a.data, b.shape) if needs_grad(b) else None)
 
-    return _make(data, "mul", (a, b), grad_fn)
+    return custom_op(data, (a, b), grad_fn, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -385,7 +374,7 @@ def matmul(a, b) -> Tensor:
         db = a2.T @ g2
         return da, db
 
-    return _make(data, "matmul", (a, b), grad_fn)
+    return custom_op(data, (a, b), grad_fn, "matmul")
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -396,7 +385,7 @@ def transpose2d(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (g.T,)
 
-    return _make(data, "transpose", (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, "transpose")
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -407,7 +396,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def grad_fn(g):
         return (g.reshape(orig),)
 
-    return _make(data, "reshape", (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, "reshape")
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -420,7 +409,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     def grad_fn(g):
         return (SliceGrad(idx, g),)
 
-    return _make(data, "narrow", (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, "narrow")
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -438,7 +427,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             off += n
         return tuple(outs)
 
-    return _make(data, "concat", parts, grad_fn)
+    return custom_op(data, parts, grad_fn, "concat")
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:
@@ -449,7 +438,7 @@ def sum_(x: Tensor, axis=None) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _make(data, "sum", (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, "sum")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,7 @@ def activation(kind: str, x) -> Tensor:
     def grad_fn(g):
         return (g * deriv(),)
 
-    return _make(data, kind, (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, kind)
 
 
 def tanh(x) -> Tensor:
@@ -561,15 +550,6 @@ def softplus(x) -> Tensor:
 
 def exp(x) -> Tensor:
     return activation("exp", x)
-
-
-def custom_op(data: np.ndarray, inputs: Sequence[Tensor], grad_fn, op: str) -> Tensor:
-    """Register an op with a hand-written backward (the state scan, the
-    spiking neurons and the fused losses).
-
-    ``grad_fn(g_out)`` must return one gradient per input, in order.
-    """
-    return _make(data, op, tuple(inputs), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +577,7 @@ def log_softmax(x) -> Tensor:
     def grad_fn(g):
         return (g - np.exp(data) * g.sum(axis=-1, keepdims=True),)
 
-    return _make(data, "log_softmax", (x,), grad_fn)
+    return custom_op(data, (x,), grad_fn, "log_softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +609,7 @@ def rmsnorm(x, weight) -> Tensor:
         dw = (g * x.data * inv).reshape(-1, d).sum(axis=0)
         return dx, dw
 
-    return _make(data, "rmsnorm", (x, weight), grad_fn)
+    return custom_op(data, (x, weight), grad_fn, "rmsnorm")
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +672,7 @@ def causal_conv1d(x, kernel, state: np.ndarray | None = None):
             dxp[..., j:j + T, :] += np.multiply(g, tap, out=buf)
         return dxp[..., w - 1:, :], np.ascontiguousarray(dtaps.T)
 
-    return _make(data, "conv1d", (x, kernel), grad_fn), new_state
+    return custom_op(data, (x, kernel), grad_fn, "conv1d"), new_state
 
 
 # ---------------------------------------------------------------------------
@@ -714,4 +694,4 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(dw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
         return (dw,)
 
-    return _make(data, "embedding", (weight,), grad_fn)
+    return custom_op(data, (weight,), grad_fn, "embedding")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,14 @@ def test_input_validation():
         Geometry(d_model=8, n_state=4, n_heads=3, d_head=8, n_layers=1)
 
 
+@pytest.mark.parametrize("field", ["d_model", "n_state", "n_heads", "d_head", "n_layers"])
+def test_zero_size_geometry_refused(field):
+    """Every size is at least 1, so every report prices a positive total
+    and has a ratio."""
+    with pytest.raises(ContractError, match=f"{field} must be >= 1, got 0"):
+        Geometry(**asdict(PRESETS["toy"]) | {field: 0})
+
+
 @pytest.mark.parametrize("config,variant", sorted(REFERENCE_ROWS))
 def test_reference_cells_within_half_percent(config, variant):
     report = reference_report(config, variant)
@@ -170,7 +180,7 @@ def test_neuron_overhead_reported_not_totaled():
 
 def test_csv_and_table_emission():
     reports = [reference_report("130m", ANN), reference_report("130m", TILIF_V)]
-    csv = csv_text(CSV_FIELDS, [report_cells(r, "") for r in reports])
+    csv = csv_text(CSV_FIELDS, [report_cells(r) for r in reports])
     lines = csv.strip().split("\n")
     assert lines[0] == ("config,variant,k,fr_in,fr_out,in_proj_uj,out_proj_uj,"
                         "ssm_uj,others_uj,neuron_uj,total_uj,ratio")

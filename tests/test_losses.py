@@ -370,14 +370,24 @@ def test_cross_entropy_matches_manual(rng, f64):
     assert got == pytest.approx(float(manual), abs=1e-12)
 
 
-def test_sequence_logprob(rng, f64):
-    logits = rng.normal(size=(5, 6))
-    toks = np.array([1, 4, 2, 0, 3])
-    got = sequence_logprob(Tensor(logits), toks, start=2).item()
+def _manual_logprob(logits, toks, start, length):
+    """sum over start <= t < length of log_softmax(logits)[t - 1, toks[t]], one row"""
     z = logits - logits.max(-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-    manual = logp[1, toks[2]] + logp[2, toks[3]] + logp[3, toks[4]]
-    assert got == pytest.approx(float(manual), abs=1e-12)
+    return sum(logp[t - 1, toks[t]] for t in range(start, length))
+
+
+def test_sequence_logprob(rng, f64):
+    logits = rng.normal(size=(2, 5, 6))
+    toks = np.array([[1, 4, 2, 0, 3], [5, 0, 0, 1, 2]])
+    got = sequence_logprob(Tensor(logits), toks, [2, 1], [5, 4])
+    assert got.shape == (2,)
+    z = logits[0] - logits[0].max(-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+    manual = logp[1, toks[0, 2]] + logp[2, toks[0, 3]] + logp[3, toks[0, 4]]
+    assert got.data[0] == pytest.approx(float(manual), abs=1e-12)
+    assert got.data[1] == pytest.approx(float(_manual_logprob(logits[1], toks[1], 1, 4)),
+                                        abs=1e-12)
 
 
 def test_sequence_logprob_padded_rows_equal_single_rows(rng, f64):
@@ -388,18 +398,16 @@ def test_sequence_logprob_padded_rows_equal_single_rows(rng, f64):
     assert got.shape == (3,)
     for r in range(3):
         n = length[r]
-        one = sequence_logprob(Tensor(logits[r, :n]), toks[r, :n], start=start[r])
-        assert one.shape == ()
-        z = logits[r] - logits[r].max(-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-        manual = sum(logp[t - 1, toks[r, t]] for t in range(start[r], n))
+        one = sequence_logprob(Tensor(logits[r:r + 1, :n]), toks[r:r + 1, :n], start[r], n)
+        assert one.shape == (1,)
+        manual = _manual_logprob(logits[r], toks[r], start[r], n)
         assert got.data[r] == pytest.approx(one.item(), abs=1e-12)
         assert got.data[r] == pytest.approx(float(manual), abs=1e-12)
-    # an int start and no length cover every row in full
-    full = sequence_logprob(Tensor(logits), toks, 1)
+    # an int start and length cover every row in full
+    full = sequence_logprob(Tensor(logits), toks, 1, 7)
     for r in range(3):
         assert full.data[r] == pytest.approx(
-            sequence_logprob(Tensor(logits[r]), toks[r], 1).item(), abs=1e-12)
+            sequence_logprob(Tensor(logits[r:r + 1]), toks[r:r + 1], 1, 7).item(), abs=1e-12)
 
 
 def test_sequence_logprob_rejects_bad_rows(rng):
@@ -410,9 +418,19 @@ def test_sequence_logprob_rejects_bad_rows(rng):
     with pytest.raises(ContractError):
         sequence_logprob(logits, toks, 1, [5, 6])       # length past T
     with pytest.raises(ContractError):
-        sequence_logprob(logits, toks, 0)
+        sequence_logprob(logits, toks, 0, 5)
     with pytest.raises(DimensionError):
-        sequence_logprob(logits, toks[:, :4], 1)
+        sequence_logprob(logits, toks[:, :4], 1, 4)
+
+
+def test_sequence_logprob_refuses_a_token_row(rng):
+    """One (T,) row of tokens is not a batch, with (T, V) logits or (1, T, V)."""
+    logits = rng.normal(size=(5, 4))
+    toks = np.zeros(5, dtype=np.int64)
+    with pytest.raises(DimensionError):
+        sequence_logprob(Tensor(logits), toks, 1, 5)
+    with pytest.raises(DimensionError):
+        sequence_logprob(Tensor(logits[None]), toks, 1, 5)
 
 
 def test_adam_zero_grad_fixed_point(f64):

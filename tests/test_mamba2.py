@@ -715,6 +715,19 @@ def test_clone_matches_field_by_field_oracle(precision, source, switch):
         assert not any(np.shares_memory(a.data, s) for s in sources), name
 
 
+def test_clone_refuses_a_change_the_parameters_cannot_serve(rng):
+    model = LanguageModel(small_config(), rng)
+    for change in (dict(n_layers=3), dict(vocab=12)):
+        with pytest.raises(ContractError):
+            model.clone(**change)
+    same = model.clone()
+    assert same.cfg == model.cfg
+    for (name, a), (_, b) in zip(model.named_parameters(), same.named_parameters(),
+                                 strict=True):
+        assert a.data.tobytes() == b.data.tobytes(), name
+        assert a.data is not b.data, name
+
+
 def test_clone_and_load_draw_no_initialisation(tmp_path, rng, monkeypatch):
     model = LanguageModel(small_config(sgc=True), rng)
     path = tmp_path / "model.spkm"

@@ -292,6 +292,49 @@ def test_broadcast_backward(rng, f64):
     assert check_gradients(loss_fn, [a, b], rng, probes=100) < REL_TOL
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_subtraction_is_an_add_of_the_negation_bit_for_bit(dtype):
+    """``a - b`` records the negation (``mul``) and an ``add``; its value is
+    ``a.data - b.data`` and its gradients ``g`` and ``-g``, byte for byte,
+    with signed zeros in the operands and in ``g``, for a broadcast
+    operand and for a constant on either side."""
+    rng = np.random.default_rng(5)
+    signed_zeros = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
+    with dtype_scope(dtype):
+        a = parameter(np.vstack([rng.normal(size=(2, 4)), signed_zeros[0]]))
+        b = parameter(np.vstack([rng.normal(size=(2, 4)), signed_zeros[1]]))
+        row = parameter(rng.normal(size=4))
+        const = Tensor(rng.normal(size=4))
+        g_out = Tensor(np.vstack([rng.normal(size=(2, 4)), signed_zeros[1]])).data
+        cases = [  # (difference, its value, [(parameter, its gradient)])
+            (lambda: a - b, a.data - b.data, [(a, g_out), (b, -g_out)]),
+            (lambda: a - row, a.data - row.data, [(a, g_out), (row, (-g_out).sum(axis=0))]),
+            (lambda: a - const.data, a.data - const.data, [(a, g_out)]),
+            (lambda: 1.5 - a, Tensor(1.5).data - a.data, [(a, -g_out)]),
+        ]
+        for make, value, want in cases:
+            with Graph() as g:
+                out = make()
+                ops = [n._op for n in g.nodes]
+                loss = sum_(out * Tensor(g_out))
+            grads = g.backward(loss, wrt=[p for p, _ in want])
+            assert ops == ["mul", "add"]
+            assert out.data.dtype == value.dtype == np.dtype(dtype)
+            assert out.data.tobytes() == value.tobytes()
+            for p, grad in want:
+                assert grads[id(p)].tobytes() == grad.tobytes()
+    assert not hasattr(tensor, "sub")
+
+
+def test_dtype_scope_refuses_an_unknown_name():
+    with dtype_scope("float64"):
+        with pytest.raises(ContractError, match="float16"):
+            with dtype_scope("float16"):
+                pytest.fail("the scope was entered")
+        assert tensor.default_dtype() == np.float64
+    assert tensor.default_dtype() == np.float32
+
+
 # ---------------------------------------------------------------------------
 # A tape is walked once: backward frees what the closures saved as it goes
 

@@ -1088,7 +1088,7 @@ def rl_run_loop(policy, examples, *, method, steps=120, batch=4, lr=5e-6,
     each step makes one ``kto_loss`` call on B scalars."""
     def response_logprob(model, tokens, start):
         logits, _ = model.forward_batch(tokens[None, :])
-        return sequence_logprob(reshape(logits, logits.shape[1:]), tokens, start)
+        return reshape(sequence_logprob(logits, tokens[None, :], start, tokens.size), ())
 
     reference = policy.clone()
     rng = np.random.default_rng(seed)
@@ -1335,7 +1335,7 @@ def test_padded_forward_logprobs_equal_single_rows(rng, f64):
     got = _response_logprobs(model, tokens, starts, lengths).data
     for r, (ids, start) in enumerate(seqs):
         logits, _ = model.forward_batch(ids[None, :])
-        one = sequence_logprob(Tensor(logits.data[0]), ids, start)
+        one = sequence_logprob(logits, ids[None, :], start, ids.size)
         assert got[r] == pytest.approx(one.item(), abs=1e-12)
 
 
