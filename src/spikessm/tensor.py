@@ -245,6 +245,9 @@ class Tensor:
     run precision; op results carry the closure needed for backward."""
 
     __slots__ = ("data", "trainable", "_inputs", "_grad_fn", "_op")
+    # numpy defers to the reflected operators, so an array on the left of
+    # ``-``, ``+`` or ``*`` records the op rather than mapping it per element
+    __array_ufunc__ = None
 
     def __init__(self, data, trainable: bool = False):
         self.data = np.asarray(data, dtype=default_dtype())

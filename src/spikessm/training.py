@@ -15,8 +15,9 @@ import mmap
 import os
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -296,10 +297,36 @@ def _blas_threads() -> int:
     return _usable_cpus()
 
 
+def _second_process_fits() -> bool:
+    """Whether this process may fork a second one to work beside it.
+
+    Each process needs CPUs for all its BLAS threads: where BLAS already
+    takes every CPU, a split teacher pass read 2.2-2.8x one process.
+    ``fork`` copies only the calling thread, so a process running other
+    Python threads never forks."""
+    return threading.active_count() == 1 and _usable_cpus() >= 2 * _blas_threads()
+
+
 def _shared(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """A zeroed array in an anonymous shared mapping, shared with forked children."""
     n, itemsize = math.prod(shape), np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, max(n * itemsize, 1)), dtype, n).reshape(shape)
+
+
+def _fork() -> int | None:
+    """``os.fork()``: 0 in the child, the child's pid here; None where
+    ``os.fork`` is missing or raises ``OSError`` (EAGAIN at the process
+    limit, say)."""
+    fork = getattr(os, "fork", None)
+    try:
+        return fork() if fork else None
+    except OSError:
+        return None
+
+
+def _kill_and_reap(pid: int) -> None:
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> None:
@@ -312,11 +339,7 @@ def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> No
     results or raises its own error. If ``here`` raises or is
     interrupted, before or while the child is awaited, the child is killed
     and reaped before the error propagates."""
-    fork = getattr(os, "fork", None)
-    try:
-        pid = fork() if fork else None
-    except OSError:  # EAGAIN at the process limit, say
-        pid = None
+    pid = _fork()
     if pid == 0:
         status = 1
         try:
@@ -329,25 +352,64 @@ def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> No
         status = os.waitpid(pid, 0)[1] if pid else 1
     except BaseException:
         if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _kill_and_reap(pid)
         raise
     if status:
         there()
 
 
+@contextmanager
+def _ahead(produce: Callable[[], Iterator[bytes]]) -> Iterator[Callable[[int], bytes | None]]:
+    """Where :func:`_second_process_fits`, run ``produce()`` in a forked
+    child that writes each item it yields into a pipe, ahead of the
+    caller; the block gets ``receive(n)``, the next ``n`` bytes. The
+    pipe's buffer bounds how far ahead the child runs, and the child
+    leaves through ``os._exit``, as in :func:`_in_two_processes`.
+    ``receive`` returns None at EOF or a short read (the child raised,
+    was killed, exited early, or never forked), and at every call after
+    it: the caller then computes that item and every later one itself.
+    However the block ends, the child is killed and reaped."""
+    r, w = os.pipe()
+    pid = _fork() if _second_process_fits() else None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for item in produce():
+                view = memoryview(item)
+                while view:
+                    view = view[os.write(w, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    live = True
+
+    def receive(n: int) -> bytes | None:
+        nonlocal live
+        got = b""
+        while live and len(got) < n:
+            part = os.read(r, n - len(got))
+            live = bool(part)
+            got += part
+        return got if live else None
+
+    try:
+        yield receive
+    finally:
+        os.close(r)
+        if pid:
+            _kill_and_reap(pid)
+
+
 def _splits(rows: int, dtype: np.dtype) -> bool:
     """Whether the distillation set-up's teacher pass
     (:func:`teacher_pass`) over ``rows`` distinct prompts of a
-    ``dtype`` teacher runs in two processes.
-
-    Each process needs CPUs for all its BLAS threads: where BLAS already
-    takes every CPU, a split read 2.2-2.8x one process. ``fork`` copies
-    only the calling thread, so a process running other Python threads
-    never forks."""
+    ``dtype`` teacher runs in two processes: float32 (see
+    :data:`SPLIT_ROWS`), at least ``2 * SPLIT_ROWS`` rows, and where
+    :func:`_second_process_fits`."""
     return (default_dtype() == np.float32 and dtype == np.float32
-            and rows >= 2 * SPLIT_ROWS and threading.active_count() == 1
-            and _usable_cpus() >= 2 * _blas_threads())
+            and rows >= 2 * SPLIT_ROWS and _second_process_fits())
 
 
 def _teacher_logits(teacher: LanguageModel,
@@ -515,24 +577,28 @@ def _response_logprobs(model: LanguageModel, tokens: np.ndarray,
     return sequence_logprob(logits, tokens, starts, lengths)
 
 
-def _kto_z_ref(policy: LanguageModel, reference: LanguageModel,
-               seqs: list[list[tuple[np.ndarray, int]]], idx: np.ndarray,
-               beta_pref: float) -> float:
-    """KTO's z_ref (Ethayarajh et al. 2024): beta * max(0, mean_j log pi(y_{j+1}
-    | x_j) - log pi_ref(y_{j+1} | x_j)), prompt j with row j+1's response (mod
-    B), from one no-tape forward of each model; row j is ``seqs[idx[j]][0]``.
-    A pair of two rows of one example (drawn with replacement) is that
-    example's own reward, so the mean skips it; with no pair left, 0.0."""
+def _kto_pairs(seqs: list[list[tuple[np.ndarray, int]]],
+               idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The padded rows of KTO's z_ref (:func:`_kto_z_ref`): prompt j with
+    row j+1's response (mod B), where row j is ``seqs[idx[j]][0]``. A pair
+    of two rows of one example (drawn with replacement) is that example's
+    own reward, so it is skipped; with no pair left, None."""
     pairs = []
     for i, k in zip(idx, np.roll(idx, -1)):
         if i != k:
             (a, sa), (b, sb) = seqs[i][0], seqs[k][0]
             pairs.append((np.concatenate((a[:sa], b[sb:])), sa))
-    if not pairs:
-        return 0.0
-    tokens, starts, lengths = _padded(pairs)
-    ratio = (_response_logprobs(policy, tokens, starts, lengths).data
-             - _response_logprobs(reference, tokens, starts, lengths).data)
+    return _padded(pairs) if pairs else None
+
+
+def _kto_z_ref(policy: LanguageModel, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+               lp_ref: np.ndarray, beta_pref: float) -> float:
+    """KTO's z_ref (Ethayarajh et al. 2024): beta * max(0, mean_j log pi(y_{j+1}
+    | x_j) - log pi_ref(y_{j+1} | x_j)) over the :func:`_kto_pairs` rows
+    ``pairs``, from one no-tape policy forward here. ``lp_ref`` holds the
+    reference's log-probs of the same rows; :func:`rl_run` computes them
+    ahead, in its child where one runs."""
+    ratio = _response_logprobs(policy, *pairs).data - lp_ref
     return beta_pref * max(0.0, float(np.mean(ratio)))
 
 
@@ -557,6 +623,15 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     (n_examples, n_responses) array; each is computed once, in one no-tape
     forward over the rows of the step that first samples the example.
     KTO's ``z_ref`` is :func:`_kto_z_ref`'s, so KTO needs ``batch >= 2``.
+
+    Where :func:`_second_process_fits`, every reference forward (those
+    rows, and the reference half of each ``z_ref``) runs ahead of the
+    steps, in a child forked before the loop (:func:`_ahead`): it replays
+    the step draws from its own ``default_rng(seed)`` and streams each
+    step's log-probs through a pipe. Otherwise, and from the first step
+    the child did not finish, they run here, before the step's policy
+    forward. They are the same calls on the same padded rows either way,
+    so the run's bytes do not depend on where they ran.
     """
     if not examples:
         raise ContractError("no preference examples")
@@ -573,27 +648,55 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     labels = np.array([e.label for e in examples])
     ref_lp = np.full((len(examples), n_resp), np.nan, dtype=default_dtype())  # nan: unscored
     reference = policy.clone()
-    rng = np.random.default_rng(seed)
 
-    def record_step(step):
-        idx = rng.integers(0, len(examples), size=batch)
-        tokens, starts, lengths = _padded([seqs[i][k] for k in range(n_resp) for i in idx])
-        new = [j for j, i in enumerate(idx) if i not in idx[:j] and np.isnan(ref_lp[i, 0])]
-        if new:
+    def draws():
+        """Each step's example indices, their padded rows, the positions
+        in ``idx`` of examples no earlier step drew, and the rows of the
+        step's reference forwards: those examples' rows, then KTO's z_ref
+        pairs, each None where there are none."""
+        rng = np.random.default_rng(seed)
+        drawn = np.zeros(len(examples), dtype=bool)
+        for _ in range(steps):
+            idx = rng.integers(0, len(examples), size=batch)
+            rows = _padded([seqs[i][k] for k in range(n_resp) for i in idx])
+            new = [j for j, i in enumerate(idx) if i not in idx[:j] and not drawn[i]]
+            drawn[idx[new]] = True
             picks = [k * batch + j for k in range(n_resp) for j in new]
-            lp_ref = _response_logprobs(reference, tokens[picks], starts[picks],
-                                        lengths[picks]).data
-            ref_lp[idx[new]] = lp_ref.reshape(n_resp, len(new)).T
-        ref = ref_lp[idx]
-        if method == "kto":
-            z_ref = _kto_z_ref(policy, reference, seqs, idx, beta_pref)
-        with Graph() as g:
-            lp = _response_logprobs(policy, tokens, starts, lengths)
-            if method == "dpo":
-                loss = dpo_loss((narrow(lp, 0, 0, batch), narrow(lp, 0, batch, batch)),
-                                (ref[:, 0], ref[:, 1]), beta_pref)
-            else:
-                loss = kto_loss(lp, ref[:, 0], labels[idx], beta_pref, z_ref)
-        return g, loss, {"loss": loss.item()}
+            new_rows = tuple(a[picks] for a in rows) if new else None
+            pairs = _kto_pairs(seqs, idx) if method == "kto" else None
+            yield idx, rows, new, (new_rows, pairs)
 
-    return optimise(policy.parameters(), steps, lr, record_step)
+    def reference_logprobs(rows):
+        return _response_logprobs(reference, *rows).data
+
+    def ahead():
+        for *_, work in draws():
+            for rows in work:
+                if rows is not None:
+                    yield reference_logprobs(rows).tobytes()
+
+    with _ahead(ahead) as receive:
+        steps_drawn = draws()
+
+        def received_logprobs(rows):
+            got = receive(rows[0].shape[0] * ref_lp.itemsize)
+            return reference_logprobs(rows) if got is None else np.frombuffer(got, ref_lp.dtype)
+
+        def record_step(step):
+            idx, (tokens, starts, lengths), new, (new_rows, pairs) = next(steps_drawn)
+            if new:
+                ref_lp[idx[new]] = received_logprobs(new_rows).reshape(n_resp, len(new)).T
+            ref = ref_lp[idx]
+            if method == "kto":
+                z_ref = (0.0 if pairs is None else
+                         _kto_z_ref(policy, pairs, received_logprobs(pairs), beta_pref))
+            with Graph() as g:
+                lp = _response_logprobs(policy, tokens, starts, lengths)
+                if method == "dpo":
+                    loss = dpo_loss((narrow(lp, 0, 0, batch), narrow(lp, 0, batch, batch)),
+                                    (ref[:, 0], ref[:, 1]), beta_pref)
+                else:
+                    loss = kto_loss(lp, ref[:, 0], labels[idx], beta_pref, z_ref)
+            return g, loss, {"loss": loss.item()}
+
+        return optimise(policy.parameters(), steps, lr, record_step)

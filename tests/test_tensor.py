@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import platform
 import subprocess
@@ -253,6 +254,26 @@ def test_slice_accumulation_leaves_aliased_gradient_unchanged():
     grads = g.backward(loss, wrt=[a, b])
     np.testing.assert_array_equal(grads[id(b)], probe)
     np.testing.assert_array_equal(grads[id(a)], probe + [0.0, 5.0, 7.0, 0.0])
+
+
+@pytest.mark.parametrize("op", ["-", "+", "*"])
+def test_an_array_on_the_left_takes_the_reflected_operator(op):
+    """numpy defers to ``Tensor``: ``array op x`` is a Tensor with the value
+    and the recorded gradient of ``Tensor(array) op x``, not an object
+    array of per-element results."""
+    apply = {"-": operator.sub, "+": operator.add, "*": operator.mul}[op]
+    rng = np.random.default_rng(6)
+    left = rng.normal(size=(2, 3))
+    x = parameter(rng.normal(size=3))
+    probe = Tensor(rng.normal(size=(2, 3)))
+    results = []
+    for lhs in (left, Tensor(left)):
+        with Graph() as g:
+            out = apply(lhs, x)
+            loss = sum_(out * probe)
+        assert isinstance(out, Tensor) and out.shape == (2, 3)
+        results.append((out.data.tobytes(), g.backward(loss, wrt=[x])[id(x)].tobytes()))
+    assert results[0] == results[1]
 
 
 def test_mul_returns_no_gradient_for_a_constant():

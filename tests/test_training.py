@@ -1276,7 +1276,8 @@ def test_rl_kto_loss_moves_and_z_ref_matches_loop(rng, f64, monkeypatch):
 def test_kto_z_ref_skips_an_examples_own_pair(rng, f64, monkeypatch):
     """Rows 0 and 1 of ``idx`` are one example: their pair is that example's
     own reward, which the mean over mismatched pairs leaves out. With every
-    row one example there is no pair: z_ref is 0.0 and no forward runs."""
+    row one example there is no pair: ``_kto_pairs`` gives None, for which
+    ``rl_run`` takes z_ref 0.0, and no forward runs."""
     policy = LanguageModel(tiny_cfg(), rng)
     reference = policy.clone()
     for t in reference.parameters():
@@ -1293,13 +1294,15 @@ def test_kto_z_ref_skips_an_examples_own_pair(rng, f64, monkeypatch):
     mismatched = [ratio(0, 1), ratio(1, 0)]
     with_self = [ratio(0, 0)] + mismatched  # the mean before the fix
     assert min(np.mean(mismatched), np.mean(with_self)) > 0  # no clipping at 0
-    got = training._kto_z_ref(policy, reference, seqs, np.array([0, 0, 1]), 0.1)
+    pairs = training._kto_pairs(seqs, np.array([0, 0, 1]))
+    lp_ref = _response_logprobs(reference, *pairs).data
+    got = training._kto_z_ref(policy, pairs, lp_ref, 0.1)
     assert got == pytest.approx(0.1 * np.mean(mismatched), rel=1e-12)
     assert got != pytest.approx(0.1 * np.mean(with_self), rel=1e-6)
 
     monkeypatch.setattr(LanguageModel, "forward_batch",
                         lambda *a, **kw: pytest.fail("a forward ran"))
-    assert training._kto_z_ref(policy, reference, seqs, np.array([2, 2, 2]), 0.1) == 0.0
+    assert training._kto_pairs(seqs, np.array([2, 2, 2])) is None
 
 
 def test_rl_kto_needs_two_rows(rng):
@@ -1384,9 +1387,10 @@ def _same_bytes(got, want):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """A host where a large float32 teacher pass splits (two CPUs, one
-    BLAS thread), and the pids of the children ``os.fork`` made in the
-    test."""
+    """A host where a second process fits (two CPUs, one BLAS thread), so
+    a large float32 teacher pass splits and ``rl_run`` scores its
+    reference in a child, and the pids of the children ``os.fork`` made
+    in the test."""
     for var in training.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -1622,3 +1626,155 @@ def test_distill_run_is_the_same_run_split_or_not(monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert run() == split
     assert len(forks) == 1
+
+
+# ---------------------------------------------------------------------------
+# rl_run's reference forwards in a child
+
+def _rl_bytes(student, method, in_child=None):
+    """A 12-step ``rl_run`` of a clone of ``student``: its metrics rows, its
+    parameter bytes, and the count of reference forwards this process ran.
+    ``in_child(n)``, if given, runs in a forked child before its n-th
+    forward."""
+    policy, parent = student.clone(), os.getpid()
+    here, in_the_child = [], []
+    logprobs = training._response_logprobs
+
+    def counted(model, *rows):
+        if os.getpid() != parent:
+            in_the_child.append(model)
+            if in_child:
+                in_child(len(in_the_child))
+        elif model is not policy:
+            here.append(model)
+        return logprobs(model, *rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_response_logprobs", counted)
+        rows = rl_run(policy, _preference_examples(method), method=method, steps=12,
+                      batch=3, lr=1e-3, seed=11)
+    return rows, [t.data.tobytes() for t in policy.parameters()], len(here)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu(mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    mp.setattr(os, "cpu_count", lambda: 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rl_scores_the_reference_in_one_child(method, toy_student, forks):
+    """Where a second process fits, ``rl_run`` forks once, runs no
+    reference forward here and leaves no child."""
+    _, _, here = _rl_bytes(toy_student, method)
+    assert len(forks) == 1 and here == 0
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
+                                   "another thread"])
+def test_rl_without_a_child_is_the_same_run(block, method, toy_student, monkeypatch, forks):
+    """Where no second process fits, where ``os.fork`` is missing, and
+    where it raises ``EAGAIN``, every reference forward runs here: the
+    metrics rows and parameter bytes of the run with a child, and no fork
+    after its one."""
+    rows, params, _ = _rl_bytes(toy_student, method)
+    assert len(forks) == 1
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    if block == "one cpu":
+        _one_cpu(monkeypatch)
+    elif block == "blas on every cpu":
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    elif block == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif block == "fork fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        worker.start()
+    try:
+        got = _rl_bytes(toy_student, method)
+    finally:
+        stop.set()
+        if worker.is_alive():
+            worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(forks) == 1 and got[2] > 0 and got[:2] == (rows, params)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("end", ["exit 0", "exit 3", "sigkill"])
+def test_rl_child_that_stops_mid_run_is_the_same_run(end, method, toy_student, forks):
+    """The child ending before its second reference forward: this process
+    uses the first one's log-probs and runs every later reference forward
+    itself, and the run gives the one-process bytes; the child is reaped."""
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        rows, params, forwards = _rl_bytes(toy_student, method)
+    assert not forks and forwards >= 2
+
+    def stop(n):
+        if n == 2:
+            if end == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(int(end[-1]))
+
+    got = _rl_bytes(toy_student, method, in_child=stop)
+    assert len(forks) == 1 and got == (rows, params, forwards - 1)
+    _assert_no_child()
+
+
+def test_rl_error_here_kills_and_reaps_the_child(toy_student, forks):
+    """A diverging ``lr`` ends the run in the ``NumericError`` of the
+    one-process run, with no child left."""
+    kw = dict(method="kto", steps=8, batch=3, lr=1e4, seed=11)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        _one_cpu(mp)
+        with pytest.raises(NumericError) as one_process:
+            rl_run(toy_student.clone(), _preference_examples("kto"), **kw)
+        mp.undo()
+        with pytest.raises(NumericError) as ahead:
+            rl_run(toy_student.clone(), _preference_examples("kto"), **kw)
+    assert len(forks) == 1 and str(ahead.value) == str(one_process.value)
+    _assert_no_child()
+
+
+def test_rl_interrupt_while_the_child_is_awaited_kills_and_reaps_it(toy_student, monkeypatch,
+                                                                     forks):
+    """A signal handler raising while this process waits for the child's
+    log-probs, the child sleeping at its first forward: the error
+    propagates at once, and the child is killed and reaped."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no interval timer to raise in a signal handler")
+    wait, statuses = os.waitpid, []
+
+    def waitpid(pid, options):
+        statuses.append(wait(pid, options)[1])
+        return pid, statuses[-1]
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        with pytest.raises(KeyboardInterrupt):
+            _rl_bytes(toy_student, "dpo", in_child=lambda n: time.sleep(20))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15 and len(forks) == 1
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
+    with pytest.raises(ChildProcessError):
+        wait(-1, os.WNOHANG)
