@@ -8,7 +8,10 @@ tape records, a block forward also hands back each projection's
 (input, output) pair, from which :func:`training.distill_run` builds the
 smooth compensation branch (a mirror of the projection, fed by
 ``d_max*tanh(x)``) that gives a distillation loss a fully differentiable
-route; the block itself has no training-only branch.
+route; the block itself has no training-only branch. A batched forward
+can hand each block's pairs to its caller as that block returns
+(``on_block``), so a layer's alignment terms can run while the next
+layer's forward does.
 
 Two forward paths implement identical math: a batched path on the
 gradient tape for training and evaluation, and a stepwise plain-numpy
@@ -666,16 +669,19 @@ class LanguageModel:
 
     # -- batched (teacher-forced) forward ------------------------------------
 
-    def forward_batch(self, tokens: np.ndarray, *,
-                      hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
+    def forward_batch(self, tokens: np.ndarray, *, hook: Hook | None = None,
+                      on_block: Callable[[int, BlockAux], None] | None = None
+                      ) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, vocab) logits: :meth:`head` of :meth:`trunk`."""
-        x, auxes = self.trunk(tokens, hook=hook)
+        x, auxes = self.trunk(tokens, hook=hook, on_block=on_block)
         return self.head(x), auxes
 
-    def trunk(self, tokens: np.ndarray, *,
-              hook: Hook | None = None) -> tuple[Tensor, list[BlockAux]]:
+    def trunk(self, tokens: np.ndarray, *, hook: Hook | None = None,
+              on_block: Callable[[int, BlockAux], None] | None = None
+              ) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, d_model) final normalised hidden states of a (B, T) token
-        batch, and each block's :class:`BlockAux`."""
+        batch, and each block's :class:`BlockAux`; ``on_block(i, aux)``,
+        if given, is called as block ``i`` returns."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise DimensionError("a batched forward expects (batch, time) token ids")
@@ -685,6 +691,8 @@ class LanguageModel:
             x_in = rmsnorm(x, self.pre_norms[i])
             y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i, hook=hook)
             auxes.append(aux)
+            if on_block is not None:
+                on_block(i, aux)
             x = x + y
         return rmsnorm(x, self.norm_f), auxes
 

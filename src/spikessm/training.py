@@ -3,9 +3,12 @@ onto a spiking student, and preference optimization, each a set-up and
 one step of the shared loop :func:`optimise`.
 
 Everything is deterministic under a fixed seed: data sampling uses one
-generator, the loop is single-threaded, and a metrics row is a plain dict
-whose keys are its file's columns; the CLI owns every file a run reads or
-writes.
+generator, and a metrics row is a plain dict whose keys are its file's
+columns; the CLI owns every file a run reads or writes. The loop runs in
+one thread. Where a second process fits (:func:`_second_process_fits`),
+three pieces of work run in a forked child beside it: half of the
+distillation set-up's teacher pass, ``rl_run``'s reference forwards and
+``distill_run``'s alignment terms. Each gives the bytes of one process.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .tensor import (
     ContractError,
     Graph,
     Tensor,
+    custom_op,
     default_dtype,
     narrow,
     parameter,
@@ -298,7 +302,9 @@ def _blas_threads() -> int:
 
 
 def _second_process_fits() -> bool:
-    """Whether this process may fork a second one to work beside it.
+    """Whether this process may fork a second one to work beside it: the
+    one rule of the three callers that do (:func:`teacher_pass` through
+    :func:`_splits`, :func:`rl_run` and :func:`distill_run`).
 
     Each process needs CPUs for all its BLAS threads: where BLAS already
     takes every CPU, a split teacher pass read 2.2-2.8x one process.
@@ -358,46 +364,90 @@ def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> No
         there()
 
 
-@contextmanager
-def _ahead(produce: Callable[[], Iterator[bytes]]) -> Iterator[Callable[[int], bytes | None]]:
-    """Where :func:`_second_process_fits`, run ``produce()`` in a forked
-    child that writes each item it yields into a pipe, ahead of the
-    caller; the block gets ``receive(n)``, the next ``n`` bytes. The
-    pipe's buffer bounds how far ahead the child runs, and the child
-    leaves through ``os._exit``, as in :func:`_in_two_processes`.
-    ``receive`` returns None at EOF or a short read (the child raised,
-    was killed, exited early, or never forked), and at every call after
-    it: the caller then computes that item and every later one itself.
-    However the block ends, the child is killed and reaped."""
-    r, w = os.pipe()
-    pid = _fork() if _second_process_fits() else None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            for item in produce():
-                view = memoryview(item)
-                while view:
-                    view = view[os.write(w, view):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
+# the two ends of a pipe between a parent and its child (_child)
+Receive = Callable[[int], bytes | None]
+Send = Callable[[bytes], None]
+
+
+def _receiver(fd: int) -> Receive:
+    """``receive(n)``: the next ``n`` bytes of pipe ``fd``. None at EOF or
+    a short read (the writer raised, was killed, exited early, or never
+    forked), and at every call after it: the reader then computes what
+    it waited for itself."""
     live = True
 
     def receive(n: int) -> bytes | None:
         nonlocal live
         got = b""
         while live and len(got) < n:
-            part = os.read(r, n - len(got))
+            part = os.read(fd, n - len(got))
             live = bool(part)
             got += part
         return got if live else None
 
+    return receive
+
+
+def _sender(fd: int) -> Send:
+    """``send(data)``: all of ``data`` into pipe ``fd``; nothing once its
+    reader has gone, which the other end learns from its own reads."""
+    def send(data: bytes) -> None:
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        except BrokenPipeError:
+            pass
+
+    return send
+
+
+def _keep_off(pid: int, cpus: set[int]) -> None:
+    """Run this process on ``cpus`` but the one process ``pid`` last ran
+    on (read from ``/proc``), where that leaves a CPU.
+
+    A child that sleeps between short pieces of work for its parent was
+    often woken on the parent's CPU, where it preempted the parent. On a
+    two-vCPU Xeon guest at one BLAS thread, a one-byte hand-off to the
+    alignment child then read 1.7-2.6 ms, and distillation steps with
+    the child read 0.65-1.9x the one-process step, median 1.10, over 8
+    pairs; kept off the parent's CPU, 0.67-0.99x, median 0.86."""
     try:
-        yield receive
+        with open(f"/proc/{pid}/stat", "rb") as f:
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+        if cpus - {cpu}:
+            os.sched_setaffinity(0, cpus - {cpu})
+    except (OSError, ValueError, IndexError):
+        pass
+
+
+@contextmanager
+def _child(work: Callable[[Receive, Send], None] | None) -> Iterator[tuple[Send, Receive]]:
+    """Run ``work(receive, send)`` in a forked child, a pipe each way;
+    the block gets this end of both, ``(send, receive)`` (see
+    :func:`_receiver` and :func:`_sender`). ``work`` None forks nothing,
+    and ``receive`` then returns None at once. The pipes' buffers bound
+    how far ahead the child runs, and it leaves through ``os._exit``, as
+    in :func:`_in_two_processes`. However the block ends, the child is
+    killed and reaped."""
+    down, up = os.pipe(), os.pipe()
+    pid = _fork() if work is not None else None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            work(_receiver(down[0]), _sender(up[1]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down[0])
+    os.close(up[1])
+    try:
+        yield _sender(down[1]), _receiver(up[0])
     finally:
-        os.close(r)
+        os.close(down[1])
+        os.close(up[0])
         if pid:
             _kill_and_reap(pid)
 
@@ -426,6 +476,165 @@ def compensated_layers(n_layers: int) -> frozenset[int]:
     return frozenset({0, n_layers // 2, n_layers - 1})
 
 
+def _alignment_terms(terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]], d_max: int,
+                     n_terms: int) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
+    """Values and gradients of alignment terms, each given as its
+    projection's input and output and its mirror: ``(values, walk)``.
+    Each term records the ops a distillation step records for it
+    (``tanh``, ``mul``, ``matmul``, ``hidden_align``) on a tape of its
+    own. ``walk()`` walks the tapes from the seed that
+    :func:`losses.total_distill_loss` over ``n_terms`` terms gives each
+    term and returns each term's (input, output, mirror) gradients."""
+    tapes = []
+    for arrays in terms:
+        leaves = [parameter(a) for a in arrays]
+        with Graph() as g:
+            value = hidden_align_loss(leaves[1], sgc_forward(leaves[0], leaves[2], d_max))
+            seeded = value * (1.0 / n_terms)
+        tapes.append((g, value.data, seeded, leaves))
+
+    def walk():
+        grads = []
+        for g, _, seeded, leaves in tapes:
+            walked = g.backward(seeded, wrt=leaves)
+            grads.append([walked[id(t)] for t in leaves])
+        return grads
+
+    return [value for _, value, _, _ in tapes], walk
+
+
+class _Alignment:
+    """The alignment terms of one :func:`distill_run`, two per compensated
+    layer, and the child that computes them where one runs.
+
+    Each step the parent hands the child every compensated layer in
+    order, as its block returns: it copies the layer's arrays into shared
+    mappings and sends the layer's slot byte. The child (:meth:`serve`)
+    records the layer's :func:`_alignment_terms`, leaves their values in
+    shared memory and answers one byte; after the last layer it walks the
+    layers' tapes in reverse, the order the parent's walk needs them,
+    answering one byte as each layer's gradients are in place. ``live``
+    says whether the parent still hands layers to it; a step's
+    :class:`_StepTerms` clears it at the first read that finds the child
+    gone."""
+
+    def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
+                 lead: tuple[int, int], fits: bool):
+        self.mirrors, self.d_max = mirrors, d_max
+        self.n_terms = 2 * len(mirrors)
+        self.slot = {i: k for k, i in enumerate(mirrors)}
+        self.live = fits
+        self.send = self.receive = None  # this end of the child's pipes
+        dtype = default_dtype()
+        # per slot and term: input, output and mirror, then their gradients
+        self.shared = [[[_shared(shape, dtype) for shape in
+                         2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
+                        for w in ws] for ws in mirrors.values()] if fits else []
+        self.shared_values = _shared((len(mirrors), 2), dtype) if fits else None
+
+    def serve(self, receive: Receive, send: Send) -> None:
+        walks, parent = [], os.getppid()
+        cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
+        while (got := receive(1)) is not None:
+            _keep_off(parent, cpus)
+            k = got[0]
+            self.shared_values[k], walk = _alignment_terms(
+                [b[:3] for b in self.shared[k]], self.d_max, self.n_terms)
+            send(b"v")
+            walks.append((k, walk))
+            if len(walks) == len(self.mirrors):
+                for k, walk in reversed(walks):
+                    for bufs, grads in zip(self.shared[k], walk()):
+                        for buf, g in zip(bufs[3:], grads):
+                            buf[...] = g
+                    send(b"g")
+                walks = []
+
+
+@dataclass
+class _Layer:
+    slot: int
+    terms: list[tuple[Tensor, Tensor, Tensor]]  # per term: input, output, mirror
+    stand_ins: list[Tensor] = field(default_factory=list)
+    grads: list[list[np.ndarray]] | None = None  # computed here, else the child's
+
+
+class _StepTerms:
+    """One step's alignment terms on its tape.
+
+    :meth:`record` is the student forward's ``on_block``: as a compensated
+    block returns, it hands the layer to the child (while it is live)
+    and records one stand-in per term, op ``sgc_term`` over the term's
+    input, output and mirror, whose backward returns the term's
+    gradients. :meth:`values` fills in the stand-ins' values for the
+    step's total. The parent waits for the child only there, for the
+    values, and where the walk reaches a layer's stand-ins, for that
+    layer's gradients. Where the child did not answer, the layer's terms
+    run here, and so do every later layer's. Each gradient reaches its
+    tensor as one operand of a two-operand add, as on a tape of the whole
+    step, so the bytes do not depend on where the terms ran."""
+
+    def __init__(self, run: _Alignment):
+        self.run = run
+        self.heard = 0  # bytes the child answered this step
+        self.layers: list[_Layer] = []
+
+    def record(self, i: int, aux) -> None:
+        run = self.run
+        k = run.slot.get(i)
+        if k is None:
+            return
+        layer = _Layer(k, [(inp, out, w) for (inp, out), w in
+                           zip(aux.projections, run.mirrors[i])])
+        if run.live:
+            for bufs, term in zip(run.shared[k], layer.terms):
+                for buf, t in zip(bufs, term):
+                    buf[...] = t.data
+            run.send(bytes([k]))
+        for j, term in enumerate(layer.terms):
+            layer.stand_ins.append(custom_op(
+                np.empty((), default_dtype()), term,
+                lambda g, j=j: self._grads(layer, j), "sgc_term"))
+        self.layers.append(layer)
+
+    def values(self) -> list[Tensor]:
+        """The stand-ins in term order, with their values. From here only
+        its stand-ins hold a layer, so the walk frees it as it passes."""
+        layers, self.layers = self.layers, []
+        for layer in layers:
+            if self._heard(layer.slot):
+                vals = self.run.shared_values[layer.slot]
+            else:
+                vals, walk = self._here(layer)
+                layer.grads = walk()
+            for s, v in zip(layer.stand_ins, vals):
+                s.data[...] = v
+        return [s for layer in layers for s in layer.stand_ins]
+
+    def _grads(self, layer: _Layer, j: int) -> list[np.ndarray]:
+        if layer.grads is None:
+            if self._heard(2 * len(self.run.mirrors) - 1 - layer.slot):
+                return self.run.shared[layer.slot][j][3:]
+            layer.grads = self._here(layer)[1]()
+        return layer.grads[j]
+
+    def _heard(self, n: int) -> bool:
+        """Whether the child sent its byte ``n`` of this step, reading up
+        to it: over L layers, slot k's values are byte k and its
+        gradients byte 2L - 1 - k."""
+        run = self.run
+        while run.live and self.heard <= n:
+            if run.receive(1) is None:
+                run.live = False
+            else:
+                self.heard += 1
+        return self.heard > n
+
+    def _here(self, layer: _Layer) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
+        return _alignment_terms([tuple(t.data for t in term) for term in layer.terms],
+                                self.run.d_max, self.run.n_terms)
+
+
 def distill_run(teacher: LanguageModel, student: LanguageModel,
                 lines: list[str], *, steps: int = 2000, batch: int = 8,
                 prompt_len: int = 8, total_len: int = 64,
@@ -444,8 +653,16 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     gets mirrors of its two projections, trained parameters that start
     as copies of them and are dropped when the run ends: the
     compensation path is training-only. The run builds it from the
-    (input, output) pairs the taped forward records, one alignment term
-    per projection, in layer order, the input projection first.
+    (input, output) pairs the taped forward hands over as each block
+    returns, one alignment term per projection, in layer order, the
+    input projection first. On the step's tape each term is a stand-in
+    (:class:`_StepTerms`) whose value and gradients
+    :func:`_alignment_terms` computes. Where :func:`_second_process_fits`,
+    a child forked before the loop computes them (:class:`_Alignment`),
+    a layer's terms while the student's next layer runs here; otherwise,
+    and from the first layer the child did not answer, they run here.
+    Either way the bytes are one tape's, and the child is killed and
+    reaped when the run returns or raises.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -466,24 +683,27 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
+    fits = bool(mirrors) and _second_process_fits()
+    align = _Alignment(mirrors, student.cfg.neuron.d_max, (batch, sequences.shape[1]), fits)
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
+        terms = _StepTerms(align)
         with Graph() as g:
-            logits, auxes = student.forward_batch(sequences[pick])
+            logits, auxes = student.forward_batch(sequences[pick], on_block=terms.record)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            hidden = [hidden_align_loss(out, sgc_forward(inp, w, student.cfg.neuron.d_max))
-                      for i, ws in mirrors.items()
-                      for (inp, out), w in zip(auxes[i].projections, ws)]
+            hidden = terms.values()
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
         return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    return DistillResult(student=student, metrics=optimise(params, steps, lr, record_step))
+    with _child(align.serve if fits else None) as (align.send, align.receive):
+        metrics = optimise(params, steps, lr, record_step)
+    return DistillResult(student=student, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +846,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
 
     Where :func:`_second_process_fits`, every reference forward (those
     rows, and the reference half of each ``z_ref``) runs ahead of the
-    steps, in a child forked before the loop (:func:`_ahead`): it replays
+    steps, in a child forked before the loop (:func:`_child`): it replays
     the step draws from its own ``default_rng(seed)`` and streams each
     step's log-probs through a pipe. Otherwise, and from the first step
     the child did not finish, they run here, before the step's policy
@@ -669,13 +889,13 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     def reference_logprobs(rows):
         return _response_logprobs(reference, *rows).data
 
-    def ahead():
+    def ahead(receive, send):
         for *_, work in draws():
             for rows in work:
                 if rows is not None:
-                    yield reference_logprobs(rows).tobytes()
+                    send(reference_logprobs(rows).tobytes())
 
-    with _ahead(ahead) as receive:
+    with _child(ahead if _second_process_fits() else None) as (_, receive):
         steps_drawn = draws()
 
         def received_logprobs(rows):

@@ -14,9 +14,10 @@ block of a ``.spkm`` (the file holds digests, not weights), the line of
 anything else. The chain runs once at each BLAS thread count. A run
 forks a second process only where the CPUs cover two processes' BLAS
 threads, so on a two-CPU host each of these pins two paths against the
-same digests: ``distill`` its two-process teacher pass at one thread
-and its one-process pass at two, and ``rl --method dpo|kto`` its
-reference forwards in a child at one thread and in one process at two.
+same digests: ``distill`` its two-process teacher pass and its
+alignment terms in a child at one thread and both in one process at two,
+and ``rl --method dpo|kto`` its reference forwards in a child at one
+thread and in one process at two.
 
 A change that alters an output on purpose regenerates the file:
 

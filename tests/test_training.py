@@ -645,7 +645,9 @@ def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch):
     """The targets of ``spikessm gradcheck`` record the op kinds that one
     step of each training loop records, and no others, but the neurons:
     their backward is a rectangular surrogate, not the quantizer's
-    derivative, so no finite difference audits it."""
+    derivative, so no finite difference audits it; and the alignment
+    terms' stand-ins (``sgc_term``): a stand-in's backward hands on the
+    gradients of its term's own tape, whose ops are among those seen."""
     kinds = set()
     backward = Graph.backward
 
@@ -666,8 +668,8 @@ def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch):
         examples = [parse_preference_line(line, method)
                     for line in synth_preference_lines(lines, 4, 1, method)]
         rl_run(student, examples, method=method, steps=1, batch=2, seed=2)
-    run_kinds = kinds - {f"neuron_{kind}" for kind in KINDS}
-    assert len(kinds - run_kinds) == 3
+    run_kinds = kinds - {f"neuron_{kind}" for kind in KINDS} - {"sgc_term"}
+    assert len(kinds - run_kinds) == 4
 
     audited = set()
     with dtype_scope("float64"):
@@ -1388,9 +1390,9 @@ def _same_bytes(got, want):
 @pytest.fixture
 def forks(monkeypatch):
     """A host where a second process fits (two CPUs, one BLAS thread), so
-    a large float32 teacher pass splits and ``rl_run`` scores its
-    reference in a child, and the pids of the children ``os.fork`` made
-    in the test."""
+    a large float32 teacher pass splits, ``rl_run`` scores its reference
+    in a child and ``distill_run`` computes its alignment terms in one,
+    and the pids of the children ``os.fork`` made in the test."""
     for var in training.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -1605,9 +1607,10 @@ def test_child_error_of_another_type_keeps_its_type(forks):
 
 
 def test_distill_run_is_the_same_run_split_or_not(monkeypatch, forks):
-    """``distill_run`` on a split host forks once and leaves no child; on
-    a one-CPU host it forks nothing. Both give the same metrics rows and
-    the same student parameter bytes."""
+    """``distill_run`` on a split host forks twice, the teacher pass's
+    child and the alignment terms', and leaves no child; on a one-CPU
+    host it forks nothing. Both give the same metrics rows and the same
+    student parameter bytes."""
     lines = synthetic_corpus(200, 3)
     teacher = LanguageModel(toy_config(), np.random.default_rng(3))
 
@@ -1619,13 +1622,13 @@ def test_distill_run_is_the_same_run_split_or_not(monkeypatch, forks):
         return res.metrics, [t.data.tobytes() for t in student.parameters()]
 
     split = run()
-    assert len(forks) == 1
+    assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert run() == split
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1771,6 +1774,196 @@ def test_rl_interrupt_while_the_child_is_awaited_kills_and_reaps_it(toy_student,
         signal.setitimer(signal.ITIMER_REAL, 2)
         with pytest.raises(KeyboardInterrupt):
             _rl_bytes(toy_student, "dpo", in_child=lambda n: time.sleep(20))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15 and len(forks) == 1
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
+    with pytest.raises(ChildProcessError):
+        wait(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
+# distill_run's alignment terms in a child
+
+def _distill_bytes(n_layers, stop=None, lr=1e-3):
+    """A 4-step compensated ``distill_run`` of a tiny ``n_layers`` student:
+    its metrics rows, its parameter bytes, and the alignment terms this
+    process computed. ``stop``, if given, is ``(kind, n, end)``: the
+    child ends through ``end`` (``exit 0``, ``exit 3`` or ``sigkill``)
+    at its n-th alignment term (kind ``term``) or its n-th tape walk
+    (kind ``walk``)."""
+    teacher = LanguageModel(replace(tiny_cfg(), n_layers=n_layers), np.random.default_rng(5))
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
+    parent, here, there = os.getpid(), [], {"term": 0, "walk": 0}
+    align, backward = training.hidden_align_loss, Graph.backward
+
+    def in_child(kind):
+        there[kind] += 1
+        if stop and stop[:2] == (kind, there[kind]):
+            if stop[2] == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(int(stop[2][-1]))
+
+    def counted(*args):
+        if os.getpid() == parent:
+            here.append(1)
+        else:
+            in_child("term")
+        return align(*args)
+
+    def walk(g, loss, wrt):
+        if os.getpid() != parent:
+            in_child("walk")
+        return backward(g, loss, wrt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "hidden_align_loss", counted)
+        mp.setattr(Graph, "backward", walk)
+        res = distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=4, batch=3,
+                          prompt_len=4, total_len=14, n_sequences=6, lr=lr, seed=3)
+    return res.metrics, [t.data.tobytes() for t in student.parameters()], len(here)
+
+
+@pytest.mark.parametrize("n_layers, layers", [(1, {0}), (2, {0, 1}), (4, {0, 2, 3})])
+def test_distill_terms_in_a_child_are_the_one_process_run(n_layers, layers, forks):
+    """Where a second process fits, ``distill_run`` forks one child, which
+    computes every alignment term: the metrics rows and parameter bytes
+    of the run in one process, and no child left."""
+    assert compensated_layers(n_layers) == layers
+    rows, params, here = _distill_bytes(n_layers)
+    assert len(forks) == 1 and here == 0
+    _assert_no_child()
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        assert _distill_bytes(n_layers) == (rows, params, 4 * 2 * len(layers))
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("stop", [("term", 1), ("term", 3), ("term", 5), ("walk", 1),
+                                  ("walk", 3)],
+                         ids=["first layer", "later layer", "later step",
+                              "values sent, no gradients", "between two layers' gradients"])
+@pytest.mark.parametrize("end", ["exit 0", "exit 3", "sigkill"])
+def test_distill_child_that_stops_is_the_same_run(stop, end, forks):
+    """The child ending at its first layer, at a later layer or step, and
+    between a layer's values and its gradients: this process computes
+    that layer's terms and every later one's, the run gives the
+    one-process bytes, and the child is reaped."""
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        rows, params, _ = _distill_bytes(2)
+    got = _distill_bytes(2, (*stop, end))
+    assert len(forks) == 1 and got[:2] == (rows, params) and got[2] > 0
+    _assert_no_child()
+
+
+@pytest.mark.filterwarnings("ignore:exp overflow")
+def test_distill_error_here_kills_and_reaps_the_child(forks):
+    """A diverging ``lr`` ends the run in the ``NumericError`` of the
+    one-process run, with no child left."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        with pytest.raises(NumericError) as one_process:
+            _distill_bytes(2, lr=1e3)
+        mp.undo()
+        with pytest.raises(NumericError) as child:
+            _distill_bytes(2, lr=1e3)
+    assert len(forks) == 1 and str(child.value) == str(one_process.value)
+    _assert_no_child()
+
+
+def test_distill_without_compensation_forks_no_child(forks):
+    teacher = LanguageModel(tiny_cfg(), np.random.default_rng(5))
+    distill_run(teacher, teacher.clone(mode=SPIKING), synthetic_corpus(30, seed=0),
+                steps=2, batch=3, prompt_len=4, total_len=14, n_sequences=6, seed=3)
+    assert not forks
+
+
+@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
+                                   "another thread"])
+def test_distill_without_a_child_is_the_same_run(block, monkeypatch, forks):
+    """Where no second process fits, where ``os.fork`` is missing, and
+    where it raises ``EAGAIN``: every term runs here, with the bytes of
+    the run with a child, and no fork after its one."""
+    rows, params, _ = _distill_bytes(2)
+    assert len(forks) == 1
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    if block == "one cpu":
+        _one_cpu(monkeypatch)
+    elif block == "blas on every cpu":
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    elif block == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif block == "fork fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        worker.start()
+    try:
+        got = _distill_bytes(2)
+    finally:
+        stop.set()
+        if worker.is_alive():
+            worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(forks) == 1 and got == (rows, params, 4 * 2 * 2)
+
+
+def test_distill_tape_holds_no_alignment_op_when_the_child_runs(monkeypatch, forks):
+    """With the child running, each step's tape in this process holds one
+    ``sgc_term`` stand-in per alignment term and no ``hidden_align``
+    node."""
+    parent, tapes = os.getpid(), []
+    backward = Graph.backward
+
+    def recorded(g, loss, wrt):
+        if os.getpid() == parent:
+            tapes.append([node._op for node in g.nodes])
+        return backward(g, loss, wrt)
+
+    monkeypatch.setattr(Graph, "backward", recorded)
+    _, _, here = _distill_bytes(2)
+    assert len(forks) == 1 and here == 0 and len(tapes) == 4
+    assert all(ops.count("sgc_term") == 4 and "hidden_align" not in ops for ops in tapes)
+
+
+def test_distill_interrupt_while_the_child_is_awaited_kills_and_reaps_it(monkeypatch, forks):
+    """A signal handler raising while this process waits for the terms'
+    values, the child sleeping at its first term: the error propagates
+    at once, and the child is killed and reaped."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no interval timer to raise in a signal handler")
+    wait, statuses, parent = os.waitpid, [], os.getpid()
+    align = training.hidden_align_loss
+
+    def sleeping(*args):
+        if os.getpid() != parent:
+            time.sleep(20)
+        return align(*args)
+
+    def waitpid(pid, options):
+        statuses.append(wait(pid, options)[1])
+        return pid, statuses[-1]
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "hidden_align_loss", sleeping)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    teacher = LanguageModel(tiny_cfg(), np.random.default_rng(5))
+    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        with pytest.raises(KeyboardInterrupt):
+            distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=2, batch=3,
+                        prompt_len=4, total_len=14, n_sequences=6, seed=3)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
