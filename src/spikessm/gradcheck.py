@@ -20,9 +20,9 @@ from .mamba2 import (
     block_forward,
     hidden_align_loss,
     init_block_params,
-    sgc_forward,
 )
 from .tensor import Graph, Tensor, activation, parameter, rmsnorm, sum_
+from .training import alignment_term
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -93,8 +93,7 @@ def gradcheck_targets(rng: np.random.Generator) -> list[tuple]:
     xs = parameter(rng.normal(size=(4, 6)))
     ws = parameter(rng.normal(size=(6, 3)))
     spk = Tensor(rng.normal(size=(4, 3)))
-    targets.append(("sgc_path",
-                    lambda: hidden_align_loss(spk, sgc_forward(xs, ws, 4)), [xs, ws]))
+    targets.append(("sgc_path", lambda: alignment_term(xs, spk, ws, 4), [xs, ws]))
     ya, yb = parameter(rng.normal(size=(4, 5))), parameter(rng.normal(size=(4, 5)))
     targets.append(("hidden_align", lambda: hidden_align_loss(ya, yb), [ya, yb]))
 

@@ -64,6 +64,12 @@ def kl_distill_loss(teacher_logits: np.ndarray, student_logits: Tensor) -> Tenso
     return custom_op(data, (student_logits,), grad_fn, "kl_distill")
 
 
+def hidden_term_weight(n_terms: int) -> float:
+    """The weight :func:`total_distill_loss` gives each of ``n_terms``
+    alignment terms, and so the gradient each receives from the total."""
+    return 1.0 / n_terms
+
+
 def total_distill_loss(l_kl: Tensor, hidden_losses: list[Tensor]) -> Tensor:
     """KL term plus the mean over compensation-path alignment sites."""
     if not hidden_losses:
@@ -71,7 +77,7 @@ def total_distill_loss(l_kl: Tensor, hidden_losses: list[Tensor]) -> Tensor:
     acc = hidden_losses[0]
     for h in hidden_losses[1:]:
         acc = acc + h
-    return l_kl + acc * (1.0 / len(hidden_losses))
+    return l_kl + acc * hidden_term_weight(len(hidden_losses))
 
 
 def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:

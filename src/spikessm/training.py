@@ -27,6 +27,7 @@ import numpy as np
 from .losses import (
     cross_entropy_loss,
     dpo_loss,
+    hidden_term_weight,
     kl_distill_loss,
     kto_loss,
     sequence_logprob,
@@ -476,36 +477,60 @@ def compensated_layers(n_layers: int) -> frozenset[int]:
     return frozenset({0, n_layers // 2, n_layers - 1})
 
 
-def _alignment_terms(terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]], d_max: int,
-                     n_terms: int) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
-    """Values and gradients of alignment terms, each given as its
-    projection's input and output and its mirror: ``(values, walk)``.
-    Each term records the ops a distillation step records for it
-    (``tanh``, ``mul``, ``matmul``, ``hidden_align``) on a tape of its
-    own. ``walk()`` walks the tapes from the seed that
-    :func:`losses.total_distill_loss` over ``n_terms`` terms gives each
-    term and returns each term's (input, output, mirror) gradients."""
-    tapes = []
-    for arrays in terms:
-        leaves = [parameter(a) for a in arrays]
-        with Graph() as g:
-            value = hidden_align_loss(leaves[1], sgc_forward(leaves[0], leaves[2], d_max))
-            seeded = value * (1.0 / n_terms)
-        tapes.append((g, value.data, seeded, leaves))
+def _term_tape(arrays, d_max: int, seed: np.generic | np.ndarray
+               ) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
+    """One alignment term, given as its projection's input and output and
+    its mirror, on a tape of its own: the ops a one-tape step records for
+    it (``tanh``, ``mul``, ``matmul``, ``hidden_align``). Returns its
+    value and ``walk()``, its (input, output, mirror) gradients from the
+    upstream gradient ``seed``."""
+    leaves = [parameter(a) for a in arrays]
+    with Graph() as g:
+        value = hidden_align_loss(leaves[1], sgc_forward(leaves[0], leaves[2], d_max))
+        seeded = value * seed
 
     def walk():
-        grads = []
-        for g, _, seeded, leaves in tapes:
-            walked = g.backward(seeded, wrt=leaves)
-            grads.append([walked[id(t)] for t in leaves])
-        return grads
+        walked = g.backward(seeded, wrt=leaves)
+        return [walked[id(t)] for t in leaves]
 
-    return [value for _, value, _, _ in tapes], walk
+    return value.data, walk
+
+
+def _alignment_terms(terms: list, d_max: int, seed: np.generic
+                     ) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
+    """``(values, walk)`` of several :func:`_term_tape`, ``walk()`` giving
+    each term's gradients from ``seed``."""
+    tapes = [_term_tape(arrays, d_max, seed) for arrays in terms]
+    return [value for value, _ in tapes], lambda: [walk() for _, walk in tapes]
+
+
+def _stand_in(term: tuple[Tensor, Tensor, Tensor], value: np.ndarray, d_max: int,
+              seed: np.generic, answer: Callable[[], list[np.ndarray]]) -> Tensor:
+    """Op ``sgc_term`` of value ``value`` over an alignment term's input,
+    output and mirror. Its backward is the term's: ``answer()``, the
+    gradients walked from ``seed``, where the upstream gradient is
+    ``seed``, and the term's own tape walked here from any other upstream
+    gradient (:func:`_term_tape`). A loss that weighs the term otherwise
+    than ``seed`` assumed so still gets the term's exact gradients."""
+    def grad_fn(g):
+        if g.dtype == seed.dtype and np.array_equal(g, seed):
+            return answer()
+        return _term_tape([t.data for t in term], d_max, g)[1]()
+
+    return custom_op(value, term, grad_fn, "sgc_term")
+
+
+def alignment_term(inp: Tensor, out: Tensor, w: Tensor, d_max: int) -> Tensor:
+    """``hidden_align_loss(out, sgc_forward(inp, w, d_max))`` recorded as
+    the one op a distillation step records for it (:func:`_stand_in`)."""
+    seed = default_dtype().type(1.0)
+    value, walk = _term_tape([inp.data, out.data, w.data], d_max, seed)
+    return _stand_in((inp, out, w), value, d_max, seed, walk)
 
 
 class _Alignment:
     """The alignment terms of one :func:`distill_run`, two per compensated
-    layer, and the child that computes them where one runs.
+    layer, and the child forked to compute them.
 
     Each step the parent hands the child every compensated layer in
     order, as its block returns: it copies the layer's arrays into shared
@@ -514,23 +539,40 @@ class _Alignment:
     shared memory and answers one byte; after the last layer it walks the
     layers' tapes in reverse, the order the parent's walk needs them,
     answering one byte as each layer's gradients are in place. ``live``
-    says whether the parent still hands layers to it; a step's
-    :class:`_StepTerms` clears it at the first read that finds the child
-    gone."""
+    says whether the parent still hands layers to it; :meth:`hear` clears
+    it at the first read that finds the child gone."""
 
     def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
-                 lead: tuple[int, int], fits: bool):
+                 lead: tuple[int, int]):
         self.mirrors, self.d_max = mirrors, d_max
-        self.n_terms = 2 * len(mirrors)
+        # the upstream gradient each term gets from the step's total
+        self.seed = default_dtype().type(hidden_term_weight(2 * len(mirrors)))
         self.slot = {i: k for k, i in enumerate(mirrors)}
-        self.live = fits
+        self.live = True
+        self.owed = 0  # bytes the child is still to answer
         self.send = self.receive = None  # this end of the child's pipes
         dtype = default_dtype()
         # per slot and term: input, output and mirror, then their gradients
         self.shared = [[[_shared(shape, dtype) for shape in
                          2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
-                        for w in ws] for ws in mirrors.values()] if fits else []
-        self.shared_values = _shared((len(mirrors), 2), dtype) if fits else None
+                        for w in ws] for ws in mirrors.values()]
+        self.shared_values = _shared((len(mirrors), 2), dtype)
+
+    def hear(self) -> bool:
+        """Read the child's next byte: False, and no longer ``live``, once
+        the child is gone."""
+        if self.live and self.receive(1) is not None:
+            self.owed -= 1
+            return True
+        self.live = False
+        return False
+
+    def settle(self) -> None:
+        """Read what the child still owes of an earlier step: the bytes of
+        gradients the parent did not take, having walked the terms from
+        another upstream gradient than ``seed``."""
+        while self.owed and self.hear():
+            pass
 
     def serve(self, receive: Receive, send: Send) -> None:
         walks, parent = [], os.getppid()
@@ -539,7 +581,7 @@ class _Alignment:
             _keep_off(parent, cpus)
             k = got[0]
             self.shared_values[k], walk = _alignment_terms(
-                [b[:3] for b in self.shared[k]], self.d_max, self.n_terms)
+                [b[:3] for b in self.shared[k]], self.d_max, self.seed)
             send(b"v")
             walks.append((k, walk))
             if len(walks) == len(self.mirrors):
@@ -564,9 +606,9 @@ class _StepTerms:
 
     :meth:`record` is the student forward's ``on_block``: as a compensated
     block returns, it hands the layer to the child (while it is live)
-    and records one stand-in per term, op ``sgc_term`` over the term's
-    input, output and mirror, whose backward returns the term's
-    gradients. :meth:`values` fills in the stand-ins' values for the
+    and records one :func:`_stand_in` per term, whose backward, from the
+    seed the step's total gives it, returns the gradients walked here or
+    in the child. :meth:`values` fills in the stand-ins' values for the
     step's total. The parent waits for the child only there, for the
     values, and where the walk reaches a layer's stand-ins, for that
     layer's gradients. Where the child did not answer, the layer's terms
@@ -576,6 +618,7 @@ class _StepTerms:
 
     def __init__(self, run: _Alignment):
         self.run = run
+        run.settle()
         self.heard = 0  # bytes the child answered this step
         self.layers: list[_Layer] = []
 
@@ -591,10 +634,10 @@ class _StepTerms:
                 for buf, t in zip(bufs, term):
                     buf[...] = t.data
             run.send(bytes([k]))
+            run.owed += 2
         for j, term in enumerate(layer.terms):
-            layer.stand_ins.append(custom_op(
-                np.empty((), default_dtype()), term,
-                lambda g, j=j: self._grads(layer, j), "sgc_term"))
+            layer.stand_ins.append(_stand_in(term, np.empty((), default_dtype()), run.d_max,
+                                             run.seed, lambda j=j: self._grads(layer, j)))
         self.layers.append(layer)
 
     def values(self) -> list[Tensor]:
@@ -622,17 +665,13 @@ class _StepTerms:
         """Whether the child sent its byte ``n`` of this step, reading up
         to it: over L layers, slot k's values are byte k and its
         gradients byte 2L - 1 - k."""
-        run = self.run
-        while run.live and self.heard <= n:
-            if run.receive(1) is None:
-                run.live = False
-            else:
-                self.heard += 1
+        while self.heard <= n and self.run.hear():
+            self.heard += 1
         return self.heard > n
 
     def _here(self, layer: _Layer) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
         return _alignment_terms([tuple(t.data for t in term) for term in layer.terms],
-                                self.run.d_max, self.run.n_terms)
+                                self.run.d_max, self.run.seed)
 
 
 def distill_run(teacher: LanguageModel, student: LanguageModel,
@@ -655,14 +694,14 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     compensation path is training-only. The run builds it from the
     (input, output) pairs the taped forward hands over as each block
     returns, one alignment term per projection, in layer order, the
-    input projection first. On the step's tape each term is a stand-in
-    (:class:`_StepTerms`) whose value and gradients
-    :func:`_alignment_terms` computes. Where :func:`_second_process_fits`,
-    a child forked before the loop computes them (:class:`_Alignment`),
-    a layer's terms while the student's next layer runs here; otherwise,
-    and from the first layer the child did not answer, they run here.
-    Either way the bytes are one tape's, and the child is killed and
-    reaped when the run returns or raises.
+    input projection first. Where :func:`_second_process_fits`, a child
+    forked before the loop computes them (:class:`_Alignment`), a layer's
+    terms while the student's next layer runs here: on the step's tape
+    each term is then a stand-in (:class:`_StepTerms`), and from the
+    first layer the child did not answer the stand-ins' terms run here.
+    Otherwise the step records the terms' ops on its own tape. Either way
+    the bytes are one tape's, and the child is killed and reaped when
+    the run returns or raises.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -683,26 +722,33 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
-    fits = bool(mirrors) and _second_process_fits()
-    align = _Alignment(mirrors, student.cfg.neuron.d_max, (batch, sequences.shape[1]), fits)
+    d_max = student.cfg.neuron.d_max
+    align = (_Alignment(mirrors, d_max, (batch, sequences.shape[1]))
+             if mirrors and _second_process_fits() else None)
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
-        terms = _StepTerms(align)
+        terms = _StepTerms(align) if align else None
         with Graph() as g:
-            logits, auxes = student.forward_batch(sequences[pick], on_block=terms.record)
+            logits, auxes = student.forward_batch(sequences[pick],
+                                                  on_block=terms.record if terms else None)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            hidden = terms.values()
+            hidden = terms.values() if terms else [
+                hidden_align_loss(out, sgc_forward(inp, w, d_max))
+                for i, ws in mirrors.items() for (inp, out), w in zip(auxes[i].projections, ws)]
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
         return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    with _child(align.serve if fits else None) as (align.send, align.receive):
+    if align is None:
         metrics = optimise(params, steps, lr, record_step)
+    else:
+        with _child(align.serve) as (align.send, align.receive):
+            metrics = optimise(params, steps, lr, record_step)
     return DistillResult(student=student, metrics=metrics)
 
 

@@ -641,13 +641,14 @@ def test_optimise_walks_each_recorded_step_once(monkeypatch):
             g.backward(loss, wrt=[p])
 
 
-def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch):
+def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch, forks):
     """The targets of ``spikessm gradcheck`` record the op kinds that one
     step of each training loop records, and no others, but the neurons:
     their backward is a rectangular surrogate, not the quantizer's
-    derivative, so no finite difference audits it; and the alignment
-    terms' stand-ins (``sgc_term``): a stand-in's backward hands on the
-    gradients of its term's own tape, whose ops are among those seen."""
+    derivative, so no finite difference audits it. The compensated
+    student distils with the alignment child, whose step records each
+    term as one op (``sgc_term``), and in one process, whose step records
+    the terms' own ops."""
     kinds = set()
     backward = Graph.backward
 
@@ -664,12 +665,18 @@ def test_gradcheck_records_the_op_kinds_runs_record(rng, monkeypatch):
                                 sgc=sgc)
         distill_run(teacher, student, lines, steps=1, batch=2, total_len=16,
                     n_sequences=4, seed=3)
+    with monkeypatch.context() as m:
+        _one_cpu(m)
+        compensated = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                    sgc=True)
+        distill_run(teacher, compensated, lines, steps=1, batch=2, total_len=16,
+                    n_sequences=4, seed=3)
     for method in METHODS:
         examples = [parse_preference_line(line, method)
                     for line in synth_preference_lines(lines, 4, 1, method)]
         rl_run(student, examples, method=method, steps=1, batch=2, seed=2)
-    run_kinds = kinds - {f"neuron_{kind}" for kind in KINDS} - {"sgc_term"}
-    assert len(kinds - run_kinds) == 4
+    run_kinds = kinds - {f"neuron_{kind}" for kind in KINDS}
+    assert len(kinds - run_kinds) == 3
 
     audited = set()
     with dtype_scope("float64"):
@@ -946,7 +953,7 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
     order, input projection first), total loss and every gradient of the
     student and of the mirrors are the bytes of the branch built inside
     the block: on the toy student, and at 3 layers, where all three are
-    compensated."""
+    compensated. The run takes one CPU, so the terms run in this process."""
     prompt_len, seen = 4, []
     with dtype_scope(precision):
         teacher = LanguageModel(replace(toy_config(), n_layers=n_layers), rng)
@@ -978,6 +985,7 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
             return grads
 
         with monkeypatch.context() as m:
+            _one_cpu(m)
             m.setattr(LanguageModel, "forward_batch", recorded_forward)
             m.setattr(training, "kl_distill_loss", recorded_kl)
             m.setattr(training, "hidden_align_loss", recorded(align))
@@ -999,6 +1007,27 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
                 model, mirrors, step["tokens"], step["t_cont"], prompt_len)
             assert losses == step["losses"]
             assert grads == step["grads"]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_alignment_stand_in_walks_the_term_from_its_upstream_gradient(precision, rng):
+    """``alignment_term``, the one ``sgc_term`` op a step records for an
+    alignment term, has the value and, from any upstream gradient, the
+    gradient bytes of the term's own ops on one tape."""
+    with dtype_scope(precision):
+        inp, out, w = (parameter(rng.normal(size=shape))
+                       for shape in ((2, 3, 4), (2, 3, 5), (4, 5)))
+        for scale in (1.0, 0.25, 0.3):
+            with Graph() as g:
+                direct = hidden_align_loss(out, sgc_forward(inp, w, 4)) * scale
+            want = g.backward(direct, wrt=[inp, out, w])
+            with Graph() as g:
+                stand_in = training.alignment_term(inp, out, w, 4)
+                loss = stand_in * scale
+            assert [node._op for node in g.nodes] == ["sgc_term", "mul"]
+            got = g.backward(loss, wrt=[inp, out, w])
+            assert loss.data.tobytes() == direct.data.tobytes()
+            assert all(got[id(t)].tobytes() == want[id(t)].tobytes() for t in (inp, out, w))
 
 
 def _closure_arrays(obj, found, seen):
@@ -1837,6 +1866,23 @@ def test_distill_terms_in_a_child_are_the_one_process_run(n_layers, layers, fork
     with pytest.MonkeyPatch.context() as mp:
         _one_cpu(mp)
         assert _distill_bytes(n_layers) == (rows, params, 4 * 2 * len(layers))
+    assert len(forks) == 1
+
+
+def test_distill_terms_walk_from_the_gradient_the_total_gives_them(monkeypatch, forks):
+    """A step total that scales the loss gives each alignment term another
+    gradient than the ``hidden_term_weight`` seed the child walked from:
+    each stand-in then walks its term here from the gradient it got, and
+    the run is the one-process run."""
+    total = training.total_distill_loss
+    monkeypatch.setattr(training, "total_distill_loss",
+                        lambda l_kl, hidden: total(l_kl, hidden) * 0.5)
+    rows, params, here = _distill_bytes(2)
+    assert len(forks) == 1 and here == 4 * 2 * 2
+    _assert_no_child()
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        assert _distill_bytes(2)[:2] == (rows, params)
     assert len(forks) == 1
 
 
