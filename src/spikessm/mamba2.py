@@ -3,15 +3,14 @@
 Per token, the block projects the residual stream into gate / state /
 readout pieces, runs a short causal conv and a per-head decaying state
 update, then projects back. The spiking variant quantizes the inputs of
-both projections with a neuron from :mod:`spikessm.neurons`. While a
-tape records, a block forward also hands back each projection's
-(input, output) pair, from which :func:`training.distill_run` builds the
-smooth compensation branch (a mirror of the projection, fed by
-``d_max*tanh(x)``) that gives a distillation loss a fully differentiable
-route; the block itself has no training-only branch. A batched forward
-can hand each block's pairs to its caller as that block returns
-(``on_block``), so a layer's alignment terms can run while the next
-layer's forward does.
+both projections with a neuron from :mod:`spikessm.neurons`. A batched
+forward can hand each projection's (input, output) pair to its caller
+right after the projection's product (``on_projection``), from which
+:func:`training.distill_run` builds the smooth compensation branch (a
+mirror of the projection, fed by ``d_max*tanh(x)``) that gives a
+distillation loss a fully differentiable route, so a projection's
+alignment term can run while the rest of the forward does; the block
+itself has no training-only branch.
 
 Two forward paths implement identical math: a batched path on the
 gradient tape for training and evaluation, and a stepwise plain-numpy
@@ -74,6 +73,8 @@ CLAMP_MODES = ("max_to_zero", "max_to_one")
 
 # hook signature: (layer index, site, activations) -> activations
 Hook = Callable[[int, str, np.ndarray], np.ndarray]
+# projection callback: (layer index, 0 for w_in or 1 for w_out, input, output)
+OnProjection = Callable[[int, int, Tensor, Tensor], None]
 
 
 @dataclass(frozen=True)
@@ -310,23 +311,22 @@ def make_clamp_hook(mode: str, site: str) -> Hook:
 class BlockAux:
     s_in: np.ndarray | None = None   # integer activations at the input projection
     s_out: np.ndarray | None = None  # integer activations at the output projection
-    # (input, output) tape tensors of the input then the output
-    # projection, recorded only while a tape is open
-    projections: list[tuple[Tensor, Tensor]] | None = None
 
 
 def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
-                  layer_idx: int = 0, hook: Hook | None = None) -> tuple[Tensor, BlockAux]:
+                  layer_idx: int = 0, hook: Hook | None = None,
+                  on_projection: OnProjection | None = None) -> tuple[Tensor, BlockAux]:
     """Full-sequence block forward; ``u`` is (B, T, d_model).
 
-    Under a tape, ``aux.projections`` holds ``(u, u2)`` and ``(y, y_out)``,
-    each projection's input and output, for a training loop to align
-    against; off the tape it is None. ``hook`` may transform activations
-    at the two neuron sites; it cuts the gradient flow, so it is only
-    legal outside a tape.
+    ``on_projection``, if given, is called right after each projection's
+    product, with that projection's input and output: ``(layer_idx, 0,
+    u, u2)`` after ``w_in`` and ``(layer_idx, 1, y, y_out)`` after
+    ``w_out``, the spiking inputs taken before the neuron; a training
+    loop aligns against them. ``hook`` may transform activations at the
+    two neuron sites; it cuts the gradient flow, so it is only legal
+    outside a tape.
     """
-    taped = active_graph() is not None
-    if hook is not None and taped:
+    if hook is not None and active_graph() is not None:
         raise ContractError("activation hooks are evaluation-only")
     B, T, D = u.shape
     H, P, N = cfg.n_heads, cfg.d_head, cfg.n_state
@@ -343,6 +343,8 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
         u2 = matmul(s_in, params.w_in)
     else:
         u2 = matmul(u, params.w_in)
+    if on_projection is not None:
+        on_projection(layer_idx, 0, u, u2)
 
     # u2 = [z | x | B | C | dt]; one conv runs over the contiguous x|B|C
     z = narrow(u2, -1, 0, d_inner)
@@ -372,9 +374,9 @@ def block_forward(params: BlockParams, u: Tensor, cfg: Mamba2Config, *,
         y_out = matmul(s_out, params.w_out)
     else:
         y_out = matmul(y, params.w_out)
+    if on_projection is not None:
+        on_projection(layer_idx, 1, y, y_out)
 
-    if taped:
-        aux.projections = [(u, u2), (y, y_out)]
     if not np.isfinite(y_out.data).all():
         raise NumericError(f"non-finite block output at layer {layer_idx}")
     return y_out, aux
@@ -670,18 +672,18 @@ class LanguageModel:
     # -- batched (teacher-forced) forward ------------------------------------
 
     def forward_batch(self, tokens: np.ndarray, *, hook: Hook | None = None,
-                      on_block: Callable[[int, BlockAux], None] | None = None
+                      on_projection: OnProjection | None = None
                       ) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, vocab) logits: :meth:`head` of :meth:`trunk`."""
-        x, auxes = self.trunk(tokens, hook=hook, on_block=on_block)
+        x, auxes = self.trunk(tokens, hook=hook, on_projection=on_projection)
         return self.head(x), auxes
 
     def trunk(self, tokens: np.ndarray, *, hook: Hook | None = None,
-              on_block: Callable[[int, BlockAux], None] | None = None
+              on_projection: OnProjection | None = None
               ) -> tuple[Tensor, list[BlockAux]]:
         """(B, T, d_model) final normalised hidden states of a (B, T) token
-        batch, and each block's :class:`BlockAux`; ``on_block(i, aux)``,
-        if given, is called as block ``i`` returns."""
+        batch, and each block's :class:`BlockAux`; ``hook`` and
+        ``on_projection`` go to every :func:`block_forward`."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise DimensionError("a batched forward expects (batch, time) token ids")
@@ -689,10 +691,9 @@ class LanguageModel:
         auxes = []
         for i, layer in enumerate(self.layers):
             x_in = rmsnorm(x, self.pre_norms[i])
-            y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i, hook=hook)
+            y, aux = block_forward(layer, x_in, self.cfg, layer_idx=i, hook=hook,
+                                   on_projection=on_projection)
             auxes.append(aux)
-            if on_block is not None:
-                on_block(i, aux)
             x = x + y
         return rmsnorm(x, self.norm_f), auxes
 

@@ -423,13 +423,15 @@ def _keep_off(pid: int, cpus: set[int]) -> None:
 
 
 @contextmanager
-def _child(work: Callable[[Receive, Send], None] | None) -> Iterator[tuple[Send, Receive]]:
+def _child(work: Callable[[Receive, Send], None] | None
+           ) -> Iterator[tuple[Send, Receive, bool]]:
     """Run ``work(receive, send)`` in a forked child, a pipe each way;
-    the block gets this end of both, ``(send, receive)`` (see
-    :func:`_receiver` and :func:`_sender`). ``work`` None forks nothing,
-    and ``receive`` then returns None at once. The pipes' buffers bound
-    how far ahead the child runs, and it leaves through ``os._exit``, as
-    in :func:`_in_two_processes`. However the block ends, the child is
+    the block gets this end of both and whether a child runs, ``(send,
+    receive, forked)`` (see :func:`_receiver` and :func:`_sender`).
+    ``work`` None forks nothing; then, and where the fork fails,
+    ``receive`` returns None at once. The pipes' buffers bound how far
+    ahead the child runs, and it leaves through ``os._exit``, as in
+    :func:`_in_two_processes`. However the block ends, the child is
     killed and reaped."""
     down, up = os.pipe(), os.pipe()
     pid = _fork() if work is not None else None
@@ -445,7 +447,7 @@ def _child(work: Callable[[Receive, Send], None] | None) -> Iterator[tuple[Send,
     os.close(down[0])
     os.close(up[1])
     try:
-        yield _sender(down[1]), _receiver(up[0])
+        yield _sender(down[1]), _receiver(up[0]), pid is not None
     finally:
         os.close(down[1])
         os.close(up[0])
@@ -496,14 +498,6 @@ def _term_tape(arrays, d_max: int, seed: np.generic | np.ndarray
     return value.data, walk
 
 
-def _alignment_terms(terms: list, d_max: int, seed: np.generic
-                     ) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
-    """``(values, walk)`` of several :func:`_term_tape`, ``walk()`` giving
-    each term's gradients from ``seed``."""
-    tapes = [_term_tape(arrays, d_max, seed) for arrays in terms]
-    return [value for value, _ in tapes], lambda: [walk() for _, walk in tapes]
-
-
 def _stand_in(term: tuple[Tensor, Tensor, Tensor], value: np.ndarray, d_max: int,
               seed: np.generic, answer: Callable[[], list[np.ndarray]]) -> Tensor:
     """Op ``sgc_term`` of value ``value`` over an alignment term's input,
@@ -529,34 +523,34 @@ def alignment_term(inp: Tensor, out: Tensor, w: Tensor, d_max: int) -> Tensor:
 
 
 class _Alignment:
-    """The alignment terms of one :func:`distill_run`, two per compensated
-    layer, and the child forked to compute them.
+    """The alignment terms of one :func:`distill_run`, one per projection
+    of each compensated layer, and the child forked to compute them.
 
-    Each step the parent hands the child every compensated layer in
-    order, as its block returns: it copies the layer's arrays into shared
-    mappings and sends the layer's slot byte. The child (:meth:`serve`)
-    records the layer's :func:`_alignment_terms`, leaves their values in
-    shared memory and answers one byte; after the last layer it walks the
-    layers' tapes in reverse, the order the parent's walk needs them,
-    answering one byte as each layer's gradients are in place. ``live``
-    says whether the parent still hands layers to it; :meth:`hear` clears
-    it at the first read that finds the child gone."""
+    Each step the parent hands the child every term in recording order
+    (layer order, the input projection first), as soon as the term's
+    projection has run: it copies the projection's input and output and
+    the mirror into term t's shared mappings and sends the byte t. The
+    child (:meth:`serve`) records the term's :func:`_term_tape`, leaves
+    its value in shared memory and answers one byte; after the last term
+    it walks the terms' tapes in reverse, the order the parent's walk
+    needs them, answering one byte as each term's gradients are in
+    place. ``live`` says whether the parent still hands terms to it;
+    :meth:`hear` clears it at the first read that finds the child gone."""
 
     def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
                  lead: tuple[int, int]):
-        self.mirrors, self.d_max = mirrors, d_max
+        self.d_max = d_max
+        dtype = default_dtype()
+        # per term: input, output and mirror, then their gradients
+        self.shared = [[_shared(shape, dtype) for shape in
+                        2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
+                       for ws in mirrors.values() for w in ws]
+        self.shared_values = _shared((len(self.shared),), dtype)
         # the upstream gradient each term gets from the step's total
-        self.seed = default_dtype().type(hidden_term_weight(2 * len(mirrors)))
-        self.slot = {i: k for k, i in enumerate(mirrors)}
+        self.seed = dtype.type(hidden_term_weight(len(self.shared)))
         self.live = True
         self.owed = 0  # bytes the child is still to answer
         self.send = self.receive = None  # this end of the child's pipes
-        dtype = default_dtype()
-        # per slot and term: input, output and mirror, then their gradients
-        self.shared = [[[_shared(shape, dtype) for shape in
-                         2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
-                        for w in ws] for ws in mirrors.values()]
-        self.shared_values = _shared((len(mirrors), 2), dtype)
 
     def hear(self) -> bool:
         """Read the child's next byte: False, and no longer ``live``, once
@@ -579,99 +573,90 @@ class _Alignment:
         cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
         while (got := receive(1)) is not None:
             _keep_off(parent, cpus)
-            k = got[0]
-            self.shared_values[k], walk = _alignment_terms(
-                [b[:3] for b in self.shared[k]], self.d_max, self.seed)
+            bufs = self.shared[got[0]]
+            self.shared_values[got[0]], walk = _term_tape(bufs[:3], self.d_max, self.seed)
             send(b"v")
-            walks.append((k, walk))
-            if len(walks) == len(self.mirrors):
-                for k, walk in reversed(walks):
-                    for bufs, grads in zip(self.shared[k], walk()):
-                        for buf, g in zip(bufs[3:], grads):
-                            buf[...] = g
+            walks.append((bufs, walk))
+            if len(walks) == len(self.shared):
+                for bufs, walk in reversed(walks):
+                    for buf, g in zip(bufs[3:], walk()):
+                        buf[...] = g
                     send(b"g")
                 walks = []
 
 
 @dataclass
-class _Layer:
-    slot: int
-    terms: list[tuple[Tensor, Tensor, Tensor]]  # per term: input, output, mirror
-    stand_ins: list[Tensor] = field(default_factory=list)
-    grads: list[list[np.ndarray]] | None = None  # computed here, else the child's
+class _Term:
+    index: int  # in recording order
+    tensors: tuple[Tensor, Tensor, Tensor]  # input, output, mirror
+    grads: list[np.ndarray] | None = None  # computed here, else the child's
 
 
 class _StepTerms:
-    """One step's alignment terms on its tape.
+    """One step's alignment terms on its tape, while the child runs.
 
-    :meth:`record` is the student forward's ``on_block``: as a compensated
-    block returns, it hands the layer to the child (while it is live)
-    and records one :func:`_stand_in` per term, whose backward, from the
-    seed the step's total gives it, returns the gradients walked here or
-    in the child. :meth:`values` fills in the stand-ins' values for the
-    step's total. The parent waits for the child only there, for the
-    values, and where the walk reaches a layer's stand-ins, for that
-    layer's gradients. Where the child did not answer, the layer's terms
-    run here, and so do every later layer's. Each gradient reaches its
-    tensor as one operand of a two-operand add, as on a tape of the whole
-    step, so the bytes do not depend on where the terms ran."""
+    :meth:`record` is called right after each compensated projection's
+    product: it hands the term to the child (while it is live) and
+    records one :func:`_stand_in`, whose backward, from the seed the
+    step's total gives it, returns the gradients walked here or in the
+    child. So the stand-in sits on the tape right after its projection,
+    and the walk asks for an input projection's gradients only after
+    its block's whole backward. :meth:`values` fills in the stand-ins'
+    values for the step's total. The parent waits for the child only
+    there, for the values, and where the walk reaches a stand-in, for
+    that term's gradients. Where the child did not answer, the term
+    runs here, and so does every later term. Each gradient reaches its
+    tensor as one operand of a two-operand add, as on a tape of the
+    whole step, so the bytes do not depend on where the terms ran."""
 
     def __init__(self, run: _Alignment):
         self.run = run
         run.settle()
         self.heard = 0  # bytes the child answered this step
-        self.layers: list[_Layer] = []
+        self.terms: list[tuple[_Term, Tensor]] = []  # and their stand-ins
 
-    def record(self, i: int, aux) -> None:
+    def record(self, inp: Tensor, out: Tensor, w: Tensor) -> Tensor:
         run = self.run
-        k = run.slot.get(i)
-        if k is None:
-            return
-        layer = _Layer(k, [(inp, out, w) for (inp, out), w in
-                           zip(aux.projections, run.mirrors[i])])
+        term = _Term(len(self.terms), (inp, out, w))
         if run.live:
-            for bufs, term in zip(run.shared[k], layer.terms):
-                for buf, t in zip(bufs, term):
-                    buf[...] = t.data
-            run.send(bytes([k]))
+            for buf, t in zip(run.shared[term.index], term.tensors):
+                buf[...] = t.data
+            run.send(bytes([term.index]))
             run.owed += 2
-        for j, term in enumerate(layer.terms):
-            layer.stand_ins.append(_stand_in(term, np.empty((), default_dtype()), run.d_max,
-                                             run.seed, lambda j=j: self._grads(layer, j)))
-        self.layers.append(layer)
+        stand_in = _stand_in(term.tensors, np.empty((), default_dtype()), run.d_max,
+                             run.seed, lambda: self._grads(term))
+        self.terms.append((term, stand_in))
+        return stand_in
 
-    def values(self) -> list[Tensor]:
-        """The stand-ins in term order, with their values. From here only
-        its stand-ins hold a layer, so the walk frees it as it passes."""
-        layers, self.layers = self.layers, []
-        for layer in layers:
-            if self._heard(layer.slot):
-                vals = self.run.shared_values[layer.slot]
+    def values(self) -> None:
+        """Fill in the stand-ins' values. From here only its stand-in
+        holds a term, so the walk frees it as it passes."""
+        terms, self.terms = self.terms, []
+        for term, stand_in in terms:
+            if self._heard(term.index):
+                stand_in.data[...] = self.run.shared_values[term.index]
             else:
-                vals, walk = self._here(layer)
-                layer.grads = walk()
-            for s, v in zip(layer.stand_ins, vals):
-                s.data[...] = v
-        return [s for layer in layers for s in layer.stand_ins]
+                value, walk = self._here(term)
+                stand_in.data[...] = value
+                term.grads = walk()
 
-    def _grads(self, layer: _Layer, j: int) -> list[np.ndarray]:
-        if layer.grads is None:
-            if self._heard(2 * len(self.run.mirrors) - 1 - layer.slot):
-                return self.run.shared[layer.slot][j][3:]
-            layer.grads = self._here(layer)[1]()
-        return layer.grads[j]
+    def _grads(self, term: _Term) -> list[np.ndarray]:
+        if term.grads is None:
+            if self._heard(2 * len(self.run.shared) - 1 - term.index):
+                return self.run.shared[term.index][3:]
+            term.grads = self._here(term)[1]()
+        return term.grads
 
     def _heard(self, n: int) -> bool:
         """Whether the child sent its byte ``n`` of this step, reading up
-        to it: over L layers, slot k's values are byte k and its
-        gradients byte 2L - 1 - k."""
+        to it: over N terms, term t's value is byte t and its gradients
+        byte 2N - 1 - t."""
         while self.heard <= n and self.run.hear():
             self.heard += 1
         return self.heard > n
 
-    def _here(self, layer: _Layer) -> tuple[list, Callable[[], list[list[np.ndarray]]]]:
-        return _alignment_terms([tuple(t.data for t in term) for term in layer.terms],
-                                self.run.d_max, self.run.seed)
+    def _here(self, term: _Term) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
+        return _term_tape([t.data for t in term.tensors], self.run.d_max, self.run.seed)
 
 
 def distill_run(teacher: LanguageModel, student: LanguageModel,
@@ -692,16 +677,17 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     gets mirrors of its two projections, trained parameters that start
     as copies of them and are dropped when the run ends: the
     compensation path is training-only. The run builds it from the
-    (input, output) pairs the taped forward hands over as each block
-    returns, one alignment term per projection, in layer order, the
-    input projection first. Where :func:`_second_process_fits`, a child
-    forked before the loop computes them (:class:`_Alignment`), a layer's
-    terms while the student's next layer runs here: on the step's tape
-    each term is then a stand-in (:class:`_StepTerms`), and from the
-    first layer the child did not answer the stand-ins' terms run here.
-    Otherwise the step records the terms' ops on its own tape. Either way
-    the bytes are one tape's, and the child is killed and reaped when
-    the run returns or raises.
+    (input, output) pair the taped forward hands over right after each
+    projection (``on_projection``), one alignment term per projection,
+    in layer order, the input projection first, each recorded at that
+    point of the tape. Where :func:`_second_process_fits` and the fork
+    succeeds, a child forked before the loop computes them
+    (:class:`_Alignment`), each term while the student's forward goes
+    on here: on the step's tape each term is then a stand-in
+    (:class:`_StepTerms`), and from the first term the child did not
+    answer the stand-ins' terms run here. Otherwise the step records the
+    terms' own ops on its tape. Either way the bytes are one tape's, and
+    the child is killed and reaped when the run returns or raises.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -730,26 +716,33 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
         pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
         terms = _StepTerms(align) if align else None
+        hidden = []
+
+        def projected(i, j, inp, out):
+            if i in mirrors:
+                w = mirrors[i][j]
+                hidden.append(terms.record(inp, out, w) if terms else
+                              hidden_align_loss(out, sgc_forward(inp, w, d_max)))
+
         with Graph() as g:
-            logits, auxes = student.forward_batch(sequences[pick],
-                                                  on_block=terms.record if terms else None)
+            logits, auxes = student.forward_batch(
+                sequences[pick], on_projection=projected if mirrors else None)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            hidden = terms.values() if terms else [
-                hidden_align_loss(out, sgc_forward(inp, w, d_max))
-                for i, ws in mirrors.items() for (inp, out), w in zip(auxes[i].projections, ws)]
+            if terms:
+                terms.values()
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
         return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    if align is None:
-        metrics = optimise(params, steps, lr, record_step)
-    else:
-        with _child(align.serve) as (align.send, align.receive):
-            metrics = optimise(params, steps, lr, record_step)
-    return DistillResult(student=student, metrics=metrics)
+    with _child(align.serve if align else None) as (send, receive, forked):
+        if forked:
+            align.send, align.receive = send, receive
+        else:  # each step records the terms' own ops
+            align = None
+        return DistillResult(student=student, metrics=optimise(params, steps, lr, record_step))
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +934,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
                 if rows is not None:
                     send(reference_logprobs(rows).tobytes())
 
-    with _child(ahead if _second_process_fits() else None) as (_, receive):
+    with _child(ahead if _second_process_fits() else None) as (_, receive, _):
         steps_drawn = draws()
 
         def received_logprobs(rows):

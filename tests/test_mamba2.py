@@ -784,50 +784,59 @@ def test_site_stats_aggregation(rng):
 
 
 @pytest.mark.parametrize("mode", [DENSE, SPIKING])
-def test_projection_pairs_recorded_under_a_tape(mode, rng, monkeypatch):
-    """Under a tape a block records its two projections as the (input,
-    output) tensors it computed: ``(u, u2)`` and ``(y, y_out)``, the
-    spiking inputs taken before the neuron. Off the tape the field is
-    None, and recording changes no output."""
+def test_on_projection_gets_each_pair_right_after_its_product(mode, rng, monkeypatch):
+    """``on_projection`` is called right after each projection's product,
+    with the (input, output) tensors it computed: ``(layer, 0, u, u2)``
+    then ``(layer, 1, y, y_out)``, the spiking inputs taken before the
+    neuron. ``forward_batch`` hands it to every block, with that block's
+    index, on and off a tape, and it changes no output."""
     cfg = small_config(mode=mode, neuron=NeuronConfig(kind=TILIF, d_max=4))
     params = init_block_params(cfg, rng)
     u = Tensor(rng.normal(size=(2, 5, cfg.d_model)))
-    neuron_inputs, products = [], {}
+    neuron_inputs, events = [], []
     real_neuron, real_matmul = mamba2.neuron_forward, mamba2.matmul
+    names = {id(params.w_in): "w_in", id(params.w_out): "w_out"}
 
     def neuron(ncfg, x):
         neuron_inputs.append(x)
         return real_neuron(ncfg, x)
 
     def product(a, b):
-        products[id(b)] = (a, real_matmul(a, b))
-        return products[id(b)][1]
+        events.append((names.get(id(b)), a, real_matmul(a, b)))
+        return events[-1][2]
+
+    def projected(layer, j, inp, out):
+        events.append((layer, j, inp, out))
 
     monkeypatch.setattr(mamba2, "neuron_forward", neuron)
     monkeypatch.setattr(mamba2, "matmul", product)
     with Graph():
-        y_out, aux = block_forward(params, u, cfg)
-    (u_in, u2), (y, y_proj) = aux.projections
-    assert u_in is u and y_proj is y_out
-    assert u2 is products[id(params.w_in)][1] and y_out is products[id(params.w_out)][1]
+        y_out, _ = block_forward(params, u, cfg, layer_idx=3, on_projection=projected)
+    (w_in, a_in, u2), (_, j_in, u_in, u2_got), (w_out, a_out, y_prod), (_, j_out, y, y_got) = events
+    assert (w_in, w_out, j_in, j_out) == ("w_in", "w_out", 0, 1)
+    assert [e[0] for e in events[1::2]] == [3, 3]
+    assert u_in is u and u2_got is u2 and y_got is y_prod is y_out
     if mode == SPIKING:
         assert len(neuron_inputs) == 2 and neuron_inputs[0] is u and neuron_inputs[1] is y
     else:
-        assert products[id(params.w_in)][0] is u and products[id(params.w_out)][0] is y
+        assert a_in is u and a_out is y
     assert u2.shape == (2, 5, cfg.d_proj) and y.shape == (2, 5, cfg.d_inner)
     assert y_out.shape == u.shape
 
-    free_out, free_aux = block_forward(params, u, cfg)
-    assert free_aux.projections is None
+    free_out, _ = block_forward(params, u, cfg)
     assert free_out.data.tobytes() == y_out.data.tobytes()
     model = LanguageModel(cfg, rng)
     toks = rng.integers(0, cfg.vocab, size=(1, 5))
+    calls = []
     with Graph():
-        logits, auxes = model.forward_batch(toks)
-    assert all(len(a.projections) == 2 for a in auxes)
-    base, plain = model.forward_batch(toks)
-    assert all(a.projections is None for a in plain)
-    assert logits.data.tobytes() == base.data.tobytes()
+        logits, _ = model.forward_batch(
+            toks, on_projection=lambda layer, j, inp, out: calls.append((layer, j)))
+    assert calls == [(i, j) for i in range(cfg.n_layers) for j in (0, 1)]
+    off_tape, _ = model.forward_batch(
+        toks, on_projection=lambda layer, j, inp, out: calls.append((layer, j)))
+    assert len(calls) == 4 * cfg.n_layers
+    base, _ = model.forward_batch(toks)
+    assert logits.data.tobytes() == base.data.tobytes() == off_tape.data.tobytes()
 
 
 def _traced_peak(fn):

@@ -963,20 +963,20 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
                                      training.hidden_align_loss, training.total_distill_loss)
         backward = Graph.backward
 
-        def recorded(fn):
+        def recorded(fn, kind):
             def run(*args):
                 out = fn(*args)
-                seen[-1]["losses"].append(out.data.tobytes())
+                seen[-1][kind].append(out.data.tobytes())
                 return out
             return run
 
         def recorded_forward(self, tokens, **kwargs):
-            seen.append({"tokens": tokens.copy(), "losses": []})
+            seen.append({"tokens": tokens.copy(), "kl": [], "align": [], "total": []})
             return forward(self, tokens, **kwargs)
 
         def recorded_kl(t_cont, s_cont):
             seen[-1]["t_cont"] = np.array(t_cont)
-            return recorded(kl)(t_cont, s_cont)
+            return recorded(kl, "kl")(t_cont, s_cont)
 
         def recorded_backward(g, loss, wrt):
             seen[-1]["params"] = [p.data.copy() for p in wrt]
@@ -988,8 +988,8 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
             _one_cpu(m)
             m.setattr(LanguageModel, "forward_batch", recorded_forward)
             m.setattr(training, "kl_distill_loss", recorded_kl)
-            m.setattr(training, "hidden_align_loss", recorded(align))
-            m.setattr(training, "total_distill_loss", recorded(total))
+            m.setattr(training, "hidden_align_loss", recorded(align, "align"))
+            m.setattr(training, "total_distill_loss", recorded(total, "total"))
             m.setattr(Graph, "backward", recorded_backward)
             distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=3, batch=4,
                         prompt_len=prompt_len, total_len=16, n_sequences=8, seed=3)
@@ -998,14 +998,14 @@ def test_distill_step_equals_in_block_compensation(precision, n_layers, rng, mon
         assert len(layers) == n_layers and len(seen) == 3
         names = list(param_shapes(student.cfg))
         for step in seen:
-            assert len(step["losses"]) == 2 + 2 * n_layers
+            assert len(step["align"]) == 2 * n_layers
             arrays = step["params"]
             model = LanguageModel.from_tensors(student.cfg, dict(zip(names, arrays)))
             rest = [parameter(a) for a in arrays[len(names):]]
             mirrors = {i: (rest[2 * k], rest[2 * k + 1]) for k, i in enumerate(layers)}
             losses, grads = distill_step_compensated(
                 model, mirrors, step["tokens"], step["t_cont"], prompt_len)
-            assert losses == step["losses"]
+            assert losses == step["kl"] + step["align"] + step["total"]
             assert grads == step["grads"]
 
 
@@ -1886,16 +1886,19 @@ def test_distill_terms_walk_from_the_gradient_the_total_gives_them(monkeypatch, 
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("stop", [("term", 1), ("term", 3), ("term", 5), ("walk", 1),
-                                  ("walk", 3)],
-                         ids=["first layer", "later layer", "later step",
+@pytest.mark.parametrize("stop", [("term", 1), ("term", 2), ("term", 3), ("term", 5),
+                                  ("walk", 1), ("walk", 3)],
+                         ids=["first layer", "between a layer's two projections",
+                              "later layer", "later step",
                               "values sent, no gradients", "between two layers' gradients"])
 @pytest.mark.parametrize("end", ["exit 0", "exit 3", "sigkill"])
 def test_distill_child_that_stops_is_the_same_run(stop, end, forks):
-    """The child ending at its first layer, at a later layer or step, and
-    between a layer's values and its gradients: this process computes
-    that layer's terms and every later one's, the run gives the
-    one-process bytes, and the child is reaped."""
+    """The child ending at its first term (the first layer's input
+    projection), at its second (between that layer's two projections),
+    at its third and fifth (a later layer's and a later step's first
+    term), and between the terms' values and their gradients: this
+    process computes the terms the child did not answer and every later
+    one, the run gives the one-process bytes, and the child is reaped."""
     with pytest.MonkeyPatch.context() as mp:
         _one_cpu(mp)
         rows, params, _ = _distill_bytes(2)
@@ -1960,22 +1963,61 @@ def test_distill_without_a_child_is_the_same_run(block, monkeypatch, forks):
     assert len(forks) == 1 and got == (rows, params, 4 * 2 * 2)
 
 
-def test_distill_tape_holds_no_alignment_op_when_the_child_runs(monkeypatch, forks):
-    """With the child running, each step's tape in this process holds one
-    ``sgc_term`` stand-in per alignment term and no ``hidden_align``
-    node."""
+def _distill_tapes(monkeypatch):
+    """The tapes this process walks in a :func:`_distill_bytes` run of a
+    2-layer student, each as its ops and each node's inputs by the index
+    of the node that made them (None for leaves), and the alignment
+    terms it computed."""
     parent, tapes = os.getpid(), []
     backward = Graph.backward
 
     def recorded(g, loss, wrt):
         if os.getpid() == parent:
-            tapes.append([node._op for node in g.nodes])
+            at = {id(node): k for k, node in enumerate(g.nodes)}
+            tapes.append(([node._op for node in g.nodes],
+                          [[at.get(id(t)) for t in node._inputs] for node in g.nodes]))
         return backward(g, loss, wrt)
 
     monkeypatch.setattr(Graph, "backward", recorded)
-    _, _, here = _distill_bytes(2)
+    return tapes, _distill_bytes(2)[2]
+
+
+def test_distill_tape_holds_no_alignment_op_when_the_child_runs(monkeypatch, forks):
+    """With the child running, each step's tape in this process holds one
+    ``sgc_term`` stand-in per alignment term and no ``hidden_align``
+    node. Each stand-in comes right after its projection's ``matmul``,
+    whose output it aligns, so the walk reaches it only after the
+    backward of everything the forward computed from that output."""
+    tapes, here = _distill_tapes(monkeypatch)
     assert len(forks) == 1 and here == 0 and len(tapes) == 4
-    assert all(ops.count("sgc_term") == 4 and "hidden_align" not in ops for ops in tapes)
+    for ops, inputs in tapes:
+        assert ops.count("sgc_term") == 4 and "hidden_align" not in ops
+        for k, op in enumerate(ops):
+            if op == "sgc_term":
+                assert ops[k - 1] == "matmul" and inputs[k][1] == k - 1
+
+
+@pytest.mark.parametrize("block", ["no fork", "fork fails"])
+def test_distill_whose_fork_fails_records_the_terms_ops(block, monkeypatch, forks):
+    """Where ``os.fork`` is missing or raises ``EAGAIN``, each step's tape
+    holds the terms' own ops, no ``sgc_term``: each ``hidden_align``
+    right after its mirror's ``tanh``, ``mul`` and ``matmul``, which come
+    right after the projection it aligns."""
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    if block == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork)
+    tapes, here = _distill_tapes(monkeypatch)
+    assert not forks and here == 4 * 2 * 2 and len(tapes) == 4
+    for ops, inputs in tapes:
+        assert ops.count("hidden_align") == 4 and "sgc_term" not in ops
+        for k, op in enumerate(ops):
+            if op == "hidden_align":
+                assert ops[k - 4:k] == ["matmul", "tanh", "mul", "matmul"]
+                assert inputs[k] == [k - 4, k - 1]
 
 
 def test_distill_interrupt_while_the_child_is_awaited_kills_and_reaps_it(monkeypatch, forks):
