@@ -5,22 +5,19 @@ one step of the shared loop :func:`optimise`.
 Everything is deterministic under a fixed seed: data sampling uses one
 generator, and a metrics row is a plain dict whose keys are its file's
 columns; the CLI owns every file a run reads or writes. The loop runs in
-one thread. Where a second process fits (:func:`_second_process_fits`),
-three pieces of work run in a forked child beside it: half of the
-distillation set-up's teacher pass, ``rl_run``'s reference forwards and
-``distill_run``'s alignment terms. Each gives the bytes of one process.
+one thread. Three pieces of work run in a child forked beside it through
+the one primitive :func:`procs.child`, which decides where a second
+process fits: half of the distillation set-up's teacher pass,
+``rl_run``'s reference forwards and ``distill_run``'s alignment terms.
+Where the child's answer does not come, this process does that work
+itself, so each gives the bytes of one process.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 import os
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +38,7 @@ from .mamba2 import (
     sgc_forward,
 )
 from .optim import AdamW, lr_schedule
+from .procs import Receive, Send, child, keep_off, shared
 from .tensor import (
     ContractError,
     Graph,
@@ -228,24 +226,31 @@ def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
     """``(sequences, targets)``: the (m, T) greedy continuations of m
     prompts by the ``matmul`` kernel, and their :func:`teacher_targets`,
     both in anonymous shared mappings. ``label(lo, hi)`` writes rows
-    ``[lo, hi)`` of each; where :func:`_splits` holds, a forked child
-    labels rows ``m // 2`` on (:func:`_in_two_processes`). The bytes are
-    one process's: each half decodes at least ``SPLIT_ROWS`` rows, and a
-    trunk row is the same bytes in any row batch. An error in either half
-    is raised with its type and message."""
+    ``[lo, hi)`` of each. Where :func:`_splits` holds and a child forks
+    (:func:`procs.child`), the child labels rows ``m // 2`` on, then sends
+    one byte, while this process labels the rows before them; where that
+    byte does not come (the child raised, was killed or ended early), this
+    process labels the child's rows too. The bytes are one process's: each
+    half decodes at least ``SPLIT_ROWS`` rows, and a trunk row is the same
+    bytes in any row batch. An error in either half is raised with its
+    type and message."""
     m, T0 = prompts.shape
     dtype = teacher.embedding.data.dtype
-    seqs = _shared((m, T0 + max_new), np.int64)
-    out = _shared((m, T0 + max_new, teacher.cfg.d_model), dtype)
+    seqs = shared((m, T0 + max_new), np.int64)
+    out = shared((m, T0 + max_new, teacher.cfg.d_model), dtype)
 
     def label(lo: int, hi: int) -> None:
         seqs[lo:hi] = teacher.generate_greedy(prompts[lo:hi], max_new, kernel="matmul")
         teacher_targets(teacher, seqs[lo:hi], out[lo:hi])
 
-    if _splits(m, dtype):
-        _in_two_processes(lambda: label(0, m // 2), lambda: label(m // 2, m))
-    else:
-        label(0, m)
+    def there(receive: Receive, send: Send) -> None:
+        label(m // 2, m)
+        send(b"d")
+
+    with child(there if _splits(m, dtype) else None) as (_, receive, forked):
+        label(0, m // 2 if forked else m)
+        if forked and receive(1) is None:
+            label(m // 2, m)
     return seqs, out
 
 
@@ -283,186 +288,13 @@ def teacher_targets(teacher: LanguageModel, sequences: np.ndarray,
 # 112 and 136 rows.
 SPLIT_ROWS = 56
 
-# OpenBLAS reads its thread count from the first of these that is set,
-# once, when numpy loads it; unset, it takes every CPU.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return _usable_cpus()
-
-
-def _second_process_fits() -> bool:
-    """Whether this process may fork a second one to work beside it: the
-    one rule of the three callers that do (:func:`teacher_pass` through
-    :func:`_splits`, :func:`rl_run` and :func:`distill_run`).
-
-    Each process needs CPUs for all its BLAS threads: where BLAS already
-    takes every CPU, a split teacher pass read 2.2-2.8x one process.
-    ``fork`` copies only the calling thread, so a process running other
-    Python threads never forks."""
-    return threading.active_count() == 1 and _usable_cpus() >= 2 * _blas_threads()
-
-
-def _shared(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """A zeroed array in an anonymous shared mapping, shared with forked children."""
-    n, itemsize = math.prod(shape), np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, max(n * itemsize, 1)), dtype, n).reshape(shape)
-
-
-def _fork() -> int | None:
-    """``os.fork()``: 0 in the child, the child's pid here; None where
-    ``os.fork`` is missing or raises ``OSError`` (EAGAIN at the process
-    limit, say)."""
-    fork = getattr(os, "fork", None)
-    try:
-        return fork() if fork else None
-    except OSError:
-        return None
-
-
-def _kill_and_reap(pid: int) -> None:
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-
-
-def _in_two_processes(here: Callable[[], None], there: Callable[[], None]) -> None:
-    """Run ``here()``, and ``there()`` in a forked child; both leave
-    their results in shared memory. The child leaves through ``os._exit``:
-    it never unwinds into the caller's stack or flushes the buffers it
-    inherited. Both halves are deterministic, so a child that does not
-    exit 0 (it raised, was killed, or never forked) is not asked why:
-    ``there()`` runs again here, after ``here()``, and gives the same
-    results or raises its own error. If ``here`` raises or is
-    interrupted, before or while the child is awaited, the child is killed
-    and reaped before the error propagates."""
-    pid = _fork()
-    if pid == 0:
-        status = 1
-        try:
-            there()
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        here()
-        status = os.waitpid(pid, 0)[1] if pid else 1
-    except BaseException:
-        if pid:
-            _kill_and_reap(pid)
-        raise
-    if status:
-        there()
-
-
-# the two ends of a pipe between a parent and its child (_child)
-Receive = Callable[[int], bytes | None]
-Send = Callable[[bytes], None]
-
-
-def _receiver(fd: int) -> Receive:
-    """``receive(n)``: the next ``n`` bytes of pipe ``fd``. None at EOF or
-    a short read (the writer raised, was killed, exited early, or never
-    forked), and at every call after it: the reader then computes what
-    it waited for itself."""
-    live = True
-
-    def receive(n: int) -> bytes | None:
-        nonlocal live
-        got = b""
-        while live and len(got) < n:
-            part = os.read(fd, n - len(got))
-            live = bool(part)
-            got += part
-        return got if live else None
-
-    return receive
-
-
-def _sender(fd: int) -> Send:
-    """``send(data)``: all of ``data`` into pipe ``fd``; nothing once its
-    reader has gone, which the other end learns from its own reads."""
-    def send(data: bytes) -> None:
-        view = memoryview(data)
-        try:
-            while view:
-                view = view[os.write(fd, view):]
-        except BrokenPipeError:
-            pass
-
-    return send
-
-
-def _keep_off(pid: int, cpus: set[int]) -> None:
-    """Run this process on ``cpus`` but the one process ``pid`` last ran
-    on (read from ``/proc``), where that leaves a CPU.
-
-    A child that sleeps between short pieces of work for its parent was
-    often woken on the parent's CPU, where it preempted the parent. On a
-    two-vCPU Xeon guest at one BLAS thread, a one-byte hand-off to the
-    alignment child then read 1.7-2.6 ms, and distillation steps with
-    the child read 0.65-1.9x the one-process step, median 1.10, over 8
-    pairs; kept off the parent's CPU, 0.67-0.99x, median 0.86."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as f:
-            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
-        if cpus - {cpu}:
-            os.sched_setaffinity(0, cpus - {cpu})
-    except (OSError, ValueError, IndexError):
-        pass
-
-
-@contextmanager
-def _child(work: Callable[[Receive, Send], None] | None
-           ) -> Iterator[tuple[Send, Receive, bool]]:
-    """Run ``work(receive, send)`` in a forked child, a pipe each way;
-    the block gets this end of both and whether a child runs, ``(send,
-    receive, forked)`` (see :func:`_receiver` and :func:`_sender`).
-    ``work`` None forks nothing; then, and where the fork fails,
-    ``receive`` returns None at once. The pipes' buffers bound how far
-    ahead the child runs, and it leaves through ``os._exit``, as in
-    :func:`_in_two_processes`. However the block ends, the child is
-    killed and reaped."""
-    down, up = os.pipe(), os.pipe()
-    pid = _fork() if work is not None else None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(down[1])
-            os.close(up[0])
-            work(_receiver(down[0]), _sender(up[1]))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(down[0])
-    os.close(up[1])
-    try:
-        yield _sender(down[1]), _receiver(up[0]), pid is not None
-    finally:
-        os.close(down[1])
-        os.close(up[0])
-        if pid:
-            _kill_and_reap(pid)
-
 
 def _splits(rows: int, dtype: np.dtype) -> bool:
     """Whether the distillation set-up's teacher pass
     (:func:`teacher_pass`) over ``rows`` distinct prompts of a
-    ``dtype`` teacher runs in two processes: float32 (see
-    :data:`SPLIT_ROWS`), at least ``2 * SPLIT_ROWS`` rows, and where
-    :func:`_second_process_fits`."""
-    return (default_dtype() == np.float32 and dtype == np.float32
-            and rows >= 2 * SPLIT_ROWS and _second_process_fits())
+    ``dtype`` teacher may run in two processes: float32 (see
+    :data:`SPLIT_ROWS`) and at least ``2 * SPLIT_ROWS`` rows."""
+    return default_dtype() == np.float32 and dtype == np.float32 and rows >= 2 * SPLIT_ROWS
 
 
 def _teacher_logits(teacher: LanguageModel,
@@ -542,10 +374,10 @@ class _Alignment:
         self.d_max = d_max
         dtype = default_dtype()
         # per term: input, output and mirror, then their gradients
-        self.shared = [[_shared(shape, dtype) for shape in
+        self.shared = [[shared(shape, dtype) for shape in
                         2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
                        for ws in mirrors.values() for w in ws]
-        self.shared_values = _shared((len(self.shared),), dtype)
+        self.shared_values = shared((len(self.shared),), dtype)
         # the upstream gradient each term gets from the step's total
         self.seed = dtype.type(hidden_term_weight(len(self.shared)))
         self.live = True
@@ -572,7 +404,7 @@ class _Alignment:
         walks, parent = [], os.getppid()
         cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
         while (got := receive(1)) is not None:
-            _keep_off(parent, cpus)
+            keep_off(parent, cpus)
             bufs = self.shared[got[0]]
             self.shared_values[got[0]], walk = _term_tape(bufs[:3], self.d_max, self.seed)
             send(b"v")
@@ -680,10 +512,10 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     (input, output) pair the taped forward hands over right after each
     projection (``on_projection``), one alignment term per projection,
     in layer order, the input projection first, each recorded at that
-    point of the tape. Where :func:`_second_process_fits` and the fork
-    succeeds, a child forked before the loop computes them
-    (:class:`_Alignment`), each term while the student's forward goes
-    on here: on the step's tape each term is then a stand-in
+    point of the tape. Where a child forks before the loop
+    (:func:`procs.child`), it computes them (:class:`_Alignment`), each
+    term while the student's forward goes on here: on the step's tape
+    each term is then a stand-in
     (:class:`_StepTerms`), and from the first term the child did not
     answer the stand-ins' terms run here. Otherwise the step records the
     terms' own ops on its tape. Either way the bytes are one tape's, and
@@ -709,8 +541,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
     d_max = student.cfg.neuron.d_max
-    align = (_Alignment(mirrors, d_max, (batch, sequences.shape[1]))
-             if mirrors and _second_process_fits() else None)
+    align = _Alignment(mirrors, d_max, (batch, sequences.shape[1])) if mirrors else None
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
@@ -737,7 +568,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    with _child(align.serve if align else None) as (send, receive, forked):
+    with child(align.serve if align else None) as (send, receive, forked):
         if forked:
             align.send, align.receive = send, receive
         else:  # each step records the terms' own ops
@@ -883,10 +714,10 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     forward over the rows of the step that first samples the example.
     KTO's ``z_ref`` is :func:`_kto_z_ref`'s, so KTO needs ``batch >= 2``.
 
-    Where :func:`_second_process_fits`, every reference forward (those
-    rows, and the reference half of each ``z_ref``) runs ahead of the
-    steps, in a child forked before the loop (:func:`_child`): it replays
-    the step draws from its own ``default_rng(seed)`` and streams each
+    Where a child forks before the loop (:func:`procs.child`), every
+    reference forward (those rows, and the reference half of each
+    ``z_ref``) runs ahead of the steps there: it replays the step
+    draws from its own ``default_rng(seed)`` and streams each
     step's log-probs through a pipe. Otherwise, and from the first step
     the child did not finish, they run here, before the step's policy
     forward. They are the same calls on the same padded rows either way,
@@ -934,7 +765,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
                 if rows is not None:
                     send(reference_logprobs(rows).tobytes())
 
-    with _child(ahead if _second_process_fits() else None) as (_, receive, _):
+    with child(ahead) as (_, receive, _):
         steps_drawn = draws()
 
         def received_logprobs(rows):

@@ -52,7 +52,7 @@ if __name__ == "__main__":  # the --write run imports the package from this chec
 from spikessm.checkpoint import load_raw, save
 from spikessm.energy import REFERENCE_ROWS
 from spikessm.mamba2 import LanguageModel, toy_config
-from spikessm.training import _usable_cpus
+from spikessm.procs import usable_cpus
 
 GOLDEN = TESTS / "golden.json"
 TOKEN = b"<TMP>"
@@ -148,7 +148,7 @@ def run_chain(threads: str = "1") -> dict:
     within a stage, so the commands' BLAS threads do not outnumber the
     CPUs."""
     got = {}
-    workers = max(1, _usable_cpus() // int(threads))
+    workers = max(1, usable_cpus() // int(threads))
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
         for stage in CHAIN:
             runs = {name: pool.submit(run_command, Path(tmp), name, argv, threads)

@@ -1,16 +1,18 @@
-import errno
+import functools
 import os
 import signal
 import sys
-import threading
 import time
 import tracemalloc
 import types
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spikessm import tensor as tn
 from spikessm.mamba2 import (
@@ -35,7 +37,7 @@ from spikessm.losses import (
 from spikessm.gradcheck import gradcheck_targets
 from spikessm.neurons import ILIF, KINDS, LIF, NeuronConfig, TILIF, neuron_forward
 from spikessm.optim import AdamW, lr_schedule
-from spikessm import training
+from spikessm import procs, training
 from spikessm.cli import _write_metrics, main, preference_records, read_lines
 from spikessm.tensor import (
     ContractError,
@@ -1252,17 +1254,18 @@ def rl_run_row_views(policy, examples, *, steps, batch, lr=5e-6, beta_pref=0.1,
     return rows
 
 
-@pytest.fixture(scope="module")
-def toy_student():
+@functools.cache
+def _toy_student():
     return LanguageModel(toy_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
                          np.random.default_rng(3))
 
 
 @pytest.mark.parametrize("batch", [1, 4, 7])
-def test_rl_dpo_bit_identical_to_row_views(toy_student, monkeypatch, batch):
+def test_rl_dpo_bit_identical_to_row_views(monkeypatch, batch):
     """float32: the whole-batch DPO step gives the row-view step's loss rows
     and parameter bytes, from a shorter tape and one loss call per step."""
     examples = _preference_examples("dpo")
+    toy_student = _toy_student()
     a, b = toy_student.clone(), toy_student.clone()
     calls, nodes = [], []
     monkeypatch.setattr(training, "dpo_loss",
@@ -1377,6 +1380,24 @@ def test_padded_forward_logprobs_equal_single_rows(rng, f64):
 # the distillation set-up's teacher pass split across two processes
 
 NEW = 16  # new tokens per decoded row
+ENDS = {"exit 0": 0, "exit 3": 3, "sigkill": -signal.SIGKILL}  # and the exit code of each
+
+
+def _end(how):
+    """End this process as ``how`` says, one of :data:`ENDS`."""
+    if how == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    os._exit(ENDS[how])
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu(mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    mp.setattr(os, "cpu_count", lambda: 1)
 
 
 def _toy_teacher_prompts(rows, seed=3, prompt_len=8):
@@ -1410,33 +1431,9 @@ def _one_process_pass(teacher, prompts):
     return seqs, targets
 
 
-def _same_bytes(got, want):
-    """Sequences and targets of equal shape, dtype and bytes."""
-    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
-               for g, w in zip(got, want, strict=True))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """A host where a second process fits (two CPUs, one BLAS thread), so
-    a large float32 teacher pass splits, ``rl_run`` scores its reference
-    in a child and ``distill_run`` computes its alignment terms in one,
-    and the pids of the children ``os.fork`` made in the test."""
-    for var in training.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    fork, pids = os.fork, []
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
+def _array_bytes(arrays):
+    """Each array's shape, dtype and bytes, to compare."""
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
 
 
 @pytest.mark.parametrize("rows", [2 * training.SPLIT_ROWS - 1, 2 * training.SPLIT_ROWS,
@@ -1445,7 +1442,7 @@ def test_split_decode_equals_one_process_bytes(rows, forks):
     teacher, prompts = _toy_teacher_prompts(rows)
     got = teacher_pass(teacher, prompts, NEW)
     assert len(forks) == (rows >= 2 * training.SPLIT_ROWS)
-    assert _same_bytes(got, _one_process_pass(teacher, prompts))
+    assert _array_bytes(got) == _array_bytes(_one_process_pass(teacher, prompts))
 
 
 @pytest.mark.parametrize("env, threads", [
@@ -1466,13 +1463,13 @@ def test_blas_threads_is_the_first_positive_count_set(env, threads, monkeypatch)
     holding a positive integer, else the usable CPUs (four here). ``2,1``,
     which OpenBLAS reads as 2, is skipped: the rule then takes BLAS to use
     every CPU, and the pass does not split."""
-    for var in training.BLAS_THREAD_VARS:
+    for var in procs.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert training._blas_threads() == threads
+    assert procs._blas_threads() == threads
 
 
 def test_float64_decode_takes_one_process(monkeypatch, forks):
@@ -1484,44 +1481,7 @@ def test_float64_decode_takes_one_process(monkeypatch, forks):
         want = _one_process_pass(teacher, prompts)
         monkeypatch.setattr(os, "fork", fork)
         got = teacher_pass(teacher, prompts, NEW)
-    assert got[1].dtype == np.float64 and _same_bytes(got, want)
-
-
-@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
-                                   "another thread"])
-def test_decode_with_the_split_off_gives_the_same_bytes(block, monkeypatch, forks):
-    """The pass where it does not split, where ``os.fork`` is missing, and
-    where it raises ``EAGAIN`` (both halves run here): the one-process
-    bytes, and no fork after the first pass's."""
-    teacher, prompts = _toy_teacher_prompts(136)
-    want = _one_process_pass(teacher, prompts)
-    assert _same_bytes(teacher_pass(teacher, prompts, NEW), want)
-    assert len(forks) == 1
-    stop = threading.Event()
-    worker = threading.Thread(target=stop.wait)
-
-    def failing_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    if block == "one cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    elif block == "blas on every cpu":
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    elif block == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif block == "fork fails":
-        monkeypatch.setattr(os, "fork", failing_fork)
-    else:
-        worker.start()
-    try:
-        got = teacher_pass(teacher, prompts, NEW)
-    finally:
-        stop.set()
-        if worker.is_alive():
-            worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert len(forks) == 1 and _same_bytes(got, want)
+    assert got[1].dtype == np.float64 and _array_bytes(got) == _array_bytes(want)
 
 
 @pytest.mark.parametrize("half", ["child", "parent", "both"])
@@ -1558,69 +1518,26 @@ def test_a_failing_half_raises_as_one_process_and_leaves_no_child(
     assert (tmp_path / "stdout.txt").read_text() == "written before the pass\n"
 
 
-@pytest.mark.parametrize("end", ["exit 3", "sigkill"])
-def test_a_child_that_does_not_finish_runs_its_half_again_here(end, monkeypatch, forks):
-    """The child ending at its first step, through ``os._exit(3)`` or
-    ``SIGKILL``: this process labels the child's half again, the pass
-    gives the one-process bytes, and the child is reaped."""
-    teacher, prompts = _toy_teacher_prompts(136)
-    want = _one_process_pass(teacher, prompts)
-    step, wait, parent, statuses = LanguageModel.step, os.waitpid, os.getpid(), []
+@pytest.mark.parametrize("end", ENDS)
+def test_a_child_that_does_not_finish_runs_its_half_again_here(end, monkeypatch, forks,
+                                                               exit_codes):
+    """The child ending at its first step, through ``os._exit(0)``,
+    ``os._exit(3)`` or ``SIGKILL``, its rows still zeros: this process
+    labels the child's half again, the pass gives the one-process bytes,
+    and the child is reaped. Only the child's byte says it finished."""
+    teacher, prompts, want = _matrix_teacher()
+    step, parent = LanguageModel.step, os.getpid()
 
     def ending_step(self, token, state, **kw):
         if os.getpid() != parent:
-            if end == "exit 3":
-                os._exit(3)
-            os.kill(os.getpid(), signal.SIGKILL)
+            _end(end)
         return step(self, token, state, **kw)
-
-    def waitpid(pid, options):
-        statuses.append(wait(pid, options)[1])
-        return pid, statuses[-1]
 
     monkeypatch.setattr(LanguageModel, "step", ending_step)
-    monkeypatch.setattr(os, "waitpid", waitpid)
     got = teacher_pass(teacher, prompts, NEW)
-    assert len(forks) == 1 and _same_bytes(got, want)
-    assert [os.waitstatus_to_exitcode(s) for s in statuses] == \
-        [3 if end == "exit 3" else -signal.SIGKILL]
-    with pytest.raises(ChildProcessError):
-        wait(-1, os.WNOHANG)
-
-
-def test_an_interrupt_while_the_child_is_awaited_kills_and_reaps_it(monkeypatch, forks):
-    """A signal handler raising while this process waits for the child,
-    which sleeps once at its first step: the error propagates at once,
-    and the child is killed and reaped."""
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("no interval timer to raise in a signal handler")
-    teacher, prompts = _toy_teacher_prompts(136)
-    step, parent, slept, interrupted_in = LanguageModel.step, os.getpid(), [], []
-
-    def sleeping_step(self, token, state, **kw):
-        if os.getpid() != parent and not slept:
-            slept.append(True)
-            time.sleep(20)
-        return step(self, token, state, **kw)
-
-    def interrupt(signum, frame):
-        interrupted_in.append(frame.f_code.co_name)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(LanguageModel, "step", sleeping_step)
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    start = time.monotonic()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 2)
-        with pytest.raises(KeyboardInterrupt):
-            teacher_pass(teacher, prompts, NEW)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start < 15
-    assert interrupted_in == ["_in_two_processes"] and len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1 and _array_bytes(got) == _array_bytes(want)
+    assert exit_codes == [ENDS[end]]
+    _assert_no_child()
 
 
 def test_child_error_of_another_type_keeps_its_type(forks):
@@ -1661,194 +1578,24 @@ def test_distill_run_is_the_same_run_split_or_not(monkeypatch, forks):
 
 
 # ---------------------------------------------------------------------------
-# rl_run's reference forwards in a child
-
-def _rl_bytes(student, method, in_child=None):
-    """A 12-step ``rl_run`` of a clone of ``student``: its metrics rows, its
-    parameter bytes, and the count of reference forwards this process ran.
-    ``in_child(n)``, if given, runs in a forked child before its n-th
-    forward."""
-    policy, parent = student.clone(), os.getpid()
-    here, in_the_child = [], []
-    logprobs = training._response_logprobs
-
-    def counted(model, *rows):
-        if os.getpid() != parent:
-            in_the_child.append(model)
-            if in_child:
-                in_child(len(in_the_child))
-        elif model is not policy:
-            here.append(model)
-        return logprobs(model, *rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_response_logprobs", counted)
-        rows = rl_run(policy, _preference_examples(method), method=method, steps=12,
-                      batch=3, lr=1e-3, seed=11)
-    return rows, [t.data.tobytes() for t in policy.parameters()], len(here)
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _one_cpu(mp):
-    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    mp.setattr(os, "cpu_count", lambda: 1)
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_rl_scores_the_reference_in_one_child(method, toy_student, forks):
-    """Where a second process fits, ``rl_run`` forks once, runs no
-    reference forward here and leaves no child."""
-    _, _, here = _rl_bytes(toy_student, method)
-    assert len(forks) == 1 and here == 0
-    _assert_no_child()
-
-
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
-                                   "another thread"])
-def test_rl_without_a_child_is_the_same_run(block, method, toy_student, monkeypatch, forks):
-    """Where no second process fits, where ``os.fork`` is missing, and
-    where it raises ``EAGAIN``, every reference forward runs here: the
-    metrics rows and parameter bytes of the run with a child, and no fork
-    after its one."""
-    rows, params, _ = _rl_bytes(toy_student, method)
-    assert len(forks) == 1
-    stop = threading.Event()
-    worker = threading.Thread(target=stop.wait)
-
-    def failing_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    if block == "one cpu":
-        _one_cpu(monkeypatch)
-    elif block == "blas on every cpu":
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    elif block == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif block == "fork fails":
-        monkeypatch.setattr(os, "fork", failing_fork)
-    else:
-        worker.start()
-    try:
-        got = _rl_bytes(toy_student, method)
-    finally:
-        stop.set()
-        if worker.is_alive():
-            worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert len(forks) == 1 and got[2] > 0 and got[:2] == (rows, params)
-
-
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("end", ["exit 0", "exit 3", "sigkill"])
-def test_rl_child_that_stops_mid_run_is_the_same_run(end, method, toy_student, forks):
-    """The child ending before its second reference forward: this process
-    uses the first one's log-probs and runs every later reference forward
-    itself, and the run gives the one-process bytes; the child is reaped."""
-    with pytest.MonkeyPatch.context() as mp:
-        _one_cpu(mp)
-        rows, params, forwards = _rl_bytes(toy_student, method)
-    assert not forks and forwards >= 2
-
-    def stop(n):
-        if n == 2:
-            if end == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(int(end[-1]))
-
-    got = _rl_bytes(toy_student, method, in_child=stop)
-    assert len(forks) == 1 and got == (rows, params, forwards - 1)
-    _assert_no_child()
-
-
-def test_rl_error_here_kills_and_reaps_the_child(toy_student, forks):
-    """A diverging ``lr`` ends the run in the ``NumericError`` of the
-    one-process run, with no child left."""
-    kw = dict(method="kto", steps=8, batch=3, lr=1e4, seed=11)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-        _one_cpu(mp)
-        with pytest.raises(NumericError) as one_process:
-            rl_run(toy_student.clone(), _preference_examples("kto"), **kw)
-        mp.undo()
-        with pytest.raises(NumericError) as ahead:
-            rl_run(toy_student.clone(), _preference_examples("kto"), **kw)
-    assert len(forks) == 1 and str(ahead.value) == str(one_process.value)
-    _assert_no_child()
-
-
-def test_rl_interrupt_while_the_child_is_awaited_kills_and_reaps_it(toy_student, monkeypatch,
-                                                                     forks):
-    """A signal handler raising while this process waits for the child's
-    log-probs, the child sleeping at its first forward: the error
-    propagates at once, and the child is killed and reaped."""
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("no interval timer to raise in a signal handler")
-    wait, statuses = os.waitpid, []
-
-    def waitpid(pid, options):
-        statuses.append(wait(pid, options)[1])
-        return pid, statuses[-1]
-
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    start = time.monotonic()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 2)
-        with pytest.raises(KeyboardInterrupt):
-            _rl_bytes(toy_student, "dpo", in_child=lambda n: time.sleep(20))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start < 15 and len(forks) == 1
-    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
-    with pytest.raises(ChildProcessError):
-        wait(-1, os.WNOHANG)
-
-
-# ---------------------------------------------------------------------------
 # distill_run's alignment terms in a child
 
-def _distill_bytes(n_layers, stop=None, lr=1e-3):
+def _distill_bytes(n_layers, lr=1e-3):
     """A 4-step compensated ``distill_run`` of a tiny ``n_layers`` student:
     its metrics rows, its parameter bytes, and the alignment terms this
-    process computed. ``stop``, if given, is ``(kind, n, end)``: the
-    child ends through ``end`` (``exit 0``, ``exit 3`` or ``sigkill``)
-    at its n-th alignment term (kind ``term``) or its n-th tape walk
-    (kind ``walk``)."""
+    process computed."""
     teacher = LanguageModel(replace(tiny_cfg(), n_layers=n_layers), np.random.default_rng(5))
     student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
-    parent, here, there = os.getpid(), [], {"term": 0, "walk": 0}
-    align, backward = training.hidden_align_loss, Graph.backward
-
-    def in_child(kind):
-        there[kind] += 1
-        if stop and stop[:2] == (kind, there[kind]):
-            if stop[2] == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(int(stop[2][-1]))
+    parent, here = os.getpid(), []
+    align = training.hidden_align_loss
 
     def counted(*args):
         if os.getpid() == parent:
             here.append(1)
-        else:
-            in_child("term")
         return align(*args)
-
-    def walk(g, loss, wrt):
-        if os.getpid() != parent:
-            in_child("walk")
-        return backward(g, loss, wrt)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "hidden_align_loss", counted)
-        mp.setattr(Graph, "backward", walk)
         res = distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=4, batch=3,
                           prompt_len=4, total_len=14, n_sequences=6, lr=lr, seed=3)
     return res.metrics, [t.data.tobytes() for t in student.parameters()], len(here)
@@ -1886,81 +1633,11 @@ def test_distill_terms_walk_from_the_gradient_the_total_gives_them(monkeypatch, 
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("stop", [("term", 1), ("term", 2), ("term", 3), ("term", 5),
-                                  ("walk", 1), ("walk", 3)],
-                         ids=["first layer", "between a layer's two projections",
-                              "later layer", "later step",
-                              "values sent, no gradients", "between two layers' gradients"])
-@pytest.mark.parametrize("end", ["exit 0", "exit 3", "sigkill"])
-def test_distill_child_that_stops_is_the_same_run(stop, end, forks):
-    """The child ending at its first term (the first layer's input
-    projection), at its second (between that layer's two projections),
-    at its third and fifth (a later layer's and a later step's first
-    term), and between the terms' values and their gradients: this
-    process computes the terms the child did not answer and every later
-    one, the run gives the one-process bytes, and the child is reaped."""
-    with pytest.MonkeyPatch.context() as mp:
-        _one_cpu(mp)
-        rows, params, _ = _distill_bytes(2)
-    got = _distill_bytes(2, (*stop, end))
-    assert len(forks) == 1 and got[:2] == (rows, params) and got[2] > 0
-    _assert_no_child()
-
-
-@pytest.mark.filterwarnings("ignore:exp overflow")
-def test_distill_error_here_kills_and_reaps_the_child(forks):
-    """A diverging ``lr`` ends the run in the ``NumericError`` of the
-    one-process run, with no child left."""
-    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
-        _one_cpu(mp)
-        with pytest.raises(NumericError) as one_process:
-            _distill_bytes(2, lr=1e3)
-        mp.undo()
-        with pytest.raises(NumericError) as child:
-            _distill_bytes(2, lr=1e3)
-    assert len(forks) == 1 and str(child.value) == str(one_process.value)
-    _assert_no_child()
-
-
 def test_distill_without_compensation_forks_no_child(forks):
     teacher = LanguageModel(tiny_cfg(), np.random.default_rng(5))
     distill_run(teacher, teacher.clone(mode=SPIKING), synthetic_corpus(30, seed=0),
                 steps=2, batch=3, prompt_len=4, total_len=14, n_sequences=6, seed=3)
     assert not forks
-
-
-@pytest.mark.parametrize("block", ["one cpu", "blas on every cpu", "no fork", "fork fails",
-                                   "another thread"])
-def test_distill_without_a_child_is_the_same_run(block, monkeypatch, forks):
-    """Where no second process fits, where ``os.fork`` is missing, and
-    where it raises ``EAGAIN``: every term runs here, with the bytes of
-    the run with a child, and no fork after its one."""
-    rows, params, _ = _distill_bytes(2)
-    assert len(forks) == 1
-    stop = threading.Event()
-    worker = threading.Thread(target=stop.wait)
-
-    def failing_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    if block == "one cpu":
-        _one_cpu(monkeypatch)
-    elif block == "blas on every cpu":
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    elif block == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif block == "fork fails":
-        monkeypatch.setattr(os, "fork", failing_fork)
-    else:
-        worker.start()
-    try:
-        got = _distill_bytes(2)
-    finally:
-        stop.set()
-        if worker.is_alive():
-            worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert len(forks) == 1 and got == (rows, params, 4 * 2 * 2)
 
 
 def _distill_tapes(monkeypatch):
@@ -1997,20 +1674,14 @@ def test_distill_tape_holds_no_alignment_op_when_the_child_runs(monkeypatch, for
                 assert ops[k - 1] == "matmul" and inputs[k][1] == k - 1
 
 
-@pytest.mark.parametrize("block", ["no fork", "fork fails"])
-def test_distill_whose_fork_fails_records_the_terms_ops(block, monkeypatch, forks):
-    """Where ``os.fork`` is missing or raises ``EAGAIN``, each step's tape
-    holds the terms' own ops, no ``sgc_term``: each ``hidden_align``
-    right after its mirror's ``tanh``, ``mul`` and ``matmul``, which come
-    right after the projection it aligns."""
-    def failing_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    if block == "no fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", failing_fork)
-    tapes, here = _distill_tapes(monkeypatch)
+def test_distill_whose_fork_fails_records_the_terms_ops(no_child, monkeypatch, forks):
+    """Where no child forks, the fork rule not holding or the fork or its
+    pipes failing, each step's tape holds the terms' own ops, no
+    ``sgc_term``: each ``hidden_align`` right after its mirror's ``tanh``,
+    ``mul`` and ``matmul``, which come right after the projection it
+    aligns."""
+    with no_child():
+        tapes, here = _distill_tapes(monkeypatch)
     assert not forks and here == 4 * 2 * 2 and len(tapes) == 4
     for ops, inputs in tapes:
         assert ops.count("hidden_align") == 4 and "sgc_term" not in ops
@@ -2020,42 +1691,281 @@ def test_distill_whose_fork_fails_records_the_terms_ops(block, monkeypatch, fork
                 assert inputs[k] == [k - 4, k - 1]
 
 
-def test_distill_interrupt_while_the_child_is_awaited_kills_and_reaps_it(monkeypatch, forks):
-    """A signal handler raising while this process waits for the terms'
-    values, the child sleeping at its first term: the error propagates
-    at once, and the child is killed and reaped."""
+# ---------------------------------------------------------------------------
+# the fault matrix: each child of a training stage, stopped at its
+# hand-offs or kept from forking, gives the run of one process. Each
+# family of checks is one helper over the CHILDREN table; each child's
+# test names its child and calls it.
+
+@functools.cache
+def _matrix_teacher():
+    """The toy teacher, the fewest distinct prompts its pass splits, and
+    the pass's hand-written one-process loop over them."""
+    teacher, prompts = _toy_teacher_prompts(2 * training.SPLIT_ROWS)
+    return teacher, prompts, _one_process_pass(teacher, prompts)
+
+
+def _teacher_bytes():
+    """The matrix's teacher pass: its sequence and target bytes, and the
+    rows of the child's half this process labelled."""
+    teacher, prompts, _ = _matrix_teacher()
+    m, parent, rows = prompts.shape[0], os.getpid(), []
+    greedy = LanguageModel.generate_greedy
+
+    def counted(self, batch, *args, **kw):
+        if os.getpid() == parent:
+            rows.append(batch.shape[0])
+        return greedy(self, batch, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LanguageModel, "generate_greedy", counted)
+        got = teacher_pass(teacher, prompts, NEW)
+    return *_array_bytes(got), sum(rows) - m // 2
+
+
+def _rl_bytes(method, lr=1e-3):
+    """A 12-step ``rl_run`` of a clone of the toy student: its metrics
+    rows, its parameter bytes, and the reference forwards this process
+    ran."""
+    policy, parent, here = _toy_student().clone(), os.getpid(), []
+    logprobs = training._response_logprobs
+
+    def counted(model, *rows):
+        if os.getpid() == parent and model is not policy:
+            here.append(model)
+        return logprobs(model, *rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_response_logprobs", counted)
+        rows = rl_run(policy, _preference_examples(method), method=method, steps=12,
+                      batch=3, lr=lr, seed=11)
+    return rows, [t.data.tobytes() for t in policy.parameters()], len(here)
+
+
+# Each child's run: its bytes, then the count of the child's kind of work
+# this process did (rows of the child's half, reference forwards,
+# alignment terms).
+CHILDREN = {
+    "teacher pass": _teacher_bytes,
+    "rl dpo": functools.partial(_rl_bytes, "dpo"),
+    "rl kto": functools.partial(_rl_bytes, "kto"),
+    "distillation": functools.partial(_distill_bytes, 2),
+}
+
+
+@functools.cache
+def _one_process(name):
+    """The child's run where none forks (one CPU): its bytes, and all the
+    work of the child's kind, done here. The teacher pass's bytes are
+    its hand-written loop's."""
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        *got, here = CHILDREN[name]()
+    if name == "teacher pass":
+        assert got == _array_bytes(_matrix_teacher()[2])
+    return got, here
+
+
+@contextmanager
+def _hand_offs(k=None, then=None, waiting=lambda: None):
+    """The hand-offs this process reads from each child it forks, counted.
+    With ``k``, each child calls ``then()`` before the work of its k-th
+    hand-off: at its start for the first, else once its (k-1)-th send is
+    through. ``waiting()`` runs here before each read."""
+    parent, received = os.getpid(), []
+    receiver, sender = procs._receiver, procs._sender
+
+    def counting(fd):
+        receive = receiver(fd)
+
+        def counted(n):
+            if os.getpid() == parent:
+                waiting()
+            got = receive(n)
+            if got is not None and os.getpid() == parent:
+                received.append(got)
+            return got
+
+        return counted
+
+    def stopping(fd):
+        send, sent = sender(fd), []
+        if k == 1 and os.getpid() != parent:
+            then()
+
+        def stopped(data):
+            send(data)
+            sent.append(data)
+            if len(sent) == k - 1 and os.getpid() != parent:
+                then()
+
+        return stopped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procs, "_receiver", counting)
+        if k:
+            mp.setattr(procs, "_sender", stopping)
+        yield received
+
+
+@functools.cache
+def _answered(name):
+    """The hand-offs the child of a whole run answers."""
+    with _hand_offs() as received:
+        CHILDREN[name]()
+    return len(received)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rl_scores_the_reference_in_one_child(method, forks):
+    """Where a second process fits, ``rl_run`` forks one child, which runs
+    every reference forward: this process reads its every hand-off, runs
+    none of them, gives the one-process bytes and leaves no child."""
+    want, _ = _one_process(f"rl {method}")
+    with _hand_offs() as received:
+        *got, here = CHILDREN[f"rl {method}"]()
+    assert len(forks) == 1 and got == want and here == 0 and received
+    _assert_no_child()
+
+
+def _assert_stopped_is_one_process(name, k, how, forks, exit_codes):
+    """The child ended through ``how`` before the work of its k-th
+    hand-off: this process read the k - 1 before it, did the rest of the
+    child's work itself, and gave the one-process bytes; the child is
+    reaped with the status it ended with. A reference forward or a row
+    half is one hand-off; an alignment term is two (its value, then its
+    gradients) and one unit of ``here`` either way."""
+    want, everything = _one_process(name)
+    n, e = len(forks), len(exit_codes)
+    with _hand_offs(k, lambda: _end(how)) as received:
+        *got, here = CHILDREN[name]()
+    assert got == want and len(received) == k - 1, k
+    if name == "distillation":
+        assert 0 < here <= everything, k
+    else:
+        assert here == everything - (k - 1), k
+    assert len(forks) == n + 1 and exit_codes[e:] == [ENDS[how]], k
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("end", ENDS)
+def test_rl_child_that_stops_mid_run_is_the_same_run(end, method, forks, exit_codes):
+    """The child ending before its first, a middle and its last reference
+    forward. (The teacher pass's child, which has one hand-off, stops in
+    ``test_a_child_that_does_not_finish_runs_its_half_again_here``.)"""
+    total = _answered(f"rl {method}")
+    for k in (1, (total + 1) // 2, total):
+        _assert_stopped_is_one_process(f"rl {method}", k, end, forks, exit_codes)
+
+
+DISTILL_HAND_OFFS = 4 * 4 * 2  # _distill_bytes: steps x terms x (value, gradients)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 5, 7, DISTILL_HAND_OFFS // 2, DISTILL_HAND_OFFS],
+                         ids=["first layer", "between a layer's two projections",
+                              "later layer", "later step", "values sent, no gradients",
+                              "between two layers' gradients", "middle", "last"])
+@pytest.mark.parametrize("end", ENDS)
+def test_distill_child_that_stops_is_the_same_run(k, end, forks, exit_codes):
+    """The child ending before its first hand-off (the first layer's input
+    projection's term), its second (between that layer's two
+    projections), its third and ninth (a later layer's and a later step's
+    first term), its fifth (every value of a step sent, no gradients),
+    its seventh (between two layers' gradients), a middle and its last."""
+    assert _answered("distillation") == DISTILL_HAND_OFFS
+    _assert_stopped_is_one_process("distillation", k, end, forks, exit_codes)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(1, DISTILL_HAND_OFFS), how=st.sampled_from(list(ENDS)))
+def test_a_distillation_child_stopped_anywhere_is_the_same_run(k, how, forks, exit_codes):
+    _assert_stopped_is_one_process("distillation", k, how, forks, exit_codes)
+
+
+def _assert_without_a_child(name, no_child, forks):
+    """Where the fork rule does not hold, or the fork or its pipes fail,
+    this process does all the child's work: the one-process bytes, and
+    no fork."""
+    want, everything = _one_process(name)
+    with no_child():
+        *got, here = CHILDREN[name]()
+    assert not forks and got == want and here == everything
+
+
+def test_decode_with_the_split_off_gives_the_same_bytes(no_child, forks):
+    _assert_without_a_child("teacher pass", no_child, forks)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rl_without_a_child_is_the_same_run(no_child, method, forks):
+    _assert_without_a_child(f"rl {method}", no_child, forks)
+
+
+def test_distill_without_a_child_is_the_same_run(no_child, forks):
+    _assert_without_a_child("distillation", no_child, forks)
+
+
+def _assert_error_here(run, forks):
+    """A diverging learning rate ends the run in the ``NumericError`` of
+    the one-process run, with no child left. (The teacher pass's errors
+    are ``test_a_failing_half_raises_as_one_process_and_leaves_no_child``.)"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
+            _one_cpu(mp)
+            with pytest.raises(NumericError) as one_process:
+                run()
+        with pytest.raises(NumericError) as with_a_child:
+            run()
+    assert len(forks) == 1 and str(with_a_child.value) == str(one_process.value)
+    _assert_no_child()
+
+
+def test_rl_error_here_kills_and_reaps_the_child(forks):
+    _assert_error_here(lambda: _rl_bytes("kto", lr=1e4), forks)
+
+
+@pytest.mark.filterwarnings("ignore:exp overflow")
+def test_distill_error_here_kills_and_reaps_the_child(forks):
+    _assert_error_here(lambda: _distill_bytes(2, lr=1e3), forks)
+
+
+def _assert_interrupt_kills_and_reaps(name, forks, exit_codes):
+    """The child sleeping before its first hand-off, and a signal handler
+    raising 0.1 s into this process's wait for it: the error propagates
+    from that wait (``procs``' ``receive``) at once, and the child is
+    killed and reaped."""
     if not hasattr(signal, "setitimer"):
         pytest.skip("no interval timer to raise in a signal handler")
-    wait, statuses, parent = os.waitpid, [], os.getpid()
-    align = training.hidden_align_loss
-
-    def sleeping(*args):
-        if os.getpid() != parent:
-            time.sleep(20)
-        return align(*args)
-
-    def waitpid(pid, options):
-        statuses.append(wait(pid, options)[1])
-        return pid, statuses[-1]
+    interrupted_in = []
 
     def interrupt(signum, frame):
+        interrupted_in.append(frame.f_code.co_name)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(training, "hidden_align_loss", sleeping)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    teacher = LanguageModel(tiny_cfg(), np.random.default_rng(5))
-    student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4), sgc=True)
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
-        signal.setitimer(signal.ITIMER_REAL, 2)
-        with pytest.raises(KeyboardInterrupt):
-            distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=2, batch=3,
-                        prompt_len=4, total_len=14, n_sequences=6, seed=3)
+        with _hand_offs(1, lambda: time.sleep(20),
+                        lambda: signal.setitimer(signal.ITIMER_REAL, 0.1)):
+            with pytest.raises(KeyboardInterrupt):
+                CHILDREN[name]()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 15 and len(forks) == 1
-    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
-    with pytest.raises(ChildProcessError):
-        wait(-1, os.WNOHANG)
+    assert interrupted_in == ["receive"] and exit_codes == [-signal.SIGKILL]
+    _assert_no_child()
+
+
+def test_an_interrupt_while_the_child_is_awaited_kills_and_reaps_it(forks, exit_codes):
+    _assert_interrupt_kills_and_reaps("teacher pass", forks, exit_codes)
+
+
+def test_rl_interrupt_while_the_child_is_awaited_kills_and_reaps_it(forks, exit_codes):
+    _assert_interrupt_kills_and_reaps("rl dpo", forks, exit_codes)
+
+
+def test_distill_interrupt_while_the_child_is_awaited_kills_and_reaps_it(forks, exit_codes):
+    _assert_interrupt_kills_and_reaps("distillation", forks, exit_codes)
