@@ -6,7 +6,13 @@ A child computes only what its parent could compute itself, so the
 parent never needs to know why one is missing. It reads the child's
 answers from a pipe; where no child forked, or it ended before an
 answer, the read returns None and the parent does that work itself.
-This module imports no model code.
+
+Most children live for one call: the block of :func:`child` is the
+call's. A :class:`Lasting` child holds that block open across calls,
+for work that comes in many short requests, until :meth:`Lasting.close`
+(its owner's finalizer, or :func:`close_all`) kills and reaps it. Only
+the process that forked a child kills it, and a forked child never
+forks. This module imports no model code.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import mmap
 import os
 import signal
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
@@ -40,6 +46,10 @@ def _blas_threads() -> int:
     return usable_cpus()
 
 
+_in_child = False  # set in the child branch of child(): a child never forks
+_ends: set[int] = set()  # this process's ends of the pipes to its open children
+
+
 def _second_process_fits() -> bool:
     """Whether this process may fork a second one to work beside it, the
     one rule of :func:`child`.
@@ -47,8 +57,10 @@ def _second_process_fits() -> bool:
     Each process needs CPUs for all its BLAS threads: where BLAS already
     takes every CPU, a split teacher pass read 2.2-2.8x one process.
     A fork copies only the calling thread, so a process running other
-    Python threads never forks."""
-    return threading.active_count() == 1 and usable_cpus() >= 2 * _blas_threads()
+    Python threads never forks, and a forked child never forks: it
+    shares its parent's CPUs."""
+    return (not _in_child and threading.active_count() == 1
+            and usable_cpus() >= 2 * _blas_threads())
 
 
 def shared(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
@@ -95,6 +107,13 @@ def _sender(fd: int) -> Send:
     return send
 
 
+def keeper(pid: int) -> Callable[[], None]:
+    """``keep()``: :func:`keep_off` process ``pid``, on the CPUs this
+    process may use now."""
+    cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
+    return lambda: keep_off(pid, cpus)
+
+
 def keep_off(pid: int, cpus: set[int]) -> None:
     """Run this process on ``cpus`` but the one process ``pid`` last ran
     on (read from ``/proc``), where that leaves a CPU.
@@ -114,30 +133,42 @@ def keep_off(pid: int, cpus: set[int]) -> None:
         pass
 
 
+Work = Callable[[Receive, Send], None]
+
+
 @contextmanager
-def child(work: Callable[[Receive, Send], None] | None
-          ) -> Iterator[tuple[Send, Receive, bool]]:
-    """Run ``work(receive, send)`` in a forked child, a pipe each way;
+def child(make: Callable[[], Work] | None) -> Iterator[tuple[Send, Receive, bool]]:
+    """Run ``make()(receive, send)`` in a forked child, a pipe each way;
     the block gets this end of both and whether a child runs, ``(send,
     receive, forked)`` (see :func:`_receiver` and :func:`_sender`).
 
-    It forks only where ``work`` is given and :func:`_second_process_fits`.
-    Opening the pipes and forking share one failure path: where either
-    raises ``OSError`` (EMFILE at the descriptor limit, EAGAIN at the
-    process limit), or the platform cannot fork, no child runs, ``send``
-    does nothing and ``receive`` returns None at once. The pipes' buffers
-    bound how far ahead the child runs. It leaves through ``os._exit``:
-    it never unwinds into the caller's stack or flushes the buffers it
-    inherited. However the block ends, the child is killed and reaped."""
+    It forks only where ``make`` is given and :func:`_second_process_fits`.
+    ``make`` builds the child's state (its shared mappings) and returns
+    its work; it is called only there, once the pipes are open, right
+    before the fork. Opening the pipes, ``make`` and forking share one
+    failure path: where one raises ``OSError`` (EMFILE at the descriptor
+    limit, ENOMEM, EAGAIN at the process limit), or the platform cannot
+    fork, no child runs, ``send`` does nothing and ``receive`` returns
+    None at once. The pipes' buffers bound how far ahead the child runs.
+    The child closes its parent's ends of the pipes to its other
+    children, so each of them still reads EOF when the parent goes. It
+    leaves through ``os._exit``: it never unwinds into the caller's
+    stack or flushes the buffers it inherited. However the block ends,
+    the child is killed and reaped."""
+    global _in_child
     pid, fds = None, []  # the read and write ends of the pipe down, then up's
-    if work is not None and hasattr(os, "fork") and _second_process_fits():
+    if make is not None and hasattr(os, "fork") and _second_process_fits():
         try:
             for _ in range(2):
                 fds += os.pipe()
+            work = make()
             pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            pass
+        finally:
+            if pid is None:
+                for fd in fds:
+                    os.close(fd)
     if pid is None:
         yield (lambda data: None), (lambda n: None), False
         return
@@ -145,18 +176,67 @@ def child(work: Callable[[Receive, Send], None] | None
     if pid == 0:
         status = 1
         try:
-            os.close(down_w)
-            os.close(up_r)
+            _in_child = True
+            for fd in _ends | {down_w, up_r}:
+                os.close(fd)
             work(_receiver(down_r), _sender(up_w))
             status = 0
         finally:
             os._exit(status)
     os.close(down_r)
     os.close(up_w)
+    _ends.update((down_w, up_r))
     try:
         yield _sender(down_w), _receiver(up_r), True
     finally:
+        _ends.difference_update((down_w, up_r))
         os.close(down_w)
         os.close(up_r)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+_lasting: set["Lasting"] = set()  # the open ones this process forked
+
+
+class Lasting:
+    """A child that outlives the call that forks it: the block of
+    ``child(make)`` held open until :meth:`close`.
+
+    Only the process that made it uses it: elsewhere (in a child forked
+    later, which inherits this object) ``live`` is False, ``send`` does
+    nothing, ``receive`` returns None and ``close`` leaves the child
+    alone. The owner closes it, at the latest through a
+    ``weakref.finalize`` of what it serves, which also runs at
+    interpreter exit; :func:`close_all` closes every one."""
+
+    def __init__(self, make: Callable[[], Work]):
+        self._pid = os.getpid()
+        self._block = ExitStack()
+        self._send, self._receive, forked = self._block.enter_context(child(make))
+        if forked:
+            _lasting.add(self)
+
+    @property
+    def live(self) -> bool:
+        """Whether the child runs, this process made it and it is open."""
+        return self in _lasting and os.getpid() == self._pid
+
+    def send(self, data: bytes) -> None:
+        if self.live:
+            self._send(data)
+
+    def receive(self, n: int) -> bytes | None:
+        return self._receive(n) if self.live else None
+
+    def close(self) -> None:
+        """Kill and reap the child, in the process that made it."""
+        if self.live:
+            _lasting.discard(self)
+            self._block.close()
+
+
+def close_all() -> None:
+    """Close every :class:`Lasting` child this process made and still holds open."""
+    for lasting in list(_lasting):
+        lasting.close()

@@ -5,17 +5,20 @@ one step of the shared loop :func:`optimise`.
 Everything is deterministic under a fixed seed: data sampling uses one
 generator, and a metrics row is a plain dict whose keys are its file's
 columns; the CLI owns every file a run reads or writes. The loop runs in
-one thread. Three pieces of work run in a child forked beside it through
+one thread. Four pieces of work run in a child forked beside it through
 the one primitive :func:`procs.child`, which decides where a second
 process fits: half of the distillation set-up's teacher pass,
-``rl_run``'s reference forwards and ``distill_run``'s alignment terms.
-Where the child's answer does not come, this process does that work
-itself, so each gives the bytes of one process.
+``rl_run``'s reference forwards, ``distill_run``'s alignment terms and
+half of each ``eval_ppl`` batch. The first three children live for their
+call; ``eval_ppl``'s row helper lives as long as its model
+(:class:`_RowHelper`). Where a child's answer does not come, this
+process does that work itself, so each gives the bytes of one process.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,11 +41,12 @@ from .mamba2 import (
     sgc_forward,
 )
 from .optim import AdamW, lr_schedule
-from .procs import Receive, Send, child, keep_off, shared
+from .procs import Lasting, Receive, Send, Work, child, keeper, shared
 from .tensor import (
     ContractError,
     Graph,
     Tensor,
+    active_graph,
     custom_op,
     default_dtype,
     narrow,
@@ -156,7 +160,8 @@ EVAL_BATCH = 16
 def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
              hook: Hook | None = None) -> float:
     """exp(mean next-token cross entropy) over consecutive corpus windows,
-    :data:`EVAL_BATCH` windows a forward.
+    :data:`EVAL_BATCH` windows a forward, each batch's logits from
+    :func:`_batch_logits`.
 
     ``hook`` is passed to every forward (see :func:`mamba2.block_forward`).
     """
@@ -169,12 +174,127 @@ def eval_ppl(model: LanguageModel, lines: list[str], *, seq_len: int = SEQ_LEN,
     total, count = 0.0, 0
     for i in range(0, n_win, EVAL_BATCH):
         chunk = windows[i:i + EVAL_BATCH]
-        logits = model.forward_batch(chunk[:, :-1], hook=hook)[0]
+        logits = _batch_logits(model, chunk[:, :-1], hook)
         ce = cross_entropy_loss(logits, chunk[:, 1:]).item()
         del logits  # not held while the next batch's forward runs
         total += ce * chunk[:, 1:].size
         count += chunk[:, 1:].size
     return float(np.exp(total / count))
+
+
+# the row helper of each model eval_ppl scored a batch of
+_ROW_HELPERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _batch_logits(model: LanguageModel, tokens: np.ndarray, hook: Hook | None) -> Tensor:
+    """The (B, T, vocab) logits of one batch of ``eval_ppl`` windows: one
+    forward here, or, where the model's :class:`_RowHelper` may take
+    half of it, that helper's. It may where no hook is given, no tape is
+    open, the batch holds at least two rows, and the run precision and
+    the model are float32: a row's float32 logits are the same bytes at
+    any row batch, and float64 takes one process, as the teacher pass
+    does (:data:`SPLIT_ROWS`)."""
+    if (hook is None and active_graph() is None and tokens.shape[0] >= 2
+            and default_dtype() == np.float32 and model.embedding.data.dtype == np.float32):
+        helper = _ROW_HELPERS.get(model)
+        if helper is None:
+            helper = _ROW_HELPERS[model] = _RowHelper(model)
+        return helper.logits(model, tokens)
+    return model.forward_batch(tokens, hook=hook)[0]
+
+
+class _RowHelper:
+    """The row helper of one model: a child, forked through
+    :class:`procs.Lasting` at the model's second batch, that scores rows
+    ``[B // 2, B)`` of each later batch of B windows while this process
+    scores the rows before them.
+
+    A fork costs more than a batch saves, so a model scored in one
+    batch never forks one. The child holds shared mappings of the
+    model's parameters, one batch's token rows and one batch's logits,
+    sized at the fork from :data:`EVAL_BATCH` and the window width; a
+    batch of another width replaces the child. Before each batch this
+    process copies every parameter (the optimizer replaces the arrays,
+    so nothing tracks them) and the child's half of the tokens into them
+    and sends the row count; the child scores those rows with a model
+    reading the mapped parameters in place, leaves their logits in the
+    mapping and sends one byte. Where that byte does not come (the child raised,
+    was killed or exited), this process scores those rows itself; where
+    an error escapes while the child holds a batch, it is raised. Either
+    way the child is killed and reaped at once, so no late byte answers
+    a later batch, and the model scores in one process from then on.
+    The child is closed when the model is collected, at interpreter exit,
+    or by :func:`procs.close_all`; this object holds no reference to the
+    model."""
+
+    def __init__(self, model: LanguageModel):
+        self.cfg = model.cfg
+        self.shapes = {name: t.shape for name, t in model.named_parameters()}
+        self.batches = 0  # scored so far
+        self.alone = False  # the child failed: one process from then on
+        self.size = None  # (window width, EVAL_BATCH) the child was sized for
+        self.child: Lasting | None = None
+        weakref.finalize(model, self.close)
+
+    def close(self) -> None:
+        if self.child is not None:
+            self.child.close()
+
+    def _mapped(self) -> Work:
+        """The shared mappings, made right before the fork; the child's work."""
+        width, batch = self.size
+        rows, dtype = batch - batch // 2, default_dtype()
+        self.params = {name: shared(shape, dtype) for name, shape in self.shapes.items()}
+        self.tokens = shared((rows, width - 1), np.int64)
+        self.out = shared((rows, width - 1, self.cfg.vocab), dtype)
+        return self.serve
+
+    def serve(self, receive: Receive, send: Send) -> None:
+        mapped = LanguageModel.from_tensors(self.cfg, self.params)  # reads them in place
+        keep = keeper(os.getppid())
+        while (got := receive(1)) is not None:
+            keep()
+            n = got[0]
+            self.out[:n] = mapped.forward_batch(self.tokens[:n])[0].data
+            send(b"d")
+
+    def _running(self, width: int) -> bool:
+        """Whether the child takes this batch: from the model's second
+        batch, forked (again) where none of this size is open."""
+        self.batches += 1
+        if self.alone or self.batches < 2:
+            return False
+        if not (self.size == (width, EVAL_BATCH) and self.child.live):
+            self.close()
+            self.size = (width, EVAL_BATCH)
+            self.child = Lasting(self._mapped)
+        return self.child.live
+
+    def _retire(self) -> None:
+        self.close()
+        self.alone = True
+
+    def logits(self, model: LanguageModel, tokens: np.ndarray) -> Tensor:
+        B, T = tokens.shape
+        if not self._running(T + 1):
+            return model.forward_batch(tokens)[0]
+        half = B // 2
+        for name, t in model.named_parameters():
+            self.params[name][...] = t.data
+        self.tokens[:B - half] = tokens[half:]
+        self.child.send(bytes([B - half]))
+        try:
+            mine = model.forward_batch(tokens[:half])[0].data
+            answered = self.child.receive(1) is not None
+        except BaseException:
+            self._retire()
+            raise
+        if answered:
+            theirs = self.out[:B - half]
+        else:
+            self._retire()
+            theirs = model.forward_batch(tokens[half:])[0].data
+        return Tensor(np.concatenate([mine, theirs]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +367,7 @@ def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
         label(m // 2, m)
         send(b"d")
 
-    with child(there if _splits(m, dtype) else None) as (_, receive, forked):
+    with child((lambda: there) if _splits(m, dtype) else None) as (_, receive, forked):
         label(0, m // 2 if forked else m)
         if forked and receive(1) is None:
             label(m // 2, m)
@@ -401,10 +521,9 @@ class _Alignment:
             pass
 
     def serve(self, receive: Receive, send: Send) -> None:
-        walks, parent = [], os.getppid()
-        cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
+        walks, keep = [], keeper(os.getppid())
         while (got := receive(1)) is not None:
-            keep_off(parent, cpus)
+            keep()
             bufs = self.shared[got[0]]
             self.shared_values[got[0]], walk = _term_tape(bufs[:3], self.d_max, self.seed)
             send(b"v")
@@ -541,7 +660,12 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
     d_max = student.cfg.neuron.d_max
-    align = _Alignment(mirrors, d_max, (batch, sequences.shape[1])) if mirrors else None
+    align = None
+
+    def aligning():  # procs.child calls this only where it forks
+        nonlocal align
+        align = _Alignment(mirrors, d_max, (batch, sequences.shape[1]))
+        return align.serve
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
@@ -568,7 +692,7 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    with child(align.serve if align else None) as (send, receive, forked):
+    with child(aligning if mirrors else None) as (send, receive, forked):
         if forked:
             align.send, align.receive = send, receive
         else:  # each step records the terms' own ops
@@ -765,7 +889,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
                 if rows is not None:
                     send(reference_logprobs(rows).tobytes())
 
-    with child(ahead) as (_, receive, _):
+    with child(lambda: ahead) as (_, receive, _):
         steps_drawn = draws()
 
         def received_logprobs(rows):

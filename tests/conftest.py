@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spikessm import procs
 from spikessm.procs import BLAS_THREAD_VARS
 from spikessm.tensor import dtype_scope
 
@@ -57,8 +58,11 @@ def _has_child() -> bool:
 @pytest.fixture(autouse=True)
 def no_child_outlives_its_test():
     """A test reaps every child process it starts (``subprocess.run``
-    does)."""
+    does). An ``eval_ppl`` row helper lives as long as its model, which
+    a test may keep (a cached fixture's), so every helper is closed
+    first, through ``procs.close_all``."""
     yield
+    procs.close_all()
     if hasattr(os, "waitid") and _has_child():
         pytest.fail("the test left a child process of the test process")
 

@@ -1,6 +1,7 @@
 import functools
 import os
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -426,7 +427,10 @@ def test_teacher_logits_bit_equal_to_concatenate(precision, rng, monkeypatch):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypatch):
     """Every row's teacher logits are the same bytes at any row batch:
-    the set-up's batch size moves no output."""
+    the set-up's batch size moves no output. So are the spiking
+    student's ``forward_batch`` logits over a batch of ``eval_ppl``
+    windows, taken 1, 7, 8, 15 or 16 rows at a time: the row helper's
+    half of a batch gives the bytes of the whole batch's forward."""
     with dtype_scope(precision):
         teacher = LanguageModel(tiny_cfg(), rng)
         seqs = rng.integers(0, 259, size=(37, 20))
@@ -435,8 +439,15 @@ def test_teacher_logits_do_not_depend_on_the_row_batch(precision, rng, monkeypat
             monkeypatch.setattr(training, "EVAL_BATCH", rows)
             logits = teacher_targets(teacher, seqs)
             got[rows] = logits.tobytes()
-    assert logits.dtype == np.dtype(precision)
+        student = _toy_student().clone()
+        windows = rng.integers(0, 259, size=(EVAL_BATCH, SEQ_LEN))
+        scored = {}
+        for rows in (1, 7, 8, 15, 16):
+            scored[rows] = np.concatenate([student.forward_batch(windows[i:i + rows])[0].data
+                                           for i in range(0, EVAL_BATCH, rows)])
+    assert logits.dtype == scored[1].dtype == np.dtype(precision)
     assert len(set(got.values())) == 1
+    assert len({a.tobytes() for a in scored.values()}) == 1
 
 
 def _traced_peak(fn):
@@ -484,8 +495,14 @@ def test_teacher_scoring_with_repeats_holds_one_eval_batch_forward(rng):
 def test_eval_ppl_holds_one_eval_batch_forward(rng):
     """eval_ppl drops each batch's logits before the next forward: its
     peak above the token stream is the same for one batch of windows as
-    for four, within 16 KiB, and the result is the straight loop's."""
-    model = LanguageModel(toy_config(), rng)
+    for four, within 16 KiB, and the result is the straight loop's.
+    Where a row helper forks, it does at the model's second batch, so
+    one batch runs first: both measured calls then take one path."""
+    _assert_eval_ppl_holds_one_batch(LanguageModel(toy_config(), rng))
+
+
+def _assert_eval_ppl_holds_one_batch(model):
+    eval_ppl(model, synthetic_corpus(40, seed=1))
     width = SEQ_LEN + 1
     lines = synthetic_corpus(400, seed=0)
     stream = token_stream(lines)
@@ -1742,14 +1759,51 @@ def _rl_bytes(method, lr=1e-3):
     return rows, [t.data.tobytes() for t in policy.parameters()], len(here)
 
 
+EVAL_ROWS = 15  # windows an eval_ppl batch holds in _eval_bytes, as an infer document
+EVAL_BATCHES = 4
+
+
+@functools.cache
+def _eval_lines():
+    """The fewest corpus lines that make ``EVAL_BATCHES`` batches of
+    ``EVAL_ROWS`` windows."""
+    lines = synthetic_corpus(400, seed=4)
+    ends = np.cumsum([tokenize(line).size for line in lines])
+    k = int(np.searchsorted(ends, EVAL_BATCHES * EVAL_ROWS * (SEQ_LEN + 1))) + 1
+    assert token_stream(lines[:k]).size // (SEQ_LEN + 1) == EVAL_BATCHES * EVAL_ROWS
+    return lines[:k]
+
+
+def _eval_bytes():
+    """``eval_ppl`` of a fresh toy student over ``EVAL_BATCHES`` batches of
+    ``EVAL_ROWS`` windows: its perplexity's bytes, and the batches whose
+    helper half (rows 7 on) this process scored, in a whole-batch forward
+    or in one of those rows alone. Its row helper forks at the second
+    batch, and the model goes when the call returns."""
+    model, parent, here = _toy_student().clone(), os.getpid(), []
+    forward = LanguageModel.forward_batch
+
+    def counted(self, tokens, **kw):
+        if os.getpid() == parent and tokens.shape[0] != EVAL_ROWS // 2:
+            here.append(tokens.shape[0])
+        return forward(self, tokens, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
+        mp.setattr(LanguageModel, "forward_batch", counted)
+        ppl = eval_ppl(model, _eval_lines())
+    return np.float64(ppl).tobytes(), len(here)
+
+
 # Each child's run: its bytes, then the count of the child's kind of work
 # this process did (rows of the child's half, reference forwards,
-# alignment terms).
+# alignment terms, batches' helper halves).
 CHILDREN = {
     "teacher pass": _teacher_bytes,
     "rl dpo": functools.partial(_rl_bytes, "dpo"),
     "rl kto": functools.partial(_rl_bytes, "kto"),
     "distillation": functools.partial(_distill_bytes, 2),
+    "eval helper": _eval_bytes,
 }
 
 
@@ -1828,6 +1882,21 @@ def test_rl_scores_the_reference_in_one_child(method, forks):
     _assert_no_child()
 
 
+def test_the_eval_helper_scores_half_of_each_later_batch(forks, exit_codes):
+    """Where a second process fits, the model's row helper forks at its
+    second batch and scores the helper half of it and of every later
+    batch: this process reads each of those hand-offs, gives the
+    one-process bytes, and the helper is closed when the model goes:
+    it reads EOF or is killed, and it is reaped."""
+    want, everything = _one_process("eval helper")
+    assert everything == EVAL_BATCHES
+    with _hand_offs() as received:
+        *got, here = CHILDREN["eval helper"]()
+    assert len(forks) == 1 and got == want and here == 1
+    assert len(received) == EVAL_BATCHES - 1 and exit_codes in ([0], [-signal.SIGKILL])
+    _assert_no_child()
+
+
 def _assert_stopped_is_one_process(name, k, how, forks, exit_codes):
     """The child ended through ``how`` before the work of its k-th
     hand-off: this process read the k - 1 before it, did the rest of the
@@ -1857,6 +1926,16 @@ def test_rl_child_that_stops_mid_run_is_the_same_run(end, method, forks, exit_co
     total = _answered(f"rl {method}")
     for k in (1, (total + 1) // 2, total):
         _assert_stopped_is_one_process(f"rl {method}", k, end, forks, exit_codes)
+
+
+@pytest.mark.parametrize("k", [1, 2, EVAL_BATCHES - 1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("end", ENDS)
+def test_an_eval_helper_that_stops_is_one_process(k, end, forks, exit_codes):
+    """The row helper ending before its first, a middle or its last
+    batch: this process scores that batch's helper half and every later
+    batch itself, and the helper is reaped at once."""
+    assert _answered("eval helper") == EVAL_BATCHES - 1
+    _assert_stopped_is_one_process("eval helper", k, end, forks, exit_codes)
 
 
 DISTILL_HAND_OFFS = 4 * 4 * 2  # _distill_bytes: steps x terms x (value, gradients)
@@ -1905,6 +1984,10 @@ def test_rl_without_a_child_is_the_same_run(no_child, method, forks):
 
 def test_distill_without_a_child_is_the_same_run(no_child, forks):
     _assert_without_a_child("distillation", no_child, forks)
+
+
+def test_eval_ppl_without_a_helper_is_the_same_score(no_child, forks):
+    _assert_without_a_child("eval helper", no_child, forks)
 
 
 def _assert_error_here(run, forks):
@@ -1969,3 +2052,147 @@ def test_rl_interrupt_while_the_child_is_awaited_kills_and_reaps_it(forks, exit_
 
 def test_distill_interrupt_while_the_child_is_awaited_kills_and_reaps_it(forks, exit_codes):
     _assert_interrupt_kills_and_reaps("distillation", forks, exit_codes)
+
+
+def test_eval_interrupt_while_the_helper_is_awaited_kills_and_reaps_it(forks, exit_codes):
+    _assert_interrupt_kills_and_reaps("eval helper", forks, exit_codes)
+
+
+# ---------------------------------------------------------------------------
+# eval_ppl's row helper beyond the fault matrix
+
+def test_an_error_here_retires_the_eval_helper(forks, exit_codes):
+    """A ``NumericError`` in this process's half of the model's second
+    batch, raised while the helper holds the other half: eval_ppl raises
+    it, the helper is closed and reaped at once (it reads EOF or is
+    killed), and the model scores in one process from then on, with the
+    one-process bytes."""
+    model, parent = _toy_student().clone(), os.getpid()
+    forward, calls = LanguageModel.forward_batch, []
+
+    def failing(self, tokens, **kw):
+        if os.getpid() == parent:
+            calls.append(tokens.shape[0])
+            if len(calls) == 2:
+                raise NumericError("non-finite block output at layer 0")
+        return forward(self, tokens, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
+        mp.setattr(LanguageModel, "forward_batch", failing)
+        with pytest.raises(NumericError, match="layer 0"):
+            eval_ppl(model, _eval_lines())
+    assert calls == [EVAL_ROWS, EVAL_ROWS // 2]
+    assert len(forks) == 1 and exit_codes in ([0], [-signal.SIGKILL])
+    _assert_no_child()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
+        got = np.float64(eval_ppl(model, _eval_lines())).tobytes()
+    assert len(forks) == 1 and [got] == _one_process("eval helper")[0]
+
+
+def test_the_eval_helper_scores_with_the_parameters_of_each_batch(forks):
+    """After an AdamW step replaces every parameter array, the model's
+    helper, forked before it, scores with the new parameters: the bytes
+    of a one-process score of a copy of the stepped model."""
+    model = _toy_student().clone()
+    lines = _eval_lines()
+    eval_ppl(model, lines)
+    assert len(forks) == 1
+    params = model.parameters()
+    AdamW(params).step({id(p): np.full_like(p.data, 0.5) for p in params}, 1e-2)
+    got = eval_ppl(model, lines)
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        want = eval_ppl(model.clone(), lines)
+    assert len(forks) == 1 and got == want
+    assert want != eval_ppl(_toy_student().clone(), lines)
+
+
+@pytest.mark.parametrize("case", ["float64", "hook", "one window a batch", "open tape"])
+def test_eval_ppl_forks_no_helper_where_one_process_scores(case, forks, monkeypatch):
+    """No row helper in float64, with a hook, for batches of one window
+    or inside an open tape: every batch is one forward here."""
+    hook = (lambda layer, at, data: data) if case == "hook" else None
+    if case == "one window a batch":
+        monkeypatch.setattr(training, "EVAL_BATCH", 1)
+    with dtype_scope("float64" if case == "float64" else "float32"):
+        model = _toy_student().clone()
+        if case == "open tape":
+            with Graph():
+                eval_ppl(model, _eval_lines())
+        else:
+            eval_ppl(model, _eval_lines(), hook=hook)
+    assert not forks
+
+
+def test_eval_ppl_with_its_helper_holds_one_eval_batch_forward(forks):
+    _assert_eval_ppl_holds_one_batch(LanguageModel(toy_config(), np.random.default_rng(0)))
+    assert len(forks) == 1
+
+
+EXITS = """
+import os
+import numpy as np
+from spikessm import SPIKING, TILIF, LanguageModel, NeuronConfig, toy_config
+from spikessm.training import eval_ppl, synthetic_corpus
+
+os.sched_getaffinity = lambda pid: {0, 1}  # a host where a second process fits
+fork, pids = os.fork, []
+
+def counted():
+    pid = fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+os.fork = counted
+model = LanguageModel(toy_config(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4)),
+                      np.random.default_rng(3))
+eval_ppl(model, synthetic_corpus(40, seed=2))  # a batch of 16 windows, then one of 11
+print(*pids)
+"""
+
+
+def test_no_helper_outlives_a_process_that_exits():
+    """A script whose model's row helper forked, and which exits while
+    it holds the model: once it exits, the helper is gone."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    for var in procs.BLAS_THREAD_VARS[1:]:
+        env.pop(var, None)
+    proc = subprocess.run([sys.executable, "-c", EXITS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
+
+
+def test_compensated_distill_maps_no_term_where_no_child_forks(forks):
+    """Where no child forks, a one-step compensated ``distill_run`` makes
+    no alignment term mapping, only the teacher pass's two outputs; the
+    run is the same bytes as where the terms' child forks and maps them."""
+    def run():
+        made = []
+
+        def counted(shape, dtype):
+            made.append(shape)
+            return procs.shared(shape, dtype)
+
+        teacher = LanguageModel(tiny_cfg(), np.random.default_rng(5))
+        student = teacher.clone(mode=SPIKING, neuron=NeuronConfig(kind=TILIF, d_max=4),
+                                sgc=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "shared", counted)
+            res = distill_run(teacher, student, synthetic_corpus(30, seed=0), steps=1,
+                              batch=3, prompt_len=4, total_len=14, n_sequences=6, seed=3)
+        return (res.metrics, [t.data.tobytes() for t in student.parameters()]), len(made)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        alone, mapped_alone = run()
+    assert not forks and mapped_alone == 2
+    split, mapped = run()
+    assert len(forks) == 1 and split == alone
+    assert mapped == 2 + 4 * 6 + 1  # per term: three arrays and their gradients; the values
