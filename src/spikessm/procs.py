@@ -1,18 +1,18 @@
-"""A second process beside the caller: the one fork primitive of the
-package (:func:`child`), the rule for when it forks, and the shared
-memory and pipe ends its work goes through.
+"""A second process beside the caller: the one child type of the package
+(:class:`Child`), the rule for when it forks, and the shared memory and
+pipe ends its work goes through.
 
 A child computes only what its parent could compute itself, so the
 parent never needs to know why one is missing. It reads the child's
 answers from a pipe; where no child forked, or it ended before an
-answer, the read returns None and the parent does that work itself.
+answer, the read returns None, the child is closed, and the parent does
+that work itself.
 
-Most children live for one call: the block of :func:`child` is the
-call's. A :class:`Lasting` child holds that block open across calls,
-for work that comes in many short requests, until :meth:`Lasting.close`
-(its owner's finalizer, or :func:`close_all`) kills and reaps it. Only
-the process that forked a child kills it, and a forked child never
-forks. This module imports no model code.
+Most children live for one call, the ``with`` block that forks them;
+one that serves many short requests stays open until it is closed (its
+owner's finalizer, or :func:`close_all`). Only the process that forked
+a child kills it, and a forked child never forks. This module imports
+no model code.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import mmap
 import os
 import signal
 import threading
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -46,13 +45,13 @@ def _blas_threads() -> int:
     return usable_cpus()
 
 
-_in_child = False  # set in the child branch of child(): a child never forks
+_in_child = False  # set in a forked Child: a child never forks
 _ends: set[int] = set()  # this process's ends of the pipes to its open children
 
 
 def _second_process_fits() -> bool:
     """Whether this process may fork a second one to work beside it, the
-    one rule of :func:`child`.
+    one rule of :class:`Child`.
 
     Each process needs CPUs for all its BLAS threads: where BLAS already
     takes every CPU, a split teacher pass read 2.2-2.8x one process.
@@ -75,20 +74,16 @@ Send = Callable[[bytes], None]
 
 
 def _receiver(fd: int) -> Receive:
-    """``receive(n)``: the next ``n`` bytes of pipe ``fd``. None at EOF or
-    a short read (the writer raised, was killed or exited early), and at
-    every call after it: the reader then computes what it waited for
-    itself."""
-    live = True
-
+    """``receive(n)``: the next ``n`` bytes of pipe ``fd``; None at EOF or
+    a short read (the writer raised, was killed or exited early)."""
     def receive(n: int) -> bytes | None:
-        nonlocal live
         got = b""
-        while live and len(got) < n:
+        while len(got) < n:
             part = os.read(fd, n - len(got))
-            live = bool(part)
+            if not part:
+                return None
             got += part
-        return got if live else None
+        return got
 
     return receive
 
@@ -105,13 +100,6 @@ def _sender(fd: int) -> Send:
             pass
 
     return send
-
-
-def keeper(pid: int) -> Callable[[], None]:
-    """``keep()``: :func:`keep_off` process ``pid``, on the CPUs this
-    process may use now."""
-    cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
-    return lambda: keep_off(pid, cpus)
 
 
 def keep_off(pid: int, cpus: set[int]) -> None:
@@ -133,14 +121,31 @@ def keep_off(pid: int, cpus: set[int]) -> None:
         pass
 
 
+def _requests(fd: int, parent: int) -> Receive:
+    """The child's ``receive``: :func:`_receiver`'s, and after each
+    request it reads, :func:`keep_off` the parent, on the CPUs the child
+    started with."""
+    receive = _receiver(fd)
+    cpus = set(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else set()
+
+    def kept(n: int) -> bytes | None:
+        got = receive(n)
+        if got is not None:
+            keep_off(parent, cpus)
+        return got
+
+    return kept
+
+
 Work = Callable[[Receive, Send], None]
 
+_open: set["Child"] = set()  # the open children this process forked
 
-@contextmanager
-def child(make: Callable[[], Work] | None) -> Iterator[tuple[Send, Receive, bool]]:
-    """Run ``make()(receive, send)`` in a forked child, a pipe each way;
-    the block gets this end of both and whether a child runs, ``(send,
-    receive, forked)`` (see :func:`_receiver` and :func:`_sender`).
+
+class Child:
+    """``make()(receive, send)`` run in a forked child, a pipe each way;
+    this end's :meth:`send` and :meth:`receive` talk to it while it is
+    :attr:`live`. Use it as a context manager (or :meth:`close` it).
 
     It forks only where ``make`` is given and :func:`_second_process_fits`.
     ``make`` builds the child's state (its shared mappings) and returns
@@ -148,95 +153,98 @@ def child(make: Callable[[], Work] | None) -> Iterator[tuple[Send, Receive, bool
     before the fork. Opening the pipes, ``make`` and forking share one
     failure path: where one raises ``OSError`` (EMFILE at the descriptor
     limit, ENOMEM, EAGAIN at the process limit), or the platform cannot
-    fork, no child runs, ``send`` does nothing and ``receive`` returns
-    None at once. The pipes' buffers bound how far ahead the child runs.
-    The child closes its parent's ends of the pipes to its other
-    children, so each of them still reads EOF when the parent goes. It
-    leaves through ``os._exit``: it never unwinds into the caller's
-    stack or flushes the buffers it inherited. However the block ends,
-    the child is killed and reaped."""
-    global _in_child
-    pid, fds = None, []  # the read and write ends of the pipe down, then up's
-    if make is not None and hasattr(os, "fork") and _second_process_fits():
-        try:
-            for _ in range(2):
-                fds += os.pipe()
-            work = make()
-            pid = os.fork()
-        except OSError:
-            pass
-        finally:
-            if pid is None:
-                for fd in fds:
+    fork, no child runs. The pipes' buffers bound how far ahead the child
+    runs. The child closes its parent's ends of the pipes to its other
+    children, so each of them still reads EOF when the parent goes, and
+    moves off its parent's CPU after each request it reads
+    (:func:`keep_off`). It leaves through ``os._exit``: it never unwinds
+    into the caller's stack or flushes the buffers it inherited.
+
+    One failure rule: the first :meth:`receive` that returns None (the
+    child raised, was killed or exited before its answer) closes the
+    child. Closing kills and reaps it; from then on, as where none
+    forked, ``live`` is False, ``send`` does nothing and ``receive``
+    returns None at once. Only the process that forked a child uses it:
+    elsewhere (in a later child, which inherits this object) it is not
+    ``live`` and ``close`` leaves it alone. :func:`close_all` closes
+    every open one."""
+
+    def __init__(self, make: Callable[[], Work] | None):
+        global _in_child
+        self._parent = os.getpid()
+        self._pid = None  # the child's, while it is open
+        pid, fds = None, []  # the read and write ends of the pipe down, then up's
+        if make is not None and hasattr(os, "fork") and _second_process_fits():
+            try:
+                for _ in range(2):
+                    fds += os.pipe()
+                work = make()
+                pid = os.fork()
+            except OSError:
+                pass
+            finally:
+                if pid is None:
+                    for fd in fds:
+                        os.close(fd)
+        if pid is None:
+            return
+        down_r, down_w, up_r, up_w = fds
+        if pid == 0:
+            status = 1
+            try:
+                _in_child = True
+                for fd in _ends | {down_w, up_r}:
                     os.close(fd)
-    if pid is None:
-        yield (lambda data: None), (lambda n: None), False
-        return
-    down_r, down_w, up_r, up_w = fds
-    if pid == 0:
-        status = 1
-        try:
-            _in_child = True
-            for fd in _ends | {down_w, up_r}:
-                os.close(fd)
-            work(_receiver(down_r), _sender(up_w))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(down_r)
-    os.close(up_w)
-    _ends.update((down_w, up_r))
-    try:
-        yield _sender(down_w), _receiver(up_r), True
-    finally:
-        _ends.difference_update((down_w, up_r))
-        os.close(down_w)
-        os.close(up_r)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-_lasting: set["Lasting"] = set()  # the open ones this process forked
-
-
-class Lasting:
-    """A child that outlives the call that forks it: the block of
-    ``child(make)`` held open until :meth:`close`.
-
-    Only the process that made it uses it: elsewhere (in a child forked
-    later, which inherits this object) ``live`` is False, ``send`` does
-    nothing, ``receive`` returns None and ``close`` leaves the child
-    alone. The owner closes it, at the latest through a
-    ``weakref.finalize`` of what it serves, which also runs at
-    interpreter exit; :func:`close_all` closes every one."""
-
-    def __init__(self, make: Callable[[], Work]):
-        self._pid = os.getpid()
-        self._block = ExitStack()
-        self._send, self._receive, forked = self._block.enter_context(child(make))
-        if forked:
-            _lasting.add(self)
+                work(_requests(down_r, self._parent), _sender(up_w))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(down_r)
+        os.close(up_w)
+        self._pid, self._fds = pid, (down_w, up_r)
+        self._send, self._receive = _sender(down_w), _receiver(up_r)
+        _ends.update(self._fds)
+        _open.add(self)
 
     @property
     def live(self) -> bool:
-        """Whether the child runs, this process made it and it is open."""
-        return self in _lasting and os.getpid() == self._pid
+        """Whether this process forked the child and it is open: no read
+        has found it gone, and no one closed it."""
+        return self._pid is not None and os.getpid() == self._parent
 
     def send(self, data: bytes) -> None:
         if self.live:
             self._send(data)
 
     def receive(self, n: int) -> bytes | None:
-        return self._receive(n) if self.live else None
+        """The child's next ``n`` bytes; None, closing it, where they do
+        not come."""
+        if not self.live:
+            return None
+        got = self._receive(n)
+        if got is None:
+            self.close()
+        return got
 
     def close(self) -> None:
-        """Kill and reap the child, in the process that made it."""
+        """Kill and reap the child, in the process that forked it."""
         if self.live:
-            _lasting.discard(self)
-            self._block.close()
+            pid, self._pid = self._pid, None
+            _open.discard(self)
+            _ends.difference_update(self._fds)
+            for fd in self._fds:
+                os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def __enter__(self) -> Child:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def close_all() -> None:
-    """Close every :class:`Lasting` child this process made and still holds open."""
-    for lasting in list(_lasting):
-        lasting.close()
+    """Close every :class:`Child` this process forked and still holds open."""
+    for child in list(_open):
+        child.close()

@@ -5,19 +5,18 @@ one step of the shared loop :func:`optimise`.
 Everything is deterministic under a fixed seed: data sampling uses one
 generator, and a metrics row is a plain dict whose keys are its file's
 columns; the CLI owns every file a run reads or writes. The loop runs in
-one thread. Four pieces of work run in a child forked beside it through
-the one primitive :func:`procs.child`, which decides where a second
-process fits: half of the distillation set-up's teacher pass,
-``rl_run``'s reference forwards, ``distill_run``'s alignment terms and
-half of each ``eval_ppl`` batch. The first three children live for their
-call; ``eval_ppl``'s row helper lives as long as its model
-(:class:`_RowHelper`). Where a child's answer does not come, this
-process does that work itself, so each gives the bytes of one process.
+one thread. Four pieces of work run in a :class:`procs.Child` forked
+beside it, which decides where a second process fits: half of the
+distillation set-up's teacher pass, ``rl_run``'s reference forwards,
+``distill_run``'s alignment terms and half of each ``eval_ppl`` batch.
+The first three children live for their call; ``eval_ppl``'s row helper
+lives as long as its model (:class:`_RowHelper`). Where a child's answer
+does not come, the child is closed and this process does that work
+itself, so each gives the bytes of one process.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,7 +40,7 @@ from .mamba2 import (
     sgc_forward,
 )
 from .optim import AdamW, lr_schedule
-from .procs import Lasting, Receive, Send, Work, child, keeper, shared
+from .procs import Child, Receive, Send, shared
 from .tensor import (
     ContractError,
     Graph,
@@ -190,12 +189,10 @@ def _batch_logits(model: LanguageModel, tokens: np.ndarray, hook: Hook | None) -
     """The (B, T, vocab) logits of one batch of ``eval_ppl`` windows: one
     forward here, or, where the model's :class:`_RowHelper` may take
     half of it, that helper's. It may where no hook is given, no tape is
-    open, the batch holds at least two rows, and the run precision and
-    the model are float32: a row's float32 logits are the same bytes at
-    any row batch, and float64 takes one process, as the teacher pass
-    does (:data:`SPLIT_ROWS`)."""
-    if (hook is None and active_graph() is None and tokens.shape[0] >= 2
-            and default_dtype() == np.float32 and model.embedding.data.dtype == np.float32):
+    open and the batch :func:`_splits` with one row a process: a row's
+    float32 logits are the same bytes at any row batch."""
+    if (hook is None and active_graph() is None
+            and _splits(tokens.shape[0], model.embedding.data.dtype, 1)):
         helper = _ROW_HELPERS.get(model)
         if helper is None:
             helper = _ROW_HELPERS[model] = _RowHelper(model)
@@ -204,10 +201,9 @@ def _batch_logits(model: LanguageModel, tokens: np.ndarray, hook: Hook | None) -
 
 
 class _RowHelper:
-    """The row helper of one model: a child, forked through
-    :class:`procs.Lasting` at the model's second batch, that scores rows
-    ``[B // 2, B)`` of each later batch of B windows while this process
-    scores the rows before them.
+    """The row helper of one model: a :class:`procs.Child`, forked at the
+    model's second batch, that scores rows ``[B // 2, B)`` of each later
+    batch of B windows while this process scores the rows before them.
 
     A fork costs more than a batch saves, so a model scored in one
     batch never forks one. The child holds shared mappings of the
@@ -222,8 +218,9 @@ class _RowHelper:
     was killed or exited), this process scores those rows itself; where
     an error escapes while the child holds a batch, it is raised. Either
     way the child is killed and reaped at once, so no late byte answers
-    a later batch, and the model scores in one process from then on.
-    The child is closed when the model is collected, at interpreter exit,
+    a later batch. Once the child is closed, or where none forked at the
+    second batch, the model scores in one process from then on. The
+    child is closed when the model is collected, at interpreter exit,
     or by :func:`procs.close_all`; this object holds no reference to the
     model."""
 
@@ -231,16 +228,14 @@ class _RowHelper:
         self.cfg = model.cfg
         self.shapes = {name: t.shape for name, t in model.named_parameters()}
         self.batches = 0  # scored so far
-        self.alone = False  # the child failed: one process from then on
         self.size = None  # (window width, EVAL_BATCH) the child was sized for
-        self.child: Lasting | None = None
+        self.child = Child(None)
         weakref.finalize(model, self.close)
 
     def close(self) -> None:
-        if self.child is not None:
-            self.child.close()
+        self.child.close()
 
-    def _mapped(self) -> Work:
+    def _mapped(self) -> Callable[[Receive, Send], None]:
         """The shared mappings, made right before the fork; the child's work."""
         width, batch = self.size
         rows, dtype = batch - batch // 2, default_dtype()
@@ -251,28 +246,20 @@ class _RowHelper:
 
     def serve(self, receive: Receive, send: Send) -> None:
         mapped = LanguageModel.from_tensors(self.cfg, self.params)  # reads them in place
-        keep = keeper(os.getppid())
         while (got := receive(1)) is not None:
-            keep()
             n = got[0]
             self.out[:n] = mapped.forward_batch(self.tokens[:n])[0].data
             send(b"d")
 
     def _running(self, width: int) -> bool:
-        """Whether the child takes this batch: from the model's second
-        batch, forked (again) where none of this size is open."""
+        """Whether the child takes this batch: forked at the model's
+        second batch, and again where a live one was sized for another."""
         self.batches += 1
-        if self.alone or self.batches < 2:
-            return False
-        if not (self.size == (width, EVAL_BATCH) and self.child.live):
+        if self.batches == 2 or (self.child.live and self.size != (width, EVAL_BATCH)):
             self.close()
             self.size = (width, EVAL_BATCH)
-            self.child = Lasting(self._mapped)
+            self.child = Child(self._mapped)
         return self.child.live
-
-    def _retire(self) -> None:
-        self.close()
-        self.alone = True
 
     def logits(self, model: LanguageModel, tokens: np.ndarray) -> Tensor:
         B, T = tokens.shape
@@ -287,13 +274,9 @@ class _RowHelper:
             mine = model.forward_batch(tokens[:half])[0].data
             answered = self.child.receive(1) is not None
         except BaseException:
-            self._retire()
+            self.close()
             raise
-        if answered:
-            theirs = self.out[:B - half]
-        else:
-            self._retire()
-            theirs = model.forward_batch(tokens[half:])[0].data
+        theirs = self.out[:B - half] if answered else model.forward_batch(tokens[half:])[0].data
         return Tensor(np.concatenate([mine, theirs]))
 
 
@@ -346,14 +329,14 @@ def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
     """``(sequences, targets)``: the (m, T) greedy continuations of m
     prompts by the ``matmul`` kernel, and their :func:`teacher_targets`,
     both in anonymous shared mappings. ``label(lo, hi)`` writes rows
-    ``[lo, hi)`` of each. Where :func:`_splits` holds and a child forks
-    (:func:`procs.child`), the child labels rows ``m // 2`` on, then sends
-    one byte, while this process labels the rows before them; where that
-    byte does not come (the child raised, was killed or ended early), this
-    process labels the child's rows too. The bytes are one process's: each
-    half decodes at least ``SPLIT_ROWS`` rows, and a trunk row is the same
-    bytes in any row batch. An error in either half is raised with its
-    type and message."""
+    ``[lo, hi)`` of each. Where :func:`_splits` holds at ``SPLIT_ROWS``
+    and a :class:`procs.Child` forks, the child labels rows ``m // 2``
+    on, then sends one byte, while this process labels the rows before
+    them; where that byte does not come (the child raised, was killed or
+    ended early), this process labels the child's rows too. The bytes are
+    one process's: each half decodes at least ``SPLIT_ROWS`` rows, and a
+    trunk row is the same bytes in any row batch. An error in either half
+    is raised with its type and message."""
     m, T0 = prompts.shape
     dtype = teacher.embedding.data.dtype
     seqs = shared((m, T0 + max_new), np.int64)
@@ -367,9 +350,10 @@ def teacher_pass(teacher: LanguageModel, prompts: np.ndarray,
         label(m // 2, m)
         send(b"d")
 
-    with child((lambda: there) if _splits(m, dtype) else None) as (_, receive, forked):
+    with Child((lambda: there) if _splits(m, dtype, SPLIT_ROWS) else None) as child:
+        forked = child.live
         label(0, m // 2 if forked else m)
-        if forked and receive(1) is None:
+        if forked and child.receive(1) is None:
             label(m // 2, m)
     return seqs, out
 
@@ -409,12 +393,13 @@ def teacher_targets(teacher: LanguageModel, sequences: np.ndarray,
 SPLIT_ROWS = 56
 
 
-def _splits(rows: int, dtype: np.dtype) -> bool:
-    """Whether the distillation set-up's teacher pass
-    (:func:`teacher_pass`) over ``rows`` distinct prompts of a
-    ``dtype`` teacher may run in two processes: float32 (see
-    :data:`SPLIT_ROWS`) and at least ``2 * SPLIT_ROWS`` rows."""
-    return default_dtype() == np.float32 and dtype == np.float32 and rows >= 2 * SPLIT_ROWS
+def _splits(rows: int, dtype: np.dtype, least: int) -> bool:
+    """Whether a no-tape pass over ``rows`` rows of a ``dtype`` model may
+    run in two processes of at least ``least`` rows each: the run and
+    the model are float32 (see :data:`SPLIT_ROWS`) and there are at least
+    ``2 * least`` rows. The teacher pass asks with ``SPLIT_ROWS``,
+    ``eval_ppl`` with 1."""
+    return default_dtype() == np.float32 and dtype == np.float32 and rows >= 2 * least
 
 
 def _teacher_logits(teacher: LanguageModel,
@@ -474,9 +459,17 @@ def alignment_term(inp: Tensor, out: Tensor, w: Tensor, d_max: int) -> Tensor:
     return _stand_in((inp, out, w), value, d_max, seed, walk)
 
 
+@dataclass
+class _Term:
+    index: int  # in recording order
+    tensors: tuple[Tensor, Tensor, Tensor]  # input, output, mirror
+    grads: list[np.ndarray] | None = None  # computed here, else the child's
+
+
 class _Alignment:
     """The alignment terms of one :func:`distill_run`, one per projection
-    of each compensated layer, and the child forked to compute them.
+    of each compensated layer, and the :class:`procs.Child` forked to
+    compute them, with its shared mappings made right before the fork.
 
     Each step the parent hands the child every term in recording order
     (layer order, the input projection first), as soon as the term's
@@ -486,66 +479,9 @@ class _Alignment:
     its value in shared memory and answers one byte; after the last term
     it walks the terms' tapes in reverse, the order the parent's walk
     needs them, answering one byte as each term's gradients are in
-    place. ``live`` says whether the parent still hands terms to it;
-    :meth:`hear` clears it at the first read that finds the child gone."""
+    place.
 
-    def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
-                 lead: tuple[int, int]):
-        self.d_max = d_max
-        dtype = default_dtype()
-        # per term: input, output and mirror, then their gradients
-        self.shared = [[shared(shape, dtype) for shape in
-                        2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)]
-                       for ws in mirrors.values() for w in ws]
-        self.shared_values = shared((len(self.shared),), dtype)
-        # the upstream gradient each term gets from the step's total
-        self.seed = dtype.type(hidden_term_weight(len(self.shared)))
-        self.live = True
-        self.owed = 0  # bytes the child is still to answer
-        self.send = self.receive = None  # this end of the child's pipes
-
-    def hear(self) -> bool:
-        """Read the child's next byte: False, and no longer ``live``, once
-        the child is gone."""
-        if self.live and self.receive(1) is not None:
-            self.owed -= 1
-            return True
-        self.live = False
-        return False
-
-    def settle(self) -> None:
-        """Read what the child still owes of an earlier step: the bytes of
-        gradients the parent did not take, having walked the terms from
-        another upstream gradient than ``seed``."""
-        while self.owed and self.hear():
-            pass
-
-    def serve(self, receive: Receive, send: Send) -> None:
-        walks, keep = [], keeper(os.getppid())
-        while (got := receive(1)) is not None:
-            keep()
-            bufs = self.shared[got[0]]
-            self.shared_values[got[0]], walk = _term_tape(bufs[:3], self.d_max, self.seed)
-            send(b"v")
-            walks.append((bufs, walk))
-            if len(walks) == len(self.shared):
-                for bufs, walk in reversed(walks):
-                    for buf, g in zip(bufs[3:], walk()):
-                        buf[...] = g
-                    send(b"g")
-                walks = []
-
-
-@dataclass
-class _Term:
-    index: int  # in recording order
-    tensors: tuple[Tensor, Tensor, Tensor]  # input, output, mirror
-    grads: list[np.ndarray] | None = None  # computed here, else the child's
-
-
-class _StepTerms:
-    """One step's alignment terms on its tape, while the child runs.
-
+    In the parent, :meth:`step` begins a step's terms on its tape.
     :meth:`record` is called right after each compensated projection's
     product: it hands the term to the child (while it is live) and
     records one :func:`_stand_in`, whose backward, from the seed the
@@ -560,22 +496,63 @@ class _StepTerms:
     tensor as one operand of a two-operand add, as on a tape of the
     whole step, so the bytes do not depend on where the terms ran."""
 
-    def __init__(self, run: _Alignment):
-        self.run = run
-        run.settle()
+    def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
+                 lead: tuple[int, int]):
+        self.d_max = d_max
+        # per term: input, output and mirror, then their gradients
+        self.shapes = [2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)
+                       for ws in mirrors.values() for w in ws]
+        self.owed = 0  # bytes the child is still to answer
+        self.child = Child(self._mapped if mirrors else None)
+
+    def _mapped(self) -> Callable[[Receive, Send], None]:
+        """The shared mappings, made right before the fork; the child's work."""
+        dtype = default_dtype()
+        self.shared = [[shared(shape, dtype) for shape in shapes] for shapes in self.shapes]
+        self.shared_values = shared((len(self.shared),), dtype)
+        # the upstream gradient each term gets from the step's total
+        self.seed = dtype.type(hidden_term_weight(len(self.shared)))
+        return self.serve
+
+    def serve(self, receive: Receive, send: Send) -> None:
+        walks = []
+        while (got := receive(1)) is not None:
+            bufs = self.shared[got[0]]
+            self.shared_values[got[0]], walk = _term_tape(bufs[:3], self.d_max, self.seed)
+            send(b"v")
+            walks.append((bufs, walk))
+            if len(walks) == len(self.shared):
+                for bufs, walk in reversed(walks):
+                    for buf, g in zip(bufs[3:], walk()):
+                        buf[...] = g
+                    send(b"g")
+                walks = []
+
+    def hear(self) -> bool:
+        """Read the child's next byte: False once the child is gone."""
+        if self.child.receive(1) is None:
+            return False
+        self.owed -= 1
+        return True
+
+    def step(self) -> None:
+        """Begin a step: read what the child still owes of the last one
+        (the bytes of gradients the parent did not take, having walked
+        the terms from another upstream gradient than ``seed``)."""
+        while self.owed and self.hear():
+            pass
         self.heard = 0  # bytes the child answered this step
         self.terms: list[tuple[_Term, Tensor]] = []  # and their stand-ins
 
     def record(self, inp: Tensor, out: Tensor, w: Tensor) -> Tensor:
-        run = self.run
         term = _Term(len(self.terms), (inp, out, w))
-        if run.live:
-            for buf, t in zip(run.shared[term.index], term.tensors):
+        if self.child.live:
+            for buf, t in zip(self.shared[term.index], term.tensors):
                 buf[...] = t.data
-            run.send(bytes([term.index]))
-            run.owed += 2
-        stand_in = _stand_in(term.tensors, np.empty((), default_dtype()), run.d_max,
-                             run.seed, lambda: self._grads(term))
+            self.child.send(bytes([term.index]))
+            self.owed += 2
+        stand_in = _stand_in(term.tensors, np.empty((), default_dtype()), self.d_max,
+                             self.seed, lambda: self._grads(term))
         self.terms.append((term, stand_in))
         return stand_in
 
@@ -585,7 +562,7 @@ class _StepTerms:
         terms, self.terms = self.terms, []
         for term, stand_in in terms:
             if self._heard(term.index):
-                stand_in.data[...] = self.run.shared_values[term.index]
+                stand_in.data[...] = self.shared_values[term.index]
             else:
                 value, walk = self._here(term)
                 stand_in.data[...] = value
@@ -593,8 +570,8 @@ class _StepTerms:
 
     def _grads(self, term: _Term) -> list[np.ndarray]:
         if term.grads is None:
-            if self._heard(2 * len(self.run.shared) - 1 - term.index):
-                return self.run.shared[term.index][3:]
+            if self._heard(2 * len(self.shared) - 1 - term.index):
+                return self.shared[term.index][3:]
             term.grads = self._here(term)[1]()
         return term.grads
 
@@ -602,12 +579,12 @@ class _StepTerms:
         """Whether the child sent its byte ``n`` of this step, reading up
         to it: over N terms, term t's value is byte t and its gradients
         byte 2N - 1 - t."""
-        while self.heard <= n and self.run.hear():
+        while self.heard <= n and self.hear():
             self.heard += 1
         return self.heard > n
 
     def _here(self, term: _Term) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
-        return _term_tape([t.data for t in term.tensors], self.run.d_max, self.run.seed)
+        return _term_tape([t.data for t in term.tensors], self.d_max, self.seed)
 
 
 def distill_run(teacher: LanguageModel, student: LanguageModel,
@@ -632,11 +609,10 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     projection (``on_projection``), one alignment term per projection,
     in layer order, the input projection first, each recorded at that
     point of the tape. Where a child forks before the loop
-    (:func:`procs.child`), it computes them (:class:`_Alignment`), each
-    term while the student's forward goes on here: on the step's tape
-    each term is then a stand-in
-    (:class:`_StepTerms`), and from the first term the child did not
-    answer the stand-ins' terms run here. Otherwise the step records the
+    (:class:`_Alignment`), it computes them, each term while the
+    student's forward goes on here: on the step's tape each term is then
+    a stand-in, and from the first term the child did not answer the
+    stand-ins' terms run here. Otherwise the step records the
     terms' own ops on its tape. Either way the bytes are one tape's, and
     the child is killed and reaped when the run returns or raises.
     """
@@ -660,23 +636,19 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
     d_max = student.cfg.neuron.d_max
-    align = None
-
-    def aligning():  # procs.child calls this only where it forks
-        nonlocal align
-        align = _Alignment(mirrors, d_max, (batch, sequences.shape[1]))
-        return align.serve
+    align = _Alignment(mirrors, d_max, (batch, sequences.shape[1]))
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
-        terms = _StepTerms(align) if align else None
+        if align:
+            align.step()
         hidden = []
 
         def projected(i, j, inp, out):
             if i in mirrors:
                 w = mirrors[i][j]
-                hidden.append(terms.record(inp, out, w) if terms else
+                hidden.append(align.record(inp, out, w) if align else
                               hidden_align_loss(out, sgc_forward(inp, w, d_max)))
 
         with Graph() as g:
@@ -684,18 +656,16 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                 sequences[pick], on_projection=projected if mirrors else None)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            if terms:
-                terms.values()
+            if align:
+                align.values()
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
         return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
                          "loss_hidden": (loss.item() - l_kl.item()) if hidden else 0.0,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
-    with child(aligning if mirrors else None) as (send, receive, forked):
-        if forked:
-            align.send, align.receive = send, receive
-        else:  # each step records the terms' own ops
+    with align.child:
+        if not align.child.live:  # each step records the terms' own ops
             align = None
         return DistillResult(student=student, metrics=optimise(params, steps, lr, record_step))
 
@@ -838,7 +808,7 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
     forward over the rows of the step that first samples the example.
     KTO's ``z_ref`` is :func:`_kto_z_ref`'s, so KTO needs ``batch >= 2``.
 
-    Where a child forks before the loop (:func:`procs.child`), every
+    Where a :class:`procs.Child` forks before the loop, every
     reference forward (those rows, and the reference half of each
     ``z_ref``) runs ahead of the steps there: it replays the step
     draws from its own ``default_rng(seed)`` and streams each
@@ -889,11 +859,11 @@ def rl_run(policy: LanguageModel, examples: list[PreferenceExample], *,
                 if rows is not None:
                     send(reference_logprobs(rows).tobytes())
 
-    with child(lambda: ahead) as (_, receive, _):
+    with Child(lambda: ahead) as child:
         steps_drawn = draws()
 
         def received_logprobs(rows):
-            got = receive(rows[0].shape[0] * ref_lp.itemsize)
+            got = child.receive(rows[0].shape[0] * ref_lp.itemsize)
             return reference_logprobs(rows) if got is None else np.frombuffer(got, ref_lp.dtype)
 
         def record_step(step):

@@ -70,7 +70,7 @@ def no_child_outlives_its_test():
 @pytest.fixture
 def forks(monkeypatch):
     """A host where a second process fits (two CPUs, one BLAS thread), so
-    ``procs.child`` forks, and the pids of the children ``os.fork`` made
+    ``procs.Child`` forks, and the pids of the children ``os.fork`` made
     in the test."""
     for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -147,7 +147,7 @@ def _without_a_child(block: str):
 @pytest.fixture(params=["one cpu", "blas on every cpu", "another thread", "no fork",
                         "fork fails", "no fds"])
 def no_child(request, forks):
-    """``with no_child(): ...`` runs its block where ``procs.child`` forks
+    """``with no_child(): ...`` runs its block where ``procs.Child`` forks
     no child, for each reason there is: the fork rule does not hold (one
     CPU; BLAS unset, so on every CPU; another Python thread runs),
     ``os.fork`` is missing, it raises ``EAGAIN``, or ``os.pipe`` raises

@@ -1,5 +1,4 @@
-"""The fork primitive ``procs.child`` and its long-lived form ``procs.Lasting``,
-with trivial work and no model."""
+"""The one child type ``procs.Child``, with trivial work and no model."""
 
 import ast
 import os
@@ -49,9 +48,11 @@ def test_the_childs_sends_are_read_in_order(forks):
             send(bytes([i]) * (i + 1))
         send(big)
 
-    with procs.child(lambda: work) as (_, receive, forked):
-        got = [receive(i + 1) for i in range(5)] + [receive(len(big)), receive(1)]
-    assert forked and len(forks) == 1
+    with procs.Child(lambda: work) as child:
+        assert child.live
+        got = [child.receive(i + 1) for i in range(5)] + [child.receive(len(big)),
+                                                          child.receive(1)]
+    assert len(forks) == 1
     assert got == [bytes([i]) * (i + 1) for i in range(5)] + [big, None]
     _reaped(forks)
 
@@ -61,10 +62,10 @@ def test_what_this_end_sends_reaches_the_child(forks):
         while (got := receive(3)) is not None:
             send(got[::-1])
 
-    with procs.child(lambda: echo) as (send, receive, _):
+    with procs.Child(lambda: echo) as child:
         for word in (b"abc", b"xyz"):
-            send(word)
-            assert receive(3) == word[::-1]
+            child.send(word)
+            assert child.receive(3) == word[::-1]
     _reaped(forks)
 
 
@@ -73,17 +74,20 @@ def test_what_this_end_sends_reaches_the_child(forks):
 def test_a_child_that_ends_before_its_kth_send_reads_none_from_there_on(
         k, how, forks, exit_codes):
     """The child ends before its k-th of four sends: ``receive`` returns
-    the k - 1 sends before it, then None at the k-th and every later
-    call; the child is reaped with the status it ended with."""
+    the k - 1 sends before it, then None at the k-th, which closes the
+    child, and at every later call; the child is reaped with the status
+    it ended with."""
     def work(receive, send):
         for i in range(1, 5):
             if i == k:
                 end(how)
             send(bytes([i]))
 
-    with procs.child(lambda: work) as (_, receive, forked):
-        got = [receive(1) for _ in range(6)]
-    assert forked and got == [bytes([i]) for i in range(1, k)] + [None] * (7 - k)
+    with procs.Child(lambda: work) as child:
+        assert child.live
+        got = [child.receive(1) for _ in range(6)]
+        assert not child.live and exit_codes == [ENDS[how]]
+    assert got == [bytes([i]) for i in range(1, k)] + [None] * (7 - k)
     assert exit_codes == [ENDS[how]]
     _reaped(forks)
 
@@ -94,8 +98,8 @@ def test_a_block_that_raises_kills_and_reaps_the_child(forks, exit_codes):
 
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="here"):
-        with procs.child(lambda: sleeps) as (_, _, forked):
-            assert forked
+        with procs.Child(lambda: sleeps) as child:
+            assert child.live
             raise RuntimeError("here")
     assert time.monotonic() - start < 30
     assert exit_codes == [-signal.SIGKILL]
@@ -107,28 +111,30 @@ def test_a_child_that_raises_exits_1(forks, exit_codes):
         send(b"a")
         raise ValueError("there")
 
-    with procs.child(lambda: raises) as (_, receive, _):
-        assert receive(1) == b"a" and receive(1) is None
+    with procs.Child(lambda: raises) as child:
+        assert child.receive(1) == b"a" and child.receive(1) is None
     assert exit_codes == [1]
 
 
 def test_no_work_forks_no_child(forks):
-    with procs.child(None) as (send, receive, forked):
-        assert send(b"x") is None and receive(1) is None and not forked
+    with procs.Child(None) as child:
+        assert child.send(b"x") is None and child.receive(1) is None and not child.live
     assert not forks
 
 
 def test_where_no_child_forks_receive_returns_none_at_once(no_child, forks):
     """Where the fork rule does not hold, or the fork or its pipes fail: no
-    child, ``send`` does nothing, ``receive`` returns None at once, and no
-    descriptor is left open."""
+    child, it is not ``live``, ``send`` does nothing, ``receive`` returns
+    None at once, ``close`` does nothing, and no descriptor is left open."""
     def work(receive, send):
         pytest.fail("a child ran")
 
     open_before = _open_fds()
     with no_child():
-        with procs.child(lambda: work) as (send, receive, forked):
-            assert send(b"x") is None and receive(1) is None and not forked
+        with procs.Child(lambda: work) as child:
+            assert child.send(b"x") is None and child.receive(1) is None
+            assert not child.live
+            child.close()
     assert not forks and _open_fds() == open_before
 
 
@@ -143,8 +149,8 @@ def test_a_second_pipe_that_fails_closes_the_first(forks):
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     resource.setrlimit(resource.RLIMIT_NOFILE, (lowest + 3, hard))
     try:
-        with procs.child(lambda: lambda receive, send: None) as (_, receive, forked):
-            assert receive(1) is None and not forked
+        with procs.Child(lambda: lambda receive, send: None) as child:
+            assert child.receive(1) is None and not child.live
     finally:
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
     assert not forks and _open_fds() == open_before
@@ -160,8 +166,8 @@ def test_make_runs_once_right_before_the_fork(forks):
         made.append(len(forks))
         return lambda receive, send: send(b"w")
 
-    with procs.child(make) as (_, receive, forked):
-        assert forked and receive(1) == b"w"
+    with procs.Child(make) as child:
+        assert child.live and child.receive(1) == b"w"
     assert made == [0] and len(forks) == 1
 
 
@@ -176,20 +182,20 @@ def test_where_no_child_forks_make_runs_only_if_the_fork_fails(no_child, request
         return lambda receive, send: None
 
     with no_child():
-        with procs.child(make) as (_, _, forked):
-            assert not forked
+        with procs.Child(make) as child:
+            assert not child.live
     assert made == [1] * (request.node.callspec.params["no_child"] == "fork fails")
 
 
 def test_a_forked_child_never_forks(forks):
-    """In a child's work, ``child`` forks nothing: the rule does not hold
+    """In a child's work, ``Child`` forks nothing: the rule does not hold
     there, and ``make`` is not called."""
     def work(receive, send):
-        with procs.child(lambda: pytest.fail("a child's child ran")) as (_, _, forked):
-            send(bytes([forked, procs._second_process_fits()]))
+        with procs.Child(lambda: pytest.fail("a child's child ran")) as grandchild:
+            send(bytes([grandchild.live, procs._second_process_fits()]))
 
-    with procs.child(lambda: work) as (_, receive, _):
-        assert receive(2) == bytes([False, False])
+    with procs.Child(lambda: work) as child:
+        assert child.receive(2) == bytes([False, False])
     assert len(forks) == 1 and procs._second_process_fits()
     _reaped(forks)
 
@@ -202,7 +208,7 @@ def test_a_child_holds_no_end_of_another_childs_pipes(forks):
         while (got := receive(1)) is not None:
             send(got)
 
-    with procs.child(lambda: echo) as (send, receive, _):
+    with procs.Child(lambda: echo) as child:
         ends = set(procs._ends)
 
         def probe(_, send_up):
@@ -214,10 +220,10 @@ def test_a_child_holds_no_end_of_another_childs_pipes(forks):
                     closed.append(fd)
             send_up(bytes([len(closed)]))
 
-        with procs.child(lambda: probe) as (_, probed, _):
-            assert probed(1) == bytes([len(ends)]) and len(ends) == 2
-        send(b"e")
-        assert receive(1) == b"e"
+        with procs.Child(lambda: probe) as prober:
+            assert prober.receive(1) == bytes([len(ends)]) and len(ends) == 2
+        child.send(b"e")
+        assert child.receive(1) == b"e"
     assert len(forks) == 2
     _reaped(forks)
 
@@ -230,26 +236,26 @@ def echo_then_sleep(receive, send):
 
 
 def test_a_lasting_child_serves_until_it_is_closed(forks, exit_codes):
-    """A :class:`procs.Lasting` child answers across calls until
+    """A child held outside a ``with`` block answers across calls until
     ``close`` kills and reaps it; a second ``close`` does nothing, and
     from then on ``send`` does nothing and ``receive`` returns None."""
-    lasting = procs.Lasting(lambda: echo_then_sleep)
+    child = procs.Child(lambda: echo_then_sleep)
     for word in (b"a", b"b"):
-        lasting.send(word)
-        assert lasting.receive(1) == word
-    assert lasting.live and len(forks) == 1 and not exit_codes
-    lasting.close()
-    lasting.close()
-    assert not lasting.live and exit_codes == [-signal.SIGKILL]
-    assert lasting.send(b"c") is None and lasting.receive(1) is None
+        child.send(word)
+        assert child.receive(1) == word
+    assert child.live and len(forks) == 1 and not exit_codes
+    child.close()
+    child.close()
+    assert not child.live and exit_codes == [-signal.SIGKILL]
+    assert child.send(b"c") is None and child.receive(1) is None
     _reaped(forks)
 
 
 def test_a_lasting_child_serves_only_the_process_that_made_it(forks, exit_codes):
     """In another process (a child forked later, holding a copy of the
-    object), the lasting child is not used: it is not ``live``,
-    ``receive`` returns None and ``close`` does not kill it."""
-    lasting = procs.Lasting(lambda: echo_then_sleep)
+    object), a child is not used: it is not ``live``, ``receive``
+    returns None and ``close`` does not kill it."""
+    lasting = procs.Child(lambda: echo_then_sleep)
 
     def elsewhere(_, send):
         lasting.send(b"x")
@@ -258,8 +264,8 @@ def test_a_lasting_child_serves_only_the_process_that_made_it(forks, exit_codes)
         send(bytes([lasting.live, got is None]))
         time.sleep(60)
 
-    with procs.child(lambda: elsewhere) as (_, receive, _):
-        assert receive(2) == bytes([False, True])
+    with procs.Child(lambda: elsewhere) as child:
+        assert child.receive(2) == bytes([False, True])
     assert lasting.live and len(forks) == 2 and exit_codes == [-signal.SIGKILL]
     lasting.send(b"y")
     assert lasting.receive(1) == b"y"
@@ -270,30 +276,93 @@ def test_a_lasting_child_serves_only_the_process_that_made_it(forks, exit_codes)
 
 def test_a_lasting_child_where_none_forks_is_not_live(no_child, forks):
     with no_child():
-        lasting = procs.Lasting(lambda: lambda receive, send: None)
-    assert not lasting.live and lasting.receive(1) is None and not forks
-    lasting.close()
+        child = procs.Child(lambda: lambda receive, send: None)
+    assert not child.live and child.receive(1) is None and not forks
+    child.close()
 
 
-def _imports(module) -> set[str]:
-    """The modules ``module``'s source imports, relative ones with their dots."""
+def test_a_missed_answer_closes_and_reaps_the_child_at_once(forks, exit_codes):
+    """The first ``receive`` that returns None kills and reaps the child
+    before the block ends; later reads return None without reading."""
+    def quits(receive, send):
+        send(b"a")
+        time.sleep(60)
+
+    with procs.Child(lambda: lambda receive, send: None) as child:
+        assert child.receive(1) is None and not child.live
+        _reaped(forks)
+        assert exit_codes == [0] and procs._ends == set()
+    with procs.Child(lambda: quits) as child:
+        assert child.receive(1) == b"a" and child.live
+        child.close()
+        assert child.receive(1) is None and exit_codes == [0, -signal.SIGKILL]
+    _reaped(forks)
+
+
+def test_close_all_closes_a_child_held_by_a_with_block(forks, exit_codes):
+    with procs.Child(lambda: echo_then_sleep) as child:
+        assert child.live
+        procs.close_all()
+        assert not child.live and exit_codes == [-signal.SIGKILL]
+        _reaped(forks)
+        assert child.receive(1) is None
+    assert exit_codes == [-signal.SIGKILL]
+
+
+def test_the_child_keeps_off_its_parent_once_per_request(forks, monkeypatch):
+    """The child calls ``keep_off(parent, cpus)`` once per request it
+    reads, right after the read, with the CPUs it started on; a child
+    that reads nothing never calls it."""
+    calls = []
+    monkeypatch.setattr(procs, "keep_off", lambda pid, cpus: calls.append((pid, cpus)))
+    parent = os.getpid()
+
+    def counts(receive, send):
+        while (got := receive(1)) is not None:
+            send(bytes([len(calls), calls == [(parent, {0, 1})] * len(calls)]))
+
+    with procs.Child(lambda: counts) as child:
+        for i in range(1, 4):
+            child.send(b"r")
+            assert child.receive(2) == bytes([i, True])
+
+    def silent(receive, send):
+        send(bytes([len(calls)]))
+
+    with procs.Child(lambda: silent) as child:
+        assert child.receive(1) == bytes([0])
+    assert not calls and len(forks) == 2
+
+
+def _imports(module) -> dict[str, set[str]]:
+    """The modules ``module``'s source imports, relative ones with their
+    dots, each with the names it takes from them."""
     tree = ast.parse(Path(module.__file__).read_text())
-    names = set()
+    names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names |= {a.name for a in node.names}
+            for a in node.names:
+                names.setdefault(a.name, set())
         elif isinstance(node, ast.ImportFrom):
-            names.add("." * node.level + (node.module or ""))
+            names.setdefault("." * node.level + (node.module or ""), set()).update(
+                a.name for a in node.names)
     return names
 
 
 def test_procs_is_the_one_module_that_forks():
     """``procs`` imports no module of the package; ``training`` leaves the
-    mappings, signals and threads to it; and ``procs`` forks, kills,
-    opens a pipe and reaps in one place each, no other source file at all."""
+    mappings, signals, threads and CPU placement to it and takes from it
+    only the child type, the mappings and the pipe-end types; and
+    ``procs`` forks, kills, opens a pipe and reaps in one place each, and
+    no other source file forks, kills, opens a pipe, reaps or places a
+    process on CPUs at all."""
     assert not {m for m in _imports(procs) if m.startswith((".", "spikessm"))}
-    assert not {"mmap", "signal", "threading"} & _imports(training)
+    assert not {"mmap", "signal", "threading"} & set(_imports(training))
+    assert _imports(training)[".procs"] == {"Child", "Receive", "Send", "shared"}
+    assert not {"Lasting", "child", "keeper"} & set(vars(procs))
     for path in Path(procs.__file__).parent.glob("*.py"):
         counts = [path.read_text().count(call + "(")
                   for call in ("os.fork", "os.kill", "os.pipe", "os.waitpid")]
         assert counts == [int(path.name == "procs.py")] * 4, path.name
+        placed = "os.sched_setaffinity" in path.read_text()
+        assert placed == (path.name == "procs.py"), path.name

@@ -2126,6 +2126,28 @@ def test_eval_ppl_forks_no_helper_where_one_process_scores(case, forks, monkeypa
     assert not forks
 
 
+def test_an_eval_helper_that_does_not_fork_is_not_tried_again(no_child, request, forks):
+    """Where no helper forks at the model's second batch, the model
+    scores every later batch in one process: the helper's mappings are
+    made once where the fork itself fails, never where the fork rule or
+    the pipes fail, and the score is the one-process bytes."""
+    made = []
+
+    def counted(shape, dtype):
+        made.append(shape)
+        return procs.shared(shape, dtype)
+
+    model = _toy_student().clone()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
+        mp.setattr(training, "shared", counted)
+        with no_child():
+            got = np.float64(eval_ppl(model, _eval_lines())).tobytes()
+    fork_fails = request.node.callspec.params["no_child"] == "fork fails"
+    assert len(made) == (len(model.parameters()) + 2) * fork_fails
+    assert not forks and [got] == _one_process("eval helper")[0]
+
+
 def test_eval_ppl_with_its_helper_holds_one_eval_batch_forward(forks):
     _assert_eval_ppl_holds_one_batch(LanguageModel(toy_config(), np.random.default_rng(0)))
     assert len(forks) == 1
