@@ -10,9 +10,9 @@ that work itself.
 
 Most children live for one call, the ``with`` block that forks them;
 one that serves many short requests stays open until it is closed (its
-owner's finalizer, or :func:`close_all`). Only the process that forked
-a child kills it, and a forked child never forks. This module imports
-no model code.
+owner's finalizer, or :func:`close_all`). Only the thread that forked
+a child talks to it, only the process that forked it kills it, and a
+forked child never forks. This module imports no model code.
 """
 
 from __future__ import annotations
@@ -164,14 +164,17 @@ class Child:
     child raised, was killed or exited before its answer) closes the
     child. Closing kills and reaps it; from then on, as where none
     forked, ``live`` is False, ``send`` does nothing and ``receive``
-    returns None at once. Only the process that forked a child uses it:
-    elsewhere (in a later child, which inherits this object) it is not
-    ``live`` and ``close`` leaves it alone. :func:`close_all` closes
-    every open one."""
+    returns None at once. Only the thread and process that forked a
+    child talk to it: in another thread, which would share its pipe and
+    mappings, it is not ``live`` and ``receive`` returns None without
+    closing it. Only the process that forked it closes it, from any
+    thread (its owner's finalizer, :func:`close_all`); elsewhere (in a
+    later child, which inherits this object) ``close`` leaves it alone.
+    :func:`close_all` closes every open one."""
 
     def __init__(self, make: Callable[[], Work] | None):
         global _in_child
-        self._parent = os.getpid()
+        self._parent, self._thread = os.getpid(), threading.get_ident()
         self._pid = None  # the child's, while it is open
         pid, fds = None, []  # the read and write ends of the pipe down, then up's
         if make is not None and hasattr(os, "fork") and _second_process_fits():
@@ -208,8 +211,12 @@ class Child:
 
     @property
     def live(self) -> bool:
-        """Whether this process forked the child and it is open: no read
+        """Whether this thread forked the child and it is open: no read
         has found it gone, and no one closed it."""
+        return self._ours() and threading.get_ident() == self._thread
+
+    def _ours(self) -> bool:
+        """Whether the child is open and this process forked it."""
         return self._pid is not None and os.getpid() == self._parent
 
     def send(self, data: bytes) -> None:
@@ -228,7 +235,7 @@ class Child:
 
     def close(self) -> None:
         """Kill and reap the child, in the process that forked it."""
-        if self.live:
+        if self._ours():
             pid, self._pid = self._pid, None
             _open.discard(self)
             _ends.difference_update(self._fds)

@@ -471,30 +471,33 @@ class _Alignment:
     of each compensated layer, and the :class:`procs.Child` forked to
     compute them, with its shared mappings made right before the fork.
 
-    Each step the parent hands the child every term in recording order
-    (layer order, the input projection first), as soon as the term's
-    projection has run: it copies the projection's input and output and
-    the mirror into term t's shared mappings and sends the byte t. The
-    child (:meth:`serve`) records the term's :func:`_term_tape`, leaves
-    its value in shared memory and answers one byte; after the last term
-    it walks the terms' tapes in reverse, the order the parent's walk
-    needs them, answering one byte as each term's gradients are in
-    place.
-
-    In the parent, :meth:`step` begins a step's terms on its tape.
     :meth:`record` is called right after each compensated projection's
-    product: it hands the term to the child (while it is live) and
-    records one :func:`_stand_in`, whose backward, from the seed the
-    step's total gives it, returns the gradients walked here or in the
-    child. So the stand-in sits on the tape right after its projection,
-    and the walk asks for an input projection's gradients only after
-    its block's whole backward. :meth:`values` fills in the stand-ins'
-    values for the step's total. The parent waits for the child only
-    there, for the values, and where the walk reaches a stand-in, for
-    that term's gradients. Where the child did not answer, the term
-    runs here, and so does every later term. Each gradient reaches its
-    tensor as one operand of a two-operand add, as on a tape of the
-    whole step, so the bytes do not depend on where the terms ran."""
+    product, and it alone decides where the term runs. While the child
+    is live, it hands the term over: it copies the projection's input
+    and output and the mirror into term t's shared mappings (t in
+    recording order: layer order, the input projection first) and sends
+    the byte t. The child (:meth:`serve`) records the term's
+    :func:`_term_tape`, leaves its value in shared memory and answers
+    one byte; after the last term it walks the terms' tapes in reverse,
+    the order the parent's walk needs them, answering one byte as each
+    term's gradients are in place. ``record`` then returns one
+    :func:`_stand_in`, whose backward, from the seed the step's total
+    gives it, returns the gradients walked in the child. So the stand-in
+    sits on the tape right after its projection, and the walk asks for
+    an input projection's gradients only after its block's whole
+    backward. Otherwise (no child forked, or it was closed) ``record``
+    returns the term's own ops.
+
+    :meth:`values` fills in the stand-ins' values for the step's total.
+    The parent waits for the child only there, for the values, where the
+    walk reaches a stand-in, for that term's gradients, and at a step's
+    first term, for what the last step left unread (the gradients of
+    terms walked from another upstream gradient than ``seed``). Where
+    the child did not answer, it is closed: the step's stand-ins it
+    did not answer run here, and later steps record the terms' own
+    ops. Each gradient reaches its tensor as one operand of a
+    two-operand add, as on a tape of the whole step, so the bytes do not
+    depend on where the terms ran."""
 
     def __init__(self, mirrors: dict[int, tuple[Tensor, Tensor]], d_max: int,
                  lead: tuple[int, int]):
@@ -502,7 +505,9 @@ class _Alignment:
         # per term: input, output and mirror, then their gradients
         self.shapes = [2 * (lead + (w.shape[0],), lead + (w.shape[1],), w.shape)
                        for ws in mirrors.values() for w in ws]
-        self.owed = 0  # bytes the child is still to answer
+        # bytes the child answered this step: all of them before the first
+        self.heard = 2 * len(self.shapes)
+        self.terms: list[tuple[_Term, Tensor]] = []  # this step's, and their stand-ins
         self.child = Child(self._mapped if mirrors else None)
 
     def _mapped(self) -> Callable[[Receive, Send], None]:
@@ -528,29 +533,16 @@ class _Alignment:
                     send(b"g")
                 walks = []
 
-    def hear(self) -> bool:
-        """Read the child's next byte: False once the child is gone."""
-        if self.child.receive(1) is None:
-            return False
-        self.owed -= 1
-        return True
-
-    def step(self) -> None:
-        """Begin a step: read what the child still owes of the last one
-        (the bytes of gradients the parent did not take, having walked
-        the terms from another upstream gradient than ``seed``)."""
-        while self.owed and self.hear():
-            pass
-        self.heard = 0  # bytes the child answered this step
-        self.terms: list[tuple[_Term, Tensor]] = []  # and their stand-ins
-
     def record(self, inp: Tensor, out: Tensor, w: Tensor) -> Tensor:
+        if not self.terms:  # the step's first term: read what the last step left
+            self._heard(2 * len(self.shapes) - 1)
+            self.heard = 0
+        if not self.child.live:
+            return hidden_align_loss(out, sgc_forward(inp, w, self.d_max))
         term = _Term(len(self.terms), (inp, out, w))
-        if self.child.live:
-            for buf, t in zip(self.shared[term.index], term.tensors):
-                buf[...] = t.data
-            self.child.send(bytes([term.index]))
-            self.owed += 2
+        for buf, t in zip(self.shared[term.index], term.tensors):
+            buf[...] = t.data
+        self.child.send(bytes([term.index]))
         stand_in = _stand_in(term.tensors, np.empty((), default_dtype()), self.d_max,
                              self.seed, lambda: self._grads(term))
         self.terms.append((term, stand_in))
@@ -579,7 +571,7 @@ class _Alignment:
         """Whether the child sent its byte ``n`` of this step, reading up
         to it: over N terms, term t's value is byte t and its gradients
         byte 2N - 1 - t."""
-        while self.heard <= n and self.hear():
+        while self.heard <= n and self.child.receive(1) is not None:
             self.heard += 1
         return self.heard > n
 
@@ -608,13 +600,13 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
     (input, output) pair the taped forward hands over right after each
     projection (``on_projection``), one alignment term per projection,
     in layer order, the input projection first, each recorded at that
-    point of the tape. Where a child forks before the loop
-    (:class:`_Alignment`), it computes them, each term while the
-    student's forward goes on here: on the step's tape each term is then
-    a stand-in, and from the first term the child did not answer the
-    stand-ins' terms run here. Otherwise the step records the
-    terms' own ops on its tape. Either way the bytes are one tape's, and
-    the child is killed and reaped when the run returns or raises.
+    point of the tape by :class:`_Alignment`. Where its child forked
+    before the loop, it computes them, each term while the student's
+    forward goes on here, and on the step's tape each term is a
+    stand-in. Where none forked, or once the child missed an answer, the
+    step records the terms' own ops. Either way the bytes are one
+    tape's, and the child is killed and reaped when the run returns or
+    raises.
     """
     if student.cfg.mode != SPIKING:
         raise ContractError("the distillation student must be a spiking model")
@@ -635,29 +627,23 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                for i, layer in enumerate(student.layers) if i in layers}
     params = student.parameters() + [w for pair in mirrors.values() for w in pair]
     cont = sequences.shape[1] - prompt_len
-    d_max = student.cfg.neuron.d_max
-    align = _Alignment(mirrors, d_max, (batch, sequences.shape[1]))
+    align = _Alignment(mirrors, student.cfg.neuron.d_max, (batch, sequences.shape[1]))
 
     def record_step(step):
         pick = rows[rng.integers(0, rows.size, size=batch)]
         t_logits = teacher.head(targets[pick]).data  # before the tape opens
-        if align:
-            align.step()
         hidden = []
 
         def projected(i, j, inp, out):
             if i in mirrors:
-                w = mirrors[i][j]
-                hidden.append(align.record(inp, out, w) if align else
-                              hidden_align_loss(out, sgc_forward(inp, w, d_max)))
+                hidden.append(align.record(inp, out, mirrors[i][j]))
 
         with Graph() as g:
             logits, auxes = student.forward_batch(
                 sequences[pick], on_projection=projected if mirrors else None)
             s_cont = narrow(logits, 1, prompt_len - 1, cont)
             l_kl = kl_distill_loss(t_logits[:, prompt_len - 1:-1], s_cont)
-            if align:
-                align.values()
+            align.values()
             loss = total_distill_loss(l_kl, hidden)
         fr_in, fr_out = student.site_stats(auxes)
         return g, loss, {"loss_total": loss.item(), "loss_kl": l_kl.item(),
@@ -665,8 +651,6 @@ def distill_run(teacher: LanguageModel, student: LanguageModel,
                          "fr_in": fr_in.rate, "fr_out": fr_out.rate}
 
     with align.child:
-        if not align.child.live:  # each step records the terms' own ops
-            align = None
         return DistillResult(student=student, metrics=optimise(params, steps, lr, record_step))
 
 

@@ -3,6 +3,7 @@
 import ast
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -274,6 +275,32 @@ def test_a_lasting_child_serves_only_the_process_that_made_it(forks, exit_codes)
     _reaped(forks)
 
 
+def test_a_child_serves_only_the_thread_that_made_it(forks, exit_codes):
+    """In another thread of the process that made it, a child is not
+    ``live``, ``send`` does nothing and ``receive`` returns None without
+    closing it; ``close`` there still kills and reaps it."""
+    child = procs.Child(lambda: echo_then_sleep)
+    seen = []
+
+    def elsewhere():
+        child.send(b"x")
+        seen.append((child.live, child.receive(1)))
+
+    def in_a_thread(target):
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+
+    in_a_thread(elsewhere)
+    assert seen == [(False, None)] and child.live and not exit_codes
+    child.send(b"y")
+    assert child.receive(1) == b"y"
+    in_a_thread(child.close)
+    assert not child.live and exit_codes == [-signal.SIGKILL]
+    _reaped(forks)
+
+
 def test_a_lasting_child_where_none_forks_is_not_live(no_child, forks):
     with no_child():
         child = procs.Child(lambda: lambda receive, send: None)
@@ -349,13 +376,28 @@ def _imports(module) -> dict[str, set[str]]:
     return names
 
 
+def _defs(module) -> dict[str, ast.AST]:
+    """``module``'s top-level functions and classes, and its classes'
+    methods as ``Class.method``, by name."""
+    defs = {}
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{n.name}", n) for n in node.body
+                        if isinstance(n, ast.FunctionDef))
+    return defs
+
+
 def test_procs_is_the_one_module_that_forks():
     """``procs`` imports no module of the package; ``training`` leaves the
     mappings, signals, threads and CPU placement to it and takes from it
     only the child type, the mappings and the pipe-end types; and
     ``procs`` forks, kills, opens a pipe and reaps in one place each, and
-    no other source file forks, kills, opens a pipe, reaps or places a
-    process on CPUs at all."""
+    no other source file forks, kills, opens a pipe, reaps, places a
+    process on CPUs or reads a thread's identity at all. ``training``'s
+    alignment terms keep one byte counter, and only ``_term_tape`` and
+    ``_Alignment.record`` record a term's own ops."""
     assert not {m for m in _imports(procs) if m.startswith((".", "spikessm"))}
     assert not {"mmap", "signal", "threading"} & set(_imports(training))
     assert _imports(training)[".procs"] == {"Child", "Receive", "Send", "shared"}
@@ -366,3 +408,12 @@ def test_procs_is_the_one_module_that_forks():
         assert counts == [int(path.name == "procs.py")] * 4, path.name
         placed = "os.sched_setaffinity" in path.read_text()
         assert placed == (path.name == "procs.py"), path.name
+        threads = "threading.get_ident" in path.read_text()
+        assert threads == (path.name == "procs.py"), path.name
+    defs = _defs(training)
+    assert not {"owed", "hear", "step"} & {
+        n.name if isinstance(n, ast.FunctionDef) else n.attr
+        for n in ast.walk(defs["_Alignment"]) if isinstance(n, (ast.FunctionDef, ast.Attribute))}
+    assert {name for name, node in defs.items() if not isinstance(node, ast.ClassDef)
+            and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "hidden_align_loss"
+                    for c in ast.walk(node))} == {"_term_tape", "_Alignment.record"}

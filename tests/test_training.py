@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -1708,6 +1709,20 @@ def test_distill_whose_fork_fails_records_the_terms_ops(no_child, monkeypatch, f
                 assert inputs[k] == [k - 4, k - 1]
 
 
+def test_distill_steps_after_the_child_stops_record_the_terms_ops(monkeypatch, forks):
+    """The child ending at its third hand-off, amid the first step's
+    values: that step's tape holds its four stand-ins, each term the
+    child did not finish runs here, and every later step records the
+    terms' own ops, as where no child forks."""
+    with _hand_offs(3, lambda: os._exit(0)):
+        tapes, here = _distill_tapes(monkeypatch)
+    steps = [ops for ops, _ in tapes if "kl_distill" in ops]
+    assert len(forks) == 1 and len(steps) == 4 and here == 4 * 2 * 2
+    assert steps[0].count("sgc_term") == 4 and "hidden_align" not in steps[0]
+    for ops in steps[1:]:
+        assert ops.count("hidden_align") == 4 and "sgc_term" not in ops
+
+
 # ---------------------------------------------------------------------------
 # the fault matrix: each child of a training stage, stopped at its
 # hand-offs or kept from forking, gives the run of one process. Each
@@ -2146,6 +2161,53 @@ def test_an_eval_helper_that_does_not_fork_is_not_tried_again(no_child, request,
     fork_fails = request.node.callspec.params["no_child"] == "fork fails"
     assert len(made) == (len(model.parameters()) + 2) * fork_fails
     assert not forks and [got] == _one_process("eval helper")[0]
+
+
+def test_the_eval_helper_forks_again_for_another_window_width(forks):
+    """A model scored at ``seq_len`` 48, then 24, then 48: its row helper
+    forks at the second batch and again at each change of window width,
+    and each perplexity is the one-process bytes."""
+    model, lines = _toy_student().clone(), _eval_lines()
+    widths = [SEQ_LEN, SEQ_LEN // 2, SEQ_LEN]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
+        got = [np.float64(eval_ppl(model, lines, seq_len=n)).tobytes() for n in widths]
+        assert len(forks) == 3
+        _one_cpu(mp)
+        want = [np.float64(eval_ppl(model.clone(), lines, seq_len=n)).tobytes()
+                for n in widths]
+    assert len(forks) == 3 and got == want
+
+
+def test_threads_scoring_one_model_get_the_one_process_score(forks):
+    """Once a model's row helper forked, threads that score the model at
+    once score in one process each (the helper serves only the thread
+    that made it, so they share no pipe and no mappings): every
+    perplexity is the one-process bytes, and no thread forks."""
+    model, other = _toy_student().clone(), synthetic_corpus(120, seed=9)
+    eval_ppl(model, _eval_lines())
+    assert len(forks) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        _one_cpu(mp)
+        want = np.float64(eval_ppl(model.clone(), other)).tobytes()
+    got = []
+
+    def score():
+        for _ in range(10):
+            got.append(np.float64(eval_ppl(model, other)).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=score) for _ in range(3)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [want] * 30 and len(forks) == 1
 
 
 def test_eval_ppl_with_its_helper_holds_one_eval_batch_forward(forks):
