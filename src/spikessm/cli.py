@@ -248,7 +248,9 @@ def write_output(outdir: str, name: str, text: str) -> str:
     return path
 
 
-def load_params_file(path: str, schema: dict[str, Opt]) -> dict[str, Any]:
+def load_params_file(path: str, command: str, schema: dict[str, Opt]) -> dict[str, Any]:
+    """The ``key=value`` lines of ``path``; a ``command=`` line, as in a
+    run's ``resolved_config.txt``, must name ``command``."""
     values: dict[str, Any] = {}
     for ln, raw in enumerate(read_lines("parameter file", path), 1):
         line = raw.strip()
@@ -257,16 +259,20 @@ def load_params_file(path: str, schema: dict[str, Opt]) -> dict[str, Any]:
         if "=" not in line:
             raise CliError(f"{path}:{ln}: expected key=value")
         key, _, val = line.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
+        if key == "command":
+            if val != command:
+                raise CliError(f"{path}:{ln}: written for {val!r}, not {command!r}")
+            continue
         if key not in schema:
             raise CliError(f"{path}:{ln}: unknown key {key!r}")
-        values[key] = val.strip()
+        values[key] = val
     return values
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     schema = {**GLOBAL_OPTS, **COMMANDS[command]}
-    given = load_params_file(args.params, schema) if args.params else {}
+    given = load_params_file(args.params, command, schema) if args.params else {}
     flags = {k: getattr(args, k) for k in schema}
     given.update({k: v for k, v in flags.items() if v is not None})  # flags win
     resolved = {k: opt.default for k, opt in schema.items()} | given

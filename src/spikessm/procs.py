@@ -46,7 +46,6 @@ def _blas_threads() -> int:
 
 
 _in_child = False  # set in a forked Child: a child never forks
-_ends: set[int] = set()  # this process's ends of the pipes to its open children
 
 
 def _second_process_fits() -> bool:
@@ -139,7 +138,7 @@ def _requests(fd: int, parent: int) -> Receive:
 
 Work = Callable[[Receive, Send], None]
 
-_open: set["Child"] = set()  # the open children this process forked
+_open: set["Child"] = set()  # the open children this process forked, and so its pipe ends
 
 
 class Child:
@@ -196,7 +195,7 @@ class Child:
             status = 1
             try:
                 _in_child = True
-                for fd in _ends | {down_w, up_r}:
+                for fd in {fd for c in _open for fd in c._fds} | {down_w, up_r}:
                     os.close(fd)
                 work(_requests(down_r, self._parent), _sender(up_w))
                 status = 0
@@ -206,7 +205,6 @@ class Child:
         os.close(up_w)
         self._pid, self._fds = pid, (down_w, up_r)
         self._send, self._receive = _sender(down_w), _receiver(up_r)
-        _ends.update(self._fds)
         _open.add(self)
 
     @property
@@ -238,7 +236,6 @@ class Child:
         if self._ours():
             pid, self._pid = self._pid, None
             _open.discard(self)
-            _ends.difference_update(self._fds)
             for fd in self._fds:
                 os.close(fd)
             os.kill(pid, signal.SIGKILL)

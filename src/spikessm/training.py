@@ -9,10 +9,11 @@ one thread. Four pieces of work run in a :class:`procs.Child` forked
 beside it, which decides where a second process fits: half of the
 distillation set-up's teacher pass, ``rl_run``'s reference forwards,
 ``distill_run``'s alignment terms and half of each ``eval_ppl`` batch.
-The first three children live for their call; ``eval_ppl``'s row helper
-lives as long as its model (:class:`_RowHelper`). Where a child's answer
-does not come, the child is closed and this process does that work
-itself, so each gives the bytes of one process.
+Each owner forks its child at most once: the first three live for
+their call, and ``eval_ppl``'s row helper as long as its model
+(:class:`_RowHelper`). Where a child's answer does not come, the child
+is closed and this process does that work itself, so each gives the
+bytes of one process.
 """
 
 from __future__ import annotations
@@ -195,77 +196,64 @@ def _batch_logits(model: LanguageModel, tokens: np.ndarray, hook: Hook | None) -
             and _splits(tokens.shape[0], model.embedding.data.dtype, 1)):
         helper = _ROW_HELPERS.get(model)
         if helper is None:
-            helper = _ROW_HELPERS[model] = _RowHelper(model)
+            helper = _ROW_HELPERS[model] = _RowHelper()
         return helper.logits(model, tokens)
     return model.forward_batch(tokens, hook=hook)[0]
 
 
 class _RowHelper:
-    """The row helper of one model: a :class:`procs.Child`, forked at the
-    model's second batch, that scores rows ``[B // 2, B)`` of each later
-    batch of B windows while this process scores the rows before them.
+    """The row helper of one model: a :class:`procs.Child`, forked once,
+    at the model's second batch, that scores rows ``[B // 2, B)`` of each
+    later batch of B windows while this process scores the rows before
+    them.
 
     A fork costs more than a batch saves, so a model scored in one
     batch never forks one. The child holds shared mappings of the
     model's parameters, one batch's token rows and one batch's logits,
-    sized at the fork from :data:`EVAL_BATCH` and the window width; a
-    batch of another width replaces the child. Before each batch this
-    process copies every parameter (the optimizer replaces the arrays,
-    so nothing tracks them) and the child's half of the tokens into them
-    and sends the row count; the child scores those rows with a model
-    reading the mapped parameters in place, leaves their logits in the
-    mapping and sends one byte. Where that byte does not come (the child raised,
-    was killed or exited), this process scores those rows itself; where
-    an error escapes while the child holds a batch, it is raised. Either
-    way the child is killed and reaped at once, so no late byte answers
-    a later batch. Once the child is closed, or where none forked at the
-    second batch, the model scores in one process from then on. The
+    sized at the fork from :data:`EVAL_BATCH` and that batch's window
+    width; a batch they do not fit (another width) is scored in one
+    process. Before each batch this process copies every parameter (the
+    optimizer replaces the arrays, so nothing tracks them) and the
+    child's half of the tokens into them and sends the row count; the
+    child scores those rows with a model reading the mapped parameters
+    in place, leaves their logits in the mapping and sends one byte.
+    Where that byte does not come, this process scores those rows
+    itself; where an error escapes while the child holds a batch, it is
+    raised and the child is closed. Once the child is closed, or where
+    none forked, the model scores in one process from then on. The
     child is closed when the model is collected, at interpreter exit,
     or by :func:`procs.close_all`; this object holds no reference to the
     model."""
 
-    def __init__(self, model: LanguageModel):
-        self.cfg = model.cfg
-        self.shapes = {name: t.shape for name, t in model.named_parameters()}
+    def __init__(self):
         self.batches = 0  # scored so far
-        self.size = None  # (window width, EVAL_BATCH) the child was sized for
         self.child = Child(None)
-        weakref.finalize(model, self.close)
 
-    def close(self) -> None:
-        self.child.close()
-
-    def _mapped(self) -> Callable[[Receive, Send], None]:
+    def _mapped(self, model: LanguageModel, width: int) -> Callable[[Receive, Send], None]:
         """The shared mappings, made right before the fork; the child's work."""
-        width, batch = self.size
-        rows, dtype = batch - batch // 2, default_dtype()
-        self.params = {name: shared(shape, dtype) for name, shape in self.shapes.items()}
+        rows, dtype, cfg = EVAL_BATCH - EVAL_BATCH // 2, default_dtype(), model.cfg
+        self.params = {name: shared(t.shape, dtype) for name, t in model.named_parameters()}
         self.tokens = shared((rows, width - 1), np.int64)
-        self.out = shared((rows, width - 1, self.cfg.vocab), dtype)
-        return self.serve
+        self.out = shared((rows, width - 1, cfg.vocab), dtype)
 
-    def serve(self, receive: Receive, send: Send) -> None:
-        mapped = LanguageModel.from_tensors(self.cfg, self.params)  # reads them in place
-        while (got := receive(1)) is not None:
-            n = got[0]
-            self.out[:n] = mapped.forward_batch(self.tokens[:n])[0].data
-            send(b"d")
+        def serve(receive: Receive, send: Send) -> None:
+            mapped = LanguageModel.from_tensors(cfg, self.params)  # reads them in place
+            while (got := receive(1)) is not None:
+                n = got[0]
+                self.out[:n] = mapped.forward_batch(self.tokens[:n])[0].data
+                send(b"d")
 
-    def _running(self, width: int) -> bool:
-        """Whether the child takes this batch: forked at the model's
-        second batch, and again where a live one was sized for another."""
-        self.batches += 1
-        if self.batches == 2 or (self.child.live and self.size != (width, EVAL_BATCH)):
-            self.close()
-            self.size = (width, EVAL_BATCH)
-            self.child = Child(self._mapped)
-        return self.child.live
+        return serve
 
     def logits(self, model: LanguageModel, tokens: np.ndarray) -> Tensor:
         B, T = tokens.shape
-        if not self._running(T + 1):
-            return model.forward_batch(tokens)[0]
         half = B // 2
+        self.batches += 1
+        if self.batches == 2:
+            self.child = Child(lambda: self._mapped(model, T + 1))
+            weakref.finalize(model, self.child.close)
+        if not self.child.live or B - half > self.tokens.shape[0] or T != self.tokens.shape[1]:
+            return model.forward_batch(tokens)[0]
         for name, t in model.named_parameters():
             self.params[name][...] = t.data
         self.tokens[:B - half] = tokens[half:]
@@ -274,7 +262,7 @@ class _RowHelper:
             mine = model.forward_batch(tokens[:half])[0].data
             answered = self.child.receive(1) is not None
         except BaseException:
-            self.close()
+            self.child.close()
             raise
         theirs = self.out[:B - half] if answered else model.forward_batch(tokens[half:])[0].data
         return Tensor(np.concatenate([mine, theirs]))

@@ -317,6 +317,49 @@ def test_params_file_unknown_key_rejected(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy-report", "--config", "toy", "--variant", "lif", "--fr-in", "0.3",
+     "--fr-out", "0.1"],
+    ["energy-report", "--config", "1.3b", "--variant", "tilif", "--paper"],
+    ["eval-ppl", "--ckpt", "{teacher}", "--corpus", "{corpus}", "--seq-len", "24"],
+    ["rl", "--method", "kto", "--ckpt", "{teacher}", "--steps", "3", "--batch", "2"],
+], ids=["energy-report", "energy-report paper", "eval-ppl", "rl kto"])
+def test_a_run_replayed_from_its_resolved_config_gives_the_same_outputs(
+        argv, teacher_dir, tmp_path, capsys):
+    """A run's ``resolved_config.txt`` is a ``--params`` file for its
+    command: the replay writes the same output bytes and stdout, and its
+    own resolved set differs only in ``out`` and ``params``."""
+    argv = [a.format(teacher=teacher_dir / "teacher.spkm", corpus=teacher_dir / "corpus.txt")
+            for a in argv]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(first)]) == 0
+    printed = capsys.readouterr().out
+    params = str(first / "resolved_config.txt")
+    assert main([argv[0], "--params", params, "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == printed.replace(str(first), str(replay))
+    names = sorted(os.listdir(first))
+    assert sorted(os.listdir(replay)) == names and "resolved_config.txt" in names
+    for name in names:
+        if name != "resolved_config.txt":
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+    was = set((first / "resolved_config.txt").read_text().splitlines())
+    now = set((replay / "resolved_config.txt").read_text().splitlines())
+    assert was - now == {f"out={first}"} and now - was == {f"out={replay}", f"params={params}"}
+
+
+def test_another_commands_resolved_config_is_refused_before_any_write(tmp_path, capsys):
+    first, out = tmp_path / "first", tmp_path / "o"
+    assert main(["energy-report", "--config", "130m", "--variant", "tilif", "--paper",
+                 "--out", str(first)]) == 0
+    params = first / "resolved_config.txt"
+    capsys.readouterr()
+    assert main(["gradcheck", "--params", str(params), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {params}:1: written for 'energy-report', not 'gradcheck'"]
+    assert not out.exists()
+
+
 def test_verify_equivalence_small(tmp_path):
     rc = main(["verify-equivalence", "--trials", "200", "--max-dim", "64",
                "--out", str(tmp_path)])

@@ -210,7 +210,7 @@ def test_a_child_holds_no_end_of_another_childs_pipes(forks):
             send(got)
 
     with procs.Child(lambda: echo) as child:
-        ends = set(procs._ends)
+        ends = {fd for c in procs._open for fd in c._fds}
 
         def probe(_, send_up):
             closed = []
@@ -318,7 +318,7 @@ def test_a_missed_answer_closes_and_reaps_the_child_at_once(forks, exit_codes):
     with procs.Child(lambda: lambda receive, send: None) as child:
         assert child.receive(1) is None and not child.live
         _reaped(forks)
-        assert exit_codes == [0] and procs._ends == set()
+        assert exit_codes == [0] and procs._open == set()
     with procs.Child(lambda: quits) as child:
         assert child.receive(1) == b"a" and child.live
         child.close()
@@ -395,13 +395,17 @@ def test_procs_is_the_one_module_that_forks():
     only the child type, the mappings and the pipe-end types; and
     ``procs`` forks, kills, opens a pipe and reaps in one place each, and
     no other source file forks, kills, opens a pipe, reaps, places a
-    process on CPUs or reads a thread's identity at all. ``training``'s
-    alignment terms keep one byte counter, and only ``_term_tape`` and
-    ``_Alignment.record`` record a term's own ops."""
+    process on CPUs or reads a thread's identity at all. ``procs`` keeps
+    one registry of open children, ``_open``. ``training``'s alignment
+    terms keep one byte counter, and only ``_term_tape`` and
+    ``_Alignment.record`` record a term's own ops. The row helper has no
+    size, re-fork check or close of its own, and its one finalizer is
+    registered where it forks, in ``_RowHelper.logits``."""
     assert not {m for m in _imports(procs) if m.startswith((".", "spikessm"))}
     assert not {"mmap", "signal", "threading"} & set(_imports(training))
     assert _imports(training)[".procs"] == {"Child", "Receive", "Send", "shared"}
     assert not {"Lasting", "child", "keeper"} & set(vars(procs))
+    assert "_ends" not in vars(procs)
     for path in Path(procs.__file__).parent.glob("*.py"):
         counts = [path.read_text().count(call + "(")
                   for call in ("os.fork", "os.kill", "os.pipe", "os.waitpid")]
@@ -411,6 +415,12 @@ def test_procs_is_the_one_module_that_forks():
         threads = "threading.get_ident" in path.read_text()
         assert threads == (path.name == "procs.py"), path.name
     defs = _defs(training)
+    assert not {"size", "_running", "close"} & {
+        n.name if isinstance(n, ast.FunctionDef) else n.attr
+        for n in ast.walk(defs["_RowHelper"]) if isinstance(n, ast.FunctionDef)
+        or isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "self"}
+    assert Path(training.__file__).read_text().count("weakref.finalize(") == 1
+    assert "weakref.finalize(" in ast.unparse(defs["_RowHelper.logits"])
     assert not {"owed", "hear", "step"} & {
         n.name if isinstance(n, ast.FunctionDef) else n.attr
         for n in ast.walk(defs["_Alignment"]) if isinstance(n, (ast.FunctionDef, ast.Attribute))}

@@ -2164,19 +2164,36 @@ def test_an_eval_helper_that_does_not_fork_is_not_tried_again(no_child, request,
 
 
 def test_the_eval_helper_forks_again_for_another_window_width(forks):
-    """A model scored at ``seq_len`` 48, then 24, then 48: its row helper
-    forks at the second batch and again at each change of window width,
-    and each perplexity is the one-process bytes."""
+    """A model scored at ``seq_len`` 48, 24, 48, then 24: its row helper
+    forks once, at the model's second batch, sized for windows of 48;
+    the batches of another width are scored in one process, and each
+    perplexity is the one-process bytes."""
     model, lines = _toy_student().clone(), _eval_lines()
-    widths = [SEQ_LEN, SEQ_LEN // 2, SEQ_LEN]
+    widths = [SEQ_LEN, SEQ_LEN // 2, SEQ_LEN, SEQ_LEN // 2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "EVAL_BATCH", EVAL_ROWS)
         got = [np.float64(eval_ppl(model, lines, seq_len=n)).tobytes() for n in widths]
-        assert len(forks) == 3
+        assert len(forks) == 1
         _one_cpu(mp)
         want = [np.float64(eval_ppl(model.clone(), lines, seq_len=n)).tobytes()
                 for n in widths]
-    assert len(forks) == 3 and got == want
+    assert len(forks) == 1 and got == want
+
+
+def test_an_eval_batch_with_more_rows_than_the_helper_maps_is_one_process(forks):
+    """A helper forked for batches of 4 windows maps 2 rows; batches of
+    ``EVAL_ROWS`` windows, whose back half is 8 rows, are scored in one
+    process without a second fork, with the one-process bytes."""
+    model, lines = _toy_student().clone(), _eval_lines()
+    with pytest.MonkeyPatch.context() as mp:
+        got = []
+        for rows in (4, EVAL_ROWS):
+            mp.setattr(training, "EVAL_BATCH", rows)
+            got.append(np.float64(eval_ppl(model, lines)).tobytes())
+        assert len(forks) == 1
+        _one_cpu(mp)
+        assert got[1] == np.float64(eval_ppl(model.clone(), lines)).tobytes()
+    assert len(forks) == 1
 
 
 def test_threads_scoring_one_model_get_the_one_process_score(forks):
